@@ -15,7 +15,7 @@
     in Table 2 — a {!budget} turns that blow-up into a clean
     {!Budget_exceeded} instead of an out-of-memory. *)
 
-type budget = {
+type budget = Driver.budget = {
   max_candidates : int option;
       (** cap on any per-node candidate list (checked after pruning and
           on 4P cross products before pruning) *)
@@ -111,8 +111,8 @@ val default_config : ?rule:Prune.t -> ?objective:objective -> ?wire_sizing:bool 
     construction. *)
 
 exception Budget_exceeded of string
-(** Raised mid-run when the budget is exhausted; the message says which
-    limit tripped and where. *)
+(** {!Driver.Budget_exceeded}: raised mid-run when the budget is
+    exhausted; the message says which limit tripped and where. *)
 
 type stats = {
   runtime_s : float;        (** wall-clock seconds for the whole run *)
@@ -138,30 +138,7 @@ type result = {
 }
 
 val default_grain : int
-(** Default subtree-size cutoff for task decomposition (see {!run}). *)
-
-val run :
-  ?pool:Exec.Pool.t ->
-  ?grain:int ->
-  config ->
-  model:Varmodel.Model.t ->
-  Rctree.Tree.t ->
-  result
-(** Optimise the tree.  The root candidate is chosen by the configured
-    {!objective} over the driver-output RAT.
-
-    With a [pool] of more than one job and a net larger than [grain]
-    (default {!default_grain}), independent subtrees run as
-    dependency-counted tasks on the pool: every node whose subtree
-    exceeds [grain] candidates a task, smaller subtrees run inline
-    inside their nearest task ancestor, and a merge node's task is
-    released only when all its subtree tasks have finished.  Device
-    variation ids are assigned in a sequential pre-pass and merges keep
-    the fixed child order, so the result is byte-identical to the
-    sequential run at any job count.  Without a pool (or with
-    [jobs = 1], or a small net) the classical sequential postorder loop
-    runs unchanged.
-    @raise Budget_exceeded when the configured budget trips. *)
+(** {!Driver.default_grain}. *)
 
 val run_tape :
   ?pool:Exec.Pool.t ->
@@ -170,15 +147,23 @@ val run_tape :
   model:Varmodel.Model.t ->
   Compile.Tape.t ->
   result
-(** Optimise a precompiled tape ({!Compile.Tape.compile}) instead of
-    walking the tree.  Device ids are consumed in tape edge order —
-    identical to [run]'s sequential pre-pass — and the interpreter
-    replays the same staging, pruning and merge kernels, so the result
-    is byte-identical to [run] on the tape's source tree, for every
-    rule, budget, pool and grain (modulo [stats.runtime_s], which is
-    wall-clock).  The model must be fresh (same state [run] expects):
-    binding consumes the same id sequence.
+(** Optimise a compiled net ({!Compile.Tape.compile}).  The root
+    candidate is chosen by the configured {!objective} over the
+    driver-output RAT.  {!Driver.run} schedules the DP over [pool] and
+    [grain] and binds the model's device ids in tape edge order, so the
+    result is byte-identical at any job count (modulo
+    [stats.runtime_s], which is wall-clock).  The model must be fresh:
+    binding consumes its device ids.
     @raise Budget_exceeded when the configured budget trips. *)
+
+val run :
+  ?pool:Exec.Pool.t ->
+  ?grain:int ->
+  config ->
+  model:Varmodel.Model.t ->
+  Rctree.Tree.t ->
+  result
+(** [run_tape] on [Compile.Tape.compile tree]. *)
 
 val merge_frontiers : node:int -> Sol.t array -> Sol.t array -> Sol.t array
 (** The linear O(n + m) merge of Fig. 1, exposed for demonstration and
@@ -192,6 +177,5 @@ val merge_cross :
 (** The quadratic cross-product merge the 4P rule forces (§2.2),
     exposed so its in-loop abort path is directly testable: [check] is
     called with the running combination count (1-based) before each
-    combination is stored — [run] passes the candidate-budget test
-    plus a wall-clock deadline check every 1024 combinations, and an
-    exception raised by [check] aborts the merge mid-loop. *)
+    combination is stored — the engine passes {!Driver.cross_check},
+    and an exception raised by [check] aborts the merge mid-loop. *)

@@ -1,62 +1,38 @@
-(* Flatten an RC tree into a postorder instruction tape.
+(* Flatten an RC tree into postorder arrays.
 
-   The DP engines walk the tree recursively, chasing child lists and
-   re-deriving per-edge facts (site of the buffer position, wire
-   midpoint, subtree sizes) on every run.  All of that is a pure
-   function of the topology, so a net that is solved repeatedly — the
-   serve path sees the same nets over and over — can pay for it once.
-   [compile] emits a flat op array in the exact sequential postorder
-   the engines use, with every edge numbered in the order the
-   sequential device-id pre-pass visits it (postorder over parent
-   nodes, child edges in list order).  An engine binds a tape to a
-   concrete variation model by consuming fresh device ids in edge
-   order — the counter then advances exactly as the tree walk's
-   pre-pass — and interprets the ops with no tree in sight.
+   Everything the DP needs from the topology — the execution order,
+   child links, subtree sizes, per-edge buffer sites, wire lengths and
+   midpoints — is a pure function of the tree, so a net that is solved
+   repeatedly (the serve path sees the same nets over and over) can pay
+   for it once.  Edges are numbered in the order of a sequential
+   postorder over parent nodes, child edges in list order; an engine
+   binds a tape to a concrete variation model by consuming fresh device
+   ids in that edge order, so the bytes never depend on scheduling.
 
    The tape is model-independent on purpose: one compiled tape serves
    every rule (det/1P/2P/4P/[6]) and the sampling engine, and can be
    cached across requests keyed by a digest of the topology alone. *)
 
-type op =
-  | Tag_sink of { node : int; cap : float; rat : float }
-      (** leaf: seed the node's frontier with the sink candidate *)
-  | Lift_edge of { child : int; edge : int; length : float }
-      (** stage the wired lifts of [child]'s frontier through its
-          upward edge (the frontier slot is consumed) *)
-  | Insert_site of { child : int; edge : int }
-      (** stage the buffered variants at the edge's site on top of the
-          pending wired candidates, then prune into a lifted frontier *)
-  | Merge of { node : int }
-      (** combine the two pending lifted frontiers at a Steiner node *)
-
 type t = {
   n : int;  (** node count *)
   edges : int;  (** edge count = n - 1 *)
   post : int array;  (** sequential execution order (postorder) *)
-  ops : op array;
-  op_off : int array;  (** node id -> first op of its group *)
-  op_end : int array;  (** node id -> one past its last op *)
-  edge_child : int array;  (** edge -> lower endpoint (the child) *)
+  left : int array;  (** node id -> first child, -1 for sinks *)
+  right : int array;  (** node id -> second child, -1 below merges *)
+  size : int array;  (** node id -> subtree node count *)
+  edge_above : int array;  (** node id -> edge to its parent, -1 at the root *)
+  sink_cap : float array;  (** node id -> sink pin cap, fF (0 off sinks) *)
+  sink_rat : float array;  (** node id -> sink RAT, ps (0 off sinks) *)
   edge_site : int array;  (** edge -> buffer site = parent node id *)
   edge_length : float array;  (** edge -> wire length, µm *)
   edge_mid_x : float array;  (** edge -> midpoint, µm *)
   edge_mid_y : float array;
   x : float array;  (** node id -> position, µm *)
   y : float array;
-  left : int array;  (** node id -> first child, -1 for sinks *)
-  right : int array;  (** node id -> second child, -1 below merges *)
-  size : int array;  (** node id -> subtree node count *)
-  slot : int array;  (** node id -> frontier slot, sequential execution *)
-  slots : int;  (** number of slots a sequential interpreter needs *)
-  where_node : string array;  (** node id -> budget-check label *)
-  where_edge : string array;  (** edge -> budget-check label *)
-  where_merge : string array;  (** node id -> merge label, "" below merges *)
 }
 
 let node_count t = t.n
 let edge_count t = t.edges
-let op_count t = Array.length t.ops
-let slot_count t = t.slots
 let root t = t.post.(t.n - 1)
 
 let obs_compiled = Obs.Counters.counter Obs.Counters.global "tape.compiled"
@@ -68,93 +44,45 @@ let compile tree =
   let n = Rctree.Tree.node_count tree in
   let post = Rctree.Tree.postorder tree in
   let edges = Rctree.Tree.edge_count tree in
-  let ops = ref [] and nops = ref 0 in
-  let push op =
-    ops := op :: !ops;
-    incr nops
-  in
-  let op_off = Array.make n 0 and op_end = Array.make n 0 in
-  let edge_child = Array.make edges (-1) in
+  let left = Array.make n (-1) and right = Array.make n (-1) in
+  let size = Array.make n 1 in
+  let edge_above = Array.make n (-1) in
+  let sink_cap = Array.make n 0.0 and sink_rat = Array.make n 0.0 in
   let edge_site = Array.make edges (-1) in
   let edge_length = Array.make edges 0.0 in
   let edge_mid_x = Array.make edges 0.0 in
   let edge_mid_y = Array.make edges 0.0 in
   let x = Array.make n 0.0 and y = Array.make n 0.0 in
-  let left = Array.make n (-1) and right = Array.make n (-1) in
-  let size = Array.make n 1 in
-  (* Frontier slots, assigned by replaying the sequential postorder:
-     a sink's frontier lands in a free slot, a single-child node
-     overwrites its child's slot, and a merge keeps the left slot and
-     frees the right.  Peak occupancy equals the tree's Strahler-like
-     width, so a sequential interpreter touches O(width) frontier
-     cells instead of O(n).  Slot reuse encodes sequential lifetimes —
-     a parallel interpreter must fall back to the identity mapping,
-     which changes nothing observable (slots never enter the math). *)
-  let slot = Array.make n (-1) in
-  (* Budget-check labels ("node 7", "edge above node 3", ...) are pure
-     topology, and the walk rebuilds them with [Printf.sprintf] on
-     every single run; baking them into the tape is one of the few
-     per-run costs a warm execution can actually skip. *)
-  let where_node = Array.make n "" in
-  let where_edge = Array.make edges "" in
-  let where_merge = Array.make n "" in
-  let free = ref [] and next_slot = ref 0 in
-  let alloc_slot () =
-    match !free with
-    | s :: rest ->
-      free := rest;
-      s
-    | [] ->
-      let s = !next_slot in
-      incr next_slot;
-      s
-  in
   let next_edge = ref 0 in
   Array.iter
     (fun id ->
+      (* Postorder: every child's position is already set. *)
       let px, py = Rctree.Tree.position tree id in
       x.(id) <- px;
-      y.(id) <- py)
-    post;
-  Array.iter
-    (fun id ->
-      op_off.(id) <- !nops;
-      where_node.(id) <- Printf.sprintf "node %d" id;
-      (match Rctree.Tree.sink tree id with
+      y.(id) <- py;
+      match Rctree.Tree.sink tree id with
       | Some s ->
-        push
-          (Tag_sink
-             { node = id; cap = s.Rctree.Tree.sink_cap; rat = s.Rctree.Tree.sink_rat });
-        slot.(id) <- alloc_slot ()
-      | None ->
+        sink_cap.(id) <- s.Rctree.Tree.sink_cap;
+        sink_rat.(id) <- s.Rctree.Tree.sink_rat
+      | None -> (
         let kids = Rctree.Tree.children tree id in
         List.iter
           (fun (child, length) ->
             let e = !next_edge in
             incr next_edge;
-            edge_child.(e) <- child;
+            edge_above.(child) <- e;
             edge_site.(e) <- id;
             edge_length.(e) <- length;
             edge_mid_x.(e) <- 0.5 *. (x.(id) +. x.(child));
             edge_mid_y.(e) <- 0.5 *. (y.(id) +. y.(child));
-            size.(id) <- size.(id) + size.(child);
-            where_edge.(e) <- Printf.sprintf "edge above node %d" child;
-            push (Lift_edge { child; edge = e; length });
-            push (Insert_site { child; edge = e }))
+            size.(id) <- size.(id) + size.(child))
           kids;
-        (match kids with
-        | [ (c, _) ] ->
-          left.(id) <- c;
-          slot.(id) <- slot.(c)
+        match kids with
+        | [ (c, _) ] -> left.(id) <- c
         | [ (a, _); (b, _) ] ->
           left.(id) <- a;
-          right.(id) <- b;
-          where_merge.(id) <- Printf.sprintf "merge at node %d" id;
-          push (Merge { node = id });
-          slot.(id) <- slot.(a);
-          free := slot.(b) :: !free
-        | _ -> invalid_arg "Tape.compile: node with unsupported arity"));
-      op_end.(id) <- !nops)
+          right.(id) <- b
+        | _ -> invalid_arg "Tape.compile: node with unsupported arity"))
     post;
   assert (!next_edge = edges);
   let tape =
@@ -162,24 +90,18 @@ let compile tree =
       n;
       edges;
       post;
-      ops = Array.of_list (List.rev !ops);
-      op_off;
-      op_end;
-      edge_child;
+      left;
+      right;
+      size;
+      edge_above;
+      sink_cap;
+      sink_rat;
       edge_site;
       edge_length;
       edge_mid_x;
       edge_mid_y;
       x;
       y;
-      left;
-      right;
-      size;
-      slot;
-      slots = !next_slot;
-      where_node;
-      where_edge;
-      where_merge;
     }
   in
   if obs then begin

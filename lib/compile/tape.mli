@@ -1,56 +1,35 @@
-(** Compile an RC tree into a flat postorder instruction tape.
+(** Compile an RC tree into flat postorder arrays.
 
     The tape is a model-independent program: every topology-derived
-    fact the DP engines need — postorder, per-edge buffer sites and
-    wire midpoints, subtree sizes for task decomposition, frontier
-    slot lifetimes — is precomputed once, so an engine interpreting
-    the tape touches no tree structure at all.  Engines bind a tape to
-    a concrete variation model by consuming fresh device ids in edge
-    order (edges are numbered in the exact order of the sequential
-    device-id pre-pass), which makes the interpreted results
-    byte-identical to the tree-walking DP.
+    fact the DP needs — postorder, child links, subtree sizes for task
+    decomposition, per-edge buffer sites, wire lengths and midpoints —
+    is precomputed once, so {!Bufins.Driver} runs every engine without
+    touching the tree.  Engines bind a tape to a concrete variation
+    model by consuming fresh device ids in edge order (edges are
+    numbered in a sequential postorder over parent nodes, child edges
+    in list order), which makes the results independent of scheduling.
 
     One compiled tape serves every pruning rule, the probabilistic
     baseline and the sampling engine, and can be cached across serve
     requests keyed by a digest of the encoded topology. *)
 
-type op =
-  | Tag_sink of { node : int; cap : float; rat : float }
-      (** leaf: seed the node's frontier with the sink candidate *)
-  | Lift_edge of { child : int; edge : int; length : float }
-      (** stage the wired lifts of [child]'s frontier through its
-          upward edge (the child's frontier slot is consumed) *)
-  | Insert_site of { child : int; edge : int }
-      (** stage the buffered variants at the edge's site, then prune
-          the staged candidates into a lifted frontier *)
-  | Merge of { node : int }
-      (** combine the two pending lifted frontiers at a Steiner node *)
-
 type t = {
   n : int;  (** node count *)
   edges : int;  (** edge count = n - 1 *)
   post : int array;  (** sequential execution order (postorder) *)
-  ops : op array;
-  op_off : int array;  (** node id -> first op of its group *)
-  op_end : int array;  (** node id -> one past its last op *)
-  edge_child : int array;  (** edge -> lower endpoint (the child) *)
+  left : int array;  (** node id -> first child, -1 for sinks *)
+  right : int array;  (** node id -> second child, -1 below merges *)
+  size : int array;  (** node id -> subtree node count *)
+  edge_above : int array;
+      (** node id -> the edge to its parent, -1 at the root *)
+  sink_cap : float array;  (** node id -> sink pin cap, fF (0 off sinks) *)
+  sink_rat : float array;  (** node id -> sink RAT, ps (0 off sinks) *)
   edge_site : int array;  (** edge -> buffer site = parent node id *)
   edge_length : float array;  (** edge -> wire length, µm *)
   edge_mid_x : float array;  (** edge -> midpoint, µm *)
   edge_mid_y : float array;
   x : float array;  (** node id -> position, µm *)
   y : float array;
-  left : int array;  (** node id -> first child, -1 for sinks *)
-  right : int array;  (** node id -> second child, -1 below merges *)
-  size : int array;  (** node id -> subtree node count *)
-  slot : int array;  (** node id -> frontier slot (sequential only) *)
-  slots : int;  (** slots a sequential interpreter needs *)
-  where_node : string array;
-      (** node id -> budget-check label, ["node <id>"] *)
-  where_edge : string array;
-      (** edge -> budget-check label, ["edge above node <child>"] *)
-  where_merge : string array;
-      (** node id -> ["merge at node <id>"], [""] for non-merge nodes *)
 }
 
 val compile : Rctree.Tree.t -> t
@@ -61,10 +40,6 @@ val compile : Rctree.Tree.t -> t
 
 val node_count : t -> int
 val edge_count : t -> int
-val op_count : t -> int
-
-val slot_count : t -> int
-(** Peak simultaneous frontiers of a sequential interpretation. *)
 
 val root : t -> int
 (** The driver node (last entry of [post]). *)

@@ -1,6 +1,6 @@
 (* The sampling-based yield engine (Zhang/Li/Schlichtmann, PAPERS.md).
 
-   Same DP skeleton as [Bufins.Engine.run] — postorder walk, wire
+   Same DP skeleton as [Bufins.Engine], run by [Bufins.Driver] — wire
    lift + buffer insertion per edge, subtree merge, prune — but every
    candidate carries its downstream load and RAT as K-vectors: the
    exact value of the candidate under each of K Monte-Carlo process
@@ -24,7 +24,7 @@
    entirely (the brute-force reference the tests compare against).
 
    Determinism: the matrix rows depend only on (seed, source id, K);
-   source ids come from the same sequential pre-pass as the canonical
+   source ids come from the same driver binding as the canonical
    engine; merges keep the fixed child order and the pruning sweep is
    a stable sort plus a deterministic scan.  Output is therefore
    byte-identical at any --jobs and with obs on or off. *)
@@ -89,7 +89,6 @@ type sol = {
    the root selects from [ev] only. *)
 type frontier = { ev : sol array; od : sol array }
 
-let empty_frontier = { ev = [||]; od = [||] }
 let frontier_size f = Array.length f.ev + Array.length f.od
 
 type result = {
@@ -121,39 +120,6 @@ let obs_pruned = Obs.Counters.counter Obs.Counters.global "sample.pruned"
 
 let obs_checks =
   Obs.Counters.counter Obs.Counters.global "sample.dominance_checks"
-
-(* Budget checks shared by the tree walk and the tape interpreter,
-   with the canonical engine's exact messages. *)
-let make_checks budget ~t_start =
-  let check_time () =
-    match budget.Bufins.Engine.max_seconds with
-    | Some limit when Unix.gettimeofday () -. t_start > limit ->
-      raise
-        (Bufins.Engine.Budget_exceeded
-           (Printf.sprintf "time limit %.1fs exceeded" limit))
-    | _ -> ()
-  in
-  let check_count ~where n =
-    match budget.Bufins.Engine.max_candidates with
-    | Some limit when n > limit ->
-      raise
-        (Bufins.Engine.Budget_exceeded
-           (Printf.sprintf "candidate limit %d exceeded at %s (%d)" limit where
-              n))
-    | _ -> ()
-  in
-  (check_time, check_count)
-
-(* Per-edge model bindings: the (r, c) canonical form per wire width
-   when wire parasitics vary ([||] otherwise) and the (cap, delay)
-   canonical-form template per library buffer.  Pure functions of the
-   model and the edge's device ids, so the tree walk computes them at
-   lift time and the tape path precomputes them at bind time with
-   identical values. *)
-type edge_forms = {
-  ef_wire : (Linform.t * Linform.t) array;
-  ef_buf : (Linform.t * Linform.t) array;
-}
 
 (* Prune the [ncand] staged rows in the arena's B stage (load / rat /
    power / choice / mean keys already filled) down to a fresh frontier,
@@ -265,10 +231,12 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
    then per output side its own wired rows reversed, one buffered
    variant per same-parity (non-inverting) type for each drivable
    wired row of that side, and one per parity-flipping (inverting)
-   type for each drivable wired row of the opposite side.  [forms]
-   carries the edge's model bindings; row generation order replicates
-   the canonical engine — wired rows reversed, then buffered,
-   wired-row-major — so duplicate survival matches.
+   type for each drivable wired row of the opposite side.  [wire_rc]
+   and [buf_forms] are the edge's bound forms
+   ({!Bufins.Driver.wire_forms}, {!Bufins.Driver.buffer_forms}).  Row
+   generation order replicates the canonical engine — wired rows
+   reversed, then buffered, wired-row-major — so duplicate survival
+   matches.
 
    Both parities' wired rows share the arena's A stage (even rows
    first); each output side stages its candidates in the B stage and
@@ -284,7 +252,7 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
    skipping its generation changes no output byte, only the candidate
    count fed to the quadratic pruning pass. *)
 let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
-    ~same_types ~flip_types ~forms ~child ~length (f : frontier) =
+    ~same_types ~flip_types ~wire_rc ~buf_forms ~child ~length (f : frontier) =
   let obs = Obs.Control.on () in
   let t0 = if obs then Obs.Span.now_ns () else 0 in
   let ar = Sarena.get () in
@@ -300,9 +268,9 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
      variation is off). *)
   let rl = Array.make (nwid * k) 0.0 in
   let cl = Array.make (nwid * k) 0.0 in
-  if Array.length forms.ef_wire > 0 then
+  if Array.length wire_rc > 0 then
     for w = 0 to nwid - 1 do
-      let r_form, c_form = forms.ef_wire.(w) in
+      let r_form, c_form = wire_rc.(w) in
       Matrix.eval_into matrix r_form rl ~off:(w * k);
       Matrix.eval_into matrix c_form cl ~off:(w * k);
       for j = 0 to k - 1 do
@@ -357,7 +325,7 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
   let tb = Array.make (nlib * k) 0.0 in
   let res = Array.make nlib 0.0 in
   for bi = 0 to nlib - 1 do
-    let cb_form, tb_form = forms.ef_buf.(bi) in
+    let cb_form, tb_form = buf_forms.(bi) in
     Matrix.eval_into matrix cb_form cb ~off:(bi * k);
     Matrix.eval_into matrix tb_form tb ~off:(bi * k);
     res.(bi) <- config.library.(bi).Device.Buffer.res_kohm
@@ -593,8 +561,9 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
    odd (a merged candidate needs both subtrees at the same parity).
    The odd merge is skipped entirely when both sides are empty, so the
    inverter-free instruction stream is the historical one. *)
-let merge_frontiers ~k ~need ~power_aware ~eps ~node ~check (a : frontier)
-    (b : frontier) =
+let merge_frontiers ~k ~need ~power_aware ~eps ~node ~check_time ~check_count
+    (a : frontier) (b : frontier) =
+  let check = Bufins.Driver.cross_check ~check_time ~check_count in
   let ev = merge_rows ~k ~need ~power_aware ~eps ~node ~check a.ev b.ev in
   let od =
     if Array.length a.od = 0 && Array.length b.od = 0 then [||]
@@ -602,36 +571,8 @@ let merge_frontiers ~k ~need ~power_aware ~eps ~node ~check (a : frontier)
   in
   { ev; od }
 
-(* Per-node bookkeeping around the frontier computation [f]: budget
-   checks, observability, peak/total statistics.  [where] overrides
-   the budget-check label — the tape passes its precompiled one. *)
-let node_wrap ?where ~check_time ~check_count ~peak ~total id f =
-  check_time ();
-  let obs = Obs.Control.on () in
-  let t0 = if obs then Obs.Span.now_ns () else 0 in
-  let front = f () in
-  if obs then begin
-    Obs.Counters.incr obs_nodes 1;
-    Obs.Span.record ~name:"node" ~cat:"sample" ~t0_ns:t0
-  end;
-  let len = frontier_size front in
-  check_count
-    ~where:
-      (match where with Some w -> w | None -> Printf.sprintf "node %d" id)
-    len;
-  let rec bump_peak () =
-    let cur = Atomic.get peak in
-    if len > cur && not (Atomic.compare_and_set peak cur len) then
-      bump_peak ()
-  in
-  bump_peak ();
-  ignore (Atomic.fetch_and_add total len);
-  Log.debug (fun m -> m "node %d: %d sampled candidates kept" id len);
-  front
-
-(* Root-frontier epilogue shared by the tree walk and the tape
-   interpreter: load-limit gate, per-sample driver lift, yield
-   scoring, result assembly. *)
+(* Root-frontier epilogue: load-limit gate, per-sample driver lift,
+   yield scoring, result assembly. *)
 let finish config ~t_start ~k ~peak ~total ~n root_sols =
   let tech = config.tech in
   let sample_mean v =
@@ -716,7 +657,7 @@ let finish config ~t_start ~k ~peak ~total ~n root_sols =
   let summary = Numeric.Stats.summarize root_rat in
   Log.info (fun m ->
       m "done: %d nodes, K=%d, peak %d candidates, %d buffers, RAT@%g%% %.1f"
-        n k (Atomic.get peak) (List.length buffers) (100.0 *. config.yield)
+        n k peak (List.length buffers) (100.0 *. config.yield)
         !best_score);
   {
     best;
@@ -731,63 +672,31 @@ let finish config ~t_start ~k ~peak ~total ~n root_sols =
     stats =
       {
         Bufins.Engine.runtime_s = Unix.gettimeofday () -. t_start;
-        peak_candidates = Atomic.get peak;
-        total_candidates = Atomic.get total;
+        peak_candidates = peak;
+        total_candidates = total;
         nodes = n;
       };
   }
 
-let run ?pool ?(grain = default_grain) config ~model tree =
+let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
   let t_start = Unix.gettimeofday () in
   let k = config.samples in
-  if k <= 0 then invalid_arg "Sample.Engine.run: samples must be positive";
-  let check_time, check_count = make_checks config.budget ~t_start in
-  let n = Rctree.Tree.node_count tree in
-  let results : frontier array = Array.make n empty_frontier in
-  let peak = Atomic.make 0 in
-  let total = Atomic.make 0 in
-  let wire_variation = Varmodel.Model.wire_frac model > 0.0 in
-  let post = Rctree.Tree.postorder tree in
-  (* The same deterministic device-id pre-pass as the canonical engine
-     (see the comment there): ids are consumed in sequential postorder
-     so the matrix rows a device maps to — and hence the output bytes —
-     are independent of task scheduling.  The id-consumption order is
-     identical to [Bufins.Engine.run] on the same tree, so the model's
-     counter advances exactly as it would there. *)
-  let nlib = Array.length config.library in
-  let ids_per_edge = (if wire_variation then 1 else 0) + nlib in
-  let device_base = Array.make n (-1) in
-  let regions = Varmodel.Grid.regions (Varmodel.Model.grid model) in
-  let max_id = ref regions in
-  Array.iter
-    (fun id ->
-      if not (Rctree.Tree.is_sink tree id) then
-        List.iter
-          (fun (child, _length) ->
-            device_base.(child) <- Varmodel.Model.fresh_device_id model;
-            for _ = 2 to ids_per_edge do
-              ignore (Varmodel.Model.fresh_device_id model)
-            done;
-            max_id := device_base.(child) + ids_per_edge - 1)
-          (Rctree.Tree.children tree id))
-    post;
+  if k <= 0 then invalid_arg "Sample.Engine.run_tape: samples must be positive";
+  (* The same device-id binding as the canonical engine, so the matrix
+     rows a device maps to — and hence the output bytes — are
+     independent of task scheduling, and the model's counter advances
+     exactly as it would there. *)
+  let bound =
+    Bufins.Driver.bind ~model ~library:config.library ~wires:config.wires tape
+  in
   let matrix =
-    Matrix.create ~seed:config.seed ~k ~sources:(!max_id + 1)
+    Matrix.create ~seed:config.seed ~k ~sources:(Bufins.Driver.sources bound)
   in
   (* Rows shared across subtree tasks (inter-die + spatial regions) are
      drawn eagerly before any parallel phase; per-device rows are only
      touched by the task owning the device's edge. *)
-  Matrix.prefill matrix ~lo:0 ~hi:regions;
-  let sites : Varmodel.Model.site option array = Array.make n None in
-  let site_at id =
-    match sites.(id) with
-    | Some s -> s
-    | None ->
-      let x, y = Rctree.Tree.position tree id in
-      let s = Varmodel.Model.site model ~x ~y in
-      sites.(id) <- Some s;
-      s
-  in
+  Matrix.prefill matrix ~lo:0
+    ~hi:(Varmodel.Grid.regions (Varmodel.Model.grid model));
   (* relax-scaled dominance threshold: a candidate is dropped when a
      competitor ties-or-beats it in at least [need] of the K samples. *)
   let need =
@@ -809,255 +718,11 @@ let run ?pool ?(grain = default_grain) config ~model tree =
     config.insertion = Bufins.Engine.Convex_auto && need = k
     && not power_aware
   in
-  (* Per-edge model bindings, resolved lazily at lift time — the tape
-     path precomputes the same forms at bind time. *)
-  let forms_for child =
-    let site_node =
-      match Rctree.Tree.parent tree child with Some p -> p | None -> child
-    in
-    let ef_wire =
-      if wire_variation then begin
-        let edge_id = device_base.(child) in
-        let bx, by = Rctree.Tree.position tree site_node in
-        let cx, cy = Rctree.Tree.position tree child in
-        let mx = 0.5 *. (bx +. cx) and my = 0.5 *. (by +. cy) in
-        Array.map
-          (fun wire ->
-            Varmodel.Model.wire_forms model ~edge_id ~x:mx ~y:my
-              ~r0:wire.Device.Wire_lib.res_per_um
-              ~c0:wire.Device.Wire_lib.cap_per_um)
-          config.wires
-      end
-      else [||]
-    in
-    let psite = site_at site_node in
-    let buf_base = device_base.(child) + if wire_variation then 1 else 0 in
-    let ef_buf =
-      Array.init nlib (fun bi ->
-          let b = config.library.(bi) in
-          let device_id = buf_base + bi in
-          let cb_form =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.cap_ff
-          in
-          let tb_form =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.delay_ps
-          in
-          (cb_form, tb_form))
-    in
-    { ef_wire; ef_buf }
-  in
-  let compute id =
-    results.(id) <-
-      node_wrap ~check_time ~check_count ~peak ~total id (fun () ->
-          match Rctree.Tree.sink tree id with
-          | Some s ->
-            {
-              ev =
-                [|
-                  {
-                    load = Array.make k s.Rctree.Tree.sink_cap;
-                    rat = Array.make k s.Rctree.Tree.sink_rat;
-                    power = 0.0;
-                    choice = Bufins.Sol.At_sink id;
-                  };
-                |];
-              od = [||];
-            }
-          | None ->
-            let lifted =
-              Array.of_list
-                (List.map
-                   (fun (child, length) ->
-                     let child_front = results.(child) in
-                     results.(child) <- empty_frontier;
-                     let l =
-                       lift_rows config ~matrix ~k ~need ~power_aware ~eps
-                         ~energies ~convex ~same_types ~flip_types
-                         ~forms:(forms_for child) ~child ~length child_front
-                     in
-                     check_count
-                       ~where:(Printf.sprintf "edge above node %d" child)
-                       (frontier_size l);
-                     l)
-                   (Rctree.Tree.children tree id))
-            in
-            if Array.length lifted = 1 then lifted.(0)
-            else begin
-              assert (Array.length lifted = 2);
-              let merged =
-                merge_frontiers ~k ~need ~power_aware ~eps ~node:id
-                  ~check:(fun c ->
-                    check_count ~where:(Printf.sprintf "merge at node %d" id) c;
-                    if c land 1023 = 0 then check_time ())
-                  lifted.(0) lifted.(1)
-              in
-              lifted.(0) <- empty_frontier;
-              lifted.(1) <- empty_frontier;
-              merged
-            end)
-  in
-  (match pool with
-  | Some pool when Exec.Pool.jobs pool > 1 && n > max 1 grain ->
-    (* Task-parallel subtree DP, identical to the canonical engine's
-       decomposition: subtree-size tasks, inline small subtrees, and a
-       dependency-counted release per merge node. *)
-    let grain = max 1 grain in
-    let size = Array.make n 1 in
-    Array.iter
-      (fun id ->
-        List.iter
-          (fun (c, _) -> size.(id) <- size.(id) + size.(c))
-          (Rctree.Tree.children tree id))
-      post;
-    let ntasks = ref 0 in
-    let task_index = Array.make n (-1) in
-    Array.iter
-      (fun id ->
-        if size.(id) > grain then begin
-          task_index.(id) <- !ntasks;
-          incr ntasks
-        end)
-      post;
-    let task_ids = Array.make !ntasks 0 in
-    Array.iter
-      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-      post;
-    let deps =
-      Array.map
-        (fun id ->
-          Rctree.Tree.children tree id
-          |> List.filter_map (fun (c, _) ->
-                 if task_index.(c) >= 0 then Some task_index.(c) else None)
-          |> Array.of_list)
-        task_ids
-    in
-    let rec inline_subtree id =
-      List.iter (fun (c, _) -> inline_subtree c) (Rctree.Tree.children tree id);
-      compute id
-    in
-    Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-        let id = task_ids.(ti) in
-        List.iter
-          (fun (c, _) -> if task_index.(c) < 0 then inline_subtree c)
-          (Rctree.Tree.children tree id);
-        compute id)
-  | _ -> Array.iter compute post);
-  if Obs.Control.on () then Obs.Span.flush ();
-  finish config ~t_start ~k ~peak ~total ~n
-    results.(Rctree.Tree.root tree).ev
-
-let run_tape ?pool ?(grain = default_grain) config ~model
-    (tape : Compile.Tape.t) =
-  let t_start = Unix.gettimeofday () in
-  let k = config.samples in
-  if k <= 0 then invalid_arg "Sample.Engine.run_tape: samples must be positive";
-  let check_time, check_count = make_checks config.budget ~t_start in
-  let n = tape.Compile.Tape.n in
-  let peak = Atomic.make 0 in
-  let total = Atomic.make 0 in
-  let wire_variation = Varmodel.Model.wire_frac model > 0.0 in
-  (* Bind the tape to the model: consume device ids in tape edge order
-     (identical to [run]'s sequential pre-pass) and size the shared
-     sample matrix.  Only the ids are taken up front — each edge's
-     canonical forms are pure in (model, ids, coordinates) and are
-     built at the op that consumes them, keeping the walk's cache
-     locality instead of materialising every edge's forms ahead of
-     the whole DP. *)
-  let nlib = Array.length config.library in
-  let nedges = tape.Compile.Tape.edges in
-  let ids_per_edge = (if wire_variation then 1 else 0) + nlib in
-  let device_base = Array.make (max nedges 1) (-1) in
-  let regions = Varmodel.Grid.regions (Varmodel.Model.grid model) in
-  let max_id = ref regions in
-  for e = 0 to nedges - 1 do
-    device_base.(e) <- Varmodel.Model.fresh_device_id model;
-    for _ = 2 to ids_per_edge do
-      ignore (Varmodel.Model.fresh_device_id model)
-    done;
-    max_id := device_base.(e) + ids_per_edge - 1
-  done;
-  let matrix = Matrix.create ~seed:config.seed ~k ~sources:(!max_id + 1) in
-  Matrix.prefill matrix ~lo:0 ~hi:regions;
-  let sites : Varmodel.Model.site option array = Array.make n None in
-  let site_at id =
-    match sites.(id) with
-    | Some s -> s
-    | None ->
-      let s =
-        Varmodel.Model.site model ~x:tape.Compile.Tape.x.(id)
-          ~y:tape.Compile.Tape.y.(id)
-      in
-      sites.(id) <- Some s;
-      s
-  in
-  let forms_at e =
-    let ef_wire =
-      if wire_variation then begin
-        let edge_id = device_base.(e) in
-        let mx = tape.Compile.Tape.edge_mid_x.(e) in
-        let my = tape.Compile.Tape.edge_mid_y.(e) in
-        Array.map
-          (fun wire ->
-            Varmodel.Model.wire_forms model ~edge_id ~x:mx ~y:my
-              ~r0:wire.Device.Wire_lib.res_per_um
-              ~c0:wire.Device.Wire_lib.cap_per_um)
-          config.wires
-      end
-      else [||]
-    in
-    let psite = site_at tape.Compile.Tape.edge_site.(e) in
-    let buf_base = device_base.(e) + if wire_variation then 1 else 0 in
-    let ef_buf =
-      Array.init nlib (fun bi ->
-          let b = config.library.(bi) in
-          let device_id = buf_base + bi in
-          let cb_form =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.cap_ff
-          in
-          let tb_form =
-            Varmodel.Model.site_device_form model psite ~device_id
-              ~nominal:b.Device.Buffer.delay_ps
-          in
-          (cb_form, tb_form))
-    in
-    { ef_wire; ef_buf }
-  in
-  let need =
-    max 1 (int_of_float (ceil (config.relax *. float_of_int k)))
-  in
-  let same_types, flip_types =
-    Device.Buffer.partition_indices config.library
-  in
-  let power_aware = Bufins.Dominance.power_aware config.power_objective in
-  let eps = config.eps_power in
-  let energies = energies_of config in
-  let convex =
-    config.insertion = Bufins.Engine.Convex_auto && need = k
-    && not power_aware
-  in
-  let parallel =
-    match pool with
-    | Some p -> Exec.Pool.jobs p > 1 && n > max 1 grain
-    | None -> false
-  in
-  let slot_of =
-    if parallel then Array.init n Fun.id else tape.Compile.Tape.slot
-  in
-  let frontiers : frontier array =
-    Array.make (if parallel then n else tape.Compile.Tape.slots) empty_frontier
-  in
-  let ops = tape.Compile.Tape.ops in
-  let exec_node id =
-    frontiers.(slot_of.(id)) <-
-      node_wrap ~where:tape.Compile.Tape.where_node.(id) ~check_time
-        ~check_count ~peak ~total id (fun () ->
-          let o0 = tape.Compile.Tape.op_off.(id) in
-          let o1 = tape.Compile.Tape.op_end.(id) in
-          match ops.(o0) with
-          | Compile.Tape.Tag_sink { node; cap; rat } ->
+  let out =
+    Bufins.Driver.run ?pool ?grain ~budget:config.budget ~t_start
+      {
+        Bufins.Driver.sink =
+          (fun ~node ~cap ~rat ->
             {
               ev =
                 [|
@@ -1069,89 +734,24 @@ let run_tape ?pool ?(grain = default_grain) config ~model
                   };
                 |];
               od = [||];
-            }
-          | _ ->
-            let lifted0 = ref empty_frontier and lifted1 = ref empty_frontier in
-            let nlift = ref 0 in
-            let out = ref empty_frontier in
-            for o = o0 to o1 - 1 do
-              match ops.(o) with
-              | Compile.Tape.Tag_sink _ -> assert false
-              | Compile.Tape.Lift_edge _ -> ()
-              | Compile.Tape.Insert_site { child; edge } ->
-                let front = frontiers.(slot_of.(child)) in
-                frontiers.(slot_of.(child)) <- empty_frontier;
-                let l =
-                  lift_rows config ~matrix ~k ~need ~power_aware ~eps
-                    ~energies ~convex ~same_types ~flip_types
-                    ~forms:(forms_at edge) ~child
-                    ~length:tape.Compile.Tape.edge_length.(edge) front
-                in
-                check_count ~where:tape.Compile.Tape.where_edge.(edge)
-                  (frontier_size l);
-                if !nlift = 0 then lifted0 := l else lifted1 := l;
-                incr nlift;
-                out := l
-              | Compile.Tape.Merge { node } ->
-                let merged =
-                  merge_frontiers ~k ~need ~power_aware ~eps ~node
-                    ~check:(fun c ->
-                      check_count ~where:tape.Compile.Tape.where_merge.(node)
-                        c;
-                      if c land 1023 = 0 then check_time ())
-                    !lifted0 !lifted1
-                in
-                lifted0 := empty_frontier;
-                lifted1 := empty_frontier;
-                out := merged
-            done;
-            !out)
+            });
+        lift =
+          (fun ~child ~edge ~length f ->
+            lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies
+              ~convex ~same_types ~flip_types
+              ~wire_rc:(Bufins.Driver.wire_forms bound edge)
+              ~buf_forms:(Bufins.Driver.buffer_forms bound edge)
+              ~child ~length f);
+        merge = merge_frontiers ~k ~need ~power_aware ~eps;
+        size = frontier_size;
+        nodes = obs_nodes;
+        cat = "sample";
+      }
+      tape
   in
-  (match pool with
-  | Some pool when parallel ->
-    let grain = max 1 grain in
-    let size = tape.Compile.Tape.size in
-    let left = tape.Compile.Tape.left and right = tape.Compile.Tape.right in
-    let post = tape.Compile.Tape.post in
-    let ntasks = ref 0 in
-    let task_index = Array.make n (-1) in
-    Array.iter
-      (fun id ->
-        if size.(id) > grain then begin
-          task_index.(id) <- !ntasks;
-          incr ntasks
-        end)
-      post;
-    let task_ids = Array.make !ntasks 0 in
-    Array.iter
-      (fun id -> if task_index.(id) >= 0 then task_ids.(task_index.(id)) <- id)
-      post;
-    let deps =
-      Array.map
-        (fun id ->
-          let acc = ref [] in
-          (let r = right.(id) in
-           if r >= 0 && task_index.(r) >= 0 then acc := task_index.(r) :: !acc);
-          (let l = left.(id) in
-           if l >= 0 && task_index.(l) >= 0 then acc := task_index.(l) :: !acc);
-          Array.of_list !acc)
-        task_ids
-    in
-    let rec inline_subtree id =
-      (let l = left.(id) in
-       if l >= 0 then inline_subtree l);
-      (let r = right.(id) in
-       if r >= 0 then inline_subtree r);
-      exec_node id
-    in
-    Exec.Pool.run_graph pool ~deps ~run:(fun ti ->
-        let id = task_ids.(ti) in
-        (let l = left.(id) in
-         if l >= 0 && task_index.(l) < 0 then inline_subtree l);
-        (let r = right.(id) in
-         if r >= 0 && task_index.(r) < 0 then inline_subtree r);
-        exec_node id)
-  | _ -> Array.iter exec_node tape.Compile.Tape.post);
-  if Obs.Control.on () then Obs.Span.flush ();
-  finish config ~t_start ~k ~peak ~total ~n
-    frontiers.(slot_of.(Compile.Tape.root tape)).ev
+  finish config ~t_start ~k ~peak:out.Bufins.Driver.peak
+    ~total:out.Bufins.Driver.total ~n:tape.Compile.Tape.n
+    out.Bufins.Driver.root.ev
+
+let run ?pool ?grain config ~model tree =
+  run_tape ?pool ?grain config ~model (Compile.Tape.compile tree)

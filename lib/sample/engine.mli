@@ -19,8 +19,9 @@
     Output (assignment, per-sample root RATs, sampled yield figures)
     is byte-identical at any job count and with observability on or
     off: the sample matrix depends only on (seed, source id, K), the
-    device-id pre-pass and merge order are the canonical engine's, and
-    the pruning sweep is a stable sort plus a deterministic scan. *)
+    device-id binding and merge order are the canonical engine's
+    ({!Bufins.Driver}), and the pruning sweep is a stable sort plus a
+    deterministic scan. *)
 
 type config = {
   tech : Device.Tech.t;
@@ -115,22 +116,6 @@ type result = {
 
 val default_grain : int
 
-val run :
-  ?pool:Exec.Pool.t ->
-  ?grain:int ->
-  config ->
-  model:Varmodel.Model.t ->
-  Rctree.Tree.t ->
-  result
-(** Optimise the tree on K sampled process corners.  Parallel subtree
-    decomposition, budgets and the deterministic device-id pre-pass
-    behave exactly as in {!Bufins.Engine.run}; the model's variation
-    mode filters which sources the samples see, so a [Nom] model makes
-    every sample identical.
-    @raise Bufins.Engine.Budget_exceeded when the configured budget
-    trips (the same exception, so serve's deadline mapping applies
-    unchanged). *)
-
 val run_tape :
   ?pool:Exec.Pool.t ->
   ?grain:int ->
@@ -138,10 +123,21 @@ val run_tape :
   model:Varmodel.Model.t ->
   Compile.Tape.t ->
   result
-(** Optimise a precompiled tape ({!Compile.Tape.compile}) instead of
-    walking the tree.  Device ids and matrix rows are bound in tape
-    edge order — identical to [run]'s sequential pre-pass — so the
-    result is byte-identical to [run] on the tape's source tree, at
-    any job count, for the same fresh model.
+(** Optimise a compiled net ({!Compile.Tape.compile}) on K sampled
+    process corners.  Scheduling, budgets and the device-id binding
+    are {!Bufins.Driver}'s, exactly as in {!Bufins.Engine.run_tape};
+    the model's variation mode filters which sources the samples see,
+    so a [Nom] model makes every sample identical.  The model must be
+    fresh: binding consumes its device ids.
     @raise Bufins.Engine.Budget_exceeded when the configured budget
-    trips. *)
+    trips (the same exception, so serve's deadline mapping applies
+    unchanged). *)
+
+val run :
+  ?pool:Exec.Pool.t ->
+  ?grain:int ->
+  config ->
+  model:Varmodel.Model.t ->
+  Rctree.Tree.t ->
+  result
+(** [run_tape] on [Compile.Tape.compile tree]. *)

@@ -36,9 +36,9 @@ val run :
     results are stored — deadline trips are never cached.  [metrics]
     records hits and misses (only consulted when [cache] is given).
 
-    [tapes] precompiles the request's tree to an instruction tape
-    ({!Tapes.obtain}) before the DP runs, so repeated topologies skip
-    the per-net lowering; the result is byte-identical either way.
+    [tapes] caches the request's compiled tape ({!Tapes.obtain}), so
+    repeated topologies skip compiling it; without it the DP compiles
+    the tree itself, and the result is byte-identical either way.
     [tape_digest] (from {!Tapes.digest_of_span}) lets the caller skip
     re-digesting the tree.  The tape cache is consulted only when the
     DP actually runs — a response-cache hit bypasses it.

@@ -1,4 +1,4 @@
-(** Bounded cache of compiled instruction tapes ({!Compile.Tape}),
+(** Bounded cache of compiled tapes ({!Compile.Tape}),
     keyed by the digest of the tree's canonical v2 encoding — the same
     bytes a v2 request carries as its tree blob, so the server can
     match incoming payloads against it without decoding the tree.

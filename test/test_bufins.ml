@@ -616,6 +616,66 @@ let test_budget_trips_inside_4p_merge () =
       true
       (contains msg "merge at node")
 
+let test_budget_labels () =
+  (* Each engine names where its candidate budget tripped: the node
+     whose frontier overflowed (limit 0 trips on the first sink), the
+     edge whose lift did (limit 1), or the merge whose cross product
+     did (limit 5) — the probabilistic DP counts its whole product
+     before pruning, the others stop at the first overflowing
+     combination.  The messages are part of the served error bytes. *)
+  let die = 4000.0 in
+  let tree = Rctree.Generate.random_steiner ~seed:55 ~sinks:12 ~die_um:die () in
+  let budget n = { Bufins.Engine.max_candidates = Some n; max_seconds = None } in
+  let message run =
+    match run () with
+    | () -> "no trip"
+    | exception Bufins.Engine.Budget_exceeded msg -> msg
+  in
+  let canonical n () =
+    ignore
+      (Bufins.Engine.run
+         { (Bufins.Engine.default_config ()) with Bufins.Engine.budget = budget n }
+         ~model:(model ~mode:Varmodel.Model.Wid die) tree)
+  in
+  let sampled n () =
+    ignore
+      (Sample.Engine.run
+         {
+           (Sample.Engine.default_config ~samples:16 ()) with
+           Sample.Engine.budget = budget n;
+         }
+         ~model:(model ~mode:Varmodel.Model.Wid die) tree)
+  in
+  let probabilistic n () =
+    ignore
+      (Bufins.Probabilistic.run
+         {
+           (Bufins.Probabilistic.default_config ()) with
+           Bufins.Probabilistic.budget = budget n;
+         }
+         tree)
+  in
+  List.iter
+    (fun (label, run, n, want) ->
+      Alcotest.(check string) (Printf.sprintf "%s limit %d" label n) want
+        (message (run n)))
+    [
+      ("canonical", canonical, 0, "candidate limit 0 exceeded at node 5 (1)");
+      ("sample", sampled, 0, "candidate limit 0 exceeded at node 5 (1)");
+      ("prob", probabilistic, 0, "candidate limit 0 exceeded at node 5 (1)");
+      ( "canonical", canonical, 1,
+        "candidate limit 1 exceeded at edge above node 5 (4)" );
+      ( "sample", sampled, 1,
+        "candidate limit 1 exceeded at edge above node 5 (4)" );
+      ( "prob", probabilistic, 1,
+        "candidate limit 1 exceeded at edge above node 5 (4)" );
+      ("canonical", canonical, 5, "candidate limit 5 exceeded at node 4 (7)");
+      ( "sample", sampled, 5,
+        "candidate limit 5 exceeded at merge at node 4 (6)" );
+      ( "prob", probabilistic, 5,
+        "candidate limit 5 exceeded at merge at node 4 (16)" );
+    ]
+
 let test_probabilistic_time_budget () =
   (* The wall-clock deadline must also be checked inside [6]'s merge
      loop (every 1024 combinations), so an expired deadline aborts a
@@ -1105,6 +1165,8 @@ let suite =
       test_merge_cross_check_abort;
     Alcotest.test_case "budget: trips inside a 4P merge" `Quick
       test_budget_trips_inside_4p_merge;
+    Alcotest.test_case "budget: messages name the node, edge or merge" `Quick
+      test_budget_labels;
     Alcotest.test_case "budget: [6] time limit" `Quick
       test_probabilistic_time_budget;
     Alcotest.test_case "objective: yield vs mean" `Quick test_objective_yield_vs_mean;

@@ -1,12 +1,15 @@
 (* Golden byte-identity regression for the default objective.
 
-   PR 3/8/9 enforced "new machinery must not move a byte of historical
-   output" in the bench gates; this suite pins the same contract inside
+   The bench gates enforce "new machinery must not move a byte of
+   historical output"; this suite pins the same contract inside
    [dune runtest]: with the default objective ([max_yield]) and
-   [eps_power = 0], every rule x engine x jobs 1/2/4 x tape/walk x obs
-   on/off run must reproduce the fingerprints captured from the
-   pre-dominance-refactor seed (commit 620e644) exactly — %.17g floats,
-   full assignment, candidate counts.  Any drift in the shared
+   [eps_power = 0], every rule x engine x sequential/jobs 1/2/4 x obs
+   on/off run must reproduce the captured fingerprints exactly — %.17g
+   floats, full assignment, candidate counts.  The first thirteen were
+   captured before the shared dominance sweep (commit 620e644); the
+   rest pin the cases the tape identity suites once compared against
+   the recursive tree walk, captured from that walk before it was
+   replaced by the one tape driver.  Any drift in the driver, the
    [Bufins.Dominance] sweep, the power threading or the convex gating
    shows up here as a fingerprint mismatch. *)
 
@@ -30,25 +33,17 @@ let with_obs enabled f =
   Fun.protect f ~finally:(fun () ->
       if was then Obs.Control.enable () else Obs.Control.disable ())
 
-type mode = { tape : bool; jobs : int option; obs : bool }
+type mode = { jobs : int option; obs : bool }
 
-(* jobs 1/2/4 and the pool-less sequential path, walk and tape, obs on
-   and off all appear at least once. *)
+(* jobs 1/2/4 and the pool-less sequential path, each with obs on and
+   off. *)
 let variants =
-  [
-    { tape = false; jobs = None; obs = false };
-    { tape = false; jobs = Some 1; obs = true };
-    { tape = false; jobs = Some 2; obs = false };
-    { tape = false; jobs = Some 4; obs = true };
-    { tape = true; jobs = None; obs = true };
-    { tape = true; jobs = Some 1; obs = false };
-    { tape = true; jobs = Some 2; obs = true };
-    { tape = true; jobs = Some 4; obs = false };
-  ]
+  List.concat_map
+    (fun jobs -> [ { jobs; obs = false }; { jobs; obs = true } ])
+    [ None; Some 1; Some 2; Some 4 ]
 
 let variant_name m =
-  Printf.sprintf "%s jobs=%s obs=%b"
-    (if m.tape then "tape" else "walk")
+  Printf.sprintf "jobs=%s obs=%b"
     (match m.jobs with None -> "seq" | Some j -> string_of_int j)
     m.obs
 
@@ -96,24 +91,26 @@ let fp_prob (r : Bufins.Probabilistic.result) =
 (* Each case maps a run mode to its fingerprint; the contract is that
    the fingerprint does not depend on the mode. *)
 
-let canonical_case ~rule ~library ~sinks ~seed m =
+let canonical_run ~insertion ~rule ~library ~sinks ~seed m =
   let die = 4000.0 in
   let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
   let cfg =
-    { (Bufins.Engine.default_config ~rule ()) with Bufins.Engine.tech; library }
+    {
+      (Bufins.Engine.default_config ~rule ()) with
+      Bufins.Engine.tech;
+      library;
+      insertion;
+    }
   in
-  let run pool =
-    if m.tape then
-      Bufins.Engine.run_tape ?pool ~grain:2 cfg ~model:(model die)
-        (Compile.Tape.compile tree)
-    else Bufins.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree
-  in
+  let run pool = Bufins.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree in
   let r =
     match m.jobs with
     | None -> run None
     | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
   in
   fp_canonical r
+
+let canonical_case = canonical_run ~insertion:Bufins.Engine.Convex_auto
 
 let sample_case ~samples ~mseed ~relax ~library ~sinks ~seed m =
   let die = 4000.0 in
@@ -125,12 +122,7 @@ let sample_case ~samples ~mseed ~relax ~library ~sinks ~seed m =
       library;
     }
   in
-  let run pool =
-    if m.tape then
-      Sample.Engine.run_tape ?pool ~grain:2 cfg ~model:(model die)
-        (Compile.Tape.compile tree)
-    else Sample.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree
-  in
+  let run pool = Sample.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree in
   let r =
     match m.jobs with
     | None -> run None
@@ -142,12 +134,7 @@ let prob_case ~heuristic ~sinks ~seed m =
   let die = 4000.0 in
   let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
   let cfg = Bufins.Probabilistic.default_config ~heuristic () in
-  let run pool =
-    if m.tape then
-      Bufins.Probabilistic.run_tape ?pool ~grain:2 cfg
-        (Compile.Tape.compile tree)
-    else Bufins.Probabilistic.run ?pool ~grain:2 cfg tree
-  in
+  let run pool = Bufins.Probabilistic.run ?pool ~grain:2 cfg tree in
   let r =
     match m.jobs with
     | None -> run None
@@ -203,11 +190,55 @@ let cases =
     ( "prob-stoch",
       prob_case ~heuristic:Bufins.Probabilistic.Stochastic_dominance ~sinks:10
         ~seed:306 );
+    (* The cases the tape identity suites compared against the tree
+       walk, pinned so the walk's bytes outlive it.  "4p" and
+       "prob-stoch" above already cover the 4P and stochastic ones. *)
+    ( "det-12",
+      canonical_case ~rule:Bufins.Prune.deterministic
+        ~library:Device.Buffer.default_library ~sinks:12 ~seed:211 );
+    ( "det-30",
+      canonical_case ~rule:Bufins.Prune.deterministic
+        ~library:Device.Buffer.default_library ~sinks:30 ~seed:212 );
+    ( "2p-9-12",
+      canonical_case
+        ~rule:(Bufins.Prune.two_param ~p_l:0.9 ~p_t:0.9 ())
+        ~library:Device.Buffer.default_library ~sinks:12 ~seed:211 );
+    ( "2p-9-30",
+      canonical_case
+        ~rule:(Bufins.Prune.two_param ~p_l:0.9 ~p_t:0.9 ())
+        ~library:Device.Buffer.default_library ~sinks:30 ~seed:212 );
+    ( "1p-95-12",
+      canonical_case
+        ~rule:(Bufins.Prune.one_param ~alpha:0.95)
+        ~library:Device.Buffer.default_library ~sinks:12 ~seed:211 );
+    ( "1p-95-30",
+      canonical_case
+        ~rule:(Bufins.Prune.one_param ~alpha:0.95)
+        ~library:Device.Buffer.default_library ~sinks:30 ~seed:212 );
+    ( "2p-20",
+      canonical_case
+        ~rule:(Bufins.Prune.two_param ())
+        ~library:Device.Buffer.default_library ~sinks:20 ~seed:213 );
+    ( "2p-b4-convex",
+      canonical_case
+        ~rule:(Bufins.Prune.two_param ())
+        ~library:(Device.Buffer.synth_library ~btypes:4)
+        ~sinks:22 ~seed:311 );
+    ( "2p-b4-exhaustive",
+      canonical_run ~insertion:Bufins.Engine.Exhaustive
+        ~rule:(Bufins.Prune.two_param ())
+        ~library:(Device.Buffer.synth_library ~btypes:4)
+        ~sinks:22 ~seed:311 );
+    ( "sample-64-24",
+      sample_case ~samples:64 ~mseed:1 ~relax:1.0
+        ~library:Device.Buffer.default_library ~sinks:24 ~seed:7 );
+    ( "prob-mean-20",
+      prob_case ~heuristic:Bufins.Probabilistic.Mean_dominance ~sinks:20
+        ~seed:305 );
   ]
 
-(* Captured from the seed (sequential walk, obs off) before the
-   dominance refactor; see the capture note at the top.  Empty while
-   capturing. *)
+(* Captured from the sequential tree walk with obs off; see the capture
+   note at the top.  Empty while capturing. *)
 let expected : (string * string) list =
   [
     ( "det",
@@ -236,11 +267,33 @@ let expected : (string * string) list =
       "rat=-1450.8649185676918/19.184301023853052 p05=-1484.0980454681317 buf=[23:x4;20:x16;19:x4;18:x16;17:x16;16:x16;14:x16;13:x4;12:x4;9:x16;8:x16;7:x16;4:x16;2:x16] peak=17" );
     ( "prob-stoch",
       "rat=-1144.3141084189654/12.333056771832965 p05=-1165.158440286154 buf=[17:x16;12:x16;11:x16;8:x16;7:x16;6:x16;5:x16;2:x16] peak=25" );
+    ( "det-12",
+      "rat=-1140.7406383033897/31.015081546345115 buf=[23:x4;20:x16;19:x4;18:x4;15:x16;14:x4;8:x16;3:x16;2:x16] w=[] llm=true peak=15 total=135" );
+    ( "det-30",
+      "rat=-1419.4700949679627/46.365375121390628 buf=[55:x16;52:x4;49:x16;47:x16;44:x16;41:x16;37:x16;34:x4;32:x16;31:x16;26:x16;19:x16;18:x16;11:x16;4:x16;3:x16;2:x4] w=[] llm=true peak=18 total=326" );
+    ( "2p-9-12",
+      "rat=-1140.7406383033897/31.015081546345115 buf=[23:x4;20:x16;19:x4;18:x4;15:x16;14:x4;8:x16;3:x16;2:x16] w=[] llm=true peak=281 total=697" );
+    ( "2p-9-30",
+      "rat=-1419.4700949679627/46.365375121390628 buf=[55:x16;52:x4;49:x16;47:x16;44:x16;41:x16;37:x16;34:x4;32:x16;31:x16;26:x16;19:x16;18:x16;11:x16;4:x16;3:x16;2:x4] w=[] llm=true peak=770 total=2383" );
+    ( "1p-95-12",
+      "rat=-1127.2385719403335/47.51524738191597 buf=[23:x16;20:x16;19:x16;18:x4;15:x16;14:x16;13:x16;12:x16;9:x16;8:x16;3:x16;2:x16] w=[] llm=true peak=15 total=136" );
+    ( "1p-95-30",
+      "rat=-1425.7475206803688/47.046616713204081 buf=[55:x16;52:x4;49:x16;47:x16;44:x16;41:x16;40:x16;39:x4;38:x4;34:x16;33:x16;32:x16;26:x16;19:x16;18:x16;11:x16;4:x16;3:x16;2:x16] w=[] llm=true peak=18 total=315" );
+    ( "2p-20",
+      "rat=-1233.9999381992577/40.549430735362456 buf=[37:x4;36:x4;33:x16;31:x16;28:x16;23:x16;22:x4;20:x4;19:x4;13:x16;12:x16;9:x16;8:x4;5:x16;3:x16;2:x16] w=[] llm=true peak=18 total=232" );
+    ( "2p-b4-convex",
+      "rat=-1130.772763452921/41.17170390034827 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:inv3;30:inv3;25:inv3;24:buf2;23:inv3;22:inv3;21:inv3;20:inv3;15:buf2;14:inv3;13:inv3;12:inv3;11:inv3;9:inv3;8:inv3;5:inv3;4:inv3;3:inv3;2:inv3] w=[] llm=true peak=35 total=420" );
+    ( "2p-b4-exhaustive",
+      "rat=-1130.772763452921/41.17170390034827 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:inv3;30:inv3;25:inv3;24:buf2;23:inv3;22:inv3;21:inv3;20:inv3;15:buf2;14:inv3;13:inv3;12:inv3;11:inv3;9:inv3;8:inv3;5:inv3;4:inv3;3:inv3;2:inv3] w=[] llm=true peak=35 total=420" );
+    ( "sample-64-24",
+      "rat=-1319.2735407182959/39.934737825461994 y=-1375.5080277805421 buf=[47:x4;44:x16;38:x16;37:x16;36:x1;33:x16;27:x16;26:x16;25:x16;20:x16;15:x16;14:x16;13:x16;10:x16;4:x16;3:x16;2:x16] w=[] llm=true peak=350 total=1442" );
+    ( "prob-mean-20",
+      "rat=-1700.8488631150738/17.022944986808724 p05=-1730.320804368471 buf=[37:x4;32:x16;31:x16;28:x16;27:x4;24:x16;22:x16;21:x4;18:x4;13:x16;12:x4;9:x16;8:x4;5:x16;3:x16] peak=17" );
   ]
 
 (* Capture helper: VARBUF_GOLDEN_DUMP=FILE writes the baseline
    fingerprints of every case, one "name<TAB>fingerprint" line each,
-   using the sequential tree-walk variant. *)
+   using the sequential variant with obs off. *)
 let () =
   match Sys.getenv_opt "VARBUF_GOLDEN_DUMP" with
   | None -> ()
@@ -249,7 +302,7 @@ let () =
     List.iter
       (fun (name, case) ->
         Printf.fprintf oc "%s\t%s\n" name
-          (case { tape = false; jobs = None; obs = false }))
+          (case { jobs = None; obs = false }))
       cases;
     close_out oc
 

@@ -1,12 +1,11 @@
-(* Tests for lib/compile: the flat instruction tape and its
-   interpreters.
+(* Tests for lib/compile and the DP driver that runs it.
 
    The contract under test is byte-identity: for every pruning rule
    (det/2P/1P/4P), the sampling engine and the probabilistic DP, the
-   tape interpreter must produce exactly the result of the tree walk —
-   same assignment, same stats, same candidate counts — sequentially
-   and under the task-parallel decomposition at any job count, with
-   observability on or off. *)
+   task-parallel schedule at any job count must produce exactly the
+   sequential result — same assignment, same stats, same candidate
+   counts — with observability on or off.  test_golden pins the
+   sequential bytes themselves. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
 let tech = Device.Tech.default_65nm
@@ -59,33 +58,47 @@ let par_rules =
 let test_compile_shape () =
   let tree = Rctree.Generate.random_steiner ~seed:11 ~sinks:30 ~die_um:4000.0 () in
   let tape = Compile.Tape.compile tree in
-  Alcotest.(check int) "nodes" (Rctree.Tree.node_count tree)
-    (Compile.Tape.node_count tape);
+  let n = Compile.Tape.node_count tape in
+  Alcotest.(check int) "nodes" (Rctree.Tree.node_count tree) n;
   Alcotest.(check int) "edges" (Rctree.Tree.edge_count tree)
     (Compile.Tape.edge_count tape);
   Alcotest.(check int) "root" (Rctree.Tree.root tree) (Compile.Tape.root tape);
-  (* Compact slot assignment: never more live frontiers than nodes,
-     and a chain of reuses keeps the count near the tree's width. *)
-  Alcotest.(check bool) "slots bounded" true
-    (Compile.Tape.slot_count tape <= Compile.Tape.node_count tape
-    && Compile.Tape.slot_count tape >= 1);
-  (* Op count: one Tag_sink per sink, one Lift_edge + one Insert_site
-     per edge, one Merge per 2-child node. *)
-  let sinks = ref 0 and merges = ref 0 in
+  Alcotest.(check int) "root subtree" n tape.Compile.Tape.size.(Compile.Tape.root tape);
+  (* Child links, sink data and edge numbering: edges are numbered in
+     postorder over parent nodes, child edges in list order — the
+     order binding consumes device ids in. *)
+  let next_edge = ref 0 in
   Array.iter
     (fun id ->
-      if Rctree.Tree.is_sink tree id then incr sinks
-      else if List.length (Rctree.Tree.children tree id) = 2 then incr merges)
+      let kids = Rctree.Tree.children tree id in
+      let link i = match List.nth_opt kids i with Some (c, _) -> c | None -> -1 in
+      Alcotest.(check int) "left" (link 0) tape.Compile.Tape.left.(id);
+      Alcotest.(check int) "right" (link 1) tape.Compile.Tape.right.(id);
+      (match Rctree.Tree.sink tree id with
+      | Some s ->
+        Alcotest.(check (float 0.0)) "sink cap" s.Rctree.Tree.sink_cap
+          tape.Compile.Tape.sink_cap.(id);
+        Alcotest.(check (float 0.0)) "sink rat" s.Rctree.Tree.sink_rat
+          tape.Compile.Tape.sink_rat.(id)
+      | None -> ());
+      List.iter
+        (fun (c, length) ->
+          let e = tape.Compile.Tape.edge_above.(c) in
+          Alcotest.(check int) "edge order" !next_edge e;
+          incr next_edge;
+          Alcotest.(check int) "edge site" id tape.Compile.Tape.edge_site.(e);
+          Alcotest.(check (float 0.0)) "edge length" length
+            tape.Compile.Tape.edge_length.(e))
+        kids)
     (Rctree.Tree.postorder tree);
-  Alcotest.(check int) "ops"
-    (!sinks + (2 * Compile.Tape.edge_count tape) + !merges)
-    (Compile.Tape.op_count tape)
+  Alcotest.(check int) "root has no edge" (-1)
+    tape.Compile.Tape.edge_above.(Compile.Tape.root tape)
 
 (* ---------- canonical engine identity ---------- *)
 
 (* The model consumes device ids as the DP runs, so every run gets a
-   fresh model; identity across walk/tape and job counts is exactly
-   the claim under test. *)
+   fresh model; identity across job counts is exactly the claim under
+   test. *)
 let test_tape_identity_rules () =
   let die = 4000.0 in
   List.iter
@@ -99,15 +112,13 @@ let test_tape_identity_rules () =
           let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
           let tape = Compile.Tape.compile tree in
           let cfg = config ~rule () in
-          let walk =
-            strip_result (Bufins.Engine.run cfg ~model:(model die) tree)
-          in
           let seq =
             strip_result (Bufins.Engine.run_tape cfg ~model:(model die) tape)
           in
           Alcotest.(check bool)
-            (Printf.sprintf "%s seed=%d tape=walk" (Bufins.Prune.name rule) seed)
-            true (seq = walk);
+            (Printf.sprintf "%s seed=%d run tree = run_tape" (Bufins.Prune.name rule) seed)
+            true
+            (strip_result (Bufins.Engine.run cfg ~model:(model die) tree) = seq);
           List.iter
             (fun jobs ->
               with_pool jobs (fun pool ->
@@ -116,10 +127,10 @@ let test_tape_identity_rules () =
                       tape
                   in
                   Alcotest.(check bool)
-                    (Printf.sprintf "%s seed=%d jobs=%d tape=walk"
+                    (Printf.sprintf "%s seed=%d jobs=%d = sequential"
                        (Bufins.Prune.name rule) seed jobs)
                     true
-                    (strip_result r = walk)))
+                    (strip_result r = seq)))
             [ 1; 2; 4 ])
         cases)
     par_rules
@@ -130,24 +141,39 @@ let test_tape_identity_obs () =
   let cfg = config () in
   let base =
     with_obs false (fun () ->
-        strip_result (Bufins.Engine.run cfg ~model:(model 4000.0) tree))
+        strip_result (Bufins.Engine.run_tape cfg ~model:(model 4000.0) tape))
   in
   List.iter
     (fun obs ->
       with_obs obs (fun () ->
-          let r = Bufins.Engine.run_tape cfg ~model:(model 4000.0) tape in
-          Alcotest.(check bool)
-            (Printf.sprintf "obs=%b tape=walk" obs)
-            true
-            (strip_result r = base)))
+          List.iter
+            (fun jobs ->
+              let run pool =
+                Bufins.Engine.run_tape ?pool ~grain:2 cfg ~model:(model 4000.0)
+                  tape
+              in
+              let r =
+                match jobs with
+                | None -> run None
+                | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "obs=%b jobs=%s = sequential obs off" obs
+                   (match jobs with None -> "seq" | Some j -> string_of_int j))
+                true
+                (strip_result r = base))
+            [ None; Some 2 ]))
     [ false; true ]
 
-let prop_tape_matches_walk =
+let prop_jobs_match_sequential =
   QCheck.Test.make
-    ~name:"tape DP = tree walk (random trees, all rules, jobs 1/2/4)" ~count:10
+    ~name:"jobs 1/2/4 = sequential DP (random trees, all rules, obs on/off)"
+    ~count:10
     QCheck.(
-      quad (int_range 2 20) (int_range 0 1000) (int_range 0 3) (int_range 0 2))
-    (fun (sinks, seed, rule_idx, jobs_idx) ->
+      pair
+        (quad (int_range 2 20) (int_range 0 1000) (int_range 0 3) (int_range 0 2))
+        bool)
+    (fun ((sinks, seed, rule_idx, jobs_idx), obs) ->
       let rule = List.nth par_rules rule_idx in
       let sinks = if Bufins.Prune.is_linear rule then sinks else min sinks 8 in
       let jobs = List.nth [ 1; 2; 4 ] jobs_idx in
@@ -155,13 +181,13 @@ let prop_tape_matches_walk =
       let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
       let tape = Compile.Tape.compile tree in
       let cfg = config ~rule () in
-      let walk = strip_result (Bufins.Engine.run cfg ~model:(model die) tree) in
-      with_pool jobs (fun pool ->
-          let tp =
-            strip_result
-              (Bufins.Engine.run_tape ~pool ~grain:2 cfg ~model:(model die) tape)
-          in
-          tp = walk))
+      let seq = strip_result (Bufins.Engine.run_tape cfg ~model:(model die) tape) in
+      with_obs obs (fun () ->
+          with_pool jobs (fun pool ->
+              strip_result
+                (Bufins.Engine.run_tape ~pool ~grain:2 cfg ~model:(model die)
+                   tape)
+              = seq)))
 
 (* ---------- sampling engine identity ---------- *)
 
@@ -186,26 +212,28 @@ let test_tape_identity_sample () =
   let cfg =
     { (Sample.Engine.default_config ~samples:64 ~seed:1 ()) with tech; library }
   in
-  let walk = strip_sample (Sample.Engine.run cfg ~model:(model die) tree) in
   let seq = strip_sample (Sample.Engine.run_tape cfg ~model:(model die) tape) in
-  Alcotest.(check bool) "sample tape=walk" true (seq = walk);
+  Alcotest.(check bool) "sample run tree = run_tape" true
+    (strip_sample (Sample.Engine.run cfg ~model:(model die) tree) = seq);
   List.iter
-    (fun jobs ->
-      with_pool jobs (fun pool ->
-          let r =
-            Sample.Engine.run_tape ~pool ~grain:2 cfg ~model:(model die) tape
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "sample jobs=%d tape=walk" jobs)
-            true
-            (strip_sample r = walk)))
-    [ 1; 2; 4 ]
+    (fun (jobs, obs) ->
+      with_obs obs (fun () ->
+          with_pool jobs (fun pool ->
+              let r =
+                Sample.Engine.run_tape ~pool ~grain:2 cfg ~model:(model die) tape
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "sample jobs=%d obs=%b = sequential" jobs obs)
+                true
+                (strip_sample r = seq))))
+    [ (1, false); (2, true); (4, false) ]
 
-let prop_tape_matches_walk_sample =
-  QCheck.Test.make ~name:"sample tape DP = tree walk (random trees, jobs 1/2/4)"
+let prop_jobs_match_sequential_sample =
+  QCheck.Test.make
+    ~name:"sample jobs 1/2/4 = sequential DP (random trees, obs on/off)"
     ~count:6
-    QCheck.(triple (int_range 2 14) (int_range 0 1000) (int_range 0 2))
-    (fun (sinks, seed, jobs_idx) ->
+    QCheck.(quad (int_range 2 14) (int_range 0 1000) (int_range 0 2) bool)
+    (fun (sinks, seed, jobs_idx, obs) ->
       let jobs = List.nth [ 1; 2; 4 ] jobs_idx in
       let die = 4000.0 in
       let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
@@ -217,13 +245,15 @@ let prop_tape_matches_walk_sample =
           library;
         }
       in
-      let walk = strip_sample (Sample.Engine.run cfg ~model:(model die) tree) in
-      with_pool jobs (fun pool ->
-          let tp =
-            strip_sample
-              (Sample.Engine.run_tape ~pool ~grain:2 cfg ~model:(model die) tape)
-          in
-          tp = walk))
+      let seq =
+        strip_sample (Sample.Engine.run_tape cfg ~model:(model die) tape)
+      in
+      with_obs obs (fun () ->
+          with_pool jobs (fun pool ->
+              strip_sample
+                (Sample.Engine.run_tape ~pool ~grain:2 cfg ~model:(model die)
+                   tape)
+              = seq)))
 
 (* ---------- probabilistic DP identity ---------- *)
 
@@ -236,22 +266,25 @@ let test_tape_identity_probabilistic () =
       let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:4000.0 () in
       let tape = Compile.Tape.compile tree in
       let cfg = Bufins.Probabilistic.default_config ~heuristic () in
-      let walk = strip_prob (Bufins.Probabilistic.run cfg tree) in
+      let seq = strip_prob (Bufins.Probabilistic.run_tape cfg tape) in
       Alcotest.(check bool)
-        (Printf.sprintf "%s tape=walk"
+        (Printf.sprintf "%s run tree = run_tape"
            (Bufins.Probabilistic.heuristic_name heuristic))
         true
-        (strip_prob (Bufins.Probabilistic.run_tape cfg tape) = walk);
+        (strip_prob (Bufins.Probabilistic.run cfg tree) = seq);
       List.iter
-        (fun jobs ->
-          with_pool jobs (fun pool ->
-              let r = Bufins.Probabilistic.run_tape ~pool ~grain:2 cfg tape in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s jobs=%d tape=walk"
-                   (Bufins.Probabilistic.heuristic_name heuristic) jobs)
-                true
-                (strip_prob r = walk)))
-        [ 2; 4 ])
+        (fun (jobs, obs) ->
+          with_obs obs (fun () ->
+              with_pool jobs (fun pool ->
+                  let r =
+                    Bufins.Probabilistic.run_tape ~pool ~grain:2 cfg tape
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s jobs=%d obs=%b = sequential"
+                       (Bufins.Probabilistic.heuristic_name heuristic) jobs obs)
+                    true
+                    (strip_prob r = seq))))
+        [ (2, true); (4, false) ])
     [
       (Bufins.Probabilistic.Mean_dominance, 20, 305);
       (Bufins.Probabilistic.Stochastic_dominance, 10, 306);
@@ -268,6 +301,6 @@ let suite =
       test_tape_identity_sample;
     Alcotest.test_case "tape identity (probabilistic)" `Quick
       test_tape_identity_probabilistic;
-    qcheck prop_tape_matches_walk;
-    qcheck prop_tape_matches_walk_sample;
+    qcheck prop_jobs_match_sequential;
+    qcheck prop_jobs_match_sequential_sample;
   ]
