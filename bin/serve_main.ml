@@ -34,15 +34,25 @@ let resolve_addr socket tcp =
     | Some port -> Serve.Client.Tcp ("127.0.0.1", port)
     | None -> Serve.Client.addr_of_string s)
 
+(* Run a serving loop in the foreground until a shutdown request or
+   SIGINT/SIGTERM; a socket that cannot be bound exits 1. *)
+let serve_foreground socket run =
+  let stop = Atomic.make false in
+  let handle = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  Sys.set_signal Sys.sigint handle;
+  Sys.set_signal Sys.sigterm handle;
+  try run ~should_stop:(fun () -> Atomic.get stop)
+  with Unix.Unix_error (e, fn, arg) ->
+    prerr_endline
+      (Printf.sprintf "cannot serve on %s: %s (%s %s)" socket
+         (Unix.error_message e) fn arg);
+    exit 1
+
 (* ---------- start ---------- *)
 
 let start socket tcp_port jobs queue_depth max_request_bytes cache_entries
     tape_entries obs trace =
   if obs || trace <> None then Obs.Control.enable ();
-  let stop = Atomic.make false in
-  let handle = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-  Sys.set_signal Sys.sigint handle;
-  Sys.set_signal Sys.sigterm handle;
   let config =
     {
       (Serve.Server.default_config ~socket_path:socket) with
@@ -61,12 +71,8 @@ let start socket tcp_port jobs queue_depth max_request_bytes cache_entries
     | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
     | None -> "")
     jobs queue_depth cache_entries tape_entries;
-  (try Serve.Server.run ~should_stop:(fun () -> Atomic.get stop) config
-   with Unix.Unix_error (e, fn, arg) ->
-     prerr_endline
-       (Printf.sprintf "cannot serve on %s: %s (%s %s)" socket
-          (Unix.error_message e) fn arg);
-     exit 1);
+  serve_foreground socket (fun ~should_stop ->
+      Serve.Server.run ~should_stop config);
   (match trace with
   | Some path ->
     Obs.Span.flush ();
@@ -132,11 +138,7 @@ let start_cmd =
 (* ---------- cluster ---------- *)
 
 let cluster socket tcp_port shards jobs_per_shard queue_depth
-    max_request_bytes cache_entries tape_entries conns_per_shard v1_cache =
-  let stop = Atomic.make false in
-  let handle = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-  Sys.set_signal Sys.sigint handle;
-  Sys.set_signal Sys.sigterm handle;
+    max_request_bytes cache_entries tape_entries conns_per_shard =
   let config =
     {
       Cluster.Supervisor.shards;
@@ -148,7 +150,6 @@ let cluster socket tcp_port shards jobs_per_shard queue_depth
       queue_depth;
       conns_per_shard;
       max_payload = max_request_bytes;
-      v1_cache;
     }
   in
   Printf.printf
@@ -158,12 +159,8 @@ let cluster socket tcp_port shards jobs_per_shard queue_depth
     | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
     | None -> "")
     shards jobs_per_shard cache_entries;
-  (try Cluster.Supervisor.run ~should_stop:(fun () -> Atomic.get stop) config
-   with Unix.Unix_error (e, fn, arg) ->
-     prerr_endline
-       (Printf.sprintf "cannot serve on %s: %s (%s %s)" socket
-          (Unix.error_message e) fn arg);
-     exit 1);
+  serve_foreground socket (fun ~should_stop ->
+      Cluster.Supervisor.run ~should_stop config);
   Printf.printf "varbuf-serve: cluster drained, exiting\n%!";
   0
 
@@ -200,20 +197,12 @@ let cluster_cmd =
     Arg.(value & opt int 4 & info [ "conns-per-shard" ] ~docv:"N"
            ~doc:"Router links (= max concurrent requests) per worker.")
   in
-  let v1_cache_arg =
-    Arg.(value & opt int 128 & info [ "v1-cache" ] ~docv:"N"
-           ~doc:"Router v1-to-v2 transcode cache capacity (LRU); repeated \
-                 v1 request bodies skip the text decode, binary encode and \
-                 shard digest.  0 disables the fast path.  Capacity and \
-                 hit/miss totals appear as cluster_v1_cache_* stats lines.")
-  in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:"run a sharded multi-process cluster (router + N workers)")
     Term.(
       const cluster $ socket_arg $ tcp_listen_arg $ shards_arg $ jobs_arg
-      $ queue_arg $ max_bytes_arg $ cache_arg $ tape_arg $ conns_arg
-      $ v1_cache_arg)
+      $ queue_arg $ max_bytes_arg $ cache_arg $ tape_arg $ conns_arg)
 
 (* ---------- request ---------- *)
 

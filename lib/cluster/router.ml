@@ -2,7 +2,7 @@ module Wire = Serve.Wire
 module Protocol = Serve.Protocol
 module Codec_bin = Serve.Codec_bin
 module Metrics = Serve.Metrics
-module Lru = Serve.Lru
+module Front = Serve.Front
 
 type config = {
   socket_path : string;
@@ -13,7 +13,6 @@ type config = {
   max_payload : int;
   max_connections : int;
   backlog : int;
-  v1_cache : int;
 }
 
 let default_config ~socket_path ~shard_sockets =
@@ -26,70 +25,22 @@ let default_config ~socket_path ~shard_sockets =
     max_payload = 8 * 1024 * 1024;
     max_connections = 128;
     backlog = 64;
-    v1_cache = 128;
   }
 
 let reconnect_interval = 0.25
+
+(* The first redial delay after a failed connect; it doubles per
+   failure up to [reconnect_interval]. *)
+let first_redial = 0.01
+
+(* The longest [select] wait: how often drain deadlines and [on_tick]
+   are looked at when nothing else happens. *)
+let tick = 0.2
 
 (* How long a drain may take before queued work is failed, and how long
    we wait for workers to close their sockets after [shutdown]. *)
 let drain_budget = 30.0
 let worker_stop_budget = 5.0
-
-(* Parse the id out of a v1 request payload and return the payload
-   with the id line dropped — the transcode-cache key shared by
-   requests that differ only in id (a load generator's stream).  Only
-   the [id] header line is interpreted; every other byte participates
-   in the key verbatim, so a hit can reuse the cached v2 encoding with
-   nothing but the 8-byte id field rewritten.
-   @raise Failure when there is no tree marker or the id line is not an
-   integer — callers fall back to the strict decoder for its proper
-   line-numbered error. *)
-let v1_request_key payload =
-  let n = String.length payload in
-  let id = ref 0 in
-  let buf = Buffer.create n in
-  let pos = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    if !pos >= n then failwith "missing tree marker";
-    let nl =
-      match String.index_from_opt payload !pos '\n' with
-      | Some i -> i
-      | None -> n (* final line without a newline *)
-    in
-    let line = String.trim (String.sub payload !pos (nl - !pos)) in
-    let stop = min (nl + 1) n in
-    (match String.index_opt line ' ' with
-    | Some sp when String.sub line 0 sp = "id" -> (
-      match
-        int_of_string_opt
-          (String.trim (String.sub line (sp + 1) (String.length line - sp - 1)))
-      with
-      | Some v -> id := v (* the id line is dropped from the key *)
-      | None -> failwith "id line is not an integer")
-    | _ -> Buffer.add_substring buf payload !pos (stop - !pos));
-    if line = "tree" then begin
-      Buffer.add_substring buf payload stop (n - stop);
-      finished := true
-    end
-    else pos := stop
-  done;
-  (!id, Buffer.contents buf)
-
-(* Transcode-cache hit rate, visible in obs summaries. *)
-let obs_transcode_hit =
-  Obs.Counters.counter Obs.Counters.global "router.v1_transcode_hit"
-
-let obs_transcode_miss =
-  Obs.Counters.counter Obs.Counters.global "router.v1_transcode_miss"
-
-(* v2 shard-digest cache hit rate (see [v2_shard] in {!run}). *)
-let obs_v2_digest_hit =
-  Obs.Counters.counter Obs.Counters.global "router.v2_digest_hit"
-
-let obs_v2_digest_miss =
-  Obs.Counters.counter Obs.Counters.global "router.v2_digest_miss"
 
 let shard_of_request ~shards payload =
   let off, len = Codec_bin.request_tree_span payload in
@@ -99,18 +50,10 @@ let shard_of_request ~shards payload =
   let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
   v mod shards
 
-type client = {
-  c_fd : Unix.file_descr;
-  c_dec : Wire.decoder;
-  mutable c_alive : bool;
-  mutable c_proto : Wire.proto;
-}
-
-(* One admitted request: the client to answer, the encoding it spoke,
-   and the payload already transcoded to v2 for the worker. *)
+(* One admitted request: the client to answer (with the encoding it
+   spoke) and the payload already transcoded to v2 for the worker. *)
 type pending = {
-  p_client : client;
-  p_proto : Wire.proto;
+  p_client : Front.client;
   p_payload : string;
   p_enqueued : float;
 }
@@ -130,7 +73,8 @@ type shard = {
   s_addr : string;
   mutable s_links : link list;
   s_queue : pending Queue.t;
-  mutable s_last_dial : float;
+  mutable s_retry_at : float;  (* no dial before this time *)
+  mutable s_backoff : float;  (* the wait after the next failed dial *)
   mutable s_stop_sent : bool;
 }
 
@@ -144,7 +88,8 @@ let run ?metrics ?(should_stop = fun () -> false)
           s_addr = addr;
           s_links = [];
           s_queue = Queue.create ();
-          s_last_dial = 0.0;
+          s_retry_at = 0.0;
+          s_backoff = first_redial;
           s_stop_sent = false;
         })
       config.shard_sockets
@@ -154,94 +99,33 @@ let run ?metrics ?(should_stop = fun () -> false)
   (* Worker responses (big assignments) may exceed the client-request
      limit; give links generous headroom. *)
   let link_max_payload = max config.max_payload (64 * 1024 * 1024) in
-  let prev_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
+  let front =
+    Front.listen ~metrics
+      {
+        Front.socket_path = config.socket_path;
+        tcp_port = config.tcp_port;
+        backlog = config.backlog;
+        max_payload = config.max_payload;
+        max_connections = config.max_connections;
+      }
   in
-  (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-  let listen_unix = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_unix (Unix.ADDR_UNIX config.socket_path);
-  Unix.listen listen_unix config.backlog;
-  let listen_tcp =
-    match config.tcp_port with
-    | None -> None
-    | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.listen fd config.backlog
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         (try Unix.close listen_unix with Unix.Unix_error _ -> ());
-         (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-         raise e);
-      Some fd
-  in
-  let listeners =
-    listen_unix :: (match listen_tcp with Some fd -> [ fd ] | None -> [])
-  in
-  let clients : client list ref = ref [] in
-  let draining = ref false in
   let drain_deadline = ref infinity in
   let stop_deadline = ref None in
   let read_buf = Bytes.create 65536 in
 
-  (* v1 fast path: one text decode, v2 encode and shard digest per
-     distinct request body, not per request.  Keyed by the v1 payload
-     with the id line dropped ({!v1_request_key}), valued by the v2
-     encoding with id 0 plus the shard index; a hit rewrites the 8-byte
-     id in place.  The router loop is single-threaded, so the shared
-     {!Serve.Lru} is used without a mutex.  Capacity comes from the
-     [--v1-cache] flag; 0 disables the fast path entirely. *)
-  let transcode : (string * int) Lru.t option =
-    if config.v1_cache > 0 then Some (Lru.create ~capacity:config.v1_cache)
-    else None
-  in
-  (* v2 fast path, same headroom as the v1 transcode cache: a load
-     generator's stream differs only in the fixed 8-byte id, so the
-     shard choice — a digest over the tree blob — is keyed on the
-     id-zeroed payload and recomputed once per distinct body.  Shares
-     the [--v1-cache] capacity knob; 0 disables both. *)
-  let v2_shard : int Lru.t option =
-    if config.v1_cache > 0 then Some (Lru.create ~capacity:config.v1_cache)
-    else None
-  in
-
-  let send_client c ~kind payload =
-    if c.c_alive then
-      try Wire.write_frame_pv c.c_fd ~proto:c.c_proto ~kind payload
-      with Unix.Unix_error _ | Sys_error _ -> c.c_alive <- false
-  in
-  let send_client_error c code message =
-    let body =
-      match c.c_proto with
-      | Wire.V1 -> Protocol.encode_error { Protocol.code; message }
-      | Wire.V2 -> Codec_bin.encode_error { Protocol.code; message }
-    in
-    send_client c ~kind:"error" body
-  in
-  let refuse c code message =
-    Metrics.request_error metrics ~code;
-    send_client_error c code message
-  in
-
   (* Answer [p] with a worker reply frame ([kind] is "response" or
      "error", [payload] is v2-encoded).  v2 clients get the worker's
-     bytes verbatim; v1 clients get the deterministic text
+     response bytes verbatim; v1 clients get the deterministic text
      re-encoding. *)
   let complete p ~kind ~payload =
     let latency_ms = (Unix.gettimeofday () -. p.p_enqueued) *. 1000.0 in
     match kind with
     | "response" ->
-      Metrics.request_ok metrics ~latency_ms;
-      let body =
-        match p.p_proto with
+      Front.respond front p.p_client ~latency_ms
+        (match Front.proto p.p_client with
         | Wire.V2 -> payload
         | Wire.V1 ->
-          Protocol.encode_response (Codec_bin.decode_response payload)
-      in
-      send_client p.p_client ~kind:"response" body
+          Protocol.encode_response (Codec_bin.decode_response payload))
     | _ ->
       let err =
         try Codec_bin.decode_error payload
@@ -249,26 +133,21 @@ let run ?metrics ?(should_stop = fun () -> false)
           { Protocol.code = Protocol.err_internal;
             message = "undecodable worker error" }
       in
-      Metrics.request_error metrics ~code:err.Protocol.code;
-      let body =
-        match p.p_proto with
-        | Wire.V2 when kind = "error" -> payload
-        | _ -> Protocol.encode_error err
-      in
-      send_client p.p_client ~kind:"error" body
+      Front.fail front p.p_client err.Protocol.code err.Protocol.message
   in
-  let fail p code message =
-    Metrics.request_error metrics ~code;
-    let body =
-      match p.p_proto with
-      | Wire.V1 -> Protocol.encode_error { Protocol.code; message }
-      | Wire.V2 -> Codec_bin.encode_error { Protocol.code; message }
-    in
-    send_client p.p_client ~kind:"error" body
+  let fail p code message = Front.fail front p.p_client code message in
+
+  (* A failed dial: no new one for [s_backoff] seconds, which doubles
+     up to [reconnect_interval] until a link comes up. *)
+  let back_off s =
+    s.s_retry_at <- Unix.gettimeofday () +. s.s_backoff;
+    s.s_backoff <- Float.min reconnect_interval (2.0 *. s.s_backoff)
   in
 
   let kill_link s l =
     if l.l_alive then begin
+      (* Lost before the worker's hello: that dial failed too. *)
+      if not l.l_ready then back_off s;
       l.l_alive <- false;
       (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
       (match l.l_busy with
@@ -295,7 +174,7 @@ let run ?metrics ?(should_stop = fun () -> false)
       | None -> ()
       | Some l ->
         let p = Queue.pop s.s_queue in
-        if not p.p_client.c_alive then pump s
+        if not (Front.alive p.p_client) then pump s
         else begin
           (match
              Wire.write_frame_pv l.l_fd ~proto:Wire.V2 ~kind:"request"
@@ -309,30 +188,44 @@ let run ?metrics ?(should_stop = fun () -> false)
         end
   in
 
+  let wants_links s =
+    (not s.s_stop_sent) && List.length s.s_links < config.conns_per_shard
+  in
+  (* Open every missing link in one pass, unless backing off. *)
   let dial s =
-    let now = Unix.gettimeofday () in
-    if
-      (not s.s_stop_sent)
-      && List.length s.s_links < config.conns_per_shard
-      && now -. s.s_last_dial >= reconnect_interval
-    then begin
-      s.s_last_dial <- now;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX s.s_addr) with
-      | () ->
-        let l =
-          {
-            l_fd = fd;
-            l_dec = Wire.decoder ~max_payload:link_max_payload ();
-            l_ready = false;
-            l_alive = true;
-            l_busy = None;
-          }
-        in
-        s.s_links <- s.s_links @ [ l ]
-      | exception Unix.Unix_error _ ->
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-    end
+    let rec go () =
+      if wants_links s then begin
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        match Unix.connect fd (Unix.ADDR_UNIX s.s_addr) with
+        | () ->
+          let l =
+            {
+              l_fd = fd;
+              l_dec = Wire.decoder ~max_payload:link_max_payload ();
+              l_ready = false;
+              l_alive = true;
+              l_busy = None;
+            }
+          in
+          s.s_links <- s.s_links @ [ l ];
+          go ()
+        | exception Unix.Unix_error _ ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          back_off s
+      end
+    in
+    if Unix.gettimeofday () >= s.s_retry_at then go ()
+  in
+  (* Sleep no longer than until the next due redial. *)
+  let select_timeout () =
+    if Front.draining front then tick
+    else
+      let now = Unix.gettimeofday () in
+      Array.fold_left
+        (fun t s ->
+          if wants_links s then Float.min t (s.s_retry_at -. now) else t)
+        tick shards
+      |> Float.max 0.0
   in
 
   let handle_link_frame s l (f : Wire.frame) =
@@ -346,7 +239,9 @@ let run ?metrics ?(should_stop = fun () -> false)
                (Protocol.supported_protocols f.Wire.payload))
         then failwith "worker does not speak the binary protocol"
       with
-      | () -> l.l_ready <- true
+      | () ->
+        l.l_ready <- true;
+        s.s_backoff <- first_redial
       | exception Failure _ -> kill_link s l)
     | "response" | "error" -> (
       match l.l_busy with
@@ -386,83 +281,35 @@ let run ?metrics ?(should_stop = fun () -> false)
       try go () with Failure _ -> kill_link s l)
   in
 
-  let dispatch_request c (f : Wire.frame) =
-    if !draining then
-      refuse c Protocol.err_busy "cluster is draining"
+  (* A v2 request is forwarded as the client sent it; a v1 request is
+     decoded strictly (its errors are the line-numbered parse
+     messages) and re-encoded.  Either way the shard is a digest of
+     the v2 tree blob.
+     @raise Failure on a malformed request. *)
+  let route client payload =
+    let v2 =
+      match Front.proto client with
+      | Wire.V2 -> payload
+      | Wire.V1 -> Codec_bin.encode_request (Protocol.decode_request payload)
+    in
+    (v2, shard_of_request ~shards:n_shards v2)
+  in
+  let dispatch_request client payload =
+    if Front.draining front then
+      Front.fail front client Protocol.err_busy "cluster is draining"
     else
-      let transcode_v1 payload =
-        (* Failure anywhere here is caught by the wrapper below and
-           refused as err_parse, with the strict decoder's message. *)
-        match v1_request_key payload with
-        | exception Failure _ ->
-          (* Unparseable id line or missing tree marker: run the strict
-             decoder for its proper line-numbered error (it may also
-             succeed on headers [v1_request_key] is stricter about, in
-             which case the request is served, just uncached). *)
-          let p = Codec_bin.encode_request (Protocol.decode_request payload) in
-          (p, shard_of_request ~shards:n_shards p)
-        | id, key -> (
-          match transcode with
-          | None ->
-            let p =
-              Codec_bin.encode_request (Protocol.decode_request payload)
-            in
-            (p, shard_of_request ~shards:n_shards p)
-          | Some lru -> (
-            match Lru.find lru key with
-            | Some (zero, idx) ->
-              if Obs.Control.on () then Obs.Counters.incr obs_transcode_hit 1;
-              (Codec_bin.with_request_id zero id, idx)
-            | None ->
-              let p =
-                Codec_bin.encode_request (Protocol.decode_request payload)
-              in
-              let idx = shard_of_request ~shards:n_shards p in
-              (* Only successful transcodes are cached. *)
-              Lru.put lru key (Codec_bin.with_request_id p 0, idx);
-              if Obs.Control.on () then
-                Obs.Counters.incr obs_transcode_miss 1;
-              (p, idx)))
-      in
-      let dispatch () =
-        match f.Wire.proto with
-        | Wire.V2 ->
-          (* Validate the head (and locate the tree) without decoding
-             the tree itself; forwarded bytes are the client's own. *)
-          ignore (Codec_bin.request_tree_span f.Wire.payload : int * int);
-          let idx =
-            match v2_shard with
-            | None -> shard_of_request ~shards:n_shards f.Wire.payload
-            | Some lru -> (
-              let key = Codec_bin.with_request_id f.Wire.payload 0 in
-              match Lru.find lru key with
-              | Some idx ->
-                if Obs.Control.on () then
-                  Obs.Counters.incr obs_v2_digest_hit 1;
-                idx
-              | None ->
-                let idx = shard_of_request ~shards:n_shards f.Wire.payload in
-                Lru.put lru key idx;
-                if Obs.Control.on () then
-                  Obs.Counters.incr obs_v2_digest_miss 1;
-                idx)
-          in
-          (f.Wire.payload, idx)
-        | Wire.V1 -> transcode_v1 f.Wire.payload
-      in
-      match dispatch () with
-      | exception Failure msg -> refuse c Protocol.err_parse msg
+      match route client payload with
+      | exception Failure msg -> Front.fail front client Protocol.err_parse msg
       | v2_payload, idx ->
         let s = shards.(idx) in
         if Queue.length s.s_queue >= config.queue_depth then
-          refuse c Protocol.err_busy
+          Front.fail front client Protocol.err_busy
             (Printf.sprintf "shard %d queue full (depth %d)" idx
                config.queue_depth)
         else begin
           Queue.push
             {
-              p_client = c;
-              p_proto = f.Wire.proto;
+              p_client = client;
               p_payload = v2_payload;
               p_enqueued = Unix.gettimeofday ();
             }
@@ -470,28 +317,10 @@ let run ?metrics ?(should_stop = fun () -> false)
           pump s
         end
   in
-  let dispatch_request c f =
-    try dispatch_request c f
-    with Failure msg -> refuse c Protocol.err_parse msg
-  in
 
-  let stats_payload () =
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf (Metrics.render metrics);
+  let stats_lines () =
+    let buf = Buffer.create 256 in
     Printf.bprintf buf "cluster_shards %d\n" n_shards;
-    (match transcode with
-    | Some lru ->
-      Printf.bprintf buf "cluster_v1_cache_capacity %d\n" (Lru.capacity lru);
-      Printf.bprintf buf "cluster_v1_cache_entries %d\n" (Lru.length lru);
-      Printf.bprintf buf "cluster_v1_cache_hits %d\n" (Lru.hits lru);
-      Printf.bprintf buf "cluster_v1_cache_misses %d\n" (Lru.misses lru)
-    | None -> Printf.bprintf buf "cluster_v1_cache_capacity 0\n");
-    (match v2_shard with
-    | Some lru ->
-      Printf.bprintf buf "cluster_v2_cache_entries %d\n" (Lru.length lru);
-      Printf.bprintf buf "cluster_v2_cache_hits %d\n" (Lru.hits lru);
-      Printf.bprintf buf "cluster_v2_cache_misses %d\n" (Lru.misses lru)
-    | None -> ());
     Array.iteri
       (fun i s ->
         let live = List.filter (fun l -> l.l_alive && l.l_ready) s.s_links in
@@ -503,55 +332,6 @@ let run ?metrics ?(should_stop = fun () -> false)
           (Queue.length s.s_queue))
       shards;
     Buffer.contents buf
-  in
-
-  let handle_client_frame c (f : Wire.frame) =
-    c.c_proto <- f.Wire.proto;
-    Metrics.request_kind metrics ~kind:f.Wire.kind;
-    match f.Wire.kind with
-    | "request" -> dispatch_request c f
-    | "stats" -> send_client c ~kind:"stats" (stats_payload ())
-    | "trace" ->
-      send_client c ~kind:"trace"
-        (Obs.Export.chrome_json (Obs.Span.snapshot ()))
-    | "shutdown" ->
-      send_client c ~kind:"ok" "";
-      draining := true
-    | kind ->
-      refuse c Protocol.err_proto
-        (Printf.sprintf "unknown frame kind %S" kind)
-  in
-
-  let handle_client_readable c =
-    match Unix.read c.c_fd read_buf 0 (Bytes.length read_buf) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> c.c_alive <- false
-    | 0 -> c.c_alive <- false
-    | n -> (
-      Wire.feed c.c_dec read_buf n;
-      let rec go () =
-        match Wire.next c.c_dec with
-        | None -> ()
-        | Some (Wire.Oversized { kind; len; proto }) ->
-          c.c_proto <- proto;
-          refuse c Protocol.err_too_large
-            (Printf.sprintf "%s frame of %d bytes exceeds the %d-byte limit"
-               kind len config.max_payload);
-          go ()
-        | Some (Wire.Frame f) ->
-          handle_client_frame c f;
-          go ()
-      in
-      try go ()
-      with Failure msg ->
-        send_client_error c Protocol.err_proto msg;
-        c.c_alive <- false)
-  in
-
-  let close_client c =
-    c.c_alive <- false;
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-    Metrics.conn_closed metrics
   in
 
   let queues_idle () =
@@ -584,16 +364,8 @@ let run ?metrics ?(should_stop = fun () -> false)
   in
 
   let cleanup () =
-    List.iter close_client !clients;
-    clients := [];
-    Array.iter (fun s -> List.iter (fun l -> kill_link s l) s.s_links) shards;
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      listeners;
-    (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-    match prev_sigpipe with
-    | Some b -> ( try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
-    | None -> ()
+    Front.close front;
+    Array.iter (fun s -> List.iter (fun l -> kill_link s l) s.s_links) shards
   in
 
   let finished () =
@@ -605,14 +377,15 @@ let run ?metrics ?(should_stop = fun () -> false)
   let rec loop () =
     if finished () then ()
     else begin
-      if (not !draining) && should_stop () then draining := true;
-      if !draining && !drain_deadline = infinity then
+      if should_stop () then Front.drain front;
+      let draining = Front.draining front in
+      if draining && !drain_deadline = infinity then
         drain_deadline := Unix.gettimeofday () +. drain_budget;
-      on_tick ~draining:!draining;
+      on_tick ~draining;
       (* Draining stops redialing and respawning, so a shard with no
          ready link will never serve its queue — fail it now rather
          than holding the drain open. *)
-      if !draining then
+      if draining then
         Array.iter
           (fun s ->
             if
@@ -629,7 +402,7 @@ let run ?metrics ?(should_stop = fun () -> false)
       (* A drain that cannot complete (a worker died mid-request and
          nobody will restart it) fails the stuck work rather than
          hanging. *)
-      if !draining && Unix.gettimeofday () > !drain_deadline then
+      if draining && Unix.gettimeofday () > !drain_deadline then
         Array.iter
           (fun s ->
             Queue.iter
@@ -640,13 +413,10 @@ let run ?metrics ?(should_stop = fun () -> false)
               (fun l -> if l.l_busy <> None then kill_link s l)
               s.s_links)
           shards;
-      if !draining && !stop_deadline = None && queues_idle () then
+      if draining && !stop_deadline = None && queues_idle () then
         send_worker_stops ();
-      if not !draining then Array.iter dial shards;
+      if not draining then Array.iter dial shards;
       Array.iter pump shards;
-      let accepting =
-        (not !draining) && List.length !clients < config.max_connections
-      in
       let link_fds =
         Array.to_list shards
         |> List.concat_map (fun s ->
@@ -654,36 +424,12 @@ let run ?metrics ?(should_stop = fun () -> false)
                  (fun l -> if l.l_alive then Some l.l_fd else None)
                  s.s_links)
       in
-      let watched =
-        (if accepting then listeners else [])
-        @ List.map (fun c -> c.c_fd) !clients
-        @ link_fds
-      in
       let readable, _, _ =
-        try Unix.select watched [] [] 0.2
+        try
+          Unix.select (Front.watched front @ link_fds) [] []
+            (select_timeout ())
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
-      if accepting then
-        List.iter
-          (fun listen_fd ->
-            if List.mem listen_fd readable then
-              match Unix.accept listen_fd with
-              | fd, _ ->
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ | Invalid_argument _ -> ());
-                let c =
-                  {
-                    c_fd = fd;
-                    c_dec = Wire.decoder ~max_payload:config.max_payload ();
-                    c_alive = true;
-                    c_proto = Wire.V1;
-                  }
-                in
-                Metrics.conn_opened metrics;
-                send_client c ~kind:"hello" (Protocol.hello_full ^ "\n");
-                clients := c :: !clients
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-          listeners;
       Array.iter
         (fun s ->
           List.iter
@@ -692,14 +438,7 @@ let run ?metrics ?(should_stop = fun () -> false)
                 handle_link_readable s l)
             s.s_links)
         shards;
-      List.iter
-        (fun c ->
-          if c.c_alive && List.mem c.c_fd readable then
-            handle_client_readable c)
-        !clients;
-      let dead, live = List.partition (fun c -> not c.c_alive) !clients in
-      List.iter close_client dead;
-      clients := live;
+      Front.serve front ~request:dispatch_request ~stats:stats_lines readable;
       loop ()
     end
   in

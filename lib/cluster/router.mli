@@ -1,5 +1,6 @@
 (** The cluster front end: one process that accepts client connections
-    (Unix socket and optionally loopback TCP), shards every [request]
+    through a {!Serve.Front} (Unix socket and optionally loopback TCP,
+    the same front door a {!Serve.Server} has), shards every [request]
     by a digest of its routing tree, and forwards it to one of [N]
     worker daemons ({!Serve.Server} processes, one per shard socket).
 
@@ -24,8 +25,8 @@
     refused immediately with a [busy] error.  A worker that dies takes
     its in-flight requests to [internal] errors; queued requests stay
     queued and drain when the worker comes back (the router redials
-    lost links every {!reconnect_interval} seconds, and the
-    {!Supervisor} restarts crashed worker processes).
+    lost links with a backoff capped at {!reconnect_interval} seconds,
+    and the {!Supervisor} restarts crashed worker processes).
 
     Shutdown ([shutdown] frame or [should_stop]) drains: stop
     accepting, finish every queued and in-flight request, then forward
@@ -44,21 +45,19 @@ type config = {
   max_payload : int;
   max_connections : int;
   backlog : int;
-  v1_cache : int;
-      (** capacity of the v1→v2 transcode LRU (one decode/encode/shard
-          digest per distinct request body instead of per request);
-          [0] disables the fast path.  Capacity, occupancy and
-          hit/miss totals appear as [cluster_v1_cache_*] stats
-          lines. *)
 }
 
 val default_config :
   socket_path:string -> shard_sockets:string array -> config
 (** 4 links per shard, queue depth 64, 8 MiB payloads, 128 client
-    connections, backlog 64, no TCP, 128 transcode-cache entries. *)
+    connections, backlog 64, no TCP. *)
 
 val reconnect_interval : float
-(** Seconds between redial attempts to a worker with missing links. *)
+(** The longest wait, in seconds, between redial attempts to a worker
+    with missing links.  Each pass opens every missing link; after a
+    failed dial (a refused connect, or a link lost before the worker's
+    hello) the wait starts at 10 ms and doubles up to this value, and a
+    link that comes up resets it. *)
 
 val shard_of_request : shards:int -> string -> int
 (** The shard index for a v2-encoded request payload — a digest of the

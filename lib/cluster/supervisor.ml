@@ -8,7 +8,6 @@ type config = {
   queue_depth : int;
   conns_per_shard : int;
   max_payload : int;
-  v1_cache : int;
 }
 
 let default_config ~socket_path ~shards =
@@ -22,7 +21,6 @@ let default_config ~socket_path ~shards =
     queue_depth = 64;
     conns_per_shard = 4;
     max_payload = 8 * 1024 * 1024;
-    v1_cache = 128;
   }
 
 let shard_socket ~socket_path i = Printf.sprintf "%s.shard%d" socket_path i
@@ -78,16 +76,19 @@ let run ?should_stop config =
   for i = 0 to config.shards - 1 do
     spawn i
   done;
+  (* Forget worker [i] once it has exited. *)
+  let reap i pid =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> ()
+    | _, _ -> pids.(i) <- None
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pids.(i) <- None
+  in
   (* Reap exited workers; outside a drain, respawn them (throttled) —
      the router's redial loop then re-establishes the links. *)
   let on_tick ~draining =
     for i = 0 to config.shards - 1 do
       match pids.(i) with
-      | Some pid -> (
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> ()
-        | _, _ -> pids.(i) <- None
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pids.(i) <- None)
+      | Some pid -> reap i pid
       | None ->
         if
           (not draining)
@@ -97,17 +98,14 @@ let run ?should_stop config =
   in
   let router_config =
     {
-      Router.socket_path = config.socket_path;
-      tcp_port = config.tcp_port;
-      shard_sockets =
-        Array.init config.shards
-          (shard_socket ~socket_path:config.socket_path);
+      (Router.default_config ~socket_path:config.socket_path
+         ~shard_sockets:
+           (Array.init config.shards
+              (shard_socket ~socket_path:config.socket_path))) with
+      Router.tcp_port = config.tcp_port;
       conns_per_shard = config.conns_per_shard;
       queue_depth = config.queue_depth;
       max_payload = config.max_payload;
-      max_connections = 128;
-      backlog = 64;
-      v1_cache = config.v1_cache;
     }
   in
   let stop_workers () =
@@ -119,16 +117,8 @@ let run ?should_stop config =
         try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
       (alive ());
     let deadline = Unix.gettimeofday () +. 5.0 in
-    let rec reap () =
-      for i = 0 to config.shards - 1 do
-        match pids.(i) with
-        | Some pid -> (
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> ()
-          | _, _ -> pids.(i) <- None
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pids.(i) <- None)
-        | None -> ()
-      done;
+    let rec reap_all () =
+      Array.iteri (fun i p -> Option.iter (reap i) p) pids;
       if alive () <> [] then
         if Unix.gettimeofday () > deadline then
           (* A worker that ignores SIGTERM for 5 s is stuck; don't
@@ -141,10 +131,10 @@ let run ?should_stop config =
             (alive ())
         else begin
           Unix.sleepf 0.05;
-          reap ()
+          reap_all ()
         end
     in
-    reap ()
+    reap_all ()
   in
   Fun.protect ~finally:stop_workers (fun () ->
       Router.run ?should_stop ~on_tick router_config)

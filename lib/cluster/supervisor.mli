@@ -26,13 +26,11 @@ type config = {
   queue_depth : int;
   conns_per_shard : int;
   max_payload : int;
-  v1_cache : int;  (** router transcode-cache capacity; 0 disables *)
 }
 
 val default_config : socket_path:string -> shards:int -> config
 (** Per shard: {!Exec.Pool.default_jobs} jobs, 128 cache entries, 128
-    tape entries, queue depth 64, 4 links; 8 MiB payloads; router
-    transcode cache 128; no TCP. *)
+    tape entries, queue depth 64, 4 links; 8 MiB payloads; no TCP. *)
 
 val shard_socket : socket_path:string -> int -> string
 (** Where shard [i]'s worker listens: [<socket_path>.shard<i>]. *)

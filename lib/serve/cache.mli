@@ -1,11 +1,11 @@
 (** Bounded memoising cache of handler results.
 
-    A response is a pure function of the request payload with [id] and
+    A response is a pure function of the request with [id] and
     [deadline_ms] zeroed (the former is echoed verbatim, the latter
     only bounds runtime), so identical requests — same seed, mode,
-    rule, wire-sizing flag, MC trial count and tree text — can be
-    answered from memory byte-identically.  Thread-safe; eviction is
-    least-recently-used. *)
+    rule, sampling, library, objective, wire-sizing flag, MC trial
+    count and tree — can be answered from memory byte-identically.
+    Thread-safe; eviction is least-recently-used. *)
 
 type t
 
@@ -13,8 +13,10 @@ val create : entries:int -> t
 (** @raise Invalid_argument if [entries < 1]. *)
 
 val key_of_request : Protocol.request -> string
-(** Digest of the canonical request payload ([id] and [deadline_ms]
-    zeroed). *)
+(** Hex digest of the request's v2 binary encoding
+    ({!Codec_bin.encode_request}) with [id] and [deadline_ms] zeroed.
+    A function of the decoded request, so a v1 and a v2 client sending
+    the same request share one entry. *)
 
 val find : t -> string -> Protocol.response option
 (** Lookup by {!key_of_request} key; a hit refreshes the entry's
@@ -27,9 +29,7 @@ val add : t -> string -> Protocol.response -> unit
 
 val length : t -> int
 
-type stats = { entries : int; capacity : int; hits : int; misses : int }
-
-val stats : t -> stats
-(** Occupancy and lifetime hit/miss counts of the underlying {!Lru}
-    ({!find} counts; {!add} of an existing key does not).  Rendered
-    into the server's stats frame. *)
+val stats : t -> Lru.stats
+(** Occupancy and lifetime hit/miss counts ({!find} counts; {!add} of
+    an existing key does not).  Rendered into the server's stats
+    frame. *)

@@ -1,0 +1,204 @@
+type config = {
+  socket_path : string;
+  tcp_port : int option;
+  backlog : int;
+  max_payload : int;
+  max_connections : int;
+}
+
+type conn = {
+  fd : Unix.file_descr;
+  dec : Wire.decoder;
+  mutable alive : bool;
+  (* The encoding of the last frame this client sent: a framing
+     failure, which has no frame of its own, is reported in it. *)
+  mutable last_proto : Wire.proto;
+}
+
+type client = { conn : conn; proto : Wire.proto }
+
+type t = {
+  config : config;
+  metrics : Metrics.t;
+  listeners : Unix.file_descr list;
+  prev_sigpipe : Sys.signal_behavior option;
+  read_buf : Bytes.t;
+  mutable conns : conn list;
+  mutable draining : bool;
+}
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
+
+let bound_listener domain addr backlog =
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  try
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd addr;
+    Unix.listen fd backlog;
+    fd
+  with e ->
+    close_quietly fd;
+    raise e
+
+let listen ~metrics config =
+  (* The Unix socket is bound and listening under a staging name and
+     then renamed into place, so its file never exists while connects
+     to it would be refused.  A stale file from a crashed daemon is
+     removed first. *)
+  let staging = config.socket_path ^ ".new" in
+  unlink_quietly config.socket_path;
+  unlink_quietly staging;
+  let bound = ref [] in
+  let add domain addr =
+    bound := !bound @ [ bound_listener domain addr config.backlog ]
+  in
+  (try
+     add Unix.PF_UNIX (Unix.ADDR_UNIX staging);
+     Option.iter
+       (fun port ->
+         add Unix.PF_INET (Unix.ADDR_INET (Unix.inet_addr_loopback, port)))
+       config.tcp_port;
+     Unix.rename staging config.socket_path
+   with e ->
+     List.iter close_quietly !bound;
+     unlink_quietly staging;
+     raise e);
+  let prev_sigpipe =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ -> None
+  in
+  {
+    config;
+    metrics;
+    listeners = !bound;
+    prev_sigpipe;
+    read_buf = Bytes.create 65536;
+    conns = [];
+    draining = false;
+  }
+
+let draining t = t.draining
+let drain t = t.draining <- true
+let proto c = c.proto
+let alive c = c.conn.alive
+
+(* Write a frame, isolating connection death (EPIPE & friends) to this
+   connection. *)
+let send c ~kind payload =
+  if c.conn.alive then
+    try Wire.write_frame_pv c.conn.fd ~proto:c.proto ~kind payload
+    with Unix.Unix_error _ | Sys_error _ -> c.conn.alive <- false
+
+let send_error c code message =
+  let e = { Protocol.code; message } in
+  send c ~kind:"error"
+    (match c.proto with
+    | Wire.V1 -> Protocol.encode_error e
+    | Wire.V2 -> Codec_bin.encode_error e)
+
+let fail t c code message =
+  Metrics.request_error t.metrics ~code;
+  send_error c code message
+
+let respond t c ~latency_ms payload =
+  Metrics.request_ok t.metrics ~latency_ms;
+  send c ~kind:"response" payload
+
+let watched t =
+  let accepting =
+    (not t.draining) && List.length t.conns < t.config.max_connections
+  in
+  (if accepting then t.listeners else []) @ List.map (fun c -> c.fd) t.conns
+
+let accept t listen_fd =
+  match Unix.accept listen_fd with
+  | fd, _ ->
+    (* TCP clients benefit from immediate small frames. *)
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true
+     with Unix.Unix_error _ | Invalid_argument _ -> ());
+    let conn =
+      {
+        fd;
+        dec = Wire.decoder ~max_payload:t.config.max_payload ();
+        alive = true;
+        last_proto = Wire.V1;
+      }
+    in
+    Metrics.conn_opened t.metrics;
+    send { conn; proto = Wire.V1 } ~kind:"hello" (Protocol.hello_full ^ "\n");
+    t.conns <- conn :: t.conns
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+let handle_frame t ~request ~stats conn (f : Wire.frame) =
+  conn.last_proto <- f.Wire.proto;
+  let c = { conn; proto = f.Wire.proto } in
+  Metrics.request_kind t.metrics ~kind:f.Wire.kind;
+  match f.Wire.kind with
+  | "request" -> request c f.Wire.payload
+  | "stats" -> send c ~kind:"stats" (Metrics.render t.metrics ^ stats ())
+  | "trace" ->
+    (* The recent span buffer as Chrome trace JSON; an empty trace
+       when observability is off. *)
+    send c ~kind:"trace" (Obs.Export.chrome_json (Obs.Span.snapshot ()))
+  | "shutdown" ->
+    send c ~kind:"ok" "";
+    t.draining <- true
+  | kind ->
+    fail t c Protocol.err_proto (Printf.sprintf "unknown frame kind %S" kind)
+
+let handle_readable t ~request ~stats conn =
+  match Unix.read conn.fd t.read_buf 0 (Bytes.length t.read_buf) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error _ -> conn.alive <- false
+  | 0 -> conn.alive <- false
+  | n -> (
+    Wire.feed conn.dec t.read_buf n;
+    let rec pump () =
+      match Wire.next conn.dec with
+      | None -> ()
+      | Some (Wire.Oversized { kind; len; proto }) ->
+        conn.last_proto <- proto;
+        fail t { conn; proto } Protocol.err_too_large
+          (Printf.sprintf "%s frame of %d bytes exceeds the %d-byte limit"
+             kind len t.config.max_payload);
+        pump ()
+      | Some (Wire.Frame f) ->
+        handle_frame t ~request ~stats conn f;
+        pump ()
+    in
+    try pump ()
+    with Failure msg ->
+      (* Framing is lost: tell the client why, then drop it.  The
+         daemon itself keeps serving. *)
+      send_error { conn; proto = conn.last_proto } Protocol.err_proto msg;
+      conn.alive <- false)
+
+let close_conn t conn =
+  conn.alive <- false;
+  close_quietly conn.fd;
+  Metrics.conn_closed t.metrics
+
+let serve t ~request ~stats readable =
+  List.iter
+    (fun fd -> if List.mem fd readable then accept t fd)
+    t.listeners;
+  List.iter
+    (fun conn ->
+      if conn.alive && List.mem conn.fd readable then
+        handle_readable t ~request ~stats conn)
+    t.conns;
+  (* Reap connections that died (EOF, write error, framing error);
+     replies still owed to them are dropped by [send]'s alive check. *)
+  let dead, live = List.partition (fun c -> not c.alive) t.conns in
+  List.iter (close_conn t) dead;
+  t.conns <- live
+
+let close t =
+  List.iter (close_conn t) t.conns;
+  t.conns <- [];
+  List.iter close_quietly t.listeners;
+  unlink_quietly t.config.socket_path;
+  match t.prev_sigpipe with
+  | Some b -> ( try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
+  | None -> ()

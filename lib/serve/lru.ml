@@ -1,6 +1,5 @@
-(* The one LRU implementation behind the serve/cluster caches: the
-   response cache, the router's v1→v2 transcode fast path and the
-   compiled-tape cache all share it.
+(* The one LRU implementation behind the serve caches: the response
+   cache ({!Cache}) and the compiled-tape cache ({!Tapes}).
 
    Recency is a logical clock: each touch restamps the entry, and
    insertion over capacity evicts the entry with the oldest stamp via
@@ -8,25 +7,26 @@
    capacities these caches run at (tens to a few hundred) — every
    insertion already paid for a parse or an optimisation run.
 
-   Not thread-safe: callers that share an instance across domains wrap
-   it in their own mutex (see {!Cache} and {!Tapes}), which also lets
-   single-threaded users (the router's dispatch loop) skip the lock. *)
+   Both users share their instance across the pool's domains, so every
+   operation takes the instance's own mutex. *)
 
 type 'a entry = { value : 'a; mutable stamp : int }
 
 type 'a t = {
   capacity : int;
   table : (string, 'a entry) Hashtbl.t;
+  mutex : Mutex.t;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
 }
 
 let create ~capacity =
-  if capacity < 0 then invalid_arg "Serve.Lru.create: capacity must be >= 0";
+  if capacity < 1 then invalid_arg "Serve.Lru.create: capacity must be >= 1";
   {
     capacity;
-    table = Hashtbl.create (min (max capacity 1) 64);
+    table = Hashtbl.create (min capacity 64);
+    mutex = Mutex.create ();
     clock = 0;
     hits = 0;
     misses = 0;
@@ -37,19 +37,19 @@ let tick t =
   t.clock
 
 let find t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e ->
-    e.stamp <- tick t;
-    t.hits <- t.hits + 1;
-    Some e.value
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+  Mutex.protect t.mutex (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some e ->
+        e.stamp <- tick t;
+        t.hits <- t.hits + 1;
+        Some e.value
+      | None ->
+        t.misses <- t.misses + 1;
+        None)
 
 let peek t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e -> Some e.value
-  | None -> None
+  Mutex.protect t.mutex (fun () ->
+      Option.map (fun e -> e.value) (Hashtbl.find_opt t.table key))
 
 let evict_oldest t =
   let victim = ref None in
@@ -62,15 +62,25 @@ let evict_oldest t =
   match !victim with Some (k, _) -> Hashtbl.remove t.table k | None -> ()
 
 let put t key value =
-  if t.capacity = 0 then ()
-  else
-    match Hashtbl.find_opt t.table key with
-    | Some e -> e.stamp <- tick t
-    | None ->
-      if Hashtbl.length t.table >= t.capacity then evict_oldest t;
-      Hashtbl.add t.table key { value; stamp = tick t }
+  Mutex.protect t.mutex (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some e -> e.stamp <- tick t
+      | None ->
+        if Hashtbl.length t.table >= t.capacity then evict_oldest t;
+        Hashtbl.add t.table key { value; stamp = tick t })
 
-let length t = Hashtbl.length t.table
-let capacity t = t.capacity
-let hits t = t.hits
-let misses t = t.misses
+type stats = { entries : int; capacity : int; hits : int; misses : int }
+
+let stats t =
+  Mutex.protect t.mutex (fun () ->
+      {
+        entries = Hashtbl.length t.table;
+        capacity = t.capacity;
+        hits = t.hits;
+        misses = t.misses;
+      })
+
+let length t = (stats t).entries
+let capacity (t : _ t) = t.capacity
+let hits t = (stats t).hits
+let misses t = (stats t).misses

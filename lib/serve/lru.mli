@@ -1,18 +1,14 @@
 (** Bounded least-recently-used map from string keys, shared by the
-    response cache ({!Cache}), the router's v1→v2 transcode fast path
-    and the compiled-tape cache ({!Tapes}).
+    response cache ({!Cache}) and the compiled-tape cache ({!Tapes}).
 
     Recency is a logical clock; eviction scans for the oldest stamp
-    (O(capacity), deliberate — see the implementation note).  {b Not}
-    thread-safe: wrap shared instances in a mutex. *)
+    (O(capacity), deliberate — see the implementation note).
+    Thread-safe: every operation takes the instance's mutex. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
-(** Capacity 0 creates a disabled cache: {!put} is a no-op, {!find}
-    always misses.  Callers can then keep one code path instead of
-    threading an option around a "cache off" flag.
-    @raise Invalid_argument if [capacity < 0]. *)
+(** @raise Invalid_argument if [capacity < 1]. *)
 
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit refreshes recency.  Counts towards {!hits}/{!misses}. *)
@@ -27,6 +23,11 @@ val put : 'a t -> string -> 'a -> unit
 (** Insert, evicting the least-recently-used entry at capacity.
     Re-putting an existing key only refreshes its recency (the stored
     value is kept — entries are pure functions of their key). *)
+
+type stats = { entries : int; capacity : int; hits : int; misses : int }
+
+val stats : 'a t -> stats
+(** Occupancy and lifetime {!find} totals, read under one lock. *)
 
 val length : 'a t -> int
 val capacity : 'a t -> int

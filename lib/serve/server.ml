@@ -23,53 +23,29 @@ let default_config ~socket_path =
     tape_entries = 128;
   }
 
-type conn = {
-  fd : Unix.file_descr;
-  dec : Wire.decoder;
-  mutable alive : bool;
-  (* The payload encoding of the last frame this client sent; replies
-     are encoded to match (negotiation is per connection, v1 until the
-     first v2 frame arrives). *)
-  mutable proto : Wire.proto;
-}
-
 type job = {
-  j_conn : conn;
-  j_proto : Wire.proto;  (* encoding of the request frame *)
+  j_client : Front.client;
   fut : (Protocol.response, Protocol.error) result Exec.Pool.future;
   enqueued_at : float;
 }
 
-(* Write a frame, isolating connection death (EPIPE & friends) to this
-   connection. *)
-let send_pv conn ~proto ~kind payload =
-  if conn.alive then
-    try Wire.write_frame_pv conn.fd ~proto ~kind payload
-    with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false
-
-let send conn ~kind payload = send_pv conn ~proto:conn.proto ~kind payload
-
-let encode_error_pv proto e =
-  match proto with
-  | Wire.V1 -> Protocol.encode_error e
-  | Wire.V2 -> Codec_bin.encode_error e
-
-let encode_response_pv proto r =
+let encode_response proto r =
   match proto with
   | Wire.V1 -> Protocol.encode_response r
   | Wire.V2 -> Codec_bin.encode_response r
 
-let send_error conn code message =
-  send conn ~kind:"error"
-    (encode_error_pv conn.proto { Protocol.code; message })
-
-let close_conn metrics conn =
-  if conn.alive then conn.alive <- false;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Metrics.conn_closed metrics
-
 let run ?pool ?metrics ?(should_stop = fun () -> false) config =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let front =
+    Front.listen ~metrics
+      {
+        Front.socket_path = config.socket_path;
+        tcp_port = config.tcp_port;
+        backlog = config.backlog;
+        max_payload = config.max_payload;
+        max_connections = config.max_connections;
+      }
+  in
   let cache =
     if config.cache_entries > 0 then Some (Cache.create ~entries:config.cache_entries)
     else None
@@ -83,35 +59,6 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
     | None -> Some (Exec.Pool.create ~jobs:config.jobs ())
   in
   let pool = match pool with Some p -> p | None -> Option.get owned_pool in
-  let prev_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
-  (* Stale socket file from a crashed daemon. *)
-  (try Unix.unlink config.socket_path
-   with Unix.Unix_error _ -> ());
-  let listen_unix = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_unix (Unix.ADDR_UNIX config.socket_path);
-  Unix.listen listen_unix config.backlog;
-  let listen_tcp =
-    match config.tcp_port with
-    | None -> None
-    | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.listen fd config.backlog
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         (try Unix.close listen_unix with Unix.Unix_error _ -> ());
-         (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-         raise e);
-      Some fd
-  in
-  let listeners =
-    listen_unix :: (match listen_tcp with Some fd -> [ fd ] | None -> [])
-  in
   (* Self-pipe: completing pool tasks poke it so [select] wakes as soon
      as a response is ready instead of at the next timeout. *)
   let pipe_r, pipe_w = Unix.pipe () in
@@ -132,21 +79,14 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
     in
     go ()
   in
-  let conns : conn list ref = ref [] in
   let jobs : job list ref = ref [] in
-  let draining = ref false in
-  let read_buf = Bytes.create 65536 in
 
-  let dispatch_request conn (f : Wire.frame) =
-    if !draining then begin
-      Metrics.request_error metrics ~code:Protocol.err_busy;
-      send_error conn Protocol.err_busy "server is draining"
-    end
-    else if List.length !jobs >= config.queue_depth then begin
-      Metrics.request_error metrics ~code:Protocol.err_busy;
-      send_error conn Protocol.err_busy
+  let dispatch_request client payload =
+    if Front.draining front then
+      Front.fail front client Protocol.err_busy "server is draining"
+    else if List.length !jobs >= config.queue_depth then
+      Front.fail front client Protocol.err_busy
         (Printf.sprintf "request queue full (depth %d)" config.queue_depth)
-    end
     else
       (* On the v2 path a warm tape cache short-circuits the tree
          decode too: the request's tree blob is digested in place and,
@@ -154,7 +94,7 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
          for parsing the blob.  [peek] keeps the counters untouched —
          the handler's [obtain] is the authoritative consult. *)
       let decode payload =
-        match f.Wire.proto with
+        match Front.proto client with
         | Wire.V1 -> (Protocol.decode_request payload, None)
         | Wire.V2 -> (
           match tapes with
@@ -170,10 +110,8 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
             in
             (req, Some digest))
       in
-      match decode f.Wire.payload with
-      | exception Failure msg ->
-        Metrics.request_error metrics ~code:Protocol.err_parse;
-        send_error conn Protocol.err_parse msg
+      match decode payload with
+      | exception Failure msg -> Front.fail front client Protocol.err_parse msg
       | req, tape_digest ->
         let enqueued_at = Unix.gettimeofday () in
         let deadline_at =
@@ -212,78 +150,28 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
           outcome
         in
         let fut = Exec.Pool.submit ~on_complete:poke pool task in
-        jobs :=
-          !jobs @ [ { j_conn = conn; j_proto = f.Wire.proto; fut; enqueued_at } ]
+        jobs := !jobs @ [ { j_client = client; fut; enqueued_at } ]
   in
 
-  (* Metrics plus the occupancy/hit lines of the two in-process
-     caches, in the same "key value" line format. *)
-  let stats_payload () =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf (Metrics.render metrics);
-    (match cache with
-    | Some c ->
-      let s = Cache.stats c in
-      Printf.bprintf buf "cache_entries %d\n" s.Cache.entries;
-      Printf.bprintf buf "cache_capacity %d\n" s.Cache.capacity
-    | None -> ());
-    (match tapes with
-    | Some t ->
-      let s = Tapes.stats t in
-      Printf.bprintf buf "tape_entries %d\n" s.Tapes.entries;
-      Printf.bprintf buf "tape_capacity %d\n" s.Tapes.capacity;
-      Printf.bprintf buf "tape_hits %d\n" s.Tapes.hits;
-      Printf.bprintf buf "tape_misses %d\n" s.Tapes.misses
-    | None -> ());
+  (* The occupancy/hit lines of the two in-process caches, appended to
+     the metrics in the same "key value" line format. *)
+  let stats_lines () =
+    let buf = Buffer.create 128 in
+    Option.iter
+      (fun c ->
+        let s = Cache.stats c in
+        Printf.bprintf buf "cache_entries %d\n" s.Lru.entries;
+        Printf.bprintf buf "cache_capacity %d\n" s.Lru.capacity)
+      cache;
+    Option.iter
+      (fun t ->
+        let s = Tapes.stats t in
+        Printf.bprintf buf "tape_entries %d\n" s.Lru.entries;
+        Printf.bprintf buf "tape_capacity %d\n" s.Lru.capacity;
+        Printf.bprintf buf "tape_hits %d\n" s.Lru.hits;
+        Printf.bprintf buf "tape_misses %d\n" s.Lru.misses)
+      tapes;
     Buffer.contents buf
-  in
-
-  let handle_frame conn (f : Wire.frame) =
-    conn.proto <- f.Wire.proto;
-    Metrics.request_kind metrics ~kind:f.Wire.kind;
-    match f.Wire.kind with
-    | "request" -> dispatch_request conn f
-    | "stats" -> send conn ~kind:"stats" (stats_payload ())
-    | "trace" ->
-      (* The recent span buffer as Chrome trace JSON; an empty trace
-         when observability is off. *)
-      send conn ~kind:"trace" (Obs.Export.chrome_json (Obs.Span.snapshot ()))
-    | "shutdown" ->
-      send conn ~kind:"ok" "";
-      draining := true
-    | kind ->
-      Metrics.request_error metrics ~code:Protocol.err_proto;
-      send_error conn Protocol.err_proto
-        (Printf.sprintf "unknown frame kind %S" kind)
-  in
-
-  let handle_readable conn =
-    match Unix.read conn.fd read_buf 0 (Bytes.length read_buf) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> conn.alive <- false
-    | 0 -> conn.alive <- false
-    | n -> (
-      Wire.feed conn.dec read_buf n;
-      let rec pump () =
-        match Wire.next conn.dec with
-        | None -> ()
-        | Some (Wire.Oversized { kind; len; proto }) ->
-          conn.proto <- proto;
-          Metrics.request_error metrics ~code:Protocol.err_too_large;
-          send_error conn Protocol.err_too_large
-            (Printf.sprintf "%s frame of %d bytes exceeds the %d-byte limit"
-               kind len config.max_payload);
-          pump ()
-        | Some (Wire.Frame f) ->
-          handle_frame conn f;
-          pump ()
-      in
-      try pump ()
-      with Failure msg ->
-        (* Framing is lost: tell the client why, then drop it.  The
-           daemon itself keeps serving. *)
-        send_error conn Protocol.err_proto msg;
-        conn.alive <- false)
   in
 
   let complete_jobs () =
@@ -294,85 +182,35 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
         let latency_ms = (Unix.gettimeofday () -. j.enqueued_at) *. 1000.0 in
         match Exec.Pool.await j.fut with
         | Ok resp ->
-          Metrics.request_ok metrics ~latency_ms;
-          send_pv j.j_conn ~proto:j.j_proto ~kind:"response"
-            (encode_response_pv j.j_proto resp)
+          Front.respond front j.j_client ~latency_ms
+            (encode_response (Front.proto j.j_client) resp)
         | Error err ->
-          Metrics.request_error metrics ~code:err.Protocol.code;
-          send_pv j.j_conn ~proto:j.j_proto ~kind:"error"
-            (encode_error_pv j.j_proto err)
+          Front.fail front j.j_client err.Protocol.code err.Protocol.message
         | exception e ->
           (* A crash in the submit plumbing itself; isolate it too. *)
-          Metrics.request_error metrics ~code:Protocol.err_internal;
-          send_pv j.j_conn ~proto:j.j_proto ~kind:"error"
-            (encode_error_pv j.j_proto
-               { Protocol.code = Protocol.err_internal;
-                 message = Printexc.to_string e }))
+          Front.fail front j.j_client Protocol.err_internal
+            (Printexc.to_string e))
       done_
   in
 
   let cleanup () =
-    List.iter (close_conn metrics) !conns;
-    conns := [];
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      listeners;
+    Front.close front;
     (try Unix.close pipe_r with Unix.Unix_error _ -> ());
     (try Unix.close pipe_w with Unix.Unix_error _ -> ());
-    (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-    Option.iter Exec.Pool.shutdown owned_pool;
-    match prev_sigpipe with
-    | Some b -> ( try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
-    | None -> ()
+    Option.iter Exec.Pool.shutdown owned_pool
   in
 
   let rec loop () =
-    if should_stop () then draining := true;
-    if !draining && !jobs = [] then ()
+    if should_stop () then Front.drain front;
+    if Front.draining front && !jobs = [] then ()
     else begin
-      let accepting =
-        (not !draining) && List.length !conns < config.max_connections
-      in
-      let watched =
-        (if accepting then listeners else [])
-        @ (pipe_r :: List.map (fun c -> c.fd) !conns)
-      in
       let readable, _, _ =
-        try Unix.select watched [] [] 0.2
+        try Unix.select (pipe_r :: Front.watched front) [] [] 0.2
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
       if List.mem pipe_r readable then drain_pipe ();
-      if accepting then
-        List.iter
-          (fun listen_fd ->
-            if List.mem listen_fd readable then
-              match Unix.accept listen_fd with
-              | fd, _ ->
-                (* TCP clients benefit from immediate small frames. *)
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ | Invalid_argument _ -> ());
-                let conn =
-                  { fd;
-                    dec = Wire.decoder ~max_payload:config.max_payload ();
-                    alive = true;
-                    proto = Wire.V1 }
-                in
-                Metrics.conn_opened metrics;
-                send conn ~kind:"hello" (Protocol.hello_full ^ "\n");
-                conns := conn :: !conns
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-          listeners;
-      List.iter
-        (fun conn ->
-          if conn.alive && List.mem conn.fd readable then handle_readable conn)
-        !conns;
+      Front.serve front ~request:dispatch_request ~stats:stats_lines readable;
       complete_jobs ();
-      (* Reap connections that died (EOF, write error, framing error).
-         Their still-running jobs finish and are discarded by [send]'s
-         alive check. *)
-      let dead, live = List.partition (fun c -> not c.alive) !conns in
-      List.iter (close_conn metrics) dead;
-      conns := live;
       loop ()
     end
   in

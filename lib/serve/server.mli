@@ -1,9 +1,10 @@
 (** The varbuf-serve daemon: an accept loop over a Unix-domain socket
     (and optionally a loopback TCP port) that fans concurrent requests
-    onto one shared {!Exec.Pool}.
+    onto one shared {!Exec.Pool}.  Its client side — listeners,
+    connections, framing and the non-request kinds — is a {!Front}.
 
-    One domain runs the event loop ([Unix.select] over the listening
-    sockets, a self-pipe and every client connection); request
+    One domain runs the event loop ([Unix.select] over the front's
+    descriptors and a self-pipe); request
     execution is submitted to the pool as {!Exec.Pool.submit} futures,
     so with [jobs = n] up to [n − 1] optimisations run concurrently
     while the loop keeps accepting, parsing and answering.  With

@@ -19,11 +19,9 @@ let obs_hit = Obs.Counters.counter Obs.Counters.global "tape.hit"
 let obs_miss = Obs.Counters.counter Obs.Counters.global "tape.miss"
 
 type entry = { tree : Rctree.Tree.t; tape : Compile.Tape.t }
-type t = { lru : entry Lru.t; mutex : Mutex.t }
+type t = entry Lru.t
 
-let create ~entries =
-  if entries < 1 then invalid_arg "Serve.Tapes.create: entries must be >= 1";
-  { lru = Lru.create ~capacity:entries; mutex = Mutex.create () }
+let create ~entries = Lru.create ~capacity:entries
 
 let digest_of_tree tree =
   Digest.to_hex (Digest.string (Codec_bin.encode_tree tree))
@@ -31,18 +29,11 @@ let digest_of_tree tree =
 let digest_of_span payload ~off ~len =
   Digest.to_hex (Digest.substring payload off len)
 
-let peek t digest =
-  Mutex.lock t.mutex;
-  let r = Lru.peek t.lru digest in
-  Mutex.unlock t.mutex;
-  r
+let peek = Lru.peek
 
 let obtain ?digest t tree =
   let digest = match digest with Some d -> d | None -> digest_of_tree tree in
-  Mutex.lock t.mutex;
-  let hit = Lru.find t.lru digest in
-  Mutex.unlock t.mutex;
-  match hit with
+  match Lru.find t digest with
   | Some e ->
     if Obs.Control.on () then Obs.Counters.incr obs_hit 1;
     e.tape
@@ -51,22 +42,7 @@ let obtain ?digest t tree =
     (* Compile outside the lock: a concurrent duplicate costs one
        redundant compile, never a stall of unrelated requests. *)
     let tape = Compile.Tape.compile tree in
-    Mutex.lock t.mutex;
-    Lru.put t.lru digest { tree; tape };
-    Mutex.unlock t.mutex;
+    Lru.put t digest { tree; tape };
     tape
 
-type stats = { entries : int; capacity : int; hits : int; misses : int }
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      entries = Lru.length t.lru;
-      capacity = Lru.capacity t.lru;
-      hits = Lru.hits t.lru;
-      misses = Lru.misses t.lru;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s
+let stats = Lru.stats

@@ -20,9 +20,9 @@ val digest_of_span : string -> off:int -> len:int -> string
     decoded tree, since the v2 tree encoding is canonical. *)
 
 val peek : t -> string -> entry option
-(** Recency-refreshing probe that leaves the hit/miss counters alone —
-    for the server's dispatch thread, whose authoritative lookup
-    happens later via {!obtain} on a pool worker. *)
+(** Pure probe: neither refreshes recency nor touches the hit/miss
+    counters — for the server's dispatch thread, whose authoritative
+    lookup happens later via {!obtain} on a pool worker. *)
 
 val obtain : ?digest:string -> t -> Rctree.Tree.t -> Compile.Tape.t
 (** The tape for [tree], compiling and caching on miss.  [digest]
@@ -30,7 +30,5 @@ val obtain : ?digest:string -> t -> Rctree.Tree.t -> Compile.Tape.t
     Counts the lookup in the LRU stats and on the obs counters
     [tape.hit] / [tape.miss]. *)
 
-type stats = { entries : int; capacity : int; hits : int; misses : int }
-
-val stats : t -> stats
+val stats : t -> Lru.stats
 (** Occupancy and lifetime counted-lookup totals ({!peek} excluded). *)

@@ -108,12 +108,21 @@ grep -qx "cluster_shards 2" <<<"$cstats"
 grep -qx "ok 25" <<<"$cstats"
 grep -q "^kind_request 25" <<<"$cstats"
 grep -q "^cluster_shard_0_links " <<<"$cstats"
-grep -q "^cluster_v1_cache_capacity " <<<"$cstats"
+# The router keeps no request caches of its own.
+if grep -qE "^cluster_v[12]_cache_" <<<"$cstats"; then
+  echo "FAIL: router stats report a request cache"; exit 1
+fi
 
 "$BIN" shutdown --socket "$CSOCK"
 wait "$CLUSTER"
 [ ! -e "$CSOCK" ] || { echo "FAIL: cluster socket not removed"; exit 1; }
 [ -z "$(ls "$CSOCK".shard* 2>/dev/null)" ] \
   || { echo "FAIL: shard sockets not removed"; exit 1; }
+
+# The removed router cache option is an unknown option now.
+if timeout 10 "$BIN" cluster --socket "$CSOCK.x" --v1-cache 4 >/dev/null 2>&1
+then
+  echo "FAIL: cluster accepted --v1-cache"; exit 1
+fi
 
 echo "smoke_serve: all checks passed"

@@ -1,8 +1,9 @@
 (* End-to-end tests for lib/cluster: the routed path must be
    byte-identical to a single server at any shard count (including
-   cache-hit answers), v1 and v2 clients must agree through the
-   router, sharding must be a pure function of the routing tree, and
-   the bounded queues must refuse overload with busy. *)
+   cache-hit answers and error replies), v1 and v2 clients must agree
+   through the router, sharding must be a pure function of the routing
+   tree, the bounded queues must refuse overload with busy, and the
+   router must link up as soon as its worker listens. *)
 
 let streeq = Alcotest.(check (list string))
 
@@ -36,6 +37,37 @@ let run_stream ?(n = 100) ~wire socket =
         Alcotest.failf "request %d failed: %s %s" k e.Serve.Protocol.code
           e.Serve.Protocol.message)
 
+let fresh_base name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "varbuf-%s-%d" name (Unix.getpid ()))
+
+let rec wait_for_file ?(tries = 250) path =
+  if Sys.file_exists path then ()
+  else if tries = 0 then Alcotest.failf "%s did not appear" path
+  else begin
+    Unix.sleepf 0.02;
+    wait_for_file ~tries:(tries - 1) path
+  end
+
+(* [f socket] against a plain router-less server. *)
+let with_direct_server f =
+  let socket_path = fresh_base "direct" ^ ".sock" in
+  let stop = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Serve.Server.run
+          ~should_stop:(fun () -> Atomic.get stop)
+          { (Serve.Server.default_config ~socket_path) with jobs = 2 })
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join server)
+    (fun () ->
+      wait_for_file socket_path;
+      f socket_path)
+
 let test_shard_counts_agree () =
   let one =
     Cluster.Inproc.with_cluster ~shards:1 (run_stream ~wire:Serve.Wire.V2)
@@ -46,35 +78,149 @@ let test_shard_counts_agree () =
   streeq "1-shard and 3-shard raw response payloads" one three;
   (* And both equal a plain router-less server: the cluster adds
      routing, not semantics. *)
-  let direct =
-    let socket_path =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "varbuf-direct-%d.sock" (Unix.getpid ()))
-    in
-    let stop = Atomic.make false in
-    let server =
-      Domain.spawn (fun () ->
-          Serve.Server.run
-            ~should_stop:(fun () -> Atomic.get stop)
-            { (Serve.Server.default_config ~socket_path) with jobs = 2 })
-    in
-    let rec wait tries =
-      if Sys.file_exists socket_path then ()
-      else if tries = 0 then Alcotest.fail "direct server did not bind"
-      else begin
-        Unix.sleepf 0.02;
-        wait (tries - 1)
-      end
-    in
-    wait 250;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set stop true;
-        Domain.join server)
-      (fun () -> run_stream ~wire:Serve.Wire.V2 socket_path)
-  in
+  let direct = with_direct_server (run_stream ~wire:Serve.Wire.V2) in
   streeq "cluster equals a single router-less server" one direct
+
+(* ---------- error replies: router and server must agree ---------- *)
+
+(* A raw connection, for bytes no client would send. *)
+let raw_connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let dec = Serve.Wire.decoder ~max_payload:(64 * 1024 * 1024) () in
+  (match Serve.Wire.recv dec fd with
+  | Serve.Wire.Frame { kind = "hello"; _ } -> ()
+  | _ -> Alcotest.fail "expected hello");
+  (fd, dec)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* One reply frame, as text to compare: errors by kind, encoding, code
+   and message, anything else by its bytes. *)
+let read_reply (fd, dec) =
+  match Serve.Wire.recv dec fd with
+  | Serve.Wire.Frame { kind = "error"; payload; proto } ->
+    let e, enc =
+      match proto with
+      | Serve.Wire.V1 -> (Serve.Protocol.decode_error payload, "v1")
+      | Serve.Wire.V2 -> (Serve.Codec_bin.decode_error payload, "v2")
+    in
+    Printf.sprintf "error %s %s: %s" enc e.Serve.Protocol.code
+      e.Serve.Protocol.message
+  | Serve.Wire.Frame { kind; payload; proto } ->
+    Printf.sprintf "%s %s %s" kind
+      (if proto = Serve.Wire.V1 then "v1" else "v2")
+      (Digest.to_hex (Digest.string payload))
+  | Serve.Wire.Oversized _ -> "oversized reply"
+  | exception
+      (Serve.Wire.Closed | Failure _ | Unix.Unix_error (Unix.ECONNRESET, _, _))
+    ->
+    "closed"
+
+let valid_request proto =
+  let req = stream_request 3 in
+  let payload =
+    match proto with
+    | Serve.Wire.V1 -> Serve.Protocol.encode_request req
+    | Serve.Wire.V2 -> Serve.Codec_bin.encode_request req
+  in
+  Serve.Wire.frame_bytes ~proto ~kind:"request" payload
+
+(* Each case: name, framing, bytes to send, how many reply frames they
+   earn, and whether the connection is then closed. *)
+let bad_inputs =
+  lazy
+    (let v1 = Serve.Wire.V1 and v2 = Serve.Wire.V2 in
+     let frame proto kind payload =
+       Serve.Wire.frame_bytes ~proto ~kind payload
+     in
+     let malformed = "id 4\nseed notanumber\ntree\n" in
+     let bin = Serve.Codec_bin.encode_request (stream_request 4) in
+     let off, _ = Serve.Codec_bin.request_tree_span bin in
+     (* A tree node count of zero. *)
+     let corrupt_tree =
+       String.sub bin 0 off ^ "\000"
+       ^ String.sub bin (off + 1) (String.length bin - off - 1)
+     in
+     let over = 8 * 1024 * 1024 + 1 in
+     let oversized_v1 =
+       Printf.sprintf "varbuf1 request %d\n" over ^ String.make over 'x'
+     in
+     let oversized_v2 =
+       let h = frame v2 "request" "" in
+       String.sub h 0 6 ^ "\000\128\000\001" ^ String.make over 'x'
+     in
+     [
+       ("malformed v1 request", v1, frame v1 "request" malformed, 1, false);
+       ("v1 text in a v2 frame", v2, frame v2 "request" malformed, 1, false);
+       ( "v2 request cut inside its head",
+         v2,
+         frame v2 "request" (String.sub bin 0 12),
+         1,
+         false );
+       ( "v2 request with a corrupt tree",
+         v2,
+         frame v2 "request" corrupt_tree,
+         1,
+         false );
+       ("oversized v1 frame", v1, oversized_v1, 1, false);
+       ("oversized v2 frame", v2, oversized_v2, 1, false);
+       ("unknown v1 kind", v1, frame v1 "bogus" "", 1, false);
+       ("unknown v2 kind", v2, frame v2 "ok" "", 1, false);
+       ("corrupt v1 header", v1, "varbuf1 request many\n", 1, true);
+       (* After a v2 frame, so the framing error is v2-encoded too. *)
+       ( "corrupt v2 header after a v2 frame",
+         v2,
+         frame v2 "ok" "" ^ "\xABVB2\009\002\000\000\000\000",
+         2,
+         true );
+     ])
+
+let error_replies socket =
+  List.concat_map
+    (fun (name, proto, bytes, replies, closes) ->
+      let conn = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close (fst conn)) @@ fun () ->
+      write_all (fst conn) bytes;
+      let first = List.init replies (fun _ -> read_reply conn) in
+      let after =
+        if closes then begin
+          (* The daemon drops this connection but serves a new one. *)
+          let closed = read_reply conn in
+          let fresh = raw_connect socket in
+          Fun.protect ~finally:(fun () -> Unix.close (fst fresh)) @@ fun () ->
+          write_all (fst fresh) (valid_request proto);
+          [ closed; read_reply fresh ]
+        end
+        else begin
+          write_all (fst conn) (valid_request proto);
+          [ read_reply conn ]
+        end
+      in
+      List.map (fun r -> name ^ ": " ^ r) (first @ after))
+    (Lazy.force bad_inputs)
+
+let test_error_replies_agree () =
+  let direct = with_direct_server error_replies in
+  let routed = Cluster.Inproc.with_cluster ~shards:1 error_replies in
+  streeq "router-less server and router reply alike" direct routed;
+  (* Not vacuous: every bad input got an error, and every corrupt
+     header closed its connection. *)
+  List.iter
+    (fun (name, _, _, _, closes) ->
+      let mine =
+        List.filter (String.starts_with ~prefix:(name ^ ": ")) direct
+      in
+      Alcotest.(check bool) (name ^ " answered with an error") true
+        (List.exists (String.starts_with ~prefix:(name ^ ": error")) mine);
+      Alcotest.(check bool) (name ^ " closes only on a corrupt header") closes
+        (List.mem (name ^ ": closed") mine))
+    (Lazy.force bad_inputs)
 
 let test_v1_v2_agree_through_router () =
   Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
@@ -111,28 +257,6 @@ let test_stats_topology_and_cache () =
              String.length l >= 15 && String.sub l 0 15 = "cluster_shard_0")
            lines))
 
-let with_obs enabled f =
-  let was = Obs.Control.on () in
-  if enabled then Obs.Control.enable () else Obs.Control.disable ();
-  Fun.protect f ~finally:(fun () ->
-      if was then Obs.Control.enable () else Obs.Control.disable ())
-
-let test_v2_digest_cache_counters () =
-  (* A v2 stream's requests differ only in the 8-byte id, so after the
-     first sight of each distinct body the router must take the
-     shard-digest cache hit path rather than re-hashing the tree. *)
-  with_obs true (fun () ->
-      let get name = Obs.Counters.get Obs.Counters.global name in
-      let hit0 = get "router.v2_digest_hit" in
-      let miss0 = get "router.v2_digest_miss" in
-      Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
-          ignore (run_stream ~n:40 ~wire:Serve.Wire.V2 socket));
-      (* 40 requests over 10 distinct bodies (ids all distinct). *)
-      Alcotest.(check int) "one digest miss per distinct body" 10
-        (get "router.v2_digest_miss" - miss0);
-      Alcotest.(check int) "every repeat hits the digest cache" 30
-        (get "router.v2_digest_hit" - hit0))
-
 let test_shard_of_request_is_canonical () =
   let shards = 5 in
   let tree_shard k =
@@ -159,11 +283,7 @@ let test_busy_backpressure_and_drain () =
   (* A router whose single worker does not exist: requests queue up to
      queue_depth, the next is refused with busy immediately, and a
      drain fails the unreachable queue rather than hanging. *)
-  let socket_path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "varbuf-router-%d.sock" (Unix.getpid ()))
-  in
+  let socket_path = fresh_base "router" ^ ".sock" in
   let stop = Atomic.make false in
   let router =
     Domain.spawn (fun () ->
@@ -175,15 +295,7 @@ let test_busy_backpressure_and_drain () =
             Cluster.Router.queue_depth = 2;
           })
   in
-  let rec wait tries =
-    if Sys.file_exists socket_path then ()
-    else if tries = 0 then Alcotest.fail "router did not bind"
-    else begin
-      Unix.sleepf 0.02;
-      wait (tries - 1)
-    end
-  in
-  wait 250;
+  wait_for_file socket_path;
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
@@ -234,6 +346,60 @@ let test_busy_backpressure_and_drain () =
       Alcotest.(check int) "both queued requests failed on drain" 2
         (List.length errors))
 
+let test_links_up_soon_after_worker_binds () =
+  (* The router starts before its worker exists.  Once the worker binds
+     (about 50 ms later) every link must be ready within 0.2 s: failed
+     dials back off from 10 ms, and one pass opens every missing
+     link. *)
+  let base = fresh_base "linkup" in
+  let router_socket = base ^ ".sock" and worker_socket = base ^ ".shard0" in
+  let conns = 4 in
+  let stop = Atomic.make false in
+  let should_stop () = Atomic.get stop in
+  let router =
+    Domain.spawn (fun () ->
+        Cluster.Router.run ~should_stop
+          {
+            (Cluster.Router.default_config ~socket_path:router_socket
+               ~shard_sockets:[| worker_socket |]) with
+            Cluster.Router.conns_per_shard = conns;
+          })
+  in
+  let worker = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join router;
+      Option.iter Domain.join !worker)
+    (fun () ->
+      wait_for_file router_socket;
+      let client = Serve.Client.connect router_socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      Unix.sleepf 0.05;
+      let started = Unix.gettimeofday () in
+      worker :=
+        Some
+          (Domain.spawn (fun () ->
+               Serve.Server.run ~should_stop
+                 { (Serve.Server.default_config ~socket_path:worker_socket) with
+                   jobs = 1 }));
+      let ready = Printf.sprintf "cluster_shard_0_links %d" conns in
+      let rec wait () =
+        let elapsed = Unix.gettimeofday () -. started in
+        let stats = Serve.Client.stats client in
+        if List.mem ready (String.split_on_char '\n' stats) then elapsed
+        else if elapsed > 5.0 then Alcotest.fail "links never came up"
+        else begin
+          Unix.sleepf 0.005;
+          wait ()
+        end
+      in
+      let elapsed = wait () in
+      Alcotest.(check bool)
+        (Printf.sprintf "all links ready %.3f s after the worker started"
+           elapsed)
+        true (elapsed < 0.2))
+
 let suite =
   [
     Alcotest.test_case "1-shard, 3-shard and router-less responses are byte-identical"
@@ -244,8 +410,10 @@ let suite =
       test_stats_topology_and_cache;
     Alcotest.test_case "sharding is canonical in the tree" `Quick
       test_shard_of_request_is_canonical;
-    Alcotest.test_case "v2 repeats hit the shard-digest cache" `Quick
-      test_v2_digest_cache_counters;
+    Alcotest.test_case "router-less server and router give the same error replies"
+      `Slow test_error_replies_agree;
+    Alcotest.test_case "router links up soon after its worker binds" `Quick
+      test_links_up_soon_after_worker_binds;
     Alcotest.test_case "bounded queue refuses overload; drain fails stuck work"
       `Quick test_busy_backpressure_and_drain;
   ]

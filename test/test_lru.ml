@@ -5,8 +5,8 @@
    the model and the real cache, and every intermediate observation
    (lookup results, length, hit/miss counters) must agree.  The model
    encodes the contract directly: [find] refreshes recency and counts,
-   [peek] is a pure read (no recency, no counters), [put] of a present
-   key only restamps it, and capacity 0 disables the cache. *)
+   [peek] is a pure read (no recency, no counters), and [put] of a
+   present key only restamps it.  A capacity below 1 is rejected. *)
 
 let kv_eq = Alcotest.(check (option int))
 
@@ -41,8 +41,7 @@ let model_find m key =
 let model_peek m key = List.assoc_opt key m.m_entries
 
 let model_put m key v =
-  if m.m_capacity = 0 then ()
-  else if List.mem_assoc key m.m_entries then promote m key
+  if List.mem_assoc key m.m_entries then promote m key
     (* stored value kept: entries are pure functions of their key *)
   else begin
     let entries =
@@ -76,7 +75,7 @@ let op_gen =
         (4, map2 (fun k v -> Put (k, v)) key_gen (int_bound 1000));
       ])
 
-let program_gen = QCheck.Gen.(pair (int_bound 5) (list_size (int_range 0 60) op_gen))
+let program_gen = QCheck.Gen.(pair (int_range 1 5) (list_size (int_range 0 60) op_gen))
 
 let program_arb =
   QCheck.make program_gen
@@ -130,15 +129,14 @@ let test_find_refreshes_peek_does_not () =
   | None, Some 2 -> ()
   | _ -> Alcotest.fail "peek must not refresh: expected a evicted, b kept"
 
-let test_capacity_zero_disables () =
-  let lru = Serve.Lru.create ~capacity:0 in
-  Serve.Lru.put lru "a" 1;
-  kv_eq "put is a no-op" None (Serve.Lru.find lru "a");
-  Alcotest.(check int) "stays empty" 0 (Serve.Lru.length lru);
-  Alcotest.(check int) "capacity 0" 0 (Serve.Lru.capacity lru);
-  Alcotest.check_raises "negative capacity still refused"
-    (Invalid_argument "Serve.Lru.create: capacity must be >= 0") (fun () ->
-      ignore (Serve.Lru.create ~capacity:(-1) : int Serve.Lru.t))
+let test_capacity_below_one_rejected () =
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises
+        (Printf.sprintf "capacity %d refused" capacity)
+        (Invalid_argument "Serve.Lru.create: capacity must be >= 1")
+        (fun () -> ignore (Serve.Lru.create ~capacity : int Serve.Lru.t)))
+    [ 0; -1 ]
 
 let test_counters_only_from_find () =
   let lru = Serve.Lru.create ~capacity:4 in
@@ -152,13 +150,34 @@ let test_counters_only_from_find () =
   Alcotest.(check int) "find books hits" 1 (Serve.Lru.hits lru);
   Alcotest.(check int) "find books misses" 1 (Serve.Lru.misses lru)
 
+let test_shared_across_domains () =
+  (* The response and tape caches share one instance across the pool's
+     domains: under concurrent finds and puts every lookup is counted
+     exactly once and the capacity bound holds. *)
+  let lru = Serve.Lru.create ~capacity:8 in
+  let per_domain = 2000 and domains = 4 in
+  let worker d () =
+    for i = 1 to per_domain do
+      let k = Printf.sprintf "k%d" (i * (d + 1) mod 16) in
+      match Serve.Lru.find lru k with
+      | Some _ -> ()
+      | None -> Serve.Lru.put lru k i
+    done
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+  Alcotest.(check int) "every find counted once" (domains * per_domain)
+    (Serve.Lru.hits lru + Serve.Lru.misses lru);
+  Alcotest.(check bool) "capacity bound holds" true (Serve.Lru.length lru <= 8)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest model_agreement;
     Alcotest.test_case "find refreshes recency, peek does not" `Quick
       test_find_refreshes_peek_does_not;
-    Alcotest.test_case "capacity 0 disables the cache" `Quick
-      test_capacity_zero_disables;
+    Alcotest.test_case "capacity below one is rejected" `Quick
+      test_capacity_below_one_rejected;
     Alcotest.test_case "only find touches the hit/miss counters" `Quick
       test_counters_only_from_find;
+    Alcotest.test_case "shared across domains: every find counted once"
+      `Quick test_shared_across_domains;
   ]

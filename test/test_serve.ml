@@ -201,19 +201,39 @@ let test_determinism_across_jobs () =
 
 let test_cache_key () =
   let req = Serve.Protocol.default_request ~tree:small_tree in
-  let k = Serve.Cache.key_of_request req in
+  let key = Serve.Cache.key_of_request in
+  let k = key req in
   (* id and deadline are routing, not payload: they must not split the
      cache; everything else must. *)
   Alcotest.(check string) "id ignored" k
-    (Serve.Cache.key_of_request { req with Serve.Protocol.id = 99 });
+    (key { req with Serve.Protocol.id = 99 });
   Alcotest.(check string) "deadline ignored" k
-    (Serve.Cache.key_of_request { req with Serve.Protocol.deadline_ms = 5000 });
-  Alcotest.(check bool) "seed splits" false
-    (k = Serve.Cache.key_of_request { req with Serve.Protocol.seed = 2 });
-  Alcotest.(check bool) "mode splits" false
-    (k
-    = Serve.Cache.key_of_request
-        { req with Serve.Protocol.mode = Experiments.Common.Nom })
+    (key { req with Serve.Protocol.deadline_ms = 5000 });
+  let splits field r =
+    Alcotest.(check bool) (field ^ " splits") false (k = key r)
+  in
+  splits "seed" { req with Serve.Protocol.seed = 2 };
+  splits "mode" { req with Serve.Protocol.mode = Experiments.Common.Nom };
+  splits "rule"
+    { req with Serve.Protocol.rule = Bufins.Prune.two_param ~p_l:0.6 () };
+  splits "samples" { req with Serve.Protocol.samples = 64 };
+  splits "relax" { req with Serve.Protocol.relax = 0.8 };
+  splits "btypes" { req with Serve.Protocol.btypes = 4 };
+  splits "objective"
+    { req with Serve.Protocol.objective = Bufins.Dominance.Weighted 1.0 };
+  splits "eps_power" { req with Serve.Protocol.eps_power = 0.01 };
+  splits "wire_sizing" { req with Serve.Protocol.wire_sizing = true };
+  splits "mc_trials" { req with Serve.Protocol.mc_trials = 16 };
+  splits "tree"
+    { req with
+      Serve.Protocol.tree =
+        Rctree.Generate.random_steiner ~seed:12 ~sinks:9 ~die_um:2000.0 () };
+  (* The key is a function of the decoded request, so v1 and v2
+     clients share entries. *)
+  Alcotest.(check string) "v1 text round trip keeps the key" k
+    (key (Serve.Protocol.decode_request (Serve.Protocol.encode_request req)));
+  Alcotest.(check string) "v2 binary round trip keeps the key" k
+    (key (Serve.Codec_bin.decode_request (Serve.Codec_bin.encode_request req)))
 
 let test_cache_lru () =
   let cache = Serve.Cache.create ~entries:2 in
