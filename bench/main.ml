@@ -74,11 +74,11 @@ let bench_merge n =
    walk exercises all three branches.  The [Linform.Reference] oracle
    is the pre-SoA-style assoc-list implementation — benchmarking both
    measures exactly the kernel rewrite's speedup. *)
-let fixture_form ~offset k =
+let fixture_form ?(shared = 4) ~offset k =
   Linform.make ~nominal:(100.0 +. float_of_int offset)
     ~sens:
       (List.init k (fun i ->
-           if i < 4 then (i, 0.5 +. (0.1 *. float_of_int i))
+           if i < shared then (i, 0.5 +. (0.1 *. float_of_int i))
            else (100 + (2 * i) + offset, 0.3 +. (0.05 *. float_of_int i))))
 
 let kernel_tests =
@@ -108,6 +108,21 @@ let kernel_tests =
         (Staged.stage (fun () -> ignore (Linform.Reference.covariance ra rb)));
     ]
 
+(* The DP's own merges are larger: on the served-request benchmark
+   they average 79 input terms (repeat_mixed) and 55 (small_distinct).
+   These rows use 40-term operands sharing half their ids. *)
+let kernel_dp_shaped_tests =
+  let a = fixture_form ~shared:20 ~offset:0 40
+  and b = fixture_form ~shared:20 ~offset:1 40 in
+  Test.make_grouped ~name:"kernel/n=40"
+    [
+      Test.make ~name:"add/soa" (Staged.stage (fun () -> ignore (Linform.add a b)));
+      Test.make ~name:"axpy_shift/soa"
+        (Staged.stage (fun () -> ignore (Linform.axpy_shift (-0.7) a b 3.5)));
+      Test.make ~name:"stat_min/soa"
+        (Staged.stage (fun () -> ignore (Linform.stat_min a b)));
+    ]
+
 let bench_dp bench_name =
   let info = Rctree.Benchmarks.find bench_name in
   let tree = Rctree.Benchmarks.load info in
@@ -125,6 +140,7 @@ let micro_tests ~smoke =
   Test.make_grouped ~name:"varbuf"
     ([
        kernel_tests;
+       kernel_dp_shaped_tests;
        (* Table 2 / Fig 5: the pruning rules' costs *)
        Test.make ~name:"prune/2P/n=100" (bench_prune (Bufins.Prune.two_param ()) 100);
        Test.make ~name:"prune/2P/n=1000"

@@ -116,16 +116,22 @@ let run ?metrics ?(should_stop = fun () -> false)
   (* Answer [p] with a worker reply frame ([kind] is "response" or
      "error", [payload] is v2-encoded).  v2 clients get the worker's
      response bytes verbatim; v1 clients get the deterministic text
-     re-encoding. *)
+     re-encoding, or an internal error when the payload does not
+     decode (the link's framing is intact, so it stays up). *)
   let complete p ~kind ~payload =
     let latency_ms = (Unix.gettimeofday () -. p.p_enqueued) *. 1000.0 in
     match kind with
-    | "response" ->
-      Front.respond front p.p_client ~latency_ms
-        (match Front.proto p.p_client with
-        | Wire.V2 -> payload
-        | Wire.V1 ->
-          Protocol.encode_response (Codec_bin.decode_response payload))
+    | "response" -> (
+      match Front.proto p.p_client with
+      | Wire.V2 -> Front.respond front p.p_client ~latency_ms payload
+      | Wire.V1 -> (
+        match Codec_bin.decode_response payload with
+        | r ->
+          Front.respond front p.p_client ~latency_ms
+            (Protocol.encode_response r)
+        | exception Failure _ ->
+          Front.fail front p.p_client Protocol.err_internal
+            "undecodable worker response"))
     | _ ->
       let err =
         try Codec_bin.decode_error payload

@@ -1,10 +1,11 @@
 (* Canonical forms as a struct-of-arrays: the sensitivity vector is a
    pair of parallel arrays (sorted ids, float coefficients) instead of
    a boxed (int * float) array.  The coefficient array is an OCaml
-   float array — unboxed flat storage — so the merge kernels below
-   never allocate a tuple or a list cell: each binary operation is a
-   count pass over the two sorted id arrays followed by a fill pass
-   writing directly into exactly-sized result arrays.
+   float array — unboxed flat storage — so the merge kernel below
+   never allocates a tuple or a list cell: each binary operation is
+   one walk over the two sorted id arrays into per-domain scratch,
+   whose surviving prefix is then copied into exact-size result
+   arrays.
 
    Every kernel reproduces the operand-order float arithmetic of the
    original list-based implementation bit for bit (DP results are
@@ -19,8 +20,15 @@ type t = {
   variance : float;     (* cached sum of squared coefficients *)
 }
 
+(* A plain loop rather than [Array.fold_left], whose accumulator is
+   boxed at every step; same left-to-right order. *)
 let variance_of_coefs coefs =
-  Array.fold_left (fun acc a -> acc +. (a *. a)) 0.0 coefs
+  let acc = ref 0.0 in
+  for k = 0 to Array.length coefs - 1 do
+    let a = coefs.(k) in
+    acc := !acc +. (a *. a)
+  done;
+  !acc
 
 let const nominal = { nominal; ids = [||]; coefs = [||]; variance = 0.0 }
 let zero = const 0.0
@@ -66,13 +74,42 @@ let sensitivity f id =
   in
   search 0 n
 
+(* Merge scratch, one per domain: the walk below writes every surviving
+   entry here, then copies the prefix out.  The buffers grow
+   geometrically to the domain's largest merge (as [Bufins.Arena] and
+   [Sample.Sarena] do) and are borrowed only inside one
+   [merge_scaled] call, which calls nothing that could re-enter it. *)
+type scratch = { mutable s_ids : int array; mutable s_coefs : float array }
+
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { s_ids = [||]; s_coefs = [||] })
+
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.s_ids < n then begin
+    let c = ref 16 in
+    while !c < n do
+      c := !c * 2
+    done;
+    s.s_ids <- Array.make !c 0;
+    s.s_coefs <- Array.make !c 0.0
+  end;
+  s
+
 (* The one merge kernel behind every binary operation: the sensitivity
    vector of [ka*a + kb*b] (for suitable ka/kb this is add, sub, axpy,
-   the first-order product and the tightness-probability blend).  Pass
-   one counts surviving entries, pass two fills the exact-size arrays
-   and accumulates the variance in the same left-to-right order the
-   original implementation used.  Nothing is allocated beyond the two
-   result arrays. *)
+   the first-order product and the tightness-probability blend).  One
+   walk over the two sorted id arrays writes the non-zero entries into
+   the domain's scratch and accumulates the variance in the same
+   left-to-right order the original implementation used; the entries
+   are then copied into exact-size result arrays.  There is no closure
+   and the accumulators stay unboxed, so the result's two arrays and
+   record are all that is allocated.
+
+   The walk reads and writes without bounds checks: [ia < na] and
+   [ib < nb] index [a] and [b] (every form's [ids] and [coefs] have
+   one length), and at most [na + nb] entries go to scratch of at
+   least that size. *)
 let merge_scaled ~nominal ka a kb b =
   let aid = a.ids and aco = a.coefs in
   let bid = b.ids and bco = b.coefs in
@@ -85,82 +122,66 @@ let merge_scaled ~nominal ka a kb b =
   else if nb = 0 && ka = 1.0 then
     { nominal; ids = aid; coefs = aco; variance = variance_of_coefs aco }
   else begin
-    (* Count pass. *)
-    let count = ref 0 in
+    let s = scratch (na + nb) in
+    let sid = s.s_ids and sco = s.s_coefs in
+    let k = ref 0 and var = ref 0.0 in
     let ia = ref 0 and ib = ref 0 in
-    while !ia < na || !ib < nb do
+    while !ia < na && !ib < nb do
+      let i = Array.unsafe_get aid !ia and j = Array.unsafe_get bid !ib in
       let v =
-        if !ia >= na then begin
-          let v = kb *. bco.(!ib) in
+        if i = j then begin
+          let v =
+            (ka *. Array.unsafe_get aco !ia) +. (kb *. Array.unsafe_get bco !ib)
+          in
+          incr ia;
           incr ib;
           v
         end
-        else if !ib >= nb then begin
-          let v = ka *. aco.(!ia) in
+        else if i < j then begin
+          let v = ka *. Array.unsafe_get aco !ia in
           incr ia;
           v
         end
-        else
-          let i = aid.(!ia) and j = bid.(!ib) in
-          if i = j then begin
-            let v = (ka *. aco.(!ia)) +. (kb *. bco.(!ib)) in
-            incr ia;
-            incr ib;
-            v
-          end
-          else if i < j then begin
-            let v = ka *. aco.(!ia) in
-            incr ia;
-            v
-          end
-          else begin
-            let v = kb *. bco.(!ib) in
-            incr ib;
-            v
-          end
+        else begin
+          let v = kb *. Array.unsafe_get bco !ib in
+          incr ib;
+          v
+        end
       in
-      if v <> 0.0 then incr count
-    done;
-    (* Fill pass. *)
-    let ids = Array.make !count 0 and coefs = Array.make !count 0.0 in
-    let var = ref 0.0 in
-    let k = ref 0 in
-    let push i v =
       if v <> 0.0 then begin
-        ids.(!k) <- i;
-        coefs.(!k) <- v;
+        Array.unsafe_set sid !k (if i <= j then i else j);
+        Array.unsafe_set sco !k v;
         var := !var +. (v *. v);
         incr k
       end
-    in
-    ia := 0;
-    ib := 0;
-    while !ia < na || !ib < nb do
-      if !ia >= na then begin
-        push bid.(!ib) (kb *. bco.(!ib));
-        incr ib
-      end
-      else if !ib >= nb then begin
-        push aid.(!ia) (ka *. aco.(!ia));
-        incr ia
-      end
-      else
-        let i = aid.(!ia) and j = bid.(!ib) in
-        if i = j then begin
-          push i ((ka *. aco.(!ia)) +. (kb *. bco.(!ib)));
-          incr ia;
-          incr ib
-        end
-        else if i < j then begin
-          push i (ka *. aco.(!ia));
-          incr ia
-        end
-        else begin
-          push j (kb *. bco.(!ib));
-          incr ib
-        end
     done;
-    { nominal; ids; coefs; variance = !var }
+    while !ia < na do
+      let v = ka *. Array.unsafe_get aco !ia in
+      if v <> 0.0 then begin
+        Array.unsafe_set sid !k (Array.unsafe_get aid !ia);
+        Array.unsafe_set sco !k v;
+        var := !var +. (v *. v);
+        incr k
+      end;
+      incr ia
+    done;
+    while !ib < nb do
+      let v = kb *. Array.unsafe_get bco !ib in
+      if v <> 0.0 then begin
+        Array.unsafe_set sid !k (Array.unsafe_get bid !ib);
+        Array.unsafe_set sco !k v;
+        var := !var +. (v *. v);
+        incr k
+      end;
+      incr ib
+    done;
+    let n = !k in
+    {
+      nominal;
+      ids = Array.sub sid 0 n;
+      coefs = Array.sub sco 0 n;
+      variance = !var;
+    }
   end
 
 let add a b = merge_scaled ~nominal:(a.nominal +. b.nominal) 1.0 a 1.0 b

@@ -2,8 +2,9 @@
    byte-identical to a single server at any shard count (including
    cache-hit answers and error replies), v1 and v2 clients must agree
    through the router, sharding must be a pure function of the routing
-   tree, the bounded queues must refuse overload with busy, and the
-   router must link up as soon as its worker listens. *)
+   tree, the bounded queues must refuse overload with busy, the router
+   must link up as soon as its worker listens, and a worker response
+   the router cannot decode must still answer a v1 client. *)
 
 let streeq = Alcotest.(check (list string))
 
@@ -222,6 +223,123 @@ let test_error_replies_agree () =
         (List.mem (name ^ ": closed") mine))
     (Lazy.force bad_inputs)
 
+(* ---------- a worker whose responses do not decode ---------- *)
+
+let garbage = "\001not a binary response"
+
+(* A fake worker on [socket_path]: it says hello on each connection,
+   answers every request with a [response] frame of [garbage], and
+   closes a connection on [shutdown].  [accepts] counts connections,
+   so a test can tell whether the router ever dropped its link. *)
+let garbage_worker ~stop ~accepts socket_path =
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket_path);
+  Unix.listen lfd 8;
+  Domain.spawn (fun () ->
+      let conns = ref [] in
+      let buf = Bytes.create 65536 in
+      let drop fd =
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        conns := List.filter (fun (c, _) -> c != fd) !conns
+      in
+      let serve fd dec =
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 | (exception Unix.Unix_error _) -> drop fd
+        | n ->
+          Serve.Wire.feed dec buf n;
+          let rec frames () =
+            match Serve.Wire.next dec with
+            | Some (Serve.Wire.Frame { kind = "request"; _ }) ->
+              Serve.Wire.write_frame_pv fd ~proto:Serve.Wire.V2
+                ~kind:"response" garbage;
+              frames ()
+            | Some (Serve.Wire.Frame { kind = "shutdown"; _ }) -> drop fd
+            | Some _ -> frames ()
+            | None -> ()
+          in
+          frames ()
+      in
+      let rec loop () =
+        if not (Atomic.get stop) then begin
+          let readable, _, _ =
+            Unix.select (lfd :: List.map fst !conns) [] [] 0.05
+          in
+          List.iter
+            (fun fd ->
+              if fd = lfd then begin
+                let c, _ = Unix.accept lfd in
+                Atomic.incr accepts;
+                Serve.Wire.write_frame_pv c ~proto:Serve.Wire.V1 ~kind:"hello"
+                  (Serve.Protocol.hello_full ^ "\n");
+                conns := (c, Serve.Wire.decoder ()) :: !conns
+              end
+              else
+                match List.assq_opt fd !conns with
+                | Some dec -> serve fd dec
+                | None -> ())
+            readable;
+          loop ()
+        end
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun (fd, _) -> Unix.close fd) !conns;
+          Unix.close lfd)
+        loop)
+
+let test_undecodable_worker_response () =
+  let base = fresh_base "garbage" in
+  let router_socket = base ^ ".sock" and worker_socket = base ^ ".shard0" in
+  let stop = Atomic.make false and accepts = Atomic.make 0 in
+  let worker = garbage_worker ~stop ~accepts worker_socket in
+  let router =
+    Domain.spawn (fun () ->
+        Cluster.Router.run
+          ~should_stop:(fun () -> Atomic.get stop)
+          {
+            (Cluster.Router.default_config ~socket_path:router_socket
+               ~shard_sockets:[| worker_socket |]) with
+            Cluster.Router.conns_per_shard = 1;
+          })
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join router;
+      Domain.join worker;
+      Sys.remove worker_socket)
+    (fun () ->
+      wait_for_file router_socket;
+      (* Two requests then a stats probe on one connection per
+         encoding.  The stats reply coming third shows no request
+         earned a second frame; the timeout turns a lost request into
+         a failure instead of a hang. *)
+      let replies proto =
+        let ((fd, _) as conn) = raw_connect router_socket in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        let ask bytes =
+          write_all fd bytes;
+          try read_reply conn
+          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            "no reply"
+        in
+        let r1 = ask (valid_request proto) in
+        let r2 = ask (valid_request proto) in
+        let stats = ask (Serve.Wire.frame_bytes ~proto ~kind:"stats" "") in
+        [ r1; r2; List.hd (String.split_on_char ' ' stats) ]
+      in
+      let internal = "error v1 internal: undecodable worker response" in
+      streeq "v1: one internal error per request, then stats"
+        [ internal; internal; "stats" ]
+        (replies Serve.Wire.V1);
+      let verbatim = "response v2 " ^ Digest.to_hex (Digest.string garbage) in
+      streeq "v2: the worker's bytes per request, then stats"
+        [ verbatim; verbatim; "stats" ]
+        (replies Serve.Wire.V2);
+      Alcotest.(check int) "the router kept its one link" 1
+        (Atomic.get accepts))
+
 let test_v1_v2_agree_through_router () =
   Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
       let v1 = run_stream ~n:20 ~wire:Serve.Wire.V1 socket in
@@ -412,6 +530,8 @@ let suite =
       test_shard_of_request_is_canonical;
     Alcotest.test_case "router-less server and router give the same error replies"
       `Slow test_error_replies_agree;
+    Alcotest.test_case "undecodable worker response: v1 error, v2 verbatim"
+      `Quick test_undecodable_worker_response;
     Alcotest.test_case "router links up soon after its worker binds" `Quick
       test_links_up_soon_after_worker_binds;
     Alcotest.test_case "bounded queue refuses overload; drain fails stuck work"

@@ -481,6 +481,139 @@ let prop_axpy_shift_fused =
       && Linform.variance fused = Linform.variance unfused
       && Linform.sensitivities fused = Linform.sensitivities unfused)
 
+(* ---------- bit-exact oracle on a dyadic grid ---------- *)
+
+(* Coefficients k/8, ids from a small range, and a [b] that repeats
+   some of [a]'s entries exactly, negated, or scaled by [-k]: products
+   and sums stay exact on this grid, so add, sub and axpy cancel whole
+   entries in the middle of the arrays, and the kernels must drop the
+   same zeros and round the same way as the reference — equality is
+   bit for bit, not to a tolerance. *)
+let dyadic_gen =
+  QCheck.Gen.(
+    let eighth = map (fun m -> float_of_int m /. 8.0) (int_range (-24) 24) in
+    let entries = list_size (int_range 0 10) (pair (int_range 0 11) eighth) in
+    let* k = map (fun m -> float_of_int m /. 8.0) (int_range (-16) 16) in
+    let* c = eighth in
+    let* nominal_a = eighth and* sens_a = entries in
+    let a = Linform.make ~nominal:nominal_a ~sens:sens_a in
+    let* shared =
+      flatten_l
+        (List.map
+           (fun (i, x) ->
+             map
+               (function
+                 | 1 -> [ (i, x) ]
+                 | 2 -> [ (i, -.x) ]
+                 | 3 -> [ (i, -.(k *. x)) ]
+                 | _ -> [])
+               (int_range 0 3))
+           (Array.to_list (Linform.sensitivities a)))
+    in
+    let* nominal_b = eighth
+    and* own = list_size (int_range 0 4) (pair (int_range 0 15) eighth) in
+    let b = Linform.make ~nominal:nominal_b ~sens:(List.concat shared @ own) in
+    return (k, c, a, b))
+
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let exactly f rf =
+  let sens = Linform.sensitivities f in
+  let rsens = Array.of_list rf.Linform.Reference.r_sens in
+  bits_equal (Linform.mean f) (Linform.Reference.mean rf)
+  && bits_equal (Linform.variance f) (Linform.Reference.variance rf)
+  && Array.map fst sens = Array.map fst rsens
+  && Array.for_all2 (fun (_, x) (_, y) -> bits_equal x y) sens rsens
+
+let prop_oracle_dyadic_exact =
+  QCheck.Test.make ~name:"SoA kernels match reference bit for bit (dyadic)"
+    ~count:2000 (QCheck.make dyadic_gen) (fun (k, c, a, b) ->
+      let module R = Linform.Reference in
+      let ra = R.of_form a and rb = R.of_form b in
+      let shifted rf = { rf with R.r_nominal = rf.R.r_nominal +. c } in
+      exactly (Linform.add a b) (R.add ra rb)
+      && exactly (Linform.sub a b) (R.sub ra rb)
+      && exactly (Linform.axpy k a b) (R.axpy k ra rb)
+      && exactly (Linform.axpy_shift k a b c) (shifted (R.axpy k ra rb))
+      && exactly (Linform.mul_first_order a b) (R.mul_first_order ra rb)
+      && exactly (Linform.stat_min a b) (R.stat_min ra rb))
+
+(* The property above is only as strong as its cancellations: a
+   fixed-seed sample of its generator must often drop a zero strictly
+   between two surviving entries. *)
+let test_dyadic_gen_cancels_inside () =
+  let rand = Random.State.make [| 14 |] in
+  let inside = ref 0 in
+  for _ = 1 to 500 do
+    let k, _, a, b = dyadic_gen rand in
+    let ids f = Array.map fst (Linform.sensitivities f) in
+    let union =
+      List.sort_uniq compare (Array.to_list (ids a) @ Array.to_list (ids b))
+    in
+    let cancels_inside r =
+      let kept = ids r in
+      let n = Array.length kept in
+      n >= 2
+      && List.exists
+           (fun i -> i > kept.(0) && i < kept.(n - 1) && not (Array.mem i kept))
+           union
+    in
+    if
+      List.exists cancels_inside
+        [ Linform.add a b; Linform.sub a b; Linform.axpy k a b ]
+    then incr inside
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 500 pairs cancel inside the arrays" !inside)
+    true (!inside >= 100)
+
+(* ---------- allocation ---------- *)
+
+(* Minor words per call, after one warm-up call (which may grow the
+   merge scratch). *)
+let minor_words_per_call f =
+  let reps = 1000 in
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
+(* The result's record and boxed floats: an upper bound on what a
+   kernel may allocate beyond the result's two arrays. *)
+let alloc_slack = 16.0
+
+let test_kernels_allocate_only_result () =
+  List.iter
+    (fun n ->
+      (* Supports [0, 2n/3) and [n/3, n) overlap, so the walk takes all
+         three branches; no coefficient cancels, so the sum has n terms. *)
+      let ranged lo hi =
+        Linform.make ~nominal:1.0
+          ~sens:
+            (List.init (hi - lo) (fun i -> (lo + i, 0.25 +. float_of_int i)))
+      in
+      let a = ranged 0 (2 * n / 3) and b = ranged (n / 3) n in
+      Alcotest.(check int) "result size" n
+        (Linform.support_size (Linform.add a b));
+      let words = minor_words_per_call (fun () -> Linform.add a b) in
+      let bound = (2.0 *. float_of_int (n + 1)) +. alloc_slack in
+      Alcotest.(check bool)
+        (Printf.sprintf "add, %d-term result: %.1f words <= %.0f" n words bound)
+        true (words <= bound))
+    [ 10; 60; 200 ];
+  let x = Linform.const 2.0 in
+  let y =
+    Linform.make ~nominal:1.0
+      ~sens:(List.init 40 (fun i -> (i, 0.5 +. float_of_int i)))
+  in
+  let words = minor_words_per_call (fun () -> Linform.axpy 3.0 x y) in
+  Alcotest.(check bool)
+    (Printf.sprintf "axpy, empty x shares y's arrays: %.1f words <= %.0f" words
+       alloc_slack)
+    true (words <= alloc_slack)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -523,4 +656,9 @@ let suite =
     qcheck prop_oracle_stat_min;
     qcheck prop_oracle_roundtrip;
     qcheck prop_axpy_shift_fused;
+    qcheck prop_oracle_dyadic_exact;
+    Alcotest.test_case "dyadic oracle cancels inside the arrays" `Quick
+      test_dyadic_gen_cancels_inside;
+    Alcotest.test_case "kernels allocate only their result" `Quick
+      test_kernels_allocate_only_result;
   ]
