@@ -86,12 +86,12 @@ type scan =
   | Rat_filtered
       (** running-max RAT prefilter, then a newest-first scan of kept
           candidates that passes each through the necessary-mean
-          filter before the expensive comparator — 2P with p̄ > 0.5 *)
+          filter before the expensive comparator — 2P with p̄ > 0.5,
+          4P, and the sampling engine at full dominance *)
   | Rat_prefilter
       (** running-max RAT prefilter, then an unfiltered newest-first
-          scan — the sampling engine at full dominance, and the
-          power-aware linear rules (dominance still implies the RAT
-          ordering, so the prefilter stays sound) *)
+          scan — the power-aware linear rules (dominance still implies
+          the RAT ordering, so the prefilter stays sound) *)
   | Scan_kept
       (** unfiltered newest-first scan of every kept candidate — the
           stochastic-dominance PMF heuristic, relaxed per-sample

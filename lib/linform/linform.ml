@@ -58,6 +58,8 @@ let mean f = f.nominal
 let variance f = f.variance
 let std f = sqrt f.variance
 let sensitivities f = Array.init (Array.length f.ids) (fun k -> (f.ids.(k), f.coefs.(k)))
+let sorted_ids f = f.ids
+let sorted_coefs f = f.coefs
 let support_size f = Array.length f.ids
 let is_deterministic f = Array.length f.ids = 0
 

@@ -16,10 +16,11 @@
     coefficients, so every binary operation is a linear merge.
     Internally a form is a struct-of-arrays — one sorted [int array] of
     source ids and one flat [float array] of coefficients — and every
-    merge kernel is a two-pass count-then-fill loop that writes
-    directly into exact-size result arrays: the per-candidate constant
-    factor of the DP inner loop allocates no lists, no tuples and no
-    boxed floats. *)
+    binary operation is one merge walk over the two sorted id arrays
+    into per-domain scratch, whose surviving prefix is then copied into
+    exact-size result arrays: the per-candidate constant factor of the
+    DP inner loop allocates no lists, no tuples and no boxed floats,
+    only the result's two arrays and record. *)
 
 type t
 
@@ -56,6 +57,14 @@ val std : t -> float
 val sensitivities : t -> (int * float) array
 (** The sparse sensitivity vector, sorted by source id.  The returned
     array is fresh; mutating it does not affect the form. *)
+
+val sorted_ids : t -> int array
+val sorted_coefs : t -> float array
+(** The form's own parallel arrays of source ids (strictly increasing)
+    and non-zero coefficients, of equal length — the read-only,
+    allocation-free view for hot loops that {!sensitivities} would
+    copy.  They are not copies: the form keeps ownership, so do not
+    mutate them (the converse of {!of_sorted_arrays}'s rule). *)
 
 val sensitivity : t -> int -> float
 (** [sensitivity f id] is the coefficient of source [id] (0 if absent);

@@ -121,6 +121,65 @@ let obs_pruned = Obs.Counters.counter Obs.Counters.global "sample.pruned"
 let obs_checks =
   Obs.Counters.counter Obs.Counters.global "sample.dominance_checks"
 
+(* 1 when sample [a] of one row ties-or-beats sample [b] of another on
+   both axes (load <=, RAT >=), else 0, without a branch. *)
+let[@inline] hit (bl : float array) (br : float array) a b =
+  Bool.to_int (Array.unsafe_get bl a <= Array.unsafe_get bl b)
+  land Bool.to_int (Array.unsafe_get br a >= Array.unsafe_get br b)
+
+(* The per-sample dominance count: does row [j] of the K-strided
+   blocks [bl] / [br] tie-or-beat row [i] in at least [need] of the K
+   samples, for 1 <= need <= k?  Successes and failures only grow
+   along the scan, so stopping once successes reach [need] or failures
+   exceed [k - need] gives the full count's verdict; testing those
+   exits only every fourth sample therefore changes nothing.  Four
+   samples per step, then a scalar tail for [k mod 4].  Reads are
+   unchecked: callers guarantee both rows lie inside both blocks. *)
+let dom_count ~k ~need bl br j i =
+  let jo = j * k and io = i * k in
+  let slack = k - need in
+  let hits = ref 0 and t = ref 0 in
+  while !t + 4 <= k && !hits < need && !t - !hits <= slack do
+    let a = jo + !t and b = io + !t in
+    hits :=
+      !hits + hit bl br a b
+      + hit bl br (a + 1) (b + 1)
+      + hit bl br (a + 2) (b + 2)
+      + hit bl br (a + 3) (b + 3);
+    t := !t + 4
+  done;
+  while !t < k && !hits < need && !t - !hits <= slack do
+    hits := !hits + hit bl br (jo + !t) (io + !t);
+    incr t
+  done;
+  !hits >= need
+
+let sample_dominates ~k ~need ~load ~rat j i =
+  if k <= 0 || need < 1 || need > k then
+    invalid_arg "Sample.Engine.sample_dominates: need must lie in 1..k";
+  let rows = (max i j + 1) * k in
+  if min i j < 0 || rows > Array.length load || rows > Array.length rat then
+    invalid_arg "Sample.Engine.sample_dominates: row out of range";
+  dom_count ~k ~need load rat j i
+
+(* [Float.min x y] without its two [caml_signbit] C calls on the
+   common [y <= x] path: a strict order decides outright, and only
+   ties (±0 pairs) and NaN fall through to [Float.min] itself, so the
+   result is the same on every input. *)
+let[@inline] merge_min (x : float) y =
+  if y > x then x else if x > y then y else Float.min x y
+
+(* The row generators below check each frontier row (K samples on
+   both axes) and each arena staging block once, then read and write
+   them without bounds checks. *)
+let check_row ~k s =
+  if Array.length s.load <> k || Array.length s.rat <> k then
+    invalid_arg "Sample.Engine: frontier row is not K samples long"
+
+let check_block n (load : float array) (rat : float array) =
+  if Array.length load < n || Array.length rat < n then
+    invalid_arg "Sample.Engine: staging block too short"
+
 (* Prune the [ncand] staged rows in the arena's B stage (load / rat /
    power / choice / mean keys already filled) down to a fresh frontier,
    by per-sample dominance counting against the [need] threshold.
@@ -146,55 +205,40 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
     let br = Sarena.b_rat ar (ncand * k) in
     let bc = Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
     let bp = Sarena.b_power ar ncand in
-    let ml = Sarena.mean_load ar ncand in
     let mr = Sarena.mean_rat ar ncand in
-    let idx = Sarena.perm ar ncand in
-    for i = 0 to ncand - 1 do
-      idx.(i) <- i
-    done;
     (* Mean load ascending, mean RAT descending: the stable order the
        canonical pruner uses, so exact duplicates keep the same
        representative.  The power path adds raw power ascending — an
        ε-independent order, so growing ε can only merge buckets and
        shrink the kept set. *)
-    Sarena.sort_prefix ar idx ncand ~cmp:(fun a b ->
-        let c = Float.compare ml.(a) ml.(b) in
-        if c <> 0 then c
-        else begin
-          let c = Float.compare mr.(b) mr.(a) in
-          if c <> 0 || not power_aware then c
-          else Float.compare bp.(a) bp.(b)
-        end);
+    let idx = Sarena.sort_prefix ar ncand ~power_aware in
     (* Row j dominates row i when it ties-or-beats it on both axes in
-       at least [need] samples, with early exit both ways. *)
+       at least [need] samples.  The sweep passes rows below [ncand]
+       only, so one check of the staged block covers every unchecked
+       count. *)
+    check_block (ncand * k) bl br;
     let checks = ref 0 in
-    let sample_dom j i =
-      let jo = j * k and io = i * k in
-      let count = ref 0 in
-      let t = ref 0 in
-      while !t < k do
-        (if bl.(jo + !t) <= bl.(io + !t) && br.(jo + !t) >= br.(io + !t)
-         then incr count);
-        if !count >= need || !count + (k - !t - 1) < need then t := k
-        else incr t
-      done;
-      !count >= need
-    in
     let dominates =
       if power_aware then fun j i ->
         incr checks;
-        Bufins.Dominance.power_le ~eps bp.(j) bp.(i) && sample_dom j i
+        Bufins.Dominance.power_le ~eps bp.(j) bp.(i)
+        && dom_count ~k ~need bl br j i
       else fun j i ->
         incr checks;
-        sample_dom j i
+        dom_count ~k ~need bl br j i
     in
-    (* Full dominance in every sample implies mean-RAT order, so a
-       candidate above the running max of kept mean RATs cannot be
-       dominated; the filter is unsound for need < k and skipped
-       there.  Conjoining the power test only makes dominance rarer,
-       so the filter stays sound on the power path. *)
+    (* Full dominance in every sample implies mean-RAT order:
+       [rat_j >= rat_i] in every sample, floating-point addition is
+       monotone in each argument, so the sums and the means keep that
+       order.  So a candidate above the running max of kept mean RATs
+       cannot be dominated, and a kept row with a lower mean RAT than
+       the candidate cannot dominate it — [Rat_filtered] skips both
+       without a per-sample scan, and drops no check that could
+       succeed.  Neither holds for need < k, where the plain scan
+       runs.  Conjoining the power test only makes dominance rarer,
+       so the filters stay sound on the power path. *)
     let scan =
-      if exact_need then Bufins.Dominance.Rat_prefilter
+      if exact_need then Bufins.Dominance.Rat_filtered
       else Bufins.Dominance.Scan_kept
     in
     let kept = Sarena.kept ar ncand in
@@ -294,21 +338,26 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
   let wml = Array.make ntot 0.0 in
   let wmr = Array.make ntot 0.0 in
   let wpw = Array.make ntot 0.0 in
+  check_block (ntot * k) al arr;
   let stage_side ~base ~ns (sols : sol array) =
+    Array.iter (check_row ~k) sols;
     for lrow = 0 to (nwid * ns) - 1 do
       let row = base + lrow in
       let width = lrow / ns in
       let s = sols.(lrow mod ns) in
+      let sload = s.load and srat = s.rat in
       let ro = row * k and wo = width * k in
       let sl = ref 0.0 and sr = ref 0.0 in
       for j = 0 to k - 1 do
-        let rlj = rl.(wo + j) and clj = cl.(wo + j) in
-        let ld = s.load.(j) +. clj in
+        let rlj = Array.unsafe_get rl (wo + j)
+        and clj = Array.unsafe_get cl (wo + j) in
+        let lj = Array.unsafe_get sload j in
+        let ld = lj +. clj in
         let rt =
-          s.rat.(j) -. (rl.(wo + j) *. s.load.(j)) -. (0.5 *. rlj *. clj)
+          Array.unsafe_get srat j -. (rlj *. lj) -. (0.5 *. rlj *. clj)
         in
-        al.(ro + j) <- ld;
-        arr.(ro + j) <- rt;
+        Array.unsafe_set al (ro + j) ld;
+        Array.unsafe_set arr (ro + j) rt;
         sl := !sl +. ld;
         sr := !sr +. rt
       done;
@@ -429,6 +478,7 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
       let bpw = Sarena.b_power ar ncand in
       let ml = Sarena.mean_load ar ncand in
       let mr = Sarena.mean_rat ar ncand in
+      check_block (ncand * k) bl br;
       for lrow = 0 to nw_side - 1 do
         let row = wlo + lrow in
         let dst = nw_side - 1 - lrow in
@@ -446,16 +496,21 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
             (fun bi ->
               if keep bi row then begin
                 let dst = !next in
+                if dst >= ncand then invalid_arg "Sample.Engine: row overflow";
                 let dof = dst * k and ro = row * k and bo = bi * k in
                 let r = res.(bi) in
                 let sl = ref 0.0 and sr = ref 0.0 in
                 (* Eq. 35-36 per sample: rat' = rat − R_b·load − T_b,
                    load' = C_b. *)
                 for j = 0 to k - 1 do
-                  let ld = cb.(bo + j) in
-                  let rt = arr.(ro + j) -. (r *. al.(ro + j)) -. tb.(bo + j) in
-                  bl.(dof + j) <- ld;
-                  br.(dof + j) <- rt;
+                  let ld = Array.unsafe_get cb (bo + j) in
+                  let rt =
+                    Array.unsafe_get arr (ro + j)
+                    -. (r *. Array.unsafe_get al (ro + j))
+                    -. Array.unsafe_get tb (bo + j)
+                  in
+                  Array.unsafe_set bl (dof + j) ld;
+                  Array.unsafe_set br (dof + j) rt;
                   sl := !sl +. ld;
                   sr := !sr +. rt
                 done;
@@ -526,9 +581,13 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
     let bpw = Sarena.b_power ar ncand in
     let ml = Sarena.mean_load ar ncand in
     let mr = Sarena.mean_rat ar ncand in
+    check_block (ncand * k) bl br;
+    Array.iter (check_row ~k) a;
+    Array.iter (check_row ~k) b;
     let count = ref 0 in
     for i = 0 to na - 1 do
       let sa = a.(i) in
+      let la = sa.load and ra = sa.rat in
       for j = 0 to nb - 1 do
         incr count;
         check !count;
@@ -537,12 +596,13 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
         let dst = ncand - !count in
         let dof = dst * k in
         let sb = b.(j) in
+        let lb = sb.load and rb = sb.rat in
         let sl = ref 0.0 and sr = ref 0.0 in
         for t = 0 to k - 1 do
-          let ld = sa.load.(t) +. sb.load.(t) in
-          let rt = Float.min sa.rat.(t) sb.rat.(t) in
-          bl.(dof + t) <- ld;
-          br.(dof + t) <- rt;
+          let ld = Array.unsafe_get la t +. Array.unsafe_get lb t in
+          let rt = merge_min (Array.unsafe_get ra t) (Array.unsafe_get rb t) in
+          Array.unsafe_set bl (dof + t) ld;
+          Array.unsafe_set br (dof + t) rt;
           sl := !sl +. ld;
           sr := !sr +. rt
         done;

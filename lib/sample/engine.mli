@@ -133,6 +133,23 @@ val run_tape :
     trips (the same exception, so serve's deadline mapping applies
     unchanged). *)
 
+(** {1 Kernels}
+
+    Exposed so tests can hold them to naive references bit for bit. *)
+
+val sample_dominates :
+  k:int -> need:int -> load:float array -> rat:float array -> int -> int -> bool
+(** [sample_dominates ~k ~need ~load ~rat j i]: row [j] of the
+    K-strided blocks [load] / [rat] ties-or-beats row [i]
+    ([load <=], [rat >=]) in at least [need] of the K samples — the
+    pruner's per-sample dominance test, with its early exits.
+    @raise Invalid_argument unless [1 <= need <= k] and both rows lie
+    inside both blocks. *)
+
+val merge_min : float -> float -> float
+(** The merge's per-sample RAT min: equal to [Float.min] on every
+    input, ±0 ties and NaN included. *)
+
 val run :
   ?pool:Exec.Pool.t ->
   ?grain:int ->

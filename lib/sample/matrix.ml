@@ -56,15 +56,47 @@ let prefill t ~lo ~hi =
     ignore (source t id)
   done
 
+(* Samples on the outside, four at a time in four register
+   accumulators, terms on the inside: each accumulator starts at the
+   mean and adds the terms in id order, so sample j sees exactly the
+   roundings of [out.(j) <- mu; for each term: out.(j) <- out.(j) +.
+   c *. src.(j)] — the naive loop over terms — without reloading and
+   storing [out] per term.  The rows are resolved once per call; every
+   row has length [k] and the output block is checked up front, so the
+   loops read and write without bounds checks. *)
 let eval_into t form out ~off =
+  let k = t.k in
+  if off < 0 || off > Array.length out - k then
+    invalid_arg "Sample.Matrix.eval_into: output block out of range";
   let mu = Linform.mean form in
-  for j = 0 to t.k - 1 do
-    out.(off + j) <- mu
+  let ids = Linform.sorted_ids form and coefs = Linform.sorted_coefs form in
+  let nt = Array.length ids in
+  let rows = Array.make nt [||] in
+  for i = 0 to nt - 1 do
+    rows.(i) <- source t ids.(i)
   done;
-  Array.iter
-    (fun (id, c) ->
-      let src = source t id in
-      for j = 0 to t.k - 1 do
-        out.(off + j) <- out.(off + j) +. (c *. src.(j))
-      done)
-    (Linform.sensitivities form)
+  let j = ref 0 in
+  while !j + 4 <= k do
+    let j0 = !j in
+    let a0 = ref mu and a1 = ref mu and a2 = ref mu and a3 = ref mu in
+    for i = 0 to nt - 1 do
+      let c = Array.unsafe_get coefs i and src = Array.unsafe_get rows i in
+      a0 := !a0 +. (c *. Array.unsafe_get src j0);
+      a1 := !a1 +. (c *. Array.unsafe_get src (j0 + 1));
+      a2 := !a2 +. (c *. Array.unsafe_get src (j0 + 2));
+      a3 := !a3 +. (c *. Array.unsafe_get src (j0 + 3))
+    done;
+    Array.unsafe_set out (off + j0) !a0;
+    Array.unsafe_set out (off + j0 + 1) !a1;
+    Array.unsafe_set out (off + j0 + 2) !a2;
+    Array.unsafe_set out (off + j0 + 3) !a3;
+    j := j0 + 4
+  done;
+  for j = !j to k - 1 do
+    let a = ref mu in
+    for i = 0 to nt - 1 do
+      let c = Array.unsafe_get coefs i and src = Array.unsafe_get rows i in
+      a := !a +. (c *. Array.unsafe_get src j)
+    done;
+    Array.unsafe_set out (off + j) !a
+  done

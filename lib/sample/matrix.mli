@@ -36,4 +36,6 @@ val prefill : t -> lo:int -> hi:int -> unit
 val eval_into : t -> Linform.t -> float array -> off:int -> unit
 (** [eval_into t form out ~off] writes the K per-sample values of a
     canonical form into [out.(off) .. out.(off + k - 1)]: the form's
-    mean plus its sensitivity-weighted combination of source rows. *)
+    mean plus its sensitivity-weighted combination of source rows,
+    each sample summed from the mean in source-id order.
+    @raise Invalid_argument if the block does not fit in [out]. *)

@@ -26,10 +26,6 @@ type t = {
   mutable sort_tmp : int array;
 }
 
-(* Toggled (only) by the bench harness to measure what the arena saves;
-   disabled arenas hand out fresh buffers per call. *)
-let enabled = ref true
-
 let create () =
   {
     a_load = [||];
@@ -47,7 +43,7 @@ let create () =
   }
 
 let key : t Domain.DLS.key = Domain.DLS.new_key create
-let get () = if !enabled then Domain.DLS.get key else create ()
+let get () = Domain.DLS.get key
 
 let cap n =
   let c = ref 16 in
@@ -129,34 +125,61 @@ let kept t n =
   note_borrow grew;
   t.kept
 
-(* Stable bottom-up mergesort of [idx.(0 .. n-1)] — same algorithm as
-   [Bufins.Arena.sort_prefix]; stability pins which of several exact
-   duplicates survives pruning, hence the choice-trail bytes. *)
-let sort_prefix t idx n ~cmp =
+let[@inline] compare_at (v : float array) x y =
+  Float.compare (Array.unsafe_get v x) (Array.unsafe_get v y)
+
+(* Stable bottom-up mergesort of the identity permutation of the [n]
+   staged rows, under the pruner's frontier order: mean load
+   ascending, then mean RAT descending, then (power-aware objectives
+   only) raw power ascending, each by [Float.compare].  Same algorithm
+   as [Bufins.Arena.sort_prefix], with the comparison inlined (no
+   closure call per comparison); stability pins which of several exact
+   duplicates survives pruning, hence the choice-trail bytes.  The
+   indices are the arena's own [0 .. n-1], and the key arrays are
+   checked to hold [n] rows once, so the loops read without bounds
+   checks. *)
+let sort_prefix t n ~power_aware =
+  let idx = perm t n in
+  for i = 0 to n - 1 do
+    idx.(i) <- i
+  done;
   if Array.length t.sort_tmp < n then t.sort_tmp <- Array.make (cap n) 0;
   let tmp = t.sort_tmp in
+  let ml = t.mean_load and mr = t.mean_rat and bp = t.b_power in
+  if
+    Array.length ml < n || Array.length mr < n
+    || (power_aware && Array.length bp < n)
+  then invalid_arg "Sample.Sarena.sort_prefix: keys not staged";
   let merge lo mid hi =
-    let i = ref lo and j = ref mid and k = ref lo in
+    let i = ref lo and j = ref mid and o = ref lo in
     while !i < mid && !j < hi do
-      if cmp idx.(!i) idx.(!j) <= 0 then begin
-        tmp.(!k) <- idx.(!i);
+      let a = Array.unsafe_get idx !i and b = Array.unsafe_get idx !j in
+      let c = compare_at ml a b in
+      let c =
+        if c <> 0 then c
+        else
+          let c = compare_at mr b a in
+          if c <> 0 || not power_aware then c else compare_at bp a b
+      in
+      if c <= 0 then begin
+        Array.unsafe_set tmp !o a;
         incr i
       end
       else begin
-        tmp.(!k) <- idx.(!j);
+        Array.unsafe_set tmp !o b;
         incr j
       end;
-      incr k
+      incr o
     done;
     while !i < mid do
-      tmp.(!k) <- idx.(!i);
+      Array.unsafe_set tmp !o (Array.unsafe_get idx !i);
       incr i;
-      incr k
+      incr o
     done;
     while !j < hi do
-      tmp.(!k) <- idx.(!j);
+      Array.unsafe_set tmp !o (Array.unsafe_get idx !j);
       incr j;
-      incr k
+      incr o
     done;
     Array.blit tmp lo idx lo (hi - lo)
   in
@@ -170,4 +193,5 @@ let sort_prefix t idx n ~cmp =
       lo := hi
     done;
     width := !width * 2
-  done
+  done;
+  idx

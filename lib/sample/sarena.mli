@@ -7,9 +7,6 @@
 
 type t
 
-val enabled : bool ref
-(** Bench-only toggle; a disabled arena hands out fresh buffers. *)
-
 val get : unit -> t
 (** The calling domain's arena ({!Domain.DLS}). *)
 
@@ -26,10 +23,13 @@ val b_power : t -> int -> float array
 
 val mean_load : t -> int -> float array
 val mean_rat : t -> int -> float array
-val perm : t -> int -> int array
 val kept : t -> int -> int array
 
-val sort_prefix : t -> int array -> int -> cmp:(int -> int -> int) -> unit
-(** Stable sort of the first [n] entries of the index array under
-    [cmp], using the arena's mergesort scratch.  Same permutation as
-    [Array.stable_sort] under the same comparator. *)
+val sort_prefix : t -> int -> power_aware:bool -> int array
+(** [sort_prefix t n ~power_aware] is the pruner's frontier order of
+    the [n] rows staged in [t]: the arena's permutation buffer, whose
+    first [n] entries are [0 .. n-1] stably sorted by mean load
+    ascending, then mean RAT descending, then — when [power_aware] —
+    B-stage power ascending, each compared with [Float.compare].  The
+    same permutation as [Array.stable_sort] under that comparator.
+    @raise Invalid_argument if fewer than [n] keys are staged. *)

@@ -22,8 +22,10 @@ def rows(path):
     out = {}
     for r in d.get("micro", []):
         out["micro/" + r["name"]] = r.get("ns_per_run")
+    # Sample rows are keyed by K and relax; snapshots written before
+    # the relax field existed timed relax 1 only.
     for r in d.get("sample", {}).get("rows", []):
-        out["sample/K=%d" % r["k"]] = r.get("ns_per_op")
+        out["sample/K=%d/relax=%g" % (r["k"], r.get("relax", 1.0))] = r.get("ns_per_op")
     for r in d.get("tape", {}).get("rows", []):
         for kind in ("cold", "warm"):
             out["tape/%s/%s" % (r["name"], kind)] = r.get(kind + "_ns_per_op")

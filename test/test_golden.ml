@@ -1,17 +1,20 @@
-(* Golden byte-identity regression for the default objective.
+(* Golden byte-identity regression.
 
    The bench gates enforce "new machinery must not move a byte of
    historical output"; this suite pins the same contract inside
-   [dune runtest]: with the default objective ([max_yield]) and
-   [eps_power = 0], every rule x engine x sequential/jobs 1/2/4 x obs
-   on/off run must reproduce the captured fingerprints exactly — %.17g
-   floats, full assignment, candidate counts.  The first thirteen were
-   captured before the shared dominance sweep (commit 620e644); the
-   rest pin the cases the tape identity suites once compared against
-   the recursive tree walk, captured from that walk before it was
-   replaced by the one tape driver.  Any drift in the driver, the
-   [Bufins.Dominance] sweep, the power threading or the convex gating
-   shows up here as a fingerprint mismatch. *)
+   [dune runtest]: with [eps_power = 0], every rule x engine x
+   sequential/jobs 1/2/4 x obs on/off run must reproduce the captured
+   fingerprints exactly — %.17g floats, full assignment, candidate
+   counts.  All cases but "sample-16-weighted" run the default
+   objective ([max_yield]).  The first thirteen were captured before
+   the shared dominance sweep (commit 620e644); the next eleven pin
+   the cases the tape identity suites once compared against the
+   recursive tree walk, captured from that walk before it was
+   replaced by the one tape driver; the last three were captured
+   before the sample engine's inner loops were rewritten.  Any drift
+   in the driver, the [Bufins.Dominance] sweep, the power threading,
+   the convex gating or the sample kernels shows up here as a
+   fingerprint mismatch. *)
 
 let tech = Device.Tech.default_65nm
 
@@ -112,7 +115,7 @@ let canonical_run ~insertion ~rule ~library ~sinks ~seed m =
 
 let canonical_case = canonical_run ~insertion:Bufins.Engine.Convex_auto
 
-let sample_case ~samples ~mseed ~relax ~library ~sinks ~seed m =
+let sample_run ~objective ~samples ~mseed ~relax ~library ~sinks ~seed m =
   let die = 4000.0 in
   let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
   let cfg =
@@ -120,6 +123,7 @@ let sample_case ~samples ~mseed ~relax ~library ~sinks ~seed m =
       (Sample.Engine.default_config ~samples ~seed:mseed ~relax ()) with
       Sample.Engine.tech;
       library;
+      power_objective = objective;
     }
   in
   let run pool = Sample.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree in
@@ -129,6 +133,8 @@ let sample_case ~samples ~mseed ~relax ~library ~sinks ~seed m =
     | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
   in
   fp_sample r
+
+let sample_case = sample_run ~objective:Bufins.Dominance.default
 
 let prob_case ~heuristic ~sinks ~seed m =
   let die = 4000.0 in
@@ -235,6 +241,22 @@ let cases =
     ( "prob-mean-20",
       prob_case ~heuristic:Bufins.Probabilistic.Mean_dominance ~sinks:20
         ~seed:305 );
+    (* Sample-engine shapes the cases above leave out, captured before
+       the engine's kernels were rewritten: a K that is not a multiple
+       of four (the four-wide loops' scalar tails), K = 5 with
+       inverters at relax 0.6 (the odd-parity side), and a power-aware
+       objective (the power conjunct and the power sort key). *)
+    ( "sample-37-relax",
+      sample_case ~samples:37 ~mseed:1 ~relax:0.8
+        ~library:Device.Buffer.default_library ~sinks:16 ~seed:7 );
+    ( "sample-5-b4",
+      sample_case ~samples:5 ~mseed:3 ~relax:0.6
+        ~library:(Device.Buffer.synth_library ~btypes:4)
+        ~sinks:12 ~seed:8 );
+    ( "sample-16-weighted",
+      sample_run ~objective:(Bufins.Dominance.Weighted 1.0) ~samples:16
+        ~mseed:1 ~relax:1.0 ~library:Device.Buffer.default_library ~sinks:10
+        ~seed:7 );
   ]
 
 (* Captured from the sequential tree walk with obs off; see the capture
@@ -289,6 +311,12 @@ let expected : (string * string) list =
       "rat=-1319.2735407182959/39.934737825461994 y=-1375.5080277805421 buf=[47:x4;44:x16;38:x16;37:x16;36:x1;33:x16;27:x16;26:x16;25:x16;20:x16;15:x16;14:x16;13:x16;10:x16;4:x16;3:x16;2:x16] w=[] llm=true peak=350 total=1442" );
     ( "prob-mean-20",
       "rat=-1700.8488631150738/17.022944986808724 p05=-1730.320804368471 buf=[37:x4;32:x16;31:x16;28:x16;27:x4;24:x16;22:x16;21:x4;18:x4;13:x16;12:x4;9:x16;8:x4;5:x16;3:x16] peak=17" );
+    ( "sample-37-relax",
+      "rat=-1289.1553611198485/42.434062208560121 y=-1348.7259093222458 buf=[29:x4;26:x16;25:x16;22:x4;19:x16;18:x4;17:x16;14:x16;11:x16;10:x16;9:x16;8:x16;4:x4;3:x16;2:x16] w=[] llm=true peak=26 total=241" );
+    ( "sample-5-b4",
+      "rat=-1012.3562818924644/20.812866334868975 y=-1037.51771033145 buf=[23:inv1;20:inv3;14:inv3;13:inv3;12:inv3;11:inv3;10:inv3;8:inv3;7:inv1;6:inv3;5:inv3;3:inv3;2:buf2] w=[] llm=true peak=35 total=201" );
+    ( "sample-16-weighted",
+      "rat=-1345.7191284608546/26.662660781089691 y=-1377.9978416719121 buf=[17:x4;16:x1;15:x1;14:x1;11:x16;8:x16;7:x4;4:x4;2:x16] w=[] llm=true peak=929 total=2224" );
   ]
 
 (* Capture helper: VARBUF_GOLDEN_DUMP=FILE writes the baseline

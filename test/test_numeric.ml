@@ -120,6 +120,46 @@ let test_percentile () =
   check_close "median" 2.5 (Numeric.Stats.percentile xs 0.5) ~eps:1e-12;
   check_close "single" 7.0 (Numeric.Stats.percentile [| 7.0 |] 0.3)
 
+(* [Stats.percentile] sorts with [Float.compare]; it must return the
+   bits the polymorphic-[compare] sort gave, on signed zeros,
+   infinities and NaN included (both NaN counts as equal). *)
+let test_percentile_matches_poly_compare () =
+  let reference xs p =
+    let n = Array.length xs in
+    let sorted = Array.copy xs in
+    Array.sort compare sorted;
+    if n = 1 then sorted.(0)
+    else
+      let pos = p *. float_of_int (n - 1) in
+      let i = int_of_float (floor pos) in
+      let frac = pos -. float_of_int i in
+      if i >= n - 1 then sorted.(n - 1)
+      else sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
+  in
+  let pool =
+    [| 0.0; -0.0; 1.0; -2.5; 3.0; infinity; neg_infinity; nan; -.nan; 1e-300 |]
+  in
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 400 do
+    let n = 1 + Random.State.int rng 12 in
+    let xs =
+      Array.init n (fun _ -> pool.(Random.State.int rng (Array.length pool)))
+    in
+    List.iter
+      (fun p ->
+        let got = Numeric.Stats.percentile xs p and want = reference xs p in
+        if
+          not
+            (Int64.bits_of_float got = Int64.bits_of_float want
+            || (Float.is_nan got && Float.is_nan want))
+        then
+          Alcotest.failf "percentile p=%g of [%s]: %h, reference %h" p
+            (String.concat "; "
+               (Array.to_list (Array.map (Printf.sprintf "%h") xs)))
+            got want)
+      [ 0.0; 0.05; 0.25; 0.5; 0.95; 1.0 ]
+  done
+
 let test_covariance_correlation () =
   let xs = [| 1.0; 2.0; 3.0 |] and ys = [| 2.0; 4.0; 6.0 |] in
   check_close "cov" 2.0 (Numeric.Stats.covariance xs ys) ~eps:1e-12;
@@ -492,4 +532,6 @@ let suite =
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "covariance mismatch" `Quick test_covariance_mismatch;
     Alcotest.test_case "stats percentile domain" `Quick test_percentile_domain;
+    Alcotest.test_case "percentile = polymorphic-compare sort" `Quick
+      test_percentile_matches_poly_compare;
   ]

@@ -84,6 +84,115 @@ let test_matrix_order_independent () =
   Alcotest.(check bool) "different seed differs" false
     (Sample.Matrix.source a 0 = Sample.Matrix.source c 0)
 
+(* ---------- kernels against naive references ---------- *)
+
+let bits = Int64.bits_of_float
+
+(* Values on a coarse dyadic grid, so rows tie often in both axes. *)
+let grid_block rng n =
+  Array.init n (fun _ -> 0.5 *. float_of_int (Random.State.int rng 4))
+
+(* The dominance verdict equals a full count over all K samples, for
+   every K up to 70 (every K mod 4) and every threshold.  The blocks
+   hold one spare row past the rows compared, so a kernel that read
+   past sample K of a row would see the next row's samples and
+   disagree with the count somewhere. *)
+let test_dominance_count_oracle () =
+  let rng = Random.State.make [| 15 |] in
+  let rows = 4 in
+  for k = 1 to 70 do
+    let load = grid_block rng ((rows + 1) * k) in
+    let rat = grid_block rng ((rows + 1) * k) in
+    for need = 1 to k do
+      for j = 0 to rows - 1 do
+        for i = 0 to rows - 1 do
+          let count = ref 0 in
+          for t = 0 to k - 1 do
+            if load.((j * k) + t) <= load.((i * k) + t)
+               && rat.((j * k) + t) >= rat.((i * k) + t)
+            then incr count
+          done;
+          let want = !count >= need in
+          let got = Sample.Engine.sample_dominates ~k ~need ~load ~rat j i in
+          if got <> want then
+            Alcotest.failf "K=%d need=%d rows %d,%d: kernel %b, count %d" k
+              need j i got !count
+        done
+      done
+    done
+  done
+
+(* [Matrix.eval_into] against the loop over terms it replaced: every
+   sample starts at the mean and adds the terms in id order, so the
+   results must agree bit for bit; samples outside the block stay
+   untouched. *)
+let test_eval_into_oracle () =
+  let rng = Random.State.make [| 16 |] in
+  let sources = 120 in
+  List.iter
+    (fun k ->
+      let m = Sample.Matrix.create ~seed:5 ~k ~sources in
+      List.iter
+        (fun nt ->
+          let perm = Array.init sources Fun.id in
+          for i = sources - 1 downto 1 do
+            let j = Random.State.int rng (i + 1) in
+            let x = perm.(i) in
+            perm.(i) <- perm.(j);
+            perm.(j) <- x
+          done;
+          let ids = Array.sub perm 0 nt in
+          Array.sort compare ids;
+          let coefs =
+            Array.init nt (fun _ ->
+                (Random.State.float rng 2.0 -. 1.0)
+                *. (10.0 ** float_of_int (Random.State.int rng 7 - 3)))
+          in
+          let form = Linform.of_sorted_arrays ~nominal:(-123.456) ~ids ~coefs in
+          let off = 3 in
+          let got = Array.make (off + k + 2) Float.nan in
+          Sample.Matrix.eval_into m form got ~off;
+          let want = Array.make (off + k + 2) Float.nan in
+          for j = 0 to k - 1 do
+            want.(off + j) <- Linform.mean form
+          done;
+          Array.iter
+            (fun (id, c) ->
+              let src = Sample.Matrix.source m id in
+              for j = 0 to k - 1 do
+                want.(off + j) <- want.(off + j) +. (c *. src.(j))
+              done)
+            (Linform.sensitivities form);
+          Array.iteri
+            (fun j w ->
+              if bits got.(j) <> bits w then
+                Alcotest.failf "K=%d terms=%d slot %d: %h vs %h" k nt j
+                  got.(j) w)
+            want)
+        [ 0; 1; 50 ])
+    [ 1; 3; 4; 5; 64; 67 ]
+
+(* The merge's min against [Float.min] on signed zeros, ties,
+   infinities and NaNs (two payloads), in both argument orders. *)
+let test_merge_min_is_float_min () =
+  let vals =
+    [
+      0.0; -0.0; 1.0; -1.0; 1.5; 1.5; Float.min_float; Float.max_float;
+      Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+      Int64.float_of_bits 0x7ff0000000000001L;
+    ]
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let got = Sample.Engine.merge_min x y and want = Float.min x y in
+          if bits got <> bits want then
+            Alcotest.failf "merge_min %h %h = %h, Float.min gives %h" x y got
+              want)
+        vals)
+    vals
+
 (* ---------- determinism across jobs and observability ---------- *)
 
 let test_jobs_and_obs_identical () =
@@ -319,4 +428,10 @@ let suite =
     Alcotest.test_case "sampled response round-trips (v1 and v2)" `Quick
       test_sampled_response_roundtrips;
     Alcotest.test_case "v2 request sample fields" `Quick test_v2_request_fields;
+    Alcotest.test_case "dominance count = full per-sample count" `Quick
+      test_dominance_count_oracle;
+    Alcotest.test_case "eval_into = loop over terms, bit for bit" `Quick
+      test_eval_into_oracle;
+    Alcotest.test_case "merge min = Float.min, bit for bit" `Quick
+      test_merge_min_is_float_min;
   ]
