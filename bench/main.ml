@@ -1,38 +1,24 @@
-(* Benchmark harness.
+(* Benchmark harness for the engines, run in process.
 
-   Two parts:
+   The default pass runs Bechamel micro-benchmarks of the operations
+   whose complexity the paper argues about (2P pruning/merging, which
+   is linear, against the quadratic-ish 4P baseline, the canonical-form
+   kernels, and end-to-end DP runs per benchmark size class), then a DP
+   allocation probe, the task-parallel DP, the sample engine, the
+   compiled tape, the buffer-library size sweep and the power-aware
+   Pareto sweep.  Every section that compares two paths gates on their
+   identity and exits 1 on a mismatch.  The figures go to BENCH.json
+   (override with --bench-json PATH).
 
-   1. Bechamel micro-benchmarks of the operations whose complexity the
-      paper argues about: 2P pruning/merging (linear) versus the 4P
-      baseline (quadratic-ish), plus end-to-end DP runs per benchmark
-      size class.  One Test.make per paper table/figure whose claim is
-      about runtime.
+   --btypes-only and --pareto-only run just that section (with its
+   gates) and write a mini report; --smoke runs a reduced pass with
+   tight iteration budgets (the CI smoke bench); --jobs N (default:
+   VARBUF_JOBS or the recommended domain count) sizes the parallel
+   sections' pool; --obs adds the obs identity check and the counter/
+   phase section, and --trace PATH also writes a Chrome trace.  An
+   unknown flag exits 2 with the usage line.
 
-   2. A Monte-Carlo scaling comparison: the same 2000-trial run
-      sampled sequentially and through an `Exec.Pool`, asserting the
-      two are bit-identical and reporting the wall-clock speedup plus
-      the pool's per-task statistics.
-
-   3. A loopback benchmark of the varbuf-serve daemon: throughput and
-      p50/p95 request latency at one and at N concurrent clients,
-      against an in-process server sharing one `Exec.Pool`.
-
-   4. Regeneration of every table and figure of the evaluation section
-      (the same harnesses `bin/experiments_main.exe` exposes), so that
-      `dune exec bench/main.exe` prints the full paper-shaped output —
-      run across the pool's domains when --jobs > 1.
-
-   Pass --micro-only, --mc-only, --serve-only, --tables-only,
-   --btypes-only (the buffer-library size sweep and its identity/
-   frontier-growth gates) or --pareto-only (the power-aware Pareto
-   frontier sweep over ε and its zero-energy identity gate) to run one
-   part; --smoke runs a reduced
-   micro pass with tight iteration budgets (the CI smoke-bench).  Whenever the micro pass runs, the
-   per-benchmark ns/run figures plus a DP allocation probe are written
-   as machine-readable JSON to BENCH.json (override with
-   --bench-json PATH);
-   --jobs N (default: VARBUF_JOBS or the recommended domain count)
-   sizes the pool. *)
+   Served requests are measured end to end by bench/e2e. *)
 
 open Bechamel
 open Toolkit
@@ -71,9 +57,7 @@ let bench_merge n =
 
 (* Canonical forms shaped like the DP's: a handful of sources each,
    with partial overlap (the shared inter-die/spatial ids) so the merge
-   walk exercises all three branches.  The [Linform.Reference] oracle
-   is the pre-SoA-style assoc-list implementation — benchmarking both
-   measures exactly the kernel rewrite's speedup. *)
+   walk exercises all three branches. *)
 let fixture_form ?(shared = 4) ~offset k =
   Linform.make ~nominal:(100.0 +. float_of_int offset)
     ~sens:
@@ -83,12 +67,9 @@ let fixture_form ?(shared = 4) ~offset k =
 
 let kernel_tests =
   let a = fixture_form ~offset:0 12 and b = fixture_form ~offset:1 12 in
-  let ra = Linform.Reference.of_form a and rb = Linform.Reference.of_form b in
   Test.make_grouped ~name:"kernel"
     [
       Test.make ~name:"add/soa" (Staged.stage (fun () -> ignore (Linform.add a b)));
-      Test.make ~name:"add/ref"
-        (Staged.stage (fun () -> ignore (Linform.Reference.add ra rb)));
       Test.make ~name:"axpy_shift/soa"
         (Staged.stage (fun () -> ignore (Linform.axpy_shift (-0.7) a b 3.5)));
       Test.make ~name:"axpy_shift/unfused"
@@ -96,16 +77,10 @@ let kernel_tests =
              ignore (Linform.shift 3.5 (Linform.axpy (-0.7) a b))));
       Test.make ~name:"stat_min/soa"
         (Staged.stage (fun () -> ignore (Linform.stat_min a b)));
-      Test.make ~name:"stat_min/ref"
-        (Staged.stage (fun () -> ignore (Linform.Reference.stat_min ra rb)));
       Test.make ~name:"mul_first_order/soa"
         (Staged.stage (fun () -> ignore (Linform.mul_first_order a b)));
-      Test.make ~name:"mul_first_order/ref"
-        (Staged.stage (fun () -> ignore (Linform.Reference.mul_first_order ra rb)));
       Test.make ~name:"covariance/soa"
         (Staged.stage (fun () -> ignore (Linform.covariance a b)));
-      Test.make ~name:"covariance/ref"
-        (Staged.stage (fun () -> ignore (Linform.Reference.covariance ra rb)));
     ]
 
 (* The DP's own merges are larger: on the served-request benchmark
@@ -253,8 +228,6 @@ type par_dp = {
   seq_s : float;
   par_s : float;
   par_identical : bool;
-  arena_bytes : float;
-  noarena_bytes : float;
 }
 
 let strip_result (r : Bufins.Engine.result) =
@@ -267,10 +240,9 @@ let strip_result (r : Bufins.Engine.result) =
 
 (* The task-parallel DP on the suite's largest synthetic net: wall
    clock at jobs=1 vs jobs=N (best of a few runs — the DP is short
-   enough to jitter), a structural identity check between the two, and
-   the allocation saved by the arena (same sequential run with the
-   arena disabled).  The model is consumed by a run (device-id
-   counter), so every run gets a fresh one. *)
+   enough to jitter) and a structural identity check between the two.
+   The model is consumed by a run (device-id counter), so every run
+   gets a fresh one. *)
 let run_par_dp ~smoke ~jobs () =
   let sinks = if smoke then 100 else 300 in
   let die = 8000.0 in
@@ -309,26 +281,12 @@ let run_par_dp ~smoke ~jobs () =
       (fun () -> best (fun () -> timed ~pool ()))
   in
   let par_identical = strip_result par_r = strip_result seq_r in
-  let alloc_run () =
-    let before = Gc.allocated_bytes () in
-    ignore (Bufins.Engine.run ~grain config ~model:(model ()) tree);
-    Gc.allocated_bytes () -. before
-  in
-  let arena_bytes = alloc_run () in
-  Bufins.Arena.enabled := false;
-  let noarena_bytes =
-    Fun.protect
-      ~finally:(fun () -> Bufins.Arena.enabled := true)
-      alloc_run
-  in
   Printf.printf
     "== parallel DP (%d sinks, WID, grain %d) ==\n\
-     jobs=1 %.3fs, jobs=%d %.3fs, speedup %.2fx, identical %b\n\
-     arena on %.1f MB, arena off %.1f MB (saved %.1f%%)\n\n"
+     jobs=1 %.3fs, jobs=%d %.3fs, speedup %.2fx, identical %b\n\n"
     sinks grain seq_s jobs par_s
     (seq_s /. Float.max par_s 1e-9)
-    par_identical (arena_bytes /. 1e6) (noarena_bytes /. 1e6)
-    (100.0 *. (1.0 -. (arena_bytes /. Float.max noarena_bytes 1.0)));
+    par_identical;
   if not par_identical then begin
     prerr_endline "FATAL: parallel DP diverged from sequential";
     exit 1
@@ -340,8 +298,6 @@ let run_par_dp ~smoke ~jobs () =
     seq_s;
     par_s;
     par_identical;
-    arena_bytes;
-    noarena_bytes;
   }
 
 (* ---------- sample engine: ns/op and frontier size vs K ---------- *)
@@ -524,152 +480,6 @@ let collect_obs_report () =
     obs_identical;
     obs_counters = Obs.Counters.counter_values Obs.Counters.global;
     obs_phases = span_phase_totals ();
-  }
-
-(* ---------- cluster: routed throughput and the v2 codec ---------- *)
-
-type cluster_report = {
-  cl_requests : int;
-  cl_clients : int;
-  cl_shards : int;
-  cl_single_rps : float;
-  cl_single_p50 : float;
-  cl_single_p95 : float;
-  cl_sharded_rps : float;
-  cl_sharded_p50 : float;
-  cl_sharded_p95 : float;
-  cl_codec : (string * float) list;  (* name, ns/op *)
-}
-
-(* Closed-loop loopback throughput: a plain single daemon (one event
-   loop, one pool) vs the 3-shard in-process cluster (router + three
-   workers), same total request stream, caches off so every request
-   pays the optimiser.  On a multi-core host the sharded row should
-   approach [shards]× the single row; on one core it shows the
-   router's forwarding overhead instead — both are honest, so the
-   ratio is recorded, never gated on. *)
-let run_cluster ~smoke () =
-  let sinks = 40 and distinct = 12 in
-  let trees =
-    Array.init distinct (fun i ->
-        Rctree.Generate.random_steiner ~seed:(40 + i) ~sinks ~die_um:4000.0 ())
-  in
-  let reqs = Array.map (fun tree -> Serve.Protocol.default_request ~tree) trees in
-  let n = if smoke then 24 else 120 in
-  let clients = 4 in
-  let drive socket =
-    let next = Atomic.make 0 in
-    let worker () =
-      let c = Serve.Client.connect ~wire:Serve.Wire.V2 socket in
-      let lats = ref [] in
-      let rec go () =
-        let k = Atomic.fetch_and_add next 1 in
-        if k < n then begin
-          let t0 = Unix.gettimeofday () in
-          (match Serve.Client.request c
-                   { reqs.(k mod distinct) with Serve.Protocol.id = k }
-           with
-          | Ok _ -> lats := ((Unix.gettimeofday () -. t0) *. 1000.0) :: !lats
-          | Error e -> failwith e.Serve.Protocol.message);
-          go ()
-        end
-      in
-      go ();
-      Serve.Client.close c;
-      !lats
-    in
-    let t0 = Unix.gettimeofday () in
-    let ds = List.init clients (fun _ -> Domain.spawn worker) in
-    let lats = Array.of_list (List.concat_map Domain.join ds) in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    ( float_of_int (Array.length lats) /. elapsed,
-      Numeric.Stats.percentile lats 0.5,
-      Numeric.Stats.percentile lats 0.95 )
-  in
-  (* Single daemon, router-less. *)
-  let single_socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "varbuf-bench-single-%d.sock" (Unix.getpid ()))
-  in
-  let stop = Atomic.make false in
-  let server =
-    Domain.spawn (fun () ->
-        Serve.Server.run
-          ~should_stop:(fun () -> Atomic.get stop)
-          { (Serve.Server.default_config ~socket_path:single_socket) with
-            Serve.Server.jobs = 2;
-            cache_entries = 0 })
-  in
-  let rec wait tries =
-    if Sys.file_exists single_socket then ()
-    else if tries = 0 then failwith "bench server did not bind"
-    else (Unix.sleepf 0.02; wait (tries - 1))
-  in
-  wait 250;
-  let single_rps, single_p50, single_p95 =
-    Fun.protect
-      ~finally:(fun () -> Atomic.set stop true; Domain.join server)
-      (fun () -> drive single_socket)
-  in
-  (* The 3-shard cluster, same per-worker resources. *)
-  let shards = 3 in
-  let sharded_rps, sharded_p50, sharded_p95 =
-    Cluster.Inproc.with_cluster ~shards ~jobs_per_shard:2 ~cache_entries:0
-      ~conns_per_shard:clients drive
-  in
-  (* v1 text vs v2 binary codec, ns/op on a representative request and
-     response. *)
-  let req = { reqs.(0) with Serve.Protocol.id = 1 } in
-  let resp = Serve.Handler.run req in
-  let per_op f =
-    let reps = if smoke then 300 else 3000 in
-    for _ = 1 to 20 do ignore (f ()) done;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (f ()) done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
-  in
-  let req_v1 = Serve.Protocol.encode_request req in
-  let req_v2 = Serve.Codec_bin.encode_request req in
-  let resp_v1 = Serve.Protocol.encode_response resp in
-  let resp_v2 = Serve.Codec_bin.encode_response resp in
-  let codec =
-    [
-      ("request_encode_v1", per_op (fun () -> Serve.Protocol.encode_request req));
-      ("request_encode_v2", per_op (fun () -> Serve.Codec_bin.encode_request req));
-      ("request_decode_v1", per_op (fun () -> Serve.Protocol.decode_request req_v1));
-      ("request_decode_v2", per_op (fun () -> Serve.Codec_bin.decode_request req_v2));
-      ("response_encode_v1", per_op (fun () -> Serve.Protocol.encode_response resp));
-      ("response_encode_v2", per_op (fun () -> Serve.Codec_bin.encode_response resp));
-      ("response_decode_v1", per_op (fun () -> Serve.Protocol.decode_response resp_v1));
-      ("response_decode_v2", per_op (fun () -> Serve.Codec_bin.decode_response resp_v2));
-    ]
-  in
-  Printf.printf "== Cluster loopback (%d-sink nets, %d clients, caches off) ==\n"
-    sinks clients;
-  Printf.printf "%-24s %8.1f req/s  p50 %7.1f ms  p95 %7.1f ms\n"
-    "single daemon" single_rps single_p50 single_p95;
-  Printf.printf "%-24s %8.1f req/s  p50 %7.1f ms  p95 %7.1f ms  (%.2fx)\n"
-    (Printf.sprintf "%d-shard cluster" shards)
-    sharded_rps sharded_p50 sharded_p95
-    (sharded_rps /. Float.max single_rps 1e-9);
-  List.iter
-    (fun (name, ns) -> Printf.printf "codec %-22s %10.0f ns/op\n" name ns)
-    codec;
-  Printf.printf "v2/v1 size: request %d/%d bytes, response %d/%d bytes\n\n"
-    (String.length req_v2) (String.length req_v1)
-    (String.length resp_v2) (String.length resp_v1);
-  {
-    cl_requests = n;
-    cl_clients = clients;
-    cl_shards = shards;
-    cl_single_rps = single_rps;
-    cl_single_p50 = single_p50;
-    cl_single_p95 = single_p95;
-    cl_sharded_rps = sharded_rps;
-    cl_sharded_p50 = sharded_p50;
-    cl_sharded_p95 = sharded_p95;
-    cl_codec = codec;
   }
 
 (* ---------- compiled-tape: cold vs warm ---------- *)
@@ -1083,7 +893,7 @@ let write_btypes_json ~path ~smoke ~btypes =
   Printf.printf "wrote %s\n\n" path
 
 let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
-    ~pareto ~cluster ~obs =
+    ~pareto ~obs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"varbuf-bench/1\",\n";
@@ -1110,15 +920,12 @@ let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
     (Printf.sprintf
        "  \"par_dp\": {\"sinks\": %d, \"jobs\": %d, \"grain\": %d, \
         \"seq_ns_per_op\": %s, \"par_ns_per_op\": %s, \"speedup\": %s, \
-        \"identical\": %b, \"arena_allocated_bytes\": %s, \
-        \"noarena_allocated_bytes\": %s}"
+        \"identical\": %b}"
        par.par_sinks par.par_jobs par.par_grain
        (json_float (par.seq_s *. 1e9))
        (json_float (par.par_s *. 1e9))
        (json_float (par.seq_s /. Float.max par.par_s 1e-9))
-       par.par_identical
-       (json_float par.arena_bytes)
-       (json_float par.noarena_bytes));
+       par.par_identical);
   Buffer.add_string buf
     (Printf.sprintf
        ",\n  \"sample\": {\"sinks\": %d, \"jobs_identical\": %b, \
@@ -1150,29 +957,6 @@ let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
   Buffer.add_string buf "  ]}";
   add_btypes_section buf btypes;
   add_pareto_section buf pareto;
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"cluster\": {\"requests\": %d, \"clients\": %d, \"shards\": %d, \
-        \"single_rps\": %s, \"single_p50_ms\": %s, \"single_p95_ms\": %s, \
-        \"sharded_rps\": %s, \"sharded_p50_ms\": %s, \"sharded_p95_ms\": %s, \
-        \"speedup\": %s,\n    \"codec\": [\n"
-       cluster.cl_requests cluster.cl_clients cluster.cl_shards
-       (json_float cluster.cl_single_rps)
-       (json_float cluster.cl_single_p50)
-       (json_float cluster.cl_single_p95)
-       (json_float cluster.cl_sharded_rps)
-       (json_float cluster.cl_sharded_p50)
-       (json_float cluster.cl_sharded_p95)
-       (json_float
-          (cluster.cl_sharded_rps /. Float.max cluster.cl_single_rps 1e-9)));
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "      {\"name\": \"%s\", \"ns_per_op\": %s}%s\n"
-           (json_escape name) (json_float ns)
-           (if i = List.length cluster.cl_codec - 1 then "" else ",")))
-    cluster.cl_codec;
-  Buffer.add_string buf "    ]\n  }";
   (match obs with
   | None -> Buffer.add_string buf "\n"
   | Some o ->
@@ -1204,191 +988,44 @@ let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
   close_out oc;
   Printf.printf "wrote %s\n\n" path
 
-let pp_pool_stats pool =
-  let s = Exec.Pool.stats pool in
-  Printf.printf
-    "pool: %d workers, %d tasks, %.3fs total task time, %.3fs max task\n"
-    s.Exec.Pool.workers s.Exec.Pool.tasks_run s.Exec.Pool.total_task_s
-    s.Exec.Pool.max_task_s
-
-(* The acceptance benchmark for the exec subsystem: one fixed WID
-   buffering of r3, 2000 MC trials, sequential vs pool.  The sample
-   arrays must match exactly (chunk-keyed RNG streams) while the
-   wall-clock drops with the job count. *)
-let run_mc_speedup ~jobs () =
-  let trials = 2000 and seed = 11 in
-  let setup = Experiments.Common.default_setup in
-  let info = Rctree.Benchmarks.find "r3" in
-  let tree = Rctree.Benchmarks.load info in
-  let grid = Experiments.Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
-  let spatial = Varmodel.Model.default_heterogeneous in
-  let wid = Experiments.Common.run_algo setup ~spatial ~grid Experiments.Common.Wid tree in
-  let inst =
-    Experiments.Common.instance_for setup ~spatial ~grid tree wid.Bufins.Engine.buffers
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let mc ?pool () =
-    Sta.Buffered.monte_carlo ?pool inst ~rng:(Numeric.Rng.create ~seed) ~trials
-  in
-  let seq, t_seq = time (fun () -> mc ()) in
-  Printf.printf "== Monte-Carlo scaling (r3, %d trials) ==\n" trials;
-  Printf.printf "%-24s %10.3fs\n" "sequential" t_seq;
-  Exec.Pool.with_pool ~jobs (fun pool ->
-      let par, t_par = time (fun () -> mc ~pool ()) in
-      Printf.printf "%-24s %10.3fs  (speedup %.2fx, bit-identical: %b)\n"
-        (Printf.sprintf "pool --jobs %d" jobs)
-        t_par (t_seq /. t_par) (seq = par);
-      pp_pool_stats pool);
-  print_newline ()
-
-(* Loopback throughput/latency of the varbuf-serve daemon: an
-   in-process server on a temp socket sharing one explicit Exec.Pool,
-   measured at one client and at N concurrent client domains.  The
-   interesting comparison is the N-client row against the 1-client
-   row: requests overlap on the pool's workers, so with --jobs > 1
-   aggregate req/s should rise while per-request p50 stays near the
-   single-client value.  (On a single-core host the N-client row
-   instead shows fair time-sharing: flat req/s and roughly N× the
-   per-request p50.) *)
-let run_serve ~jobs () =
-  let socket_path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "varbuf-bench-%d.sock" (Unix.getpid ()))
-  in
-  let tree = Rctree.Generate.random_steiner ~seed:3 ~sinks:60 ~die_um:4000.0 () in
-  let req = Serve.Protocol.default_request ~tree in
-  let pool = Exec.Pool.create ~jobs () in
-  let metrics = Serve.Metrics.create () in
-  let stop = Atomic.make false in
-  let server =
-    Domain.spawn (fun () ->
-        Serve.Server.run ~pool ~metrics
-          ~should_stop:(fun () -> Atomic.get stop)
-          { (Serve.Server.default_config ~socket_path) with Serve.Server.jobs })
-  in
-  let rec connect tries =
-    match Serve.Client.connect socket_path with
-    | c -> c
-    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-      when tries > 0 ->
-      Unix.sleepf 0.02;
-      connect (tries - 1)
-  in
-  (* One connection issuing [n] sequential requests; per-request
-     latencies in ms. *)
-  let client_run n =
-    let c = connect 250 in
-    let lats =
-      Array.init n (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          match Serve.Client.request c req with
-          | Ok _ -> (Unix.gettimeofday () -. t0) *. 1000.0
-          | Error e -> failwith e.Serve.Protocol.message)
-    in
-    Serve.Client.close c;
-    lats
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  ignore (client_run 2) (* warmup *);
-  Printf.printf "== Serve loopback (60-sink net, --jobs %d) ==\n" jobs;
-  let report label lats t_wall =
-    Printf.printf "%-24s %4d req %8.1f req/s  p50 %7.1f ms  p95 %7.1f ms\n"
-      label (Array.length lats)
-      (float_of_int (Array.length lats) /. t_wall)
-      (Numeric.Stats.percentile lats 0.5)
-      (Numeric.Stats.percentile lats 0.95)
-  in
-  let lats, t1 = time (fun () -> client_run 20) in
-  report "1 client" lats t1;
-  let clients = max 2 jobs in
-  let lats_n, t_n =
-    time (fun () ->
-        let ds =
-          List.init clients (fun _ -> Domain.spawn (fun () -> client_run 10))
-        in
-        Array.concat (List.map Domain.join ds))
-  in
-  report (Printf.sprintf "%d clients" clients) lats_n t_n;
-  (* Drain the server, then report its and the pool's view. *)
-  let c = connect 10 in
-  Serve.Client.shutdown c;
-  Serve.Client.close c;
-  Domain.join server;
-  String.split_on_char '\n' (Serve.Metrics.render metrics)
-  |> List.iter (fun line ->
-         let bucket = "latency_ms_bucket" in
-         let is_bucket =
-           String.length line >= String.length bucket
-           && String.sub line 0 (String.length bucket) = bucket
-         in
-         if line <> "" && not is_bucket then Printf.printf "server: %s\n" line);
-  pp_pool_stats pool;
-  Exec.Pool.shutdown pool;
-  print_newline ()
-
-let run_tables ~pool () =
-  let setup = { Experiments.Common.default_setup with Experiments.Common.pool } in
-  List.iter
-    (fun (e : Experiments.Registry.entry) ->
-      e.Experiments.Registry.exec Format.std_formatter setup;
-      Format.printf "@.";
-      (* Return the previous experiment's high-water heap to the OS so
-         the memory-hungry stages (table2's 4P, the level-8 H-tree)
-         don't stack. *)
-      Gc.compact ())
-    Experiments.Registry.all;
-  Option.iter pp_pool_stats pool
-
 let () =
-  let args = Array.to_list Sys.argv in
-  let find_value flag =
-    let rec find = function
-      | f :: v :: _ when f = flag -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let smoke = ref false
+  and obs = ref false
+  and btypes_only = ref false
+  and pareto_only = ref false
+  and jobs = ref (Exec.Pool.default_jobs ())
+  and json_path = ref "BENCH.json"
+  and trace_path = ref None in
+  let usage =
+    "usage: main.exe [--smoke] [--jobs N] [--bench-json PATH] [--obs] \
+     [--trace PATH] [--btypes-only] [--pareto-only]"
   in
-  let jobs =
-    max 1
-      (Option.value
-         (Option.bind (find_value "--jobs") int_of_string_opt)
-         ~default:(Exec.Pool.default_jobs ()))
-  in
-  let only p = List.mem p args in
-  let smoke = only "--smoke" in
-  let json_path = Option.value (find_value "--bench-json") ~default:"BENCH.json" in
-  let trace_path = find_value "--trace" in
-  let obs_on = only "--obs" || trace_path <> None in
+  Arg.parse
+    [
+      ("--smoke", Arg.Set smoke, " reduced pass with tight iteration budgets");
+      ("--jobs", Arg.Set_int jobs, "N pool size for the parallel sections");
+      ("--bench-json", Arg.Set_string json_path, "PATH report path (BENCH.json)");
+      ("--obs", Arg.Set obs, " obs identity check and counter/phase section");
+      ( "--trace",
+        Arg.String (fun p -> trace_path := Some p),
+        "PATH also write a Chrome trace (implies --obs)" );
+      ("--btypes-only", Arg.Set btypes_only, " only the buffer-library sweep");
+      ("--pareto-only", Arg.Set pareto_only, " only the power-aware Pareto sweep");
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    usage;
+  let smoke = !smoke and jobs = max 1 !jobs and json_path = !json_path in
+  let obs_on = !obs || !trace_path <> None in
   if obs_on then Obs.Control.enable ();
-  let all =
-    (not smoke)
-    && not
-         (only "--micro-only" || only "--mc-only" || only "--serve-only"
-         || only "--tables-only" || only "--btypes-only"
-         || only "--pareto-only")
-  in
-  if only "--btypes-only" then begin
+  if !btypes_only then begin
     let btypes = run_btypes ~smoke () in
     write_btypes_json ~path:json_path ~smoke ~btypes
   end;
-  if only "--pareto-only" then begin
+  if !pareto_only then begin
     let pareto = run_pareto ~smoke () in
     write_pareto_json ~path:json_path ~smoke ~pareto
   end;
-  if
-    (all || smoke || only "--micro-only")
-    && not (only "--btypes-only" || only "--pareto-only")
-  then begin
+  if not (!btypes_only || !pareto_only) then begin
     let micro = run_micro ~smoke () in
     let probe = run_dp_probe ~smoke () in
     let par = run_par_dp ~smoke ~jobs () in
@@ -1396,21 +1033,13 @@ let () =
     let tape = run_tape_bench ~smoke () in
     let btypes = run_btypes ~smoke () in
     let pareto = run_pareto ~smoke () in
-    let cluster = run_cluster ~smoke () in
     let obs = if obs_on then Some (collect_obs_report ()) else None in
     write_bench_json ~path:json_path ~smoke ~micro ~probe ~par ~sample ~tape
-      ~btypes ~pareto ~cluster ~obs
-  end;
-  if all || only "--mc-only" then run_mc_speedup ~jobs ();
-  if all || only "--serve-only" then run_serve ~jobs ();
-  if all || only "--tables-only" then begin
-    let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-    run_tables ~pool ();
-    Option.iter Exec.Pool.shutdown pool
+      ~btypes ~pareto ~obs
   end;
   Option.iter
     (fun path ->
       Obs.Span.flush ();
       Obs.Export.write_chrome ~path (Obs.Span.snapshot ());
       Printf.printf "trace written to %s\n" path)
-    trace_path
+    !trace_path

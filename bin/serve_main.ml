@@ -114,9 +114,8 @@ let start_cmd =
   let tape_arg =
     Arg.(value & opt int 128 & info [ "tape-entries" ] ~docv:"N"
            ~doc:"Compiled-tape cache capacity (LRU, keyed by topology \
-                 digest); warm topologies skip per-net tape compilation \
-                 and, on the v2 wire, the tree decode.  0 disables the \
-                 tape cache.")
+                 digest); warm topologies skip per-net tape \
+                 compilation.  0 disables the tape cache.")
   in
   let obs_arg =
     Arg.(value & flag & info [ "obs" ]

@@ -26,10 +26,6 @@ type t = {
   mutable stage_b : Sol.t array; (* wired + buffered, fed to the pruner *)
 }
 
-(* Toggled (only) by the bench harness to measure the allocation the
-   arena saves; a disabled arena hands out fresh buffers per call. *)
-let enabled = ref true
-
 let create () =
   {
     load_keys = [||];
@@ -42,7 +38,7 @@ let create () =
   }
 
 let key : t Domain.DLS.key = Domain.DLS.new_key create
-let get () = if !enabled then Domain.DLS.get key else create ()
+let get () = Domain.DLS.get key
 
 let cap n =
   let c = ref 16 in
@@ -53,7 +49,7 @@ let cap n =
 
 (* Arena hit-rate: a borrow that fits the existing buffer is a reuse,
    one that has to (re)allocate is a grow.  Handles are resolved once
-   at module initialisation; only the enabled path touches them. *)
+   at module initialisation. *)
 let obs_reuse = Obs.Counters.counter Obs.Counters.global "arena.reuse"
 let obs_grow = Obs.Counters.counter Obs.Counters.global "arena.grow"
 

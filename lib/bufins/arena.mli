@@ -15,14 +15,8 @@
 
 type t
 
-val enabled : bool ref
-(** When [false], {!get} returns a fresh empty arena per call —
-    restoring the allocate-per-node behaviour.  Only the bench harness
-    toggles this, to measure the allocation the arena saves. *)
-
 val get : unit -> t
-(** The calling domain's arena (fresh and empty if {!enabled} is
-    off). *)
+(** The calling domain's arena. *)
 
 val load_keys : t -> int -> float array
 (** A buffer of length >= n; contents unspecified. *)

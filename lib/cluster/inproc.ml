@@ -7,20 +7,12 @@ let fresh_base () =
 
 let shard_socket base i = Printf.sprintf "%s.shard%d" base i
 
-type t = {
-  socket : string;
-  stop_flag : bool Atomic.t;
-  domains : unit Domain.t list;
-}
-
-let socket_path t = t.socket
-
 let wait_for_sockets paths =
   let deadline = Unix.gettimeofday () +. 5.0 in
   let rec go () =
     if List.for_all Sys.file_exists paths then ()
     else if Unix.gettimeofday () > deadline then
-      failwith "Inproc.start: cluster sockets did not appear"
+      failwith "Inproc.with_cluster: cluster sockets did not appear"
     else begin
       Unix.sleepf 0.01;
       go ()
@@ -28,52 +20,34 @@ let wait_for_sockets paths =
   in
   go ()
 
-let start ?(jobs_per_shard = 2) ?(cache_entries = 128) ?(conns_per_shard = 2)
-    ?(queue_depth = 64) ?tcp_port ~shards () =
-  if shards < 1 then invalid_arg "Inproc.start: shards must be >= 1";
+let with_cluster ~shards f =
+  if shards < 1 then invalid_arg "Inproc.with_cluster: shards must be >= 1";
   let base = fresh_base () in
   let router_socket = base ^ ".sock" in
   let stop_flag = Atomic.make false in
   let should_stop () = Atomic.get stop_flag in
-  let worker i =
-    let cfg =
-      {
-        (Serve.Server.default_config ~socket_path:(shard_socket base i)) with
-        Serve.Server.jobs = jobs_per_shard;
-        cache_entries;
-        queue_depth;
-      }
-    in
-    Serve.Server.run ~should_stop cfg
-  in
   let workers =
-    List.init shards (fun i -> Domain.spawn (fun () -> worker i))
+    List.init shards (fun i ->
+        Domain.spawn (fun () ->
+            Serve.Server.run ~should_stop
+              {
+                (Serve.Server.default_config ~socket_path:(shard_socket base i)) with
+                Serve.Server.jobs = 2;
+              }))
   in
-  let router () =
-    let cfg =
-      {
-        (Router.default_config ~socket_path:router_socket
-           ~shard_sockets:(Array.init shards (shard_socket base))) with
-        Router.tcp_port;
-        conns_per_shard;
-        queue_depth;
-      }
-    in
-    Router.run ~should_stop cfg
+  let router =
+    Domain.spawn (fun () ->
+        Router.run ~should_stop
+          {
+            (Router.default_config ~socket_path:router_socket
+               ~shard_sockets:(Array.init shards (shard_socket base))) with
+            Router.conns_per_shard = 2;
+          })
   in
-  let router_d = Domain.spawn router in
-  wait_for_sockets
-    (router_socket :: List.init shards (shard_socket base));
-  { socket = router_socket; stop_flag; domains = router_d :: workers }
-
-let stop t =
-  Atomic.set t.stop_flag true;
-  List.iter Domain.join t.domains
-
-let with_cluster ?jobs_per_shard ?cache_entries ?conns_per_shard ?queue_depth
-    ?tcp_port ~shards f =
-  let t =
-    start ?jobs_per_shard ?cache_entries ?conns_per_shard ?queue_depth
-      ?tcp_port ~shards ()
+  let stop () =
+    Atomic.set stop_flag true;
+    List.iter Domain.join (router :: workers)
   in
-  Fun.protect ~finally:(fun () -> stop t) (fun () -> f t.socket)
+  Fun.protect ~finally:stop (fun () ->
+      wait_for_sockets (router_socket :: List.init shards (shard_socket base));
+      f router_socket)

@@ -5,43 +5,16 @@
 
     Byte-for-byte this serves exactly what the forked
     {!Supervisor} cluster serves — same router, same workers, same
-    sockets — so tests and benchmarks can exercise the full routed
-    path without forking (forking a test runner that already has live
-    domains is unsafe).  What it does {e not} exercise is worker crash
-    / respawn, which needs real processes. *)
+    sockets — so tests can exercise the full routed path without
+    forking (forking a test runner that already has live domains is
+    unsafe).  What it does {e not} exercise is worker crash / respawn,
+    which needs real processes. *)
 
-type t
-
-val start :
-  ?jobs_per_shard:int ->
-  ?cache_entries:int ->
-  ?conns_per_shard:int ->
-  ?queue_depth:int ->
-  ?tcp_port:int ->
-  shards:int ->
-  unit ->
-  t
-(** Spawn the domains and wait (≤ 5 s) for every socket to be bound.
-    Defaults: 2 jobs and a 128-entry cache per shard, 2 links per
-    shard, queue depth 64, no TCP.
+val with_cluster : shards:int -> (string -> 'a) -> 'a
+(** [with_cluster ~shards f] spawns the domains, waits (≤ 5 s) for
+    every socket to be bound, runs [f router_socket] and always stops
+    the cluster (router first, then workers, via one shared stop flag)
+    even if [f] raises.  Each shard runs 2 jobs with the server's
+    default caches and queue depth; the router keeps 2 links per
+    shard.
     @raise Failure if the sockets do not appear in time. *)
-
-val socket_path : t -> string
-(** The router's front-door Unix socket, ready for
-    {!Serve.Client.connect}. *)
-
-val stop : t -> unit
-(** Drain (router first, then workers, via the shared stop flag) and
-    join every domain. *)
-
-val with_cluster :
-  ?jobs_per_shard:int ->
-  ?cache_entries:int ->
-  ?conns_per_shard:int ->
-  ?queue_depth:int ->
-  ?tcp_port:int ->
-  shards:int ->
-  (string -> 'a) ->
-  'a
-(** [with_cluster ~shards f] runs [f router_socket] and always stops
-    the cluster, even if [f] raises. *)

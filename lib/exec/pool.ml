@@ -5,16 +5,6 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable closed : bool;
   mutable domains : unit Domain.t list;
-  mutable tasks_run : int;
-  mutable total_task_s : float;
-  mutable max_task_s : float;
-}
-
-type stats = {
-  workers : int;
-  tasks_run : int;
-  total_task_s : float;
-  max_task_s : float;
 }
 
 (* True while the current domain is executing a pool task (worker
@@ -87,28 +77,12 @@ let create ?jobs () =
       queue = Queue.create ();
       closed = false;
       domains = [];
-      tasks_run = 0;
-      total_task_s = 0.0;
-      max_task_s = 0.0;
     }
   in
   t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let jobs t = t.jobs
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      workers = t.jobs;
-      tasks_run = t.tasks_run;
-      total_task_s = t.total_task_s;
-      max_task_s = t.max_task_s;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -138,18 +112,13 @@ let run_batch t fns =
   else begin
     let b = { remaining = n; failed = None; finished = Condition.create () } in
     let wrap fn () =
-      let t0 = Unix.gettimeofday () in
       (try fn ()
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Mutex.lock t.mutex;
          if b.failed = None then b.failed <- Some (e, bt);
          Mutex.unlock t.mutex);
-      let dt = Unix.gettimeofday () -. t0 in
       Mutex.lock t.mutex;
-      t.tasks_run <- t.tasks_run + 1;
-      t.total_task_s <- t.total_task_s +. dt;
-      if dt > t.max_task_s then t.max_task_s <- dt;
       b.remaining <- b.remaining - 1;
       if b.remaining = 0 then Condition.broadcast b.finished;
       Mutex.unlock t.mutex
@@ -204,7 +173,6 @@ type 'a future = {
 let submit ?(on_complete = fun () -> ()) t f =
   let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
   let run () =
-    let t0 = Unix.gettimeofday () in
     let outcome =
       match f () with
       | v -> Value v
@@ -214,12 +182,6 @@ let submit ?(on_complete = fun () -> ()) t f =
     fut.state <- outcome;
     Condition.broadcast fut.fc;
     Mutex.unlock fut.fm;
-    let dt = Unix.gettimeofday () -. t0 in
-    Mutex.lock t.mutex;
-    t.tasks_run <- t.tasks_run + 1;
-    t.total_task_s <- t.total_task_s +. dt;
-    if dt > t.max_task_s then t.max_task_s <- dt;
-    Mutex.unlock t.mutex;
     on_complete ()
   in
   Mutex.lock t.mutex;
@@ -306,7 +268,6 @@ let run_graph t ~deps ~run:run_node =
        helping caller re-checks the queue and the remaining count. *)
     let progress = Condition.create () in
     let rec wrapped i () =
-      let t0 = Unix.gettimeofday () in
       (match Atomic.get failed with
       | Some _ -> () (* poisoned: drain the graph without running bodies *)
       | None -> (
@@ -323,11 +284,7 @@ let run_graph t ~deps ~run:run_node =
             enqueue_task t (wrapped j))
         dependents.(i);
       ignore (Atomic.fetch_and_add remaining (-1));
-      let dt = Unix.gettimeofday () -. t0 in
       Mutex.lock t.mutex;
-      t.tasks_run <- t.tasks_run + 1;
-      t.total_task_s <- t.total_task_s +. dt;
-      if dt > t.max_task_s then t.max_task_s <- dt;
       Condition.broadcast progress;
       Mutex.unlock t.mutex
     in

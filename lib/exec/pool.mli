@@ -122,17 +122,6 @@ val run_graph : t -> deps:int array array -> run:(int -> unit) -> unit
     @raise Invalid_argument on an out-of-range dependency, a graph with
     no sources, or a pool that is shut down. *)
 
-type stats = {
-  workers : int;       (** concurrency bound (the [jobs] value) *)
-  tasks_run : int;     (** pool tasks executed since creation *)
-  total_task_s : float;(** wall-clock seconds summed over tasks *)
-  max_task_s : float;  (** longest single task, wall-clock seconds *)
-}
-
-val stats : t -> stats
-(** Snapshot of the per-task wall-clock counters (bench harnesses
-    print these to show load balance). *)
-
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; subsequent combinator calls
     raise [Invalid_argument].  Call only after all batches returned. *)

@@ -157,26 +157,3 @@ val map_sens : (int -> float -> float) -> t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Prints mean, std and support size, e.g. [42.1±3.2(5 srcs)]. *)
-
-(** {1 Reference oracle}
-
-    A deliberately naive assoc-list implementation of the same algebra,
-    sharing no code with the SoA merge kernels: coefficients are looked
-    up by id over the union of the two supports.  Used by the qcheck
-    equivalence suite and the kernel micro-benchmarks as the baseline
-    the optimised kernels are validated (and measured) against. *)
-module Reference : sig
-  type form = { r_nominal : float; r_sens : (int * float) list }
-
-  val of_form : t -> form
-  val to_form : form -> t
-  val mean : form -> float
-  val coeff : form -> int -> float
-  val add : form -> form -> form
-  val sub : form -> form -> form
-  val axpy : float -> form -> form -> form
-  val mul_first_order : form -> form -> form
-  val variance : form -> float
-  val covariance : form -> form -> float
-  val stat_min : form -> form -> form
-end

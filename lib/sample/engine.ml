@@ -758,9 +758,12 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
   Matrix.prefill matrix ~lo:0
     ~hi:(Varmodel.Grid.regions (Varmodel.Model.grid model));
   (* relax-scaled dominance threshold: a candidate is dropped when a
-     competitor ties-or-beats it in at least [need] of the K samples. *)
+     competitor ties-or-beats it in at least [need] of the K samples.
+     Any need > k means no pruning; relax > 1 sets it directly, since
+     [int_of_float] of a product beyond max_int is not a large int. *)
   let need =
-    max 1 (int_of_float (ceil (config.relax *. float_of_int k)))
+    if config.relax > 1.0 then k + 1
+    else max 1 (int_of_float (ceil (config.relax *. float_of_int k)))
   in
   let same_types, flip_types =
     Device.Buffer.partition_indices config.library

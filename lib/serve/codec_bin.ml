@@ -449,8 +449,9 @@ let get_bool r what =
   | v -> failwith (Printf.sprintf "binary payload: %s byte %d is not a boolean" what v)
 
 (* Read everything up to (but not into) the tree blob; returns the
-   fields and leaves [r.pos] at the blob's first byte, with the blob
-   length already checked against the remaining input. *)
+   request as a function of its tree plus the blob length, and leaves
+   [r.pos] at the blob's first byte with the length already checked
+   against the remaining input. *)
 let read_request_head r =
   let id = get_i64le r "request id" in
   let seed = get_zigzag r "seed" in
@@ -461,6 +462,7 @@ let read_request_head r =
   let wire_sizing = get_bool r "wire_sizing" in
   let samples = get_zigzag r "samples" in
   let relax = get_f64 r "relax" in
+  if not (relax > 0.0) then failwith "binary payload: relax must be > 0";
   let tree_len = get_varint r "tree length" in
   need r tree_len "tree blob";
   (* Bytes after the blob form the extension region (see
@@ -500,96 +502,37 @@ let read_request_head r =
       eps_power := v
     | t -> failwith (Printf.sprintf "binary payload: unknown extension tag %d" t)
   done;
-  ( id,
-    seed,
-    mode,
-    rule,
-    deadline_ms,
-    mc_trials,
-    wire_sizing,
-    samples,
-    relax,
-    !btypes,
-    !objective,
-    !eps_power,
+  let btypes = !btypes and objective = !objective and eps_power = !eps_power in
+  ( (fun tree ->
+      {
+        Protocol.id;
+        seed;
+        mode;
+        rule;
+        deadline_ms;
+        mc_trials;
+        wire_sizing;
+        samples;
+        relax;
+        btypes;
+        objective;
+        eps_power;
+        tree;
+      }),
     tree_len )
 
 let decode_request s =
   let r = reader s in
-  let ( id,
-        seed,
-        mode,
-        rule,
-        deadline_ms,
-        mc_trials,
-        wire_sizing,
-        samples,
-        relax,
-        btypes,
-        objective,
-        eps_power,
-        tree_len ) =
-    read_request_head r
-  in
+  let request, tree_len = read_request_head r in
   let tr = reader ~pos:r.pos ~limit:(r.pos + tree_len) s in
   let tree = read_tree tr in
   expect_end tr "tree";
-  {
-    Protocol.id;
-    seed;
-    mode;
-    rule;
-    deadline_ms;
-    mc_trials;
-    wire_sizing;
-    samples;
-    relax;
-    btypes;
-    objective;
-    eps_power;
-    tree;
-  }
+  request tree
 
 let request_tree_span s =
   let r = reader s in
-  let _, _, _, _, _, _, _, _, _, _, _, _, tree_len = read_request_head r in
+  let _, tree_len = read_request_head r in
   (r.pos, tree_len)
-
-(* Skip the tree decode when the caller already holds the decoded tree
-   for this payload's exact blob bytes (matched by digest via
-   {!request_tree_span}) — the head is still fully validated. *)
-let decode_request_using_tree s tree =
-  let r = reader s in
-  let ( id,
-        seed,
-        mode,
-        rule,
-        deadline_ms,
-        mc_trials,
-        wire_sizing,
-        samples,
-        relax,
-        btypes,
-        objective,
-        eps_power,
-        _tree_len ) =
-    read_request_head r
-  in
-  {
-    Protocol.id;
-    seed;
-    mode;
-    rule;
-    deadline_ms;
-    mc_trials;
-    wire_sizing;
-    samples;
-    relax;
-    btypes;
-    objective;
-    eps_power;
-    tree;
-  }
 
 let request_id s =
   let r = reader s in

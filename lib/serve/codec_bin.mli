@@ -52,15 +52,8 @@ val with_response_id : string -> int -> string
 
 val request_tree_span : string -> int * int
 (** [(offset, length)] of the raw tree blob inside an encoded request
-    — the bytes the cluster shards on.  Validates everything before
-    the blob. *)
-
-val decode_request_using_tree : string -> Rctree.Tree.t -> Protocol.request
-(** [decode_request_using_tree payload tree] decodes the request head
-    and substitutes [tree] for the tree blob without parsing it.  The
-    caller must have established that [tree] decodes from exactly the
-    blob bytes located by {!request_tree_span} (the tape cache matches
-    them by digest); the head is validated as in {!decode_request}. *)
+    — the bytes the cluster shards on.  Validates everything but the
+    blob itself. *)
 
 (** {1 Embedded values (exposed for the fuzz suites)} *)
 

@@ -47,10 +47,6 @@ let find t key =
         t.misses <- t.misses + 1;
         None)
 
-let peek t key =
-  Mutex.protect t.mutex (fun () ->
-      Option.map (fun e -> e.value) (Hashtbl.find_opt t.table key))
-
 let evict_oldest t =
   let victim = ref None in
   Hashtbl.iter

@@ -13,12 +13,6 @@ val create : capacity:int -> 'a t
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit refreshes recency.  Counts towards {!hits}/{!misses}. *)
 
-val peek : 'a t -> string -> 'a option
-(** Pure read: neither refreshes recency nor touches the hit/miss
-    counters — for probes whose outcome is counted elsewhere, e.g. the
-    server's dispatch-thread tape probe whose authoritative lookup
-    (a {!find}) happens later in the handler. *)
-
 val put : 'a t -> string -> 'a -> unit
 (** Insert, evicting the least-recently-used entry at capacity.
     Re-putting an existing key only refreshes its recency (the stored

@@ -184,7 +184,10 @@ let decode_request text =
       | "mc" -> mc := int_value lineno key v
       | "wire_sizing" -> wire_sizing := bool_value lineno key v
       | "samples" -> samples := int_value lineno key v
-      | "relax" -> relax := float_value lineno key v
+      | "relax" ->
+        relax := float_value lineno key v;
+        if not (!relax > 0.0) then
+          failwith (Printf.sprintf "line %d: relax must be > 0" lineno)
       | "btypes" ->
         btypes := int_value lineno key v;
         if !btypes < 0 then

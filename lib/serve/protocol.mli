@@ -79,8 +79,9 @@ type request = {
           keys). *)
   relax : float;
       (** sample-dominance relaxation forwarded to the sample engine
-          (1 = exact full dominance); ignored when [samples = 0] and
-          omitted from the v1 encoding when 1. *)
+          (1 = exact full dominance, > 1 = no pruning); omitted from
+          the v1 encoding when 1.  Must be > 0 (not NaN) even when
+          [samples = 0], where it is otherwise ignored. *)
   btypes : int;
       (** > 0 replaces the default buffer library with the
           deterministic synthetic b-type ladder

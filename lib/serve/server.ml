@@ -34,8 +34,8 @@ let encode_response proto r =
   | Wire.V1 -> Protocol.encode_response r
   | Wire.V2 -> Codec_bin.encode_response r
 
-let run ?pool ?metrics ?(should_stop = fun () -> false) config =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let run ?(should_stop = fun () -> false) config =
+  let metrics = Metrics.create () in
   let front =
     Front.listen ~metrics
       {
@@ -54,11 +54,7 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
     if config.tape_entries > 0 then Some (Tapes.create ~entries:config.tape_entries)
     else None
   in
-  let owned_pool = match pool with
-    | Some _ -> None
-    | None -> Some (Exec.Pool.create ~jobs:config.jobs ())
-  in
-  let pool = match pool with Some p -> p | None -> Option.get owned_pool in
+  let pool = Exec.Pool.create ~jobs:config.jobs () in
   (* Self-pipe: completing pool tasks poke it so [select] wakes as soon
      as a response is ready instead of at the next timeout. *)
   let pipe_r, pipe_w = Unix.pipe () in
@@ -88,27 +84,17 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
       Front.fail front client Protocol.err_busy
         (Printf.sprintf "request queue full (depth %d)" config.queue_depth)
     else
-      (* On the v2 path a warm tape cache short-circuits the tree
-         decode too: the request's tree blob is digested in place and,
-         when the digest is cached, the stored decoded tree stands in
-         for parsing the blob.  [peek] keeps the counters untouched —
-         the handler's [obtain] is the authoritative consult. *)
+      (* With the tape cache on, a v2 request's tape key is the digest
+         of its raw tree blob, taken in place: no re-encoding. *)
       let decode payload =
         match Front.proto client with
         | Wire.V1 -> (Protocol.decode_request payload, None)
-        | Wire.V2 -> (
-          match tapes with
-          | None -> (Codec_bin.decode_request payload, None)
-          | Some t ->
+        | Wire.V2 ->
+          let req = Codec_bin.decode_request payload in
+          if Option.is_none tapes then (req, None)
+          else
             let off, len = Codec_bin.request_tree_span payload in
-            let digest = Tapes.digest_of_span payload ~off ~len in
-            let req =
-              match Tapes.peek t digest with
-              | Some e ->
-                Codec_bin.decode_request_using_tree payload e.Tapes.tree
-              | None -> Codec_bin.decode_request payload
-            in
-            (req, Some digest))
+            (req, Some (Tapes.digest_of_span payload ~off ~len))
       in
       match decode payload with
       | exception Failure msg -> Front.fail front client Protocol.err_parse msg
@@ -197,7 +183,7 @@ let run ?pool ?metrics ?(should_stop = fun () -> false) config =
     Front.close front;
     (try Unix.close pipe_r with Unix.Unix_error _ -> ());
     (try Unix.close pipe_w with Unix.Unix_error _ -> ());
-    Option.iter Exec.Pool.shutdown owned_pool
+    Exec.Pool.shutdown pool
   in
 
   let rec loop () =

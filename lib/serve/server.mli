@@ -31,7 +31,7 @@ type config = {
           the daemon Unix-socket-only.  Both listeners serve the same
           protocol — wire encoding (v1 text or v2 binary) is per
           connection, not per listener. *)
-  jobs : int;  (** pool size when {!run} creates its own pool *)
+  jobs : int;  (** size of the server's {!Exec.Pool} *)
   backlog : int;  (** listen backlog *)
   max_payload : int;  (** request-frame size limit, bytes *)
   queue_depth : int;  (** max requests queued + running *)
@@ -44,8 +44,7 @@ type config = {
   tape_entries : int;
       (** compiled-{!Tapes} capacity; [0] disables the tape cache.
           Requests whose topology digest is warm skip the per-net tape
-          compilation (and, on the v2 wire, the tree decode); results
-          are byte-identical either way.  Occupancy and hit/miss lines
+          compilation; results are byte-identical either way.  Occupancy and hit/miss lines
           ([tape_*]) join the [stats] report. *)
 }
 
@@ -54,14 +53,7 @@ val default_config : socket_path:string -> config
     queue depth 64, 128 connections, 128 cache entries, 128 tape
     entries. *)
 
-val run :
-  ?pool:Exec.Pool.t ->
-  ?metrics:Metrics.t ->
-  ?should_stop:(unit -> bool) ->
-  config ->
-  unit
+val run : ?should_stop:(unit -> bool) -> config -> unit
 (** Bind, serve until a [shutdown] request or [should_stop] (polled at
-    least every 200 ms), drain, clean up.  A caller-supplied [pool] is
-    shared, not shut down; a caller-supplied [metrics] lets the host
-    observe counters from outside.
+    least every 200 ms), drain, clean up (the pool included).
     @raise Unix.Unix_error if the socket cannot be bound. *)

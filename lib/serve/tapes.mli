@@ -1,10 +1,8 @@
 (** Bounded cache of compiled tapes ({!Compile.Tape}),
     keyed by the digest of the tree's canonical v2 encoding — the same
     bytes a v2 request carries as its tree blob, so the server can
-    match incoming payloads against it without decoding the tree.
+    key an incoming payload by digesting the blob in place.
     Thread-safe; eviction is least-recently-used via {!Lru}. *)
-
-type entry = { tree : Rctree.Tree.t; tape : Compile.Tape.t }
 
 type t
 
@@ -19,11 +17,6 @@ val digest_of_span : string -> off:int -> len:int -> string
     {!Codec_bin.request_tree_span}).  Equals {!digest_of_tree} of the
     decoded tree, since the v2 tree encoding is canonical. *)
 
-val peek : t -> string -> entry option
-(** Pure probe: neither refreshes recency nor touches the hit/miss
-    counters — for the server's dispatch thread, whose authoritative
-    lookup happens later via {!obtain} on a pool worker. *)
-
 val obtain : ?digest:string -> t -> Rctree.Tree.t -> Compile.Tape.t
 (** The tape for [tree], compiling and caching on miss.  [digest]
     (default [digest_of_tree tree]) must be the tree's own digest.
@@ -31,4 +24,4 @@ val obtain : ?digest:string -> t -> Rctree.Tree.t -> Compile.Tape.t
     [tape.hit] / [tape.miss]. *)
 
 val stats : t -> Lru.stats
-(** Occupancy and lifetime counted-lookup totals ({!peek} excluded). *)
+(** Occupancy and lifetime lookup totals. *)

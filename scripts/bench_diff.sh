@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Compare two BENCH.json snapshots and print ns/op deltas per
-# benchmark row (micro, sample, tape, btypes, codec).  Warn-only by
+# benchmark row (micro, sample, tape, btypes, pareto).  Warn-only by
 # design: smoke-bench numbers are noisy, so the script always exits 0
 # when both files parse — CI runs it against the previous committed
 # snapshot purely for the human reading the log.
@@ -33,8 +33,6 @@ def rows(path):
         out["btypes/%s/b=%d" % (r["net"], r["b"])] = r.get("ns_per_op")
     for r in d.get("pareto", {}).get("rows", []):
         out["pareto/%s/eps=%g" % (r["net"], r["eps"])] = r.get("ns_per_op")
-    for r in d.get("cluster", {}).get("codec", []):
-        out["codec/" + r["name"]] = r.get("ns_per_op")
     return out
 
 old_path, new_path = sys.argv[1], sys.argv[2]

@@ -83,7 +83,7 @@ cmp "$BUF1" "$BUF2" \
 # so the worker's result cache misses, but the compiled-tape cache is
 # keyed by the topology digest alone — the r1 requests above already
 # compiled this tree, so this request must be a tape hit (skipping
-# parse-to-tree and compile).  The workers' own stats prove it.
+# the compile).  The workers' own stats prove it.
 "$BIN" request --tcp "$PORT" --wire v2 --bench r1 --algo wid --rule det \
   --deadline-ms 120000 >/dev/null
 thits=0

@@ -1099,23 +1099,27 @@ let test_parallel_probabilistic_deterministic () =
       (Bufins.Probabilistic.Stochastic_dominance, 12, 304);
     ]
 
-(* The arena is a pure allocation optimisation: disabling it (fresh
-   buffers per node) must not change a byte of the result. *)
-let test_arena_off_identical () =
+(* The arena is a pure allocation optimisation: buffers a larger run
+   grew and left dirty must not change a byte of a later, smaller one.
+   Each side runs in a fresh domain, so the reference meets an empty
+   arena and the other one the arena the 120-sink run grew. *)
+let test_arena_reuse_transparent () =
   let die = 4000.0 in
-  let tree = Rctree.Generate.random_steiner ~seed:204 ~sinks:25 ~die_um:die () in
+  let small = Rctree.Generate.random_steiner ~seed:204 ~sinks:25 ~die_um:die () in
+  let large = Rctree.Generate.random_steiner ~seed:205 ~sinks:120 ~die_um:die () in
   let cfg = config () in
-  let on =
+  let run tree =
     strip_result
       (Bufins.Engine.run cfg ~model:(model ~mode:Varmodel.Model.Wid die) tree)
   in
-  Bufins.Arena.enabled := false;
-  let off =
-    Fun.protect ~finally:(fun () -> Bufins.Arena.enabled := true) (fun () ->
-        strip_result
-          (Bufins.Engine.run cfg ~model:(model ~mode:Varmodel.Model.Wid die) tree))
+  let in_fresh_domain f = Domain.join (Domain.spawn f) in
+  let fresh = in_fresh_domain (fun () -> run small) in
+  let reused =
+    in_fresh_domain (fun () ->
+        ignore (run large);
+        run small)
   in
-  Alcotest.(check bool) "arena on/off identical" true (on = off)
+  Alcotest.(check bool) "fresh arena = reused arena" true (fresh = reused)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -1199,5 +1203,6 @@ let suite =
     qcheck prop_parallel_engine_matches_sequential;
     Alcotest.test_case "parallel [6] deterministic" `Quick
       test_parallel_probabilistic_deterministic;
-    Alcotest.test_case "arena off = arena on" `Quick test_arena_off_identical;
+    Alcotest.test_case "arena reuse is transparent" `Quick
+      test_arena_reuse_transparent;
   ]

@@ -132,6 +132,28 @@ let valid_request proto =
   in
   Serve.Wire.frame_bytes ~proto ~kind:"request" payload
 
+(* Sampled requests whose relax is not > 0, in both encodings: each
+   earns one parse error, and the connection survives. *)
+let bad_relax =
+  lazy
+    (List.concat_map
+       (fun relax ->
+         let req =
+           { (stream_request 5) with Serve.Protocol.samples = 64; relax }
+         in
+         List.map
+           (fun (proto, enc, payload) ->
+             ( Printf.sprintf "%s request with relax %g" enc relax,
+               proto,
+               Serve.Wire.frame_bytes ~proto ~kind:"request" payload,
+               1,
+               false ))
+           [
+             (Serve.Wire.V1, "v1", Serve.Protocol.encode_request req);
+             (Serve.Wire.V2, "v2", Serve.Codec_bin.encode_request req);
+           ])
+       [ 0.0; -1.0; Float.nan ])
+
 (* Each case: name, framing, bytes to send, how many reply frames they
    earn, and whether the connection is then closed. *)
 let bad_inputs =
@@ -180,7 +202,8 @@ let bad_inputs =
          frame v2 "ok" "" ^ "\xABVB2\009\002\000\000\000\000",
          2,
          true );
-     ])
+     ]
+     @ Lazy.force bad_relax)
 
 let error_replies socket =
   List.concat_map
@@ -221,7 +244,18 @@ let test_error_replies_agree () =
         (List.exists (String.starts_with ~prefix:(name ^ ": error")) mine);
       Alcotest.(check bool) (name ^ " closes only on a corrupt header") closes
         (List.mem (name ^ ": closed") mine))
-    (Lazy.force bad_inputs)
+    (Lazy.force bad_inputs);
+  (* A relax that is not > 0 is the request's fault, not the engine's. *)
+  List.iter
+    (fun (name, proto, _, _, _) ->
+      let prefix =
+        Printf.sprintf "%s: error %s %s:" name
+          (if proto = Serve.Wire.V1 then "v1" else "v2")
+          Serve.Protocol.err_parse
+      in
+      Alcotest.(check bool) (name ^ " is a parse error") true
+        (List.exists (String.starts_with ~prefix) direct))
+    (Lazy.force bad_relax)
 
 (* ---------- a worker whose responses do not decode ---------- *)
 

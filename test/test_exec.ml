@@ -86,16 +86,6 @@ let test_shutdown_rejects_work () =
     (Invalid_argument "Exec.Pool: pool is shut down") (fun () ->
       ignore (Exec.Pool.parallel_init pool 8 ~f:Fun.id))
 
-let test_stats_counted () =
-  Exec.Pool.with_pool ~jobs:4 (fun pool ->
-      ignore (Exec.Pool.parallel_init ~chunk:1 pool 32 ~f:Fun.id);
-      let s = Exec.Pool.stats pool in
-      Alcotest.(check int) "workers" 4 s.Exec.Pool.workers;
-      Alcotest.(check int) "tasks" 32 s.Exec.Pool.tasks_run;
-      Alcotest.(check bool) "total >= max" true
-        (s.Exec.Pool.total_task_s >= s.Exec.Pool.max_task_s);
-      Alcotest.(check bool) "times nonnegative" true (s.Exec.Pool.max_task_s >= 0.0))
-
 (* ---------- chunk-keyed RNG streams ---------- *)
 
 let draws rng = Array.init 16 (fun _ -> Numeric.Rng.gaussian rng)
@@ -249,7 +239,6 @@ let suite =
     Alcotest.test_case "exception propagates; pool reusable" `Quick
       test_exception_propagates_pool_reusable;
     Alcotest.test_case "shutdown rejects work" `Quick test_shutdown_rejects_work;
-    Alcotest.test_case "per-task stats" `Quick test_stats_counted;
     Alcotest.test_case "split_at determinism contract" `Quick test_split_at_contract;
     Alcotest.test_case "run_graph: layered DAG at any jobs" `Quick
       test_run_graph_levels;

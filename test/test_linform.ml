@@ -389,7 +389,7 @@ let prop_eval_linear =
 
 (* ---------- SoA kernels vs the assoc-list reference oracle ---------- *)
 
-(* [Linform.Reference] is a deliberately naive assoc-list
+(* [Linform_reference] is a deliberately naive assoc-list
    implementation of the same algebra, sharing nothing with the merge
    kernels.  Random forms with overlapping supports (shared low ids,
    private high ids, duplicates and sign cancellations in the raw sens
@@ -413,14 +413,14 @@ let oracle_close x y =
 let oracle_agrees f rf =
   let ids =
     List.sort_uniq compare
-      (List.map fst rf.Linform.Reference.r_sens
+      (List.map fst rf.Linform_reference.r_sens
       @ Array.to_list (Array.map fst (Linform.sensitivities f)))
   in
-  oracle_close (Linform.mean f) (Linform.Reference.mean rf)
-  && oracle_close (Linform.variance f) (Linform.Reference.variance rf)
+  oracle_close (Linform.mean f) (Linform_reference.mean rf)
+  && oracle_close (Linform.variance f) (Linform_reference.variance rf)
   && List.for_all
        (fun i ->
-         oracle_close (Linform.sensitivity f i) (Linform.Reference.coeff rf i))
+         oracle_close (Linform.sensitivity f i) (Linform_reference.coeff rf i))
        ids
 
 let prop_oracle_linear_ops =
@@ -429,37 +429,37 @@ let prop_oracle_linear_ops =
   in
   QCheck.Test.make ~name:"SoA add/sub/axpy/mul match reference (1e-12)"
     ~count:500 (QCheck.make gen) (fun (k, a, b) ->
-      let ra = Linform.Reference.of_form a in
-      let rb = Linform.Reference.of_form b in
-      oracle_agrees (Linform.add a b) (Linform.Reference.add ra rb)
-      && oracle_agrees (Linform.sub a b) (Linform.Reference.sub ra rb)
-      && oracle_agrees (Linform.axpy k a b) (Linform.Reference.axpy k ra rb)
+      let ra = Linform_reference.of_form a in
+      let rb = Linform_reference.of_form b in
+      oracle_agrees (Linform.add a b) (Linform_reference.add ra rb)
+      && oracle_agrees (Linform.sub a b) (Linform_reference.sub ra rb)
+      && oracle_agrees (Linform.axpy k a b) (Linform_reference.axpy k ra rb)
       && oracle_agrees
            (Linform.mul_first_order a b)
-           (Linform.Reference.mul_first_order ra rb))
+           (Linform_reference.mul_first_order ra rb))
 
 let prop_oracle_second_order =
   let gen = QCheck.Gen.(pair oracle_form_gen oracle_form_gen) in
   QCheck.Test.make ~name:"SoA variance/covariance match reference (1e-12)"
     ~count:500 (QCheck.make gen) (fun (a, b) ->
-      let ra = Linform.Reference.of_form a in
-      let rb = Linform.Reference.of_form b in
-      oracle_close (Linform.variance a) (Linform.Reference.variance ra)
+      let ra = Linform_reference.of_form a in
+      let rb = Linform_reference.of_form b in
+      oracle_close (Linform.variance a) (Linform_reference.variance ra)
       && oracle_close (Linform.covariance a b)
-           (Linform.Reference.covariance ra rb))
+           (Linform_reference.covariance ra rb))
 
 let prop_oracle_stat_min =
   let gen = QCheck.Gen.(pair oracle_form_gen oracle_form_gen) in
   QCheck.Test.make ~name:"SoA stat_min matches reference (1e-12)" ~count:500
     (QCheck.make gen) (fun (a, b) ->
-      let ra = Linform.Reference.of_form a in
-      let rb = Linform.Reference.of_form b in
-      oracle_agrees (Linform.stat_min a b) (Linform.Reference.stat_min ra rb))
+      let ra = Linform_reference.of_form a in
+      let rb = Linform_reference.of_form b in
+      oracle_agrees (Linform.stat_min a b) (Linform_reference.stat_min ra rb))
 
 let prop_oracle_roundtrip =
   QCheck.Test.make ~name:"Reference.to_form . of_form = id" ~count:300
     (QCheck.make oracle_form_gen) (fun f ->
-      let g = Linform.Reference.(to_form (of_form f)) in
+      let g = Linform_reference.(to_form (of_form f)) in
       Linform.mean g = Linform.mean f
       && Linform.sensitivities g = Linform.sensitivities f)
 
@@ -519,16 +519,16 @@ let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let exactly f rf =
   let sens = Linform.sensitivities f in
-  let rsens = Array.of_list rf.Linform.Reference.r_sens in
-  bits_equal (Linform.mean f) (Linform.Reference.mean rf)
-  && bits_equal (Linform.variance f) (Linform.Reference.variance rf)
+  let rsens = Array.of_list rf.Linform_reference.r_sens in
+  bits_equal (Linform.mean f) (Linform_reference.mean rf)
+  && bits_equal (Linform.variance f) (Linform_reference.variance rf)
   && Array.map fst sens = Array.map fst rsens
   && Array.for_all2 (fun (_, x) (_, y) -> bits_equal x y) sens rsens
 
 let prop_oracle_dyadic_exact =
   QCheck.Test.make ~name:"SoA kernels match reference bit for bit (dyadic)"
     ~count:2000 (QCheck.make dyadic_gen) (fun (k, c, a, b) ->
-      let module R = Linform.Reference in
+      let module R = Linform_reference in
       let ra = R.of_form a and rb = R.of_form b in
       let shifted rf = { rf with R.r_nominal = rf.R.r_nominal +. c } in
       exactly (Linform.add a b) (R.add ra rb)

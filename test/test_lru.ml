@@ -1,12 +1,12 @@
 (* Model-based tests for Serve.Lru.
 
    The model is an association list ordered most-recent-first; a
-   random program of find/peek/put operations is replayed against both
-   the model and the real cache, and every intermediate observation
+   random program of find/put operations is replayed against both the
+   model and the real cache, and every intermediate observation
    (lookup results, length, hit/miss counters) must agree.  The model
    encodes the contract directly: [find] refreshes recency and counts,
-   [peek] is a pure read (no recency, no counters), and [put] of a
-   present key only restamps it.  A capacity below 1 is rejected. *)
+   and [put] of a present key only restamps it.  A capacity below 1 is
+   rejected. *)
 
 let kv_eq = Alcotest.(check (option int))
 
@@ -38,8 +38,6 @@ let model_find m key =
     m.m_misses <- m.m_misses + 1;
     None
 
-let model_peek m key = List.assoc_opt key m.m_entries
-
 let model_put m key v =
   if List.mem_assoc key m.m_entries then promote m key
     (* stored value kept: entries are pure functions of their key *)
@@ -55,11 +53,10 @@ let model_put m key v =
 
 (* ---------- random programs ---------- *)
 
-type op = Find of string | Peek of string | Put of string * int
+type op = Find of string | Put of string * int
 
 let pp_op = function
   | Find k -> Printf.sprintf "find %S" k
-  | Peek k -> Printf.sprintf "peek %S" k
   | Put (k, v) -> Printf.sprintf "put %S %d" k v
 
 (* A small key universe so programs revisit keys often enough to
@@ -71,7 +68,6 @@ let op_gen =
     frequency
       [
         (3, map (fun k -> Find k) key_gen);
-        (2, map (fun k -> Peek k) key_gen);
         (4, map2 (fun k v -> Put (k, v)) key_gen (int_bound 1000));
       ])
 
@@ -92,9 +88,6 @@ let run_program (capacity, ops) =
       | Find k ->
         let got = Serve.Lru.find lru k and want = model_find m k in
         kv_eq (pp_op op) want got
-      | Peek k ->
-        let got = Serve.Lru.peek lru k and want = model_peek m k in
-        kv_eq (pp_op op) want got
       | Put (k, v) ->
         Serve.Lru.put lru k v;
         model_put m k v);
@@ -111,23 +104,25 @@ let model_agreement =
 
 (* ---------- targeted unit checks ---------- *)
 
-let test_find_refreshes_peek_does_not () =
+let test_find_refreshes () =
   (* Capacity 2; which of the two old keys survives a third insertion
-     depends only on whether the intervening lookup refreshed it. *)
-  let with_lookup look =
+     depends only on whether an intervening find refreshed the older
+     one.  The survivors are read after the last insertion, so those
+     reads cannot change what was evicted. *)
+  let survivors ~lookup =
     let lru = Serve.Lru.create ~capacity:2 in
     Serve.Lru.put lru "a" 1;
     Serve.Lru.put lru "b" 2;
-    ignore (look lru "a" : int option);
+    if lookup then ignore (Serve.Lru.find lru "a" : int option);
     Serve.Lru.put lru "c" 3;
-    (Serve.Lru.peek lru "a", Serve.Lru.peek lru "b")
+    (Serve.Lru.find lru "a", Serve.Lru.find lru "b")
   in
-  (match with_lookup Serve.Lru.find with
+  (match survivors ~lookup:true with
   | Some 1, None -> ()
   | _ -> Alcotest.fail "find must refresh: expected a kept, b evicted");
-  match with_lookup Serve.Lru.peek with
+  match survivors ~lookup:false with
   | None, Some 2 -> ()
-  | _ -> Alcotest.fail "peek must not refresh: expected a evicted, b kept"
+  | _ -> Alcotest.fail "without a find: expected a evicted, b kept"
 
 let test_capacity_below_one_rejected () =
   List.iter
@@ -137,18 +132,6 @@ let test_capacity_below_one_rejected () =
         (Invalid_argument "Serve.Lru.create: capacity must be >= 1")
         (fun () -> ignore (Serve.Lru.create ~capacity : int Serve.Lru.t)))
     [ 0; -1 ]
-
-let test_counters_only_from_find () =
-  let lru = Serve.Lru.create ~capacity:4 in
-  Serve.Lru.put lru "a" 1;
-  ignore (Serve.Lru.peek lru "a" : int option);
-  ignore (Serve.Lru.peek lru "zzz" : int option);
-  Alcotest.(check int) "peek books no hits" 0 (Serve.Lru.hits lru);
-  Alcotest.(check int) "peek books no misses" 0 (Serve.Lru.misses lru);
-  ignore (Serve.Lru.find lru "a" : int option);
-  ignore (Serve.Lru.find lru "zzz" : int option);
-  Alcotest.(check int) "find books hits" 1 (Serve.Lru.hits lru);
-  Alcotest.(check int) "find books misses" 1 (Serve.Lru.misses lru)
 
 let test_shared_across_domains () =
   (* The response and tape caches share one instance across the pool's
@@ -172,12 +155,9 @@ let test_shared_across_domains () =
 let suite =
   [
     QCheck_alcotest.to_alcotest model_agreement;
-    Alcotest.test_case "find refreshes recency, peek does not" `Quick
-      test_find_refreshes_peek_does_not;
+    Alcotest.test_case "find refreshes recency" `Quick test_find_refreshes;
     Alcotest.test_case "capacity below one is rejected" `Quick
       test_capacity_below_one_rejected;
-    Alcotest.test_case "only find touches the hit/miss counters" `Quick
-      test_counters_only_from_find;
     Alcotest.test_case "shared across domains: every find counted once"
       `Quick test_shared_across_domains;
   ]

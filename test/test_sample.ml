@@ -252,6 +252,26 @@ let prop_pruning_preserves_per_sample_optimum =
       && pruned.Sample.Engine.stats.Bufins.Engine.peak_candidates
          <= brute.Sample.Engine.stats.Bufins.Engine.peak_candidates)
 
+(* relax > 1 disables pruning at any magnitude: a relax·K beyond
+   max_int must not collapse the threshold to 1 sample, the harshest
+   pruning there is.  Compared bit for bit through Marshal. *)
+let test_huge_relax_is_no_pruning () =
+  let die = 4000.0 in
+  let tree = Rctree.Generate.random_steiner ~seed:3 ~sinks:3 ~die_um:die () in
+  let bits relax =
+    Marshal.to_string
+      (strip (Sample.Engine.run (config ~relax ()) ~model:(model die) tree))
+      [ Marshal.No_sharing ]
+  in
+  let reference = bits 2.0 in
+  List.iter
+    (fun relax ->
+      Alcotest.(check bool)
+        (Printf.sprintf "relax %g = relax 2" relax)
+        true
+        (bits relax = reference))
+    [ 1e17; 1e300; infinity ]
+
 (* ---------- cross-validation against the canonical engines ---------- *)
 
 let test_nom_model_matches_deterministic_optimum () =
@@ -413,6 +433,34 @@ let test_v2_request_fields () =
   let off, len = Serve.Codec_bin.request_tree_span b in
   Alcotest.(check int) "tree is the payload tail" (String.length b) (off + len)
 
+(* relax must be > 0 and not NaN, whether or not the request samples:
+   both decoders, and the v2 head the router shards by, reject it as a
+   parse failure instead of leaving it to the engine. *)
+let test_relax_must_be_positive () =
+  let plain = Serve.Protocol.default_request ~tree:(Lazy.force small_tree) in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Failure m ->
+      Alcotest.(check bool) (what ^ ": " ^ m) true
+        (String.ends_with ~suffix:"relax must be > 0" m)
+  in
+  List.iter
+    (fun (samples, relax) ->
+      let req = { plain with Serve.Protocol.samples; relax } in
+      let what = Printf.sprintf "samples %d relax %g" samples relax in
+      let v1 = Serve.Protocol.encode_request req in
+      let v2 = Serve.Codec_bin.encode_request req in
+      rejects (what ^ " (v1)") (fun () -> Serve.Protocol.decode_request v1);
+      rejects (what ^ " (v2)") (fun () -> Serve.Codec_bin.decode_request v2);
+      rejects (what ^ " (v2 tree span)") (fun () ->
+          Serve.Codec_bin.request_tree_span v2))
+    (List.concat_map
+       (fun samples ->
+         List.map (fun relax -> (samples, relax))
+           [ 0.0; -0.0; -1.0; Float.neg_infinity; Float.nan ])
+       [ 0; 64 ])
+
 let suite =
   [
     Alcotest.test_case "sample matrix is draw-order independent" `Quick
@@ -428,10 +476,14 @@ let suite =
     Alcotest.test_case "sampled response round-trips (v1 and v2)" `Quick
       test_sampled_response_roundtrips;
     Alcotest.test_case "v2 request sample fields" `Quick test_v2_request_fields;
+    Alcotest.test_case "relax must be > 0 in both decoders" `Quick
+      test_relax_must_be_positive;
     Alcotest.test_case "dominance count = full per-sample count" `Quick
       test_dominance_count_oracle;
     Alcotest.test_case "eval_into = loop over terms, bit for bit" `Quick
       test_eval_into_oracle;
     Alcotest.test_case "merge min = Float.min, bit for bit" `Quick
       test_merge_min_is_float_min;
+    Alcotest.test_case "huge relax = relax 2 (no pruning), bit for bit" `Quick
+      test_huge_relax_is_no_pruning;
   ]
