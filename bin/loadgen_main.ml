@@ -2,8 +2,7 @@
    clusters.
 
    Opens N client connections (one domain each) against a Unix socket
-   or TCP address, in v1 text or v2 binary encoding, and drives a
-   fixed number of requests — closed-loop by default, or paced to a
+   or TCP address and drives a fixed number of requests — closed-loop by default, or paced to a
    target request rate with --rps.  The workload is K distinct random
    Steiner trees cycled round-robin, so K below the worker cache size
    exercises the cache-hit path and K above it the optimiser.
@@ -49,7 +48,7 @@ let resolve_addr socket tcp =
     | Some port -> Serve.Client.Tcp ("127.0.0.1", port)
     | None -> Serve.Client.addr_of_string s)
 
-let run socket tcp wire connections requests rps sinks distinct seed algo_s
+let run socket tcp connections requests rps sinks distinct seed algo_s
     rule_s p deadline_ms slo_ms json_out =
   let ( let* ) r f = match r with Ok v -> f v | Error msg ->
     prerr_endline msg; 1
@@ -86,7 +85,7 @@ let run socket tcp wire connections requests rps sinks distinct seed algo_s
   let t0 = Unix.gettimeofday () in
   let worker () =
     let outcome = { ok = 0; failed = []; lats_ms = [] } in
-    match Serve.Client.connect_addr ~wire addr with
+    match Serve.Client.connect_addr addr with
     | exception Unix.Unix_error (e, _, _) ->
       bump outcome ("connect: " ^ Unix.error_message e);
       outcome
@@ -164,8 +163,7 @@ let run socket tcp wire connections requests rps sinks distinct seed algo_s
       Some (float_of_int within /. float_of_int n_lat)
     else None
   in
-  Printf.printf "target: %s (%s, %d connections%s)\n" (Serve.Client.pp_addr addr)
-    (match wire with Serve.Wire.V1 -> "v1 text" | Serve.Wire.V2 -> "v2 binary")
+  Printf.printf "target: %s (%d connections%s)\n" (Serve.Client.pp_addr addr)
     connections
     (if rps > 0.0 then Printf.sprintf ", %.0f rps target" rps else "");
   Printf.printf "workload: %d requests, %d distinct %d-sink trees\n" requests
@@ -217,13 +215,6 @@ let cmd =
   let tcp_arg =
     Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT"
            ~doc:"Connect over TCP; a bare PORT means 127.0.0.1:PORT.")
-  in
-  let wire_arg =
-    Arg.(value
-         & opt (enum [ ("v1", Serve.Wire.V1); ("v2", Serve.Wire.V2) ])
-             Serve.Wire.V2
-         & info [ "wire" ] ~docv:"VER"
-             ~doc:"Wire encoding: v1 (text) or v2 (binary).")
   in
   let conns_arg =
     Arg.(value & opt int 4 & info [ "connections"; "c" ] ~docv:"N"
@@ -277,7 +268,7 @@ let cmd =
     (Cmd.info "varbuf-loadgen"
        ~doc:"drive request load at a varbuf-serve daemon or cluster")
     Term.(
-      const run $ socket_arg $ tcp_arg $ wire_arg $ conns_arg $ requests_arg
+      const run $ socket_arg $ tcp_arg $ conns_arg $ requests_arg
       $ rps_arg $ sinks_arg $ distinct_arg $ seed_arg $ algo_arg $ rule_arg
       $ p_arg $ deadline_arg $ slo_arg $ json_arg)
 

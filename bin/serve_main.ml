@@ -19,13 +19,6 @@ let tcp_client_arg =
          ~doc:"Connect over TCP instead of the Unix socket; a bare PORT \
                means 127.0.0.1:PORT.")
 
-let wire_arg =
-  Arg.(value
-       & opt (enum [ ("v1", Serve.Wire.V1); ("v2", Serve.Wire.V2) ])
-           Serve.Wire.V1
-       & info [ "wire" ] ~docv:"VER"
-           ~doc:"Wire encoding: v1 (text) or v2 (binary).")
-
 let resolve_addr socket tcp =
   match tcp with
   | None -> Serve.Client.Unix_sock socket
@@ -244,7 +237,7 @@ let probe_malformed client =
   in
   match reply.Serve.Wire.kind with
   | "error" ->
-    let e = Serve.Protocol.decode_error reply.Serve.Wire.payload in
+    let e = Serve.Codec_bin.decode_error reply.Serve.Wire.payload in
     Printf.printf "probe: error code=%s message=%s\n" e.Serve.Protocol.code
       e.Serve.Protocol.message;
     if e.Serve.Protocol.code <> Serve.Protocol.err_parse then begin
@@ -256,7 +249,7 @@ let probe_malformed client =
       (Printf.sprintf "probe: expected an error frame, got %S" kind);
     exit 1
 
-let request socket tcp wire bench file sinks algo_s rule_s p seed deadline_ms
+let request socket tcp bench file sinks algo_s rule_s p seed deadline_ms
     mc wire_sizing samples relax btypes save_buffering probe =
   let ( let* ) r f = match r with Ok v -> f v | Error msg ->
     prerr_endline msg; 1
@@ -283,7 +276,7 @@ let request socket tcp wire bench file sinks algo_s rule_s p seed deadline_ms
     }
   in
   let addr = resolve_addr socket tcp in
-  match Serve.Client.connect_addr ~wire addr with
+  match Serve.Client.connect_addr addr with
   | exception Unix.Unix_error (e, _, _) ->
     prerr_endline
       (Printf.sprintf "cannot connect to %s: %s" (Serve.Client.pp_addr addr)
@@ -409,16 +402,16 @@ let request_cmd =
   Cmd.v
     (Cmd.info "request" ~doc:"submit one buffering request to the daemon")
     Term.(
-      const request $ socket_arg $ tcp_client_arg $ wire_arg $ bench_arg
+      const request $ socket_arg $ tcp_client_arg $ bench_arg
       $ file_arg $ sinks_arg $ algo_arg $ rule_arg $ p_arg $ seed_arg
       $ deadline_arg $ mc_arg $ wire_sizing_arg $ samples_arg $ relax_arg
       $ btypes_arg $ save_buffering_arg $ probe_arg)
 
 (* ---------- stats / shutdown ---------- *)
 
-let with_client socket tcp wire f =
+let with_client socket tcp f =
   let addr = resolve_addr socket tcp in
-  match Serve.Client.connect_addr ~wire addr with
+  match Serve.Client.connect_addr addr with
   | exception Unix.Unix_error (e, _, _) ->
     prerr_endline
       (Printf.sprintf "cannot connect to %s: %s" (Serve.Client.pp_addr addr)
@@ -435,11 +428,11 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"print the daemon's counters and latency histogram")
     Term.(
-      const (fun socket tcp wire ->
-          with_client socket tcp wire (fun client ->
+      const (fun socket tcp ->
+          with_client socket tcp (fun client ->
               print_string (Serve.Client.stats client);
               0))
-      $ socket_arg $ tcp_client_arg $ wire_arg)
+      $ socket_arg $ tcp_client_arg)
 
 let trace_cmd =
   let out_arg =
@@ -450,8 +443,8 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"fetch the daemon's recent span buffer as Chrome trace JSON")
     Term.(
-      const (fun socket tcp wire out ->
-          with_client socket tcp wire (fun client ->
+      const (fun socket tcp out ->
+          with_client socket tcp (fun client ->
               let payload = Serve.Client.trace client in
               match out with
               | None ->
@@ -468,18 +461,18 @@ let trace_cmd =
                 with Sys_error msg ->
                   prerr_endline ("cannot write trace: " ^ msg);
                   1)))
-      $ socket_arg $ tcp_client_arg $ wire_arg $ out_arg)
+      $ socket_arg $ tcp_client_arg $ out_arg)
 
 let shutdown_cmd =
   Cmd.v
     (Cmd.info "shutdown" ~doc:"ask the daemon to drain and exit")
     Term.(
-      const (fun socket tcp wire ->
-          with_client socket tcp wire (fun client ->
+      const (fun socket tcp ->
+          with_client socket tcp (fun client ->
               Serve.Client.shutdown client;
               print_endline "server draining";
               0))
-      $ socket_arg $ tcp_client_arg $ wire_arg)
+      $ socket_arg $ tcp_client_arg)
 
 let () =
   let doc = "variation-aware buffer insertion as a service" in

@@ -16,9 +16,6 @@ type config = {
   pmf_points : int;
   budget : Engine.budget;
   insertion : Engine.insertion;
-  power_objective : Dominance.objective;
-  eps_power : float;
-  energies : float array option;
 }
 
 let default_config ?(heuristic = Stochastic_dominance) ?(length_frac = 0.05) () =
@@ -30,22 +27,9 @@ let default_config ?(heuristic = Stochastic_dominance) ?(length_frac = 0.05) () 
     pmf_points = 5;
     budget = Engine.no_budget;
     insertion = Engine.Convex_auto;
-    power_objective = Dominance.default;
-    eps_power = 0.0;
-    energies = None;
   }
 
-let energies_of config =
-  match config.energies with
-  | Some e -> e
-  | None -> Device.Buffer.energies config.library
-
-type sol = {
-  load : Numeric.Pmf.t;
-  rat : Numeric.Pmf.t;
-  power : float;
-  choice : Sol.choice;
-}
+type sol = { load : Numeric.Pmf.t; rat : Numeric.Pmf.t; choice : Sol.choice }
 
 (* Dual-polarity frontier, mirroring the canonical engine: [ev]
    candidates deliver every sink its specified signal sense, [od] are
@@ -61,7 +45,6 @@ type result = {
   rat_std : float;
   rat_p05 : float;
   buffers : (int * Device.Buffer.t) list;
-  power : float;
   peak_candidates : int;
   runtime_s : float;
 }
@@ -92,8 +75,6 @@ let dominates heuristic a b =
    is unchanged from the list implementation. *)
 let prune_impl config (sols : sol array) =
   let heuristic = config.heuristic in
-  let power_aware = Dominance.power_aware config.power_objective in
-  let eps = config.eps_power in
   let n = Array.length sols in
   if n <= 1 then sols
   else begin
@@ -116,34 +97,17 @@ let prune_impl config (sols : sol array) =
     done;
     Arena.sort_prefix arena idx n ~cmp:(fun a b ->
         let c = Float.compare kl.(a) kl.(b) in
-        if c <> 0 then c
-        else begin
-          let c = Float.compare kr.(b) kr.(a) in
-          if c <> 0 || not power_aware then c
-          else Float.compare sols.(a).power sols.(b).power
-        end);
-    let dom =
-      if power_aware then fun (a : sol) (b : sol) ->
-        Dominance.power_le ~eps a.power b.power && dominates heuristic a b
-      else dominates heuristic
-    in
-    (* The total-order heuristics test only the last kept candidate;
-       a power-aware prune must scan the whole kept set (the frontier
-       is partial again), but both rules' dominance implies the RAT-key
-       ordering, so the running-max prefilter applies.  Stochastic
-       dominance admits a CDF tolerance that breaks the mean ordering,
-       hence the unfiltered scan. *)
+        if c <> 0 then c else Float.compare kr.(b) kr.(a));
     let scan =
       match heuristic with
       | Stochastic_dominance -> Dominance.Scan_kept
-      | Mean_dominance | Percentile_dominance _ ->
-        if power_aware then Dominance.Rat_prefilter else Dominance.Exact_last
+      | Mean_dominance | Percentile_dominance _ -> Dominance.Exact_last
     in
     let kept = Arena.kept arena n in
     let nkept =
       Dominance.sweep ~order:idx ~n
         ~rat_key:(fun i -> kr.(i))
-        ~dominates:(fun k i -> dom sols.(k) sols.(i))
+        ~dominates:(fun k i -> dominates heuristic sols.(k) sols.(i))
         ~scan ~kept
     in
     Array.init nkept (fun k -> sols.(kept.(k)))
@@ -184,7 +148,7 @@ let prune config sols =
    no equal-key class spans two types, so the earliest maximiser is
    exactly the duplicate the stable sort would keep — the pruned
    frontier is identical to exhaustive generation. *)
-let lift_edge config ~energies ~same_types ~flip_types ~convex ~child ~length
+let lift_edge config ~same_types ~flip_types ~convex ~child ~length
     (f : frontier) =
   let tech = config.tech in
   (* The manufactured length of each segment: drawn length times
@@ -209,7 +173,6 @@ let lift_edge config ~energies ~same_types ~flip_types ~convex ~child ~length
     {
       load = Numeric.Pmf.add s.load added_cap;
       rat = Numeric.Pmf.sub s.rat delay_pmf;
-      power = s.power;
       choice = Sol.Wire { node = child; width = 0; from = s.choice };
     }
   in
@@ -227,7 +190,6 @@ let lift_edge config ~energies ~same_types ~flip_types ~convex ~child ~length
     {
       load = Numeric.Pmf.constant b.Device.Buffer.cap_ff;
       rat = Numeric.Pmf.sub ws.rat gate_delay;
-      power = ws.power +. energies.(bi);
       choice = Sol.Buffered { node = child; buffer = bi; from = ws.choice };
     }
   in
@@ -327,7 +289,6 @@ let merge_node config ~node ~check_time ~check_count a b =
     {
       load = Numeric.Pmf.add sa.load sb.load;
       rat = Numeric.Pmf.min2 sa.rat sb.rat;
-      power = sa.power +. sb.power;
       choice = Sol.Merged { node; left = sa.choice; right = sb.choice };
     }
   in
@@ -374,37 +335,9 @@ let finish config ~t_start ~peak root_sols =
       -. (tech.Device.Tech.driver_r *. Numeric.Pmf.mean s.load)
     in
     let bs = ref root_sols.(0) in
-    (match config.power_objective with
-    | Dominance.Max_yield ->
-      for i = 1 to Array.length root_sols - 1 do
-        if q root_sols.(i) > q !bs then bs := root_sols.(i)
-      done
-    | Dominance.Weighted w ->
-      for i = 1 to Array.length root_sols - 1 do
-        let s = root_sols.(i) in
-        if q s -. (w *. s.power) > q !bs -. (w *. (!bs).power) then bs := s
-      done
-    | Dominance.Min_power target ->
-      (* Minimum power among candidates whose mean driver RAT meets
-         the target; infeasible roots fall back to the best-mean
-         pick. *)
-      let feasible = ref (q !bs >= target) in
-      for i = 1 to Array.length root_sols - 1 do
-        let s = root_sols.(i) in
-        let f = q s >= target in
-        let better =
-          if f && not !feasible then true
-          else if f <> !feasible then false
-          else if f then
-            s.power < (!bs).power
-            || (s.power = (!bs).power && q s > q !bs)
-          else q s > q !bs
-        in
-        if better then begin
-          bs := s;
-          feasible := f
-        end
-      done);
+    for i = 1 to Array.length root_sols - 1 do
+      if q root_sols.(i) > q !bs then bs := root_sols.(i)
+    done;
     !bs
   in
   let rat =
@@ -419,7 +352,6 @@ let finish config ~t_start ~peak root_sols =
       List.map
         (fun (node, bi) -> (node, config.library.(bi)))
         (Sol.buffers_of_choice best.choice);
-    power = best.power;
     peak_candidates = peak;
     runtime_s = Unix.gettimeofday () -. t_start;
   }
@@ -437,9 +369,7 @@ let run_tape ?pool ?grain config tape =
     config.insertion = Engine.Convex_auto
     && (match config.heuristic with Mean_dominance -> true | _ -> false)
     && Device.Buffer.caps_distinct config.library
-    && not (Dominance.power_aware config.power_objective)
   in
-  let energies = energies_of config in
   (* This DP consumes no shared mutable state at all (no device-id
      counter), so it needs no binding. *)
   let out =
@@ -453,7 +383,6 @@ let run_tape ?pool ?grain config tape =
                   {
                     load = Numeric.Pmf.constant cap;
                     rat = Numeric.Pmf.constant rat;
-                    power = 0.0;
                     choice = Sol.At_sink node;
                   };
                 |];
@@ -461,7 +390,7 @@ let run_tape ?pool ?grain config tape =
             });
         lift =
           (fun ~child ~edge:_ ~length f ->
-            lift_edge config ~energies ~same_types ~flip_types ~convex ~child
+            lift_edge config ~same_types ~flip_types ~convex ~child
               ~length f);
         merge = merge_frontiers config;
         size = frontier_size;

@@ -45,21 +45,6 @@ type config = {
           under [Mean_dominance] with pairwise-distinct library caps,
           so it silently falls back to exhaustive generation for the
           other heuristics. *)
-  power_objective : Dominance.objective;
-      (** power-aware request objective.  The default
-          ({!Dominance.Max_yield}) is the historical behaviour — the
-          power axis is carried but never compared.  [Min_power] /
-          [Weighted] conjoin {!Dominance.power_le} into every
-          heuristic's dominance test (the total-order heuristics then
-          scan the whole kept set under the RAT-key prefilter), disable
-          the convex pre-selection, and change the root pick. *)
-  eps_power : float;
-      (** ε-dominance bucket width for the power axis; 0 (default) is
-          the exact frontier.  Only read under a power-aware
-          [power_objective]. *)
-  energies : float array option;
-      (** per-type energies (fJ) indexed like [library]; [None]
-          derives them with {!Device.Buffer.energies}. *)
 }
 
 val default_config : ?heuristic:heuristic -> ?length_frac:float -> unit -> config
@@ -75,8 +60,6 @@ type result = {
   rat_std : float;
   rat_p05 : float;        (** 5th percentile: the 95%-yield RAT *)
   buffers : (int * Device.Buffer.t) list;
-  power : float;
-      (** accumulated buffer energy (fJ) of the chosen assignment *)
   peak_candidates : int;
   runtime_s : float;  (** wall-clock seconds, comparable to engine stats *)
 }

@@ -50,8 +50,8 @@ let shard_of_request ~shards payload =
   let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
   v mod shards
 
-(* One admitted request: the client to answer (with the encoding it
-   spoke) and the payload already transcoded to v2 for the worker. *)
+(* One admitted request: the client to answer and the payload to
+   forward, as the client sent it. *)
 type pending = {
   p_client : Front.client;
   p_payload : string;
@@ -114,24 +114,13 @@ let run ?metrics ?(should_stop = fun () -> false)
   let read_buf = Bytes.create 65536 in
 
   (* Answer [p] with a worker reply frame ([kind] is "response" or
-     "error", [payload] is v2-encoded).  v2 clients get the worker's
-     response bytes verbatim; v1 clients get the deterministic text
-     re-encoding, or an internal error when the payload does not
-     decode (the link's framing is intact, so it stays up). *)
+     "error").  A response goes to the client verbatim; an error is
+     decoded so the router's metrics count its code. *)
   let complete p ~kind ~payload =
-    let latency_ms = (Unix.gettimeofday () -. p.p_enqueued) *. 1000.0 in
     match kind with
-    | "response" -> (
-      match Front.proto p.p_client with
-      | Wire.V2 -> Front.respond front p.p_client ~latency_ms payload
-      | Wire.V1 -> (
-        match Codec_bin.decode_response payload with
-        | r ->
-          Front.respond front p.p_client ~latency_ms
-            (Protocol.encode_response r)
-        | exception Failure _ ->
-          Front.fail front p.p_client Protocol.err_internal
-            "undecodable worker response"))
+    | "response" ->
+      let latency_ms = (Unix.gettimeofday () -. p.p_enqueued) *. 1000.0 in
+      Front.respond front p.p_client ~latency_ms payload
     | _ ->
       let err =
         try Codec_bin.decode_error payload
@@ -182,10 +171,7 @@ let run ?metrics ?(should_stop = fun () -> false)
         let p = Queue.pop s.s_queue in
         if not (Front.alive p.p_client) then pump s
         else begin
-          (match
-             Wire.write_frame_pv l.l_fd ~proto:Wire.V2 ~kind:"request"
-               p.p_payload
-           with
+          (match Wire.write_frame l.l_fd ~kind:"request" p.p_payload with
           | () -> l.l_busy <- Some p
           | exception (Unix.Unix_error _ | Sys_error _) ->
             Queue.push p s.s_queue;
@@ -237,14 +223,7 @@ let run ?metrics ?(should_stop = fun () -> false)
   let handle_link_frame s l (f : Wire.frame) =
     match f.Wire.kind with
     | "hello" -> (
-      match
-        Protocol.check_hello f.Wire.payload;
-        if
-          not
-            (List.mem Protocol.version_bin
-               (Protocol.supported_protocols f.Wire.payload))
-        then failwith "worker does not speak the binary protocol"
-      with
+      match Protocol.check_hello f.Wire.payload with
       | () ->
         l.l_ready <- true;
         s.s_backoff <- first_redial
@@ -287,26 +266,15 @@ let run ?metrics ?(should_stop = fun () -> false)
       try go () with Failure _ -> kill_link s l)
   in
 
-  (* A v2 request is forwarded as the client sent it; a v1 request is
-     decoded strictly (its errors are the line-numbered parse
-     messages) and re-encoded.  Either way the shard is a digest of
-     the v2 tree blob.
-     @raise Failure on a malformed request. *)
-  let route client payload =
-    let v2 =
-      match Front.proto client with
-      | Wire.V2 -> payload
-      | Wire.V1 -> Codec_bin.encode_request (Protocol.decode_request payload)
-    in
-    (v2, shard_of_request ~shards:n_shards v2)
-  in
+  (* A request is forwarded as the client sent it, to the shard its
+     tree blob digests to. *)
   let dispatch_request client payload =
     if Front.draining front then
       Front.fail front client Protocol.err_busy "cluster is draining"
     else
-      match route client payload with
+      match shard_of_request ~shards:n_shards payload with
       | exception Failure msg -> Front.fail front client Protocol.err_parse msg
-      | v2_payload, idx ->
+      | idx ->
         let s = shards.(idx) in
         if Queue.length s.s_queue >= config.queue_depth then
           Front.fail front client Protocol.err_busy
@@ -316,7 +284,7 @@ let run ?metrics ?(should_stop = fun () -> false)
           Queue.push
             {
               p_client = client;
-              p_payload = v2_payload;
+              p_payload = payload;
               p_enqueued = Unix.gettimeofday ();
             }
             s.s_queue;
@@ -359,7 +327,7 @@ let run ?metrics ?(should_stop = fun () -> false)
         s.s_stop_sent <- true;
         match free_link s with
         | Some l -> (
-          try Wire.write_frame_pv l.l_fd ~proto:Wire.V2 ~kind:"shutdown" ""
+          try Wire.write_frame l.l_fd ~kind:"shutdown" ""
           with Unix.Unix_error _ | Sys_error _ -> kill_link s l)
         | None ->
           (* No live link: the worker is already gone (or unreachable);

@@ -5,14 +5,12 @@
     worker daemons ({!Serve.Server} processes, one per shard socket).
 
     Routing is {e canonical}: the shard key is a digest of the
-    request's tree encoded in the v2 binary form ({!Serve.Codec_bin}),
-    so the same net lands on the same shard whether the client spoke
-    v1 text or v2 binary — and therefore hits the same worker's result
-    cache.  Toward workers the router always speaks v2; a v1 client's
-    request is transcoded on the way in and its response transcoded
-    back, byte-identical to what a single {!Serve.Server} would have
-    produced (both encoders are deterministic pure functions of the
-    decoded value).
+    request's raw tree blob ({!Serve.Codec_bin.request_tree_span}), so
+    the same net always lands on the same shard — and therefore hits
+    the same worker's result cache.  Request payloads are forwarded as
+    the client sent them and worker responses are returned verbatim,
+    byte-identical to what a single {!Serve.Server} would have
+    produced.
 
     Correlation is by connection, not by id: the router keeps up to
     [conns_per_shard] links per worker and puts {e at most one}
@@ -60,7 +58,7 @@ val reconnect_interval : float
     link that comes up resets it. *)
 
 val shard_of_request : shards:int -> string -> int
-(** The shard index for a v2-encoded request payload — a digest of the
+(** The shard index for an encoded request payload — a digest of the
     raw tree blob ({!Serve.Codec_bin.request_tree_span}) mod [shards].
     @raise Failure if the payload is malformed. *)
 

@@ -3,13 +3,11 @@
    A response is a pure function of the request minus its routing
    fields ([id] is echoed verbatim and [deadline_ms] only bounds how
    long the computation may take — neither changes the result), so the
-   canonical key is the request's v2 binary encoding
-   ({!Codec_bin.encode_request}) with both zeroed.  That encoding writes
-   every float as its raw bits, so it is exact and far cheaper than the
-   v1 text rendering; it is still a function of the decoded request, so
-   v1 and v2 clients share entries.  Keys are digests: the tree blob
-   dominates payload size and storing it per entry would defeat the
-   point of a bounded cache.
+   canonical key is the request's encoding ({!Codec_bin.encode_request})
+   with both zeroed.  That encoding writes every float as its raw bits,
+   so it is exact.  Keys are digests: the tree blob dominates payload
+   size and storing it per entry would defeat the point of a bounded
+   cache.
 
    Storage, eviction and locking live in {!Lru}; this module adds the
    key derivation. *)

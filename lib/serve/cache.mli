@@ -13,10 +13,8 @@ val create : entries:int -> t
 (** @raise Invalid_argument if [entries < 1]. *)
 
 val key_of_request : Protocol.request -> string
-(** Hex digest of the request's v2 binary encoding
-    ({!Codec_bin.encode_request}) with [id] and [deadline_ms] zeroed.
-    A function of the decoded request, so a v1 and a v2 client sending
-    the same request share one entry. *)
+(** Hex digest of the request's encoding ({!Codec_bin.encode_request})
+    with [id] and [deadline_ms] zeroed. *)
 
 val find : t -> string -> Protocol.response option
 (** Lookup by {!key_of_request} key; a hit refreshes the entry's

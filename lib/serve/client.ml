@@ -12,11 +12,7 @@ let pp_addr = function
   | Unix_sock path -> path
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
 
-type t = {
-  fd : Unix.file_descr;
-  dec : Wire.decoder;
-  proto : Wire.proto;
-}
+type t = { fd : Unix.file_descr; dec : Wire.decoder }
 
 let recv_frame t =
   match Wire.recv t.dec t.fd with
@@ -46,20 +42,15 @@ let connect_fd = function
      with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
     fd
 
-let connect_addr ?(max_payload = 64 * 1024 * 1024) ?(wire = Wire.V1) addr =
+let connect_addr ?(max_payload = 64 * 1024 * 1024) ?wire:_ addr =
   let fd = connect_fd addr in
   match
-    let t = { fd; dec = Wire.decoder ~max_payload (); proto = wire } in
+    let t = { fd; dec = Wire.decoder ~max_payload () } in
     let hello = recv_frame t in
     if hello.Wire.kind <> "hello" then
       failwith
         (Printf.sprintf "expected a hello frame, got %S" hello.Wire.kind);
     Protocol.check_hello hello.Wire.payload;
-    (if wire = Wire.V2
-     && not (List.mem Protocol.version_bin
-               (Protocol.supported_protocols hello.Wire.payload))
-     then
-       failwith "server does not support wire protocol v2");
     t
   with
   | t -> t
@@ -67,38 +58,20 @@ let connect_addr ?(max_payload = 64 * 1024 * 1024) ?(wire = Wire.V1) addr =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let connect ?max_payload ?wire path =
-  connect_addr ?max_payload ?wire (Unix_sock path)
+let connect ?max_payload path = connect_addr ?max_payload (Unix_sock path)
 
 let roundtrip t ~kind payload =
-  Wire.write_frame_pv t.fd ~proto:t.proto ~kind payload;
+  Wire.write_frame t.fd ~kind payload;
   recv_frame t
 
-let encode_request t req =
-  match t.proto with
-  | Wire.V1 -> Protocol.encode_request req
-  | Wire.V2 -> Codec_bin.encode_request req
-
-let decode_error (f : Wire.frame) =
-  match f.Wire.proto with
-  | Wire.V1 -> Protocol.decode_error f.Wire.payload
-  | Wire.V2 -> Codec_bin.decode_error f.Wire.payload
-
 let request_raw t req =
-  let reply = roundtrip t ~kind:"request" (encode_request t req) in
+  let reply = roundtrip t ~kind:"request" (Codec_bin.encode_request req) in
   match reply.Wire.kind with
   | "response" -> Ok reply.Wire.payload
-  | "error" -> Error (decode_error reply)
+  | "error" -> Error (Codec_bin.decode_error reply.Wire.payload)
   | kind -> failwith (Printf.sprintf "unexpected reply frame %S" kind)
 
-let request t req =
-  match request_raw t req with
-  | Error e -> Error e
-  | Ok raw ->
-    Ok
-      (match t.proto with
-      | Wire.V1 -> Protocol.decode_response raw
-      | Wire.V2 -> Codec_bin.decode_response raw)
+let request t req = Result.map Codec_bin.decode_response (request_raw t req)
 
 let stats t =
   let reply = roundtrip t ~kind:"stats" "" in

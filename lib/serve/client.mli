@@ -3,9 +3,7 @@
 
     One connection serves any number of sequential requests; every
     call below writes one frame and blocks until its reply frame
-    arrives.  The connection speaks the wire encoding chosen at
-    {!connect_addr} time ([V1] text or [V2] binary) — the server
-    answers each frame in the encoding it arrived in. *)
+    arrives. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -20,22 +18,20 @@ type t
 val connect_addr : ?max_payload:int -> ?wire:Wire.proto -> addr -> t
 (** Connect (Unix-domain or TCP with [TCP_NODELAY]) and validate the
     server's [hello] handshake.  [max_payload] (default 64 MiB) bounds
-    accepted reply payloads; [wire] (default [V1]) selects the frame
-    and payload encoding this client sends — [V2] additionally checks
-    the hello's [protocols] line advertises v2.
+    accepted reply payloads.  [wire] is ignored: it stays only because
+    the served-request benchmark ([bench/e2e]) still passes it.
     @raise Unix.Unix_error if the peer cannot be reached;
     @raise Failure on a handshake or protocol mismatch. *)
 
-val connect : ?max_payload:int -> ?wire:Wire.proto -> string -> t
+val connect : ?max_payload:int -> string -> t
 (** [connect_addr (Unix_sock path)]. *)
 
 val request : t -> Protocol.request -> (Protocol.response, Protocol.error) result
 
 val request_raw :
   t -> Protocol.request -> (string, Protocol.error) result
-(** Like {!request} but returns the raw response payload bytes —
-    what the determinism tests compare.  The bytes are in this
-    connection's wire encoding. *)
+(** Like {!request} but returns the raw {!Codec_bin} response payload
+    — what the determinism tests compare. *)
 
 val stats : t -> string
 (** The server's {!Metrics.render} text. *)

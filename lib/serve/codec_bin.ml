@@ -1,4 +1,4 @@
-(* Wire protocol v2: compact binary payload encodings.
+(* The protocol's binary payload encodings.
 
    Primitives: unsigned LEB128 varints for lengths/counts, zigzag
    varints for signed integers, IEEE-754 float64 little-endian (the
@@ -13,8 +13,8 @@
    tree.
 
    Every decoder is strict: trailing bytes, truncated input, unknown
-   tags and out-of-range values raise [Failure] — mirroring the text
-   protocol's parse errors — and never any other exception. *)
+   tags and out-of-range values raise [Failure], and never any other
+   exception: a server answers it with a parse error. *)
 
 (* ---------- primitives ---------- *)
 
@@ -51,7 +51,7 @@ let reader ?(pos = 0) ?limit src =
   { src; pos; limit }
 
 let need r n what =
-  if r.limit - r.pos < n then
+  if n < 0 || r.limit - r.pos < n then
     failwith (Printf.sprintf "binary payload: truncated %s at byte %d" what r.pos)
 
 let get_u8 r what =
@@ -60,11 +60,13 @@ let get_u8 r what =
   r.pos <- r.pos + 1;
   v
 
+(* Encoders emit values in [0, 2^62) only, so a ninth group has at most
+   six value bits; anything more would reach the sign bit. *)
 let get_varint r what =
   let rec go shift acc =
-    if shift > 62 then
-      failwith (Printf.sprintf "binary payload: varint overflow in %s" what);
     let b = get_u8 r what in
+    if shift = 56 && b >= 0x40 then
+      failwith (Printf.sprintf "binary payload: varint overflow in %s" what);
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
@@ -156,7 +158,12 @@ type bin_node = {
 let read_tree r =
   let n = get_varint r "tree node count" in
   if n < 1 then failwith "binary payload: tree has no nodes";
-  if n > 16_777_216 then failwith "binary payload: absurd tree node count";
+  (* Every node takes at least 17 bytes (a tag and two f64), so a count
+     the input cannot hold fails before the node array is allocated. *)
+  if n > (r.limit - r.pos) / 17 then
+    failwith
+      (Printf.sprintf "binary payload: %d tree nodes cannot fit in %d bytes" n
+         (r.limit - r.pos));
   (* The reader is stateful: nodes must be read strictly in id order
      (Array.init's application order is unspecified). *)
   let read_node id =

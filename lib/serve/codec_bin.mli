@@ -1,19 +1,9 @@
-(** Wire protocol v2: compact binary payload encodings.
-
-    Carried inside v2 frames ({!Wire}), these are binary counterparts
-    of the {!Protocol} text payloads: varints (LEB128, zigzag for
-    signed fields) for integers, raw IEEE-754 float64 bits
-    little-endian for reals, and length-prefixed strings.  Both
-    encodings describe the same values, so for any request [q] and
-    response [p]
-
-    {v
-    decode_request  (encode_request q)  = Protocol.decode_request  (Protocol.encode_request q)
-    decode_response (encode_response p) = Protocol.decode_response (Protocol.encode_response p)
-    v}
-
-    and every encoder is deterministic: equal values encode to equal
-    bytes, and encode→decode→encode is bit-exact.
+(** The binary payload encodings of the {!Protocol} values, carried
+    inside {!Wire} frames: varints (LEB128, zigzag for signed fields)
+    for integers, raw IEEE-754 float64 bits little-endian for reals,
+    and length-prefixed strings.  Every encoder is deterministic:
+    equal values encode to equal bytes, and encode→decode→encode is
+    bit-exact.
 
     Layout choices made for the cluster router's hot path: the
     request/response id is a fixed 8-byte little-endian field at
@@ -24,9 +14,11 @@
     shard hash is a digest of exactly those bytes.
 
     Every decoder raises [Failure] — and only [Failure] — on
-    malformed input: truncation, trailing bytes, unknown tags, or
-    structural violations (the same tree/assignment rules the text
-    parsers enforce). *)
+    malformed input: truncation, trailing bytes, unknown tags, a
+    varint beyond the 62-bit range the encoders emit, a count the
+    remaining bytes cannot hold, or structural violations (the same
+    tree/assignment rules the {!Rctree.Io} and {!Bufins.Assignment}
+    text parsers enforce). *)
 
 (** {1 Envelopes} *)
 

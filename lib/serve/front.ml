@@ -6,16 +6,11 @@ type config = {
   max_connections : int;
 }
 
-type conn = {
+type client = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
   mutable alive : bool;
-  (* The encoding of the last frame this client sent: a framing
-     failure, which has no frame of its own, is reported in it. *)
-  mutable last_proto : Wire.proto;
 }
-
-type client = { conn : conn; proto : Wire.proto }
 
 type t = {
   config : config;
@@ -23,7 +18,7 @@ type t = {
   listeners : Unix.file_descr list;
   prev_sigpipe : Sys.signal_behavior option;
   read_buf : Bytes.t;
-  mutable conns : conn list;
+  mutable conns : client list;
   mutable draining : bool;
 }
 
@@ -80,22 +75,17 @@ let listen ~metrics config =
 
 let draining t = t.draining
 let drain t = t.draining <- true
-let proto c = c.proto
-let alive c = c.conn.alive
+let alive c = c.alive
 
 (* Write a frame, isolating connection death (EPIPE & friends) to this
    connection. *)
 let send c ~kind payload =
-  if c.conn.alive then
-    try Wire.write_frame_pv c.conn.fd ~proto:c.proto ~kind payload
-    with Unix.Unix_error _ | Sys_error _ -> c.conn.alive <- false
+  if c.alive then
+    try Wire.write_frame c.fd ~kind payload
+    with Unix.Unix_error _ | Sys_error _ -> c.alive <- false
 
 let send_error c code message =
-  let e = { Protocol.code; message } in
-  send c ~kind:"error"
-    (match c.proto with
-    | Wire.V1 -> Protocol.encode_error e
-    | Wire.V2 -> Codec_bin.encode_error e)
+  send c ~kind:"error" (Codec_bin.encode_error { Protocol.code; message })
 
 let fail t c code message =
   Metrics.request_error t.metrics ~code;
@@ -117,22 +107,15 @@ let accept t listen_fd =
     (* TCP clients benefit from immediate small frames. *)
     (try Unix.setsockopt fd Unix.TCP_NODELAY true
      with Unix.Unix_error _ | Invalid_argument _ -> ());
-    let conn =
-      {
-        fd;
-        dec = Wire.decoder ~max_payload:t.config.max_payload ();
-        alive = true;
-        last_proto = Wire.V1;
-      }
+    let c =
+      { fd; dec = Wire.decoder ~max_payload:t.config.max_payload (); alive = true }
     in
     Metrics.conn_opened t.metrics;
-    send { conn; proto = Wire.V1 } ~kind:"hello" (Protocol.hello_full ^ "\n");
-    t.conns <- conn :: t.conns
+    send c ~kind:"hello" Protocol.hello;
+    t.conns <- c :: t.conns
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let handle_frame t ~request ~stats conn (f : Wire.frame) =
-  conn.last_proto <- f.Wire.proto;
-  let c = { conn; proto = f.Wire.proto } in
+let handle_frame t ~request ~stats c (f : Wire.frame) =
   Metrics.request_kind t.metrics ~kind:f.Wire.kind;
   match f.Wire.kind with
   | "request" -> request c f.Wire.payload
@@ -147,36 +130,35 @@ let handle_frame t ~request ~stats conn (f : Wire.frame) =
   | kind ->
     fail t c Protocol.err_proto (Printf.sprintf "unknown frame kind %S" kind)
 
-let handle_readable t ~request ~stats conn =
-  match Unix.read conn.fd t.read_buf 0 (Bytes.length t.read_buf) with
+let handle_readable t ~request ~stats c =
+  match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error _ -> conn.alive <- false
-  | 0 -> conn.alive <- false
+  | exception Unix.Unix_error _ -> c.alive <- false
+  | 0 -> c.alive <- false
   | n -> (
-    Wire.feed conn.dec t.read_buf n;
+    Wire.feed c.dec t.read_buf n;
     let rec pump () =
-      match Wire.next conn.dec with
+      match Wire.next c.dec with
       | None -> ()
-      | Some (Wire.Oversized { kind; len; proto }) ->
-        conn.last_proto <- proto;
-        fail t { conn; proto } Protocol.err_too_large
+      | Some (Wire.Oversized { kind; len }) ->
+        fail t c Protocol.err_too_large
           (Printf.sprintf "%s frame of %d bytes exceeds the %d-byte limit"
              kind len t.config.max_payload);
         pump ()
       | Some (Wire.Frame f) ->
-        handle_frame t ~request ~stats conn f;
+        handle_frame t ~request ~stats c f;
         pump ()
     in
     try pump ()
     with Failure msg ->
       (* Framing is lost: tell the client why, then drop it.  The
          daemon itself keeps serving. *)
-      send_error { conn; proto = conn.last_proto } Protocol.err_proto msg;
-      conn.alive <- false)
+      send_error c Protocol.err_proto msg;
+      c.alive <- false)
 
-let close_conn t conn =
-  conn.alive <- false;
-  close_quietly conn.fd;
+let close_conn t c =
+  c.alive <- false;
+  close_quietly c.fd;
   Metrics.conn_closed t.metrics
 
 let serve t ~request ~stats readable =
@@ -184,9 +166,9 @@ let serve t ~request ~stats readable =
     (fun fd -> if List.mem fd readable then accept t fd)
     t.listeners;
   List.iter
-    (fun conn ->
-      if conn.alive && List.mem conn.fd readable then
-        handle_readable t ~request ~stats conn)
+    (fun c ->
+      if c.alive && List.mem c.fd readable then
+        handle_readable t ~request ~stats c)
     t.conns;
   (* Reap connections that died (EOF, write error, framing error);
      replies still owed to them are dropped by [send]'s alive check. *)

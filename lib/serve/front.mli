@@ -12,11 +12,11 @@
       [hello] frame);
     - one incremental {!Wire.decoder} per connection;
     - the frame pump.  An oversized frame gets a [too_large] error and
-      the stream stays in sync; a framing failure gets a [proto] error
-      and the connection is closed;
+      the stream stays in sync; a framing failure (a v1 text header
+      included) gets a [proto] error and the connection is closed;
     - the [stats], [trace], [shutdown] and unknown kinds.  [request]
       frames go to the caller;
-    - replies, each encoded in the protocol of the frame it answers;
+    - replies, errors encoded with {!Codec_bin.encode_error};
     - reaping dead connections, and closing. *)
 
 type config = {
@@ -30,8 +30,7 @@ type config = {
 type t
 
 type client
-(** Where a reply goes: one connection plus the encoding of the frame
-    being answered. *)
+(** Where a reply goes: one client connection. *)
 
 val listen : metrics:Metrics.t -> config -> t
 (** Bind the listeners (removing a stale socket file first) and
@@ -61,16 +60,13 @@ val draining : t -> bool
 
 val drain : t -> unit
 
-val proto : client -> Wire.proto
 val alive : client -> bool
 
 val respond : t -> client -> latency_ms:float -> string -> unit
-(** Count an ok response and send its payload, already encoded in
-    [proto client]. *)
+(** Count an ok response and send its payload, already encoded. *)
 
 val fail : t -> client -> string -> string -> unit
-(** [fail t client code message] counts an error and sends it in
-    [proto client]'s encoding. *)
+(** [fail t client code message] counts an error and sends it. *)
 
 val close : t -> unit
 (** Close every connection and listener, remove the socket file and

@@ -2,7 +2,7 @@
 
     {!run} is a pure function of the request (the response carries no
     wall-clock fields), so the bytes of
-    [Protocol.encode_response (run req)] are identical whether the
+    [Codec_bin.encode_response (run req)] are identical whether the
     request is answered here, by a server at [--jobs 1], or by a server
     at [--jobs 8] — the determinism the protocol promises.  The server
     routes every request through this module; tests call it directly

@@ -1,64 +1,31 @@
-(** The varbuf-serve wire protocol, version {!version}.
+(** The varbuf-serve protocol, version {!version}: the values every
+    frame carries.
 
-    Frames ({!Wire}) carry line-oriented text payloads.  On connect the
-    server sends one [hello] frame whose payload begins with
-    ["varbuf-serve protocol <version>"]; a client must check the
-    version before submitting.  Then, per client frame:
+    Frames ({!Wire}) carry {!Codec_bin} payloads.  On connect the
+    server sends one [hello] frame whose payload is the single line
+    {!hello}; a client must check it ({!check_hello}) before
+    submitting.  Then, per client frame:
 
     - [request] → one [response] (success) or [error] frame;
     - [stats]   → one [stats] frame ({!Metrics.render} text);
+    - [trace]   → one [trace] frame (Chrome trace JSON);
     - [shutdown] → one [ok] frame, after which the server drains
       in-flight requests and exits.
 
-    A request payload is key-value lines followed by a [tree] marker
-    line and the routing tree in the {!Rctree.Io} text format:
-
-    {v
-    id 3
-    seed 42
-    mode wid
-    rule 2p
-    p_l 0.5
-    p_t 0.5
-    deadline_ms 5000
-    mc 0
-    wire_sizing false
-    tree
-    # varbuf tree v1
-    node 0 root x 500 y 500
-    ...
-    v}
-
-    Every field except the tree has a default; [seed], [rule] and
-    [mode] are explicit in the request so a response is a pure function
-    of the payload — the same request is answered bit-identically by
-    any server at any [--jobs] count.  A response payload is key-value
-    result lines followed by a [buffering] marker and the chosen
-    solution in the {!Bufins.Assignment} text format (responses carry
-    no wall-clock fields; latency lives in the [stats] report). *)
+    Every request field except the tree has a default; [seed], [rule]
+    and [mode] are explicit in the request so a response is a pure
+    function of the payload — the same request is answered
+    bit-identically by any server at any [--jobs] count.  Responses
+    carry no wall-clock fields; latency lives in the [stats] report. *)
 
 val version : int
 
-val version_bin : int
-(** The binary payload encoding ({!Codec_bin}), negotiated per
-    connection: the server's hello advertises it, and a frame that
-    arrives in v2 framing is answered in kind. *)
-
 val hello : string
-(** The first hello line, ["varbuf-serve protocol <version>"]. *)
-
-val hello_full : string
-(** The full [hello] payload the server sends: {!hello} plus a
-    ["protocols 1 2"] line advertising the payload encodings it
-    accepts. *)
+(** The [hello] payload, ["varbuf-serve protocol <version>"]. *)
 
 val check_hello : string -> unit
 (** @raise Failure if the peer's hello names an incompatible
     protocol. *)
-
-val supported_protocols : string -> int list
-(** The encodings a hello payload advertises; [[version]] when no
-    [protocols] line is present (a pre-v2 server). *)
 
 (** {1 Requests} *)
 
@@ -74,33 +41,30 @@ type request = {
       (** > 0 routes the request to the sampling-based yield engine
           ({!Sample.Engine}) with K = [samples] process corners drawn
           from [seed]; 0 (the default) uses the canonical engine with
-          [rule].  Omitted from the v1 encoding when 0, so pre-sample
-          requests keep their exact historical bytes (and cache
-          keys). *)
+          [rule]. *)
   relax : float;
       (** sample-dominance relaxation forwarded to the sample engine
-          (1 = exact full dominance, > 1 = no pruning); omitted from
-          the v1 encoding when 1.  Must be > 0 (not NaN) even when
-          [samples = 0], where it is otherwise ignored. *)
+          (1 = exact full dominance, > 1 = no pruning).  Must be > 0
+          (not NaN) even when [samples = 0], where it is otherwise
+          ignored. *)
   btypes : int;
       (** > 0 replaces the default buffer library with the
           deterministic synthetic b-type ladder
           {!Device.Buffer.synth_library} (sizes and inverters); 0 (the
           default) keeps {!Device.Buffer.default_library}.  Omitted
-          from both encodings when 0, so historical requests keep
-          their exact bytes and cache keys. *)
+          from the encoding when 0, so historical requests keep their
+          exact bytes and cache keys. *)
   objective : Bufins.Dominance.objective;
       (** power-aware optimisation objective, forwarded to whichever
           engine serves the request.  The default
-          ({!Bufins.Dominance.Max_yield}) is omitted from both
-          encodings, so historical requests keep their exact bytes and
+          ({!Bufins.Dominance.Max_yield}) is omitted from the
+          encoding, so historical requests keep their exact bytes and
           cache keys; any other value engages (load, RAT, power)
-          Pareto pruning and adds a [power] line to the response. *)
+          pruning and adds a power figure to the response. *)
   eps_power : float;
       (** ε-dominance bucket width on the power axis (fJ); 0 (the
-          default, omitted from both encodings) is the exact
-          frontier.  Must be ≥ 0; ignored under the default
-          [objective]. *)
+          default, omitted from the encoding) is the exact frontier.
+          Must be ≥ 0; ignored under the default [objective]. *)
   tree : Rctree.Tree.t;
 }
 
@@ -109,13 +73,6 @@ val default_request : tree:Rctree.Tree.t -> request
     sizing, no sampling ([samples = 0], [relax = 1]), default buffer
     library ([btypes = 0]), default objective
     ([objective = Max_yield], [eps_power = 0]). *)
-
-val encode_request : request -> string
-
-val decode_request : string -> request
-(** @raise Failure with a line-numbered message on malformed input
-    (unknown field, bad value, missing [tree] marker, or any
-    {!Rctree.Io.of_string} error, prefixed with [tree]). *)
 
 (** {1 Responses} *)
 
@@ -147,14 +104,6 @@ type response = {
   assignment : Bufins.Assignment.t;
 }
 
-val encode_response : response -> string
-(** Deterministic: floats printed with ["%.17g"] so
-    {!decode_response} round-trips exactly and equal results encode to
-    equal bytes. *)
-
-val decode_response : string -> response
-(** @raise Failure with a line-numbered message on malformed input. *)
-
 (** {1 Errors} *)
 
 type error = { code : string; message : string }
@@ -175,8 +124,5 @@ val err_internal : string
 (** The optimiser failed unexpectedly. *)
 
 val err_proto : string
-(** Unknown frame kind or other protocol misuse. *)
-
-val encode_error : error -> string
-val decode_error : string -> error
-(** Tolerant: missing fields decode to ["internal"] / [""]. *)
+(** Unknown frame kind, a corrupt frame header, or other protocol
+    misuse. *)

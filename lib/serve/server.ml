@@ -29,11 +29,6 @@ type job = {
   enqueued_at : float;
 }
 
-let encode_response proto r =
-  match proto with
-  | Wire.V1 -> Protocol.encode_response r
-  | Wire.V2 -> Codec_bin.encode_response r
-
 let run ?(should_stop = fun () -> false) config =
   let metrics = Metrics.create () in
   let front =
@@ -84,17 +79,14 @@ let run ?(should_stop = fun () -> false) config =
       Front.fail front client Protocol.err_busy
         (Printf.sprintf "request queue full (depth %d)" config.queue_depth)
     else
-      (* With the tape cache on, a v2 request's tape key is the digest
-         of its raw tree blob, taken in place: no re-encoding. *)
+      (* With the tape cache on, a request's tape key is the digest of
+         its raw tree blob, taken in place: no re-encoding. *)
       let decode payload =
-        match Front.proto client with
-        | Wire.V1 -> (Protocol.decode_request payload, None)
-        | Wire.V2 ->
-          let req = Codec_bin.decode_request payload in
-          if Option.is_none tapes then (req, None)
-          else
-            let off, len = Codec_bin.request_tree_span payload in
-            (req, Some (Tapes.digest_of_span payload ~off ~len))
+        let req = Codec_bin.decode_request payload in
+        if Option.is_none tapes then (req, None)
+        else
+          let off, len = Codec_bin.request_tree_span payload in
+          (req, Some (Tapes.digest_of_span payload ~off ~len))
       in
       match decode payload with
       | exception Failure msg -> Front.fail front client Protocol.err_parse msg
@@ -169,7 +161,7 @@ let run ?(should_stop = fun () -> false) config =
         match Exec.Pool.await j.fut with
         | Ok resp ->
           Front.respond front j.j_client ~latency_ms
-            (encode_response (Front.proto j.j_client) resp)
+            (Codec_bin.encode_response resp)
         | Error err ->
           Front.fail front j.j_client err.Protocol.code err.Protocol.message
         | exception e ->

@@ -29,8 +29,7 @@ type config = {
   tcp_port : int option;
       (** also listen on 127.0.0.1:[port]; [None] (the default) keeps
           the daemon Unix-socket-only.  Both listeners serve the same
-          protocol — wire encoding (v1 text or v2 binary) is per
-          connection, not per listener. *)
+          protocol. *)
   jobs : int;  (** size of the server's {!Exec.Pool} *)
   backlog : int;  (** listen backlog *)
   max_payload : int;  (** request-frame size limit, bytes *)

@@ -1,8 +1,8 @@
 (* Compiled-tape cache, keyed by topology digest.
 
    A tape is a pure function of the tree it was compiled from, so the
-   key is the digest of the tree's canonical v2 encoding
-   ({!Codec_bin.encode_tree}).  That is exactly the blob an encoded v2
+   key is the digest of the tree's canonical encoding
+   ({!Codec_bin.encode_tree}).  That is exactly the blob an encoded
    request carries ({!Codec_bin.request_tree_span}), so the server
    digests the raw blob in place instead of re-encoding the tree.
    Lookups count both in the LRU and on the obs counters

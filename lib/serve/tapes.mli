@@ -1,6 +1,6 @@
 (** Bounded cache of compiled tapes ({!Compile.Tape}),
-    keyed by the digest of the tree's canonical v2 encoding — the same
-    bytes a v2 request carries as its tree blob, so the server can
+    keyed by the digest of the tree's canonical encoding — the same
+    bytes a request carries as its tree blob, so the server can
     key an incoming payload by digesting the blob in place.
     Thread-safe; eviction is least-recently-used via {!Lru}. *)
 
@@ -15,7 +15,7 @@ val digest_of_tree : Rctree.Tree.t -> string
 val digest_of_span : string -> off:int -> len:int -> string
 (** Hex digest of a raw tree blob inside an encoded request (from
     {!Codec_bin.request_tree_span}).  Equals {!digest_of_tree} of the
-    decoded tree, since the v2 tree encoding is canonical. *)
+    decoded tree, since the tree encoding is canonical. *)
 
 val obtain : ?digest:string -> t -> Rctree.Tree.t -> Compile.Tape.t
 (** The tape for [tree], compiling and caching on miss.  [digest]

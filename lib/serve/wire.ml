@@ -1,23 +1,17 @@
-type proto = V1 | V2
+type proto = V2
 
-type frame = { kind : string; payload : string; proto : proto }
+type frame = { kind : string; payload : string }
 
 type event =
   | Frame of frame
-  | Oversized of { kind : string; len : int; proto : proto }
+  | Oversized of { kind : string; len : int }
 
-let magic = "varbuf1"
-let max_header = 128
-
-(* Binary (v2) framing: a fixed 10-byte header
+(* A fixed 10-byte header
      0xAB 'V' 'B' '2'  version  kind  len_be32
-   followed by exactly [len] payload bytes.  The first byte 0xAB is
-   outside printable ASCII, so the decoder can tell the two framings
-   apart from the first buffered byte. *)
-let magic2_0 = '\xAB'
-let magic2 = "\xABVB2"
-let header2_len = 10
-let version2 = 2
+   followed by exactly [len] payload bytes. *)
+let magic = "\xABVB2"
+let header_len = 10
+let version = 2
 
 let kind_code = function
   | "hello" -> 1
@@ -39,7 +33,7 @@ let kind_of_code = function
   | 6 -> "trace"
   | 7 -> "shutdown"
   | 8 -> "ok"
-  | c -> failwith (Printf.sprintf "frame header: unknown v2 kind code %d" c)
+  | c -> failwith (Printf.sprintf "frame header: unknown kind code %d" c)
 
 type decoder = {
   mutable acc : string;        (* buffered, unconsumed input *)
@@ -63,39 +57,22 @@ let feed d buf n =
     else d.acc <- d.acc ^ chunk
   end
 
-let kind_ok kind =
-  kind <> ""
-  && String.for_all
-       (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_')
-       kind
-
-let parse_header line =
-  match String.split_on_char ' ' line with
-  | [ m; kind; len ] when m = magic -> (
-    if not (kind_ok kind) then
-      failwith (Printf.sprintf "frame header: bad kind %S" kind);
-    match int_of_string_opt len with
-    | Some n when n >= 0 -> (kind, n)
-    | _ -> failwith (Printf.sprintf "frame header: bad length %S" len))
-  | _ -> failwith (Printf.sprintf "frame header: expected %S, got %S" magic line)
-
-(* The accumulated input starts with a v2 header byte: parse the fixed
-   header once all 10 bytes are in. *)
-let next_v2 d =
+let next d =
   let n = String.length d.acc in
-  if n < header2_len then begin
+  if d.skip > 0 || n = 0 then None
+  else if n < header_len then begin
     (* Reject a wrong magic as soon as the prefix diverges, not only
-       at 4 buffered bytes. *)
+       once the whole header is in. *)
     let avail = min n 4 in
-    if String.sub d.acc 0 avail <> String.sub magic2 0 avail then
-      failwith "frame header: bad v2 magic";
+    if String.sub d.acc 0 avail <> String.sub magic 0 avail then
+      failwith "frame header: bad magic";
     None
   end
   else begin
-    if String.sub d.acc 0 4 <> magic2 then failwith "frame header: bad v2 magic";
-    let version = Char.code d.acc.[4] in
-    if version <> version2 then
-      failwith (Printf.sprintf "frame header: unsupported v2 version %d" version);
+    if String.sub d.acc 0 4 <> magic then failwith "frame header: bad magic";
+    let v = Char.code d.acc.[4] in
+    if v <> version then
+      failwith (Printf.sprintf "frame header: unsupported version %d" v);
     let kind = kind_of_code (Char.code d.acc.[5]) in
     let len =
       (Char.code d.acc.[6] lsl 24)
@@ -103,51 +80,21 @@ let next_v2 d =
       lor (Char.code d.acc.[8] lsl 8)
       lor Char.code d.acc.[9]
     in
-    let after = n - header2_len in
-    if len > d.max_payload then begin
-      let eaten = min len after in
-      d.acc <- String.sub d.acc (header2_len + eaten) (after - eaten);
-      d.skip <- len - eaten;
-      Some (Oversized { kind; len; proto = V2 })
-    end
-    else if after >= len then begin
-      let payload = String.sub d.acc header2_len len in
-      d.acc <- String.sub d.acc (header2_len + len) (after - len);
-      Some (Frame { kind; payload; proto = V2 })
-    end
-    else None
-  end
-
-let next_v1 d =
-  match String.index_opt d.acc '\n' with
-  | None ->
-    if String.length d.acc > max_header then
-      failwith "frame header: no newline within the header limit";
-    None
-  | Some nl when nl > max_header ->
-    failwith "frame header: header line too long"
-  | Some nl -> (
-    let kind, len = parse_header (String.sub d.acc 0 nl) in
-    let after = String.length d.acc - nl - 1 in
+    let after = n - header_len in
     if len > d.max_payload then begin
       (* Discard the payload but keep the stream in sync. *)
       let eaten = min len after in
-      d.acc <- String.sub d.acc (nl + 1 + eaten) (after - eaten);
+      d.acc <- String.sub d.acc (header_len + eaten) (after - eaten);
       d.skip <- len - eaten;
-      Some (Oversized { kind; len; proto = V1 })
+      Some (Oversized { kind; len })
     end
     else if after >= len then begin
-      let payload = String.sub d.acc (nl + 1) len in
-      d.acc <- String.sub d.acc (nl + 1 + len) (after - len);
-      Some (Frame { kind; payload; proto = V1 })
+      let payload = String.sub d.acc header_len len in
+      d.acc <- String.sub d.acc (header_len + len) (after - len);
+      Some (Frame { kind; payload })
     end
-    else None)
-
-let next d =
-  if d.skip > 0 then None
-  else if d.acc = "" then None
-  else if d.acc.[0] = magic2_0 then next_v2 d
-  else next_v1 d
+    else None
+  end
 
 exception Closed
 
@@ -183,24 +130,18 @@ let write_all fd s =
   in
   go 0
 
-let frame_bytes ~proto ~kind payload =
-  match proto with
-  | V1 ->
-    Printf.sprintf "%s %s %d\n%s" magic kind (String.length payload) payload
-  | V2 ->
-    let len = String.length payload in
-    let b = Bytes.create (header2_len + len) in
-    Bytes.blit_string magic2 0 b 0 4;
-    Bytes.set b 4 (Char.chr version2);
-    Bytes.set b 5 (Char.chr (kind_code kind));
-    Bytes.set b 6 (Char.chr ((len lsr 24) land 0xff));
-    Bytes.set b 7 (Char.chr ((len lsr 16) land 0xff));
-    Bytes.set b 8 (Char.chr ((len lsr 8) land 0xff));
-    Bytes.set b 9 (Char.chr (len land 0xff));
-    Bytes.blit_string payload 0 b header2_len len;
-    Bytes.unsafe_to_string b
+let frame_bytes ~kind payload =
+  let len = String.length payload in
+  let b = Bytes.create (header_len + len) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set b 4 (Char.chr version);
+  Bytes.set b 5 (Char.chr (kind_code kind));
+  Bytes.set b 6 (Char.chr ((len lsr 24) land 0xff));
+  Bytes.set b 7 (Char.chr ((len lsr 16) land 0xff));
+  Bytes.set b 8 (Char.chr ((len lsr 8) land 0xff));
+  Bytes.set b 9 (Char.chr (len land 0xff));
+  Bytes.blit_string payload 0 b header_len len;
+  Bytes.unsafe_to_string b
 
-let write_frame_pv fd ~proto ~kind payload =
-  write_all fd (frame_bytes ~proto ~kind payload)
-
-let write_frame fd ~kind payload = write_frame_pv fd ~proto:V1 ~kind payload
+let write_frame fd ~kind payload = write_all fd (frame_bytes ~kind payload)
+let write_frame_pv fd ~proto:V2 ~kind payload = write_frame fd ~kind payload

@@ -1,45 +1,30 @@
-(** Length-delimited framing over a stream socket, in two concrete
-    encodings negotiated per connection.
-
-    {b v1 (text)}: a single ASCII header line followed by exactly the
-    announced number of payload bytes:
-
-    {v
-    varbuf1 <kind> <payload-bytes>\n
-    <payload>
-    v}
-
-    {b v2 (binary)}: a fixed 10-byte header followed by the payload:
+(** Length-delimited framing over a stream socket: a fixed 10-byte
+    header followed by the payload.
 
     {v
     0xAB 'V' 'B' '2'   version(=2)   kind-code   length (4 bytes, BE)
     <payload>
     v}
 
-    The leading byte [0xAB] is outside printable ASCII, so a decoder
-    tells the framings apart from the first byte of every frame — the
-    same connection may carry both, and a server answers each frame in
-    the encoding it arrived in.  Kind codes: 1 hello, 2 request,
-    3 response, 4 error, 5 stats, 6 trace, 7 shutdown, 8 ok.
-
-    [kind] is a short lower-case token ([request], [response], [error],
-    [stats], [trace], [shutdown], [ok], [hello]); v1 payloads are
-    line-oriented text defined by {!Protocol}, v2 request/response/
-    error payloads are the compact binary encodings of {!Codec_bin}.
-    Because the length is explicit in both framings, a receiver can
+    Kind codes: 1 hello, 2 request, 3 response, 4 error, 5 stats,
+    6 trace, 7 shutdown, 8 ok.  Request, response and error payloads
+    are the binary encodings of {!Codec_bin}; hello, stats and trace
+    payloads are text.  Because the length is explicit, a receiver can
     always resynchronise after a payload it rejects (malformed or over
     the size limit) — only a corrupt {e header} forces the connection
     closed. *)
 
-type proto = V1 | V2
+type proto = V2
+(** The one wire encoding.  Kept only because the served-request
+    benchmark ([bench/e2e]) still names it; nothing here reads it. *)
 
-type frame = { kind : string; payload : string; proto : proto }
+type frame = { kind : string; payload : string }
 
 type event =
   | Frame of frame
-  | Oversized of { kind : string; len : int; proto : proto }
-      (** A syntactically valid header announcing a payload larger than
-          the decoder's limit.  The payload bytes are consumed and
+  | Oversized of { kind : string; len : int }
+      (** A valid header announcing a payload larger than the
+          decoder's limit.  The payload bytes are consumed and
           discarded internally; the stream stays in sync and the next
           {!next}/{!recv} yields the following frame. *)
 
@@ -57,9 +42,9 @@ val feed : decoder -> bytes -> int -> unit
 
 val next : decoder -> event option
 (** The next complete event, or [None] if more input is needed.
-    @raise Failure on an unrecoverable framing error (bad magic,
-    malformed or oversized header line, unknown v2 version or kind
-    code): the connection must be closed. *)
+    @raise Failure on an unrecoverable framing error (input that does
+    not start with the magic, an unknown version or kind code): the
+    connection must be closed. *)
 
 (** {1 Blocking transport (the client side)} *)
 
@@ -71,29 +56,15 @@ val recv : decoder -> Unix.file_descr -> event
     @raise Closed on EOF at a frame boundary;
     @raise Failure on EOF mid-frame or a framing error. *)
 
-val frame_bytes : proto:proto -> kind:string -> string -> string
+val frame_bytes : kind:string -> string -> string
 (** The on-the-wire bytes of one frame.
-    @raise Invalid_argument for a kind without a v2 code when
-    [proto = V2]. *)
+    @raise Invalid_argument for an unknown kind. *)
+
+val write_frame : Unix.file_descr -> kind:string -> string -> unit
+(** Send one frame (blocking, handles partial writes).
+    @raise Unix.Unix_error as [Unix.write] (e.g. [EPIPE]). *)
 
 val write_frame_pv :
   Unix.file_descr -> proto:proto -> kind:string -> string -> unit
-(** Send one frame in the given encoding (blocking, handles partial
-    writes).
-    @raise Unix.Unix_error as [Unix.write] (e.g. [EPIPE]). *)
-
-val write_frame : Unix.file_descr -> kind:string -> string -> unit
-(** [write_frame_pv ~proto:V1]. *)
-
-val max_header : int
-(** Longest accepted v1 header line, bytes (framing constant). *)
-
-val header2_len : int
-(** Exact v2 header size, bytes. *)
-
-val kind_code : string -> int
-(** The v2 code of a kind token.
-    @raise Invalid_argument for an unknown kind. *)
-
-val kind_of_code : int -> string
-(** @raise Failure for an unassigned code. *)
+(** {!write_frame}, ignoring [proto].  Kept only because the
+    served-request benchmark ([bench/e2e]) still calls it. *)

@@ -40,10 +40,10 @@ wait "$SERVER"
 [ ! -e "$SOCK" ] || { echo "FAIL: socket not removed on shutdown"; exit 1; }
 
 # ---- sharded cluster: router + 2 workers, Unix socket + TCP ----
-# The same net requested through the v1 text protocol on the Unix
-# socket and the v2 binary protocol over TCP must produce identical
-# bufferings (the second answer comes from the worker's result cache,
-# so this also covers the cache-hit path through the router).
+# The same net requested through the router's Unix socket and over TCP
+# must produce identical bufferings (the second answer comes from the
+# worker's result cache, so this also covers the cache-hit path
+# through the router).
 dune build bin/loadgen_main.exe
 LOADGEN=_build/default/bin/loadgen_main.exe
 
@@ -59,32 +59,33 @@ CLUSTER=$!
 for _ in $(seq 1 100); do [ -S "$CSOCK" ] && break; sleep 0.1; done
 [ -S "$CSOCK" ] || { echo "FAIL: cluster socket never appeared"; exit 1; }
 
-"$BIN" request --socket "$CSOCK" --wire v1 --bench r1 --algo wid --rule 2p \
+"$BIN" request --socket "$CSOCK" --bench r1 --algo wid --rule 2p \
   --deadline-ms 120000 --save-buffering "$BUF1" >/dev/null
-"$BIN" request --tcp "$PORT" --wire v2 --bench r1 --algo wid --rule 2p \
+"$BIN" request --tcp "$PORT" --bench r1 --algo wid --rule 2p \
   --deadline-ms 120000 --save-buffering "$BUF2" >/dev/null
-cmp "$BUF1" "$BUF2" || { echo "FAIL: v1 and v2 bufferings differ"; exit 1; }
+cmp "$BUF1" "$BUF2" \
+  || { echo "FAIL: Unix-socket and TCP bufferings differ"; exit 1; }
 
 # The same pair again in sample mode: the sampling-based yield engine
-# served through the router, v1 text vs v2 binary, must agree byte for
+# served through the router, Unix socket vs TCP, must agree byte for
 # byte and report its sampled yield figures.
-sout=$("$BIN" request --socket "$CSOCK" --wire v1 --sinks 12 --seed 5 \
+sout=$("$BIN" request --socket "$CSOCK" --sinks 12 --seed 5 \
   --algo wid --samples 128 --deadline-ms 120000 --save-buffering "$BUF1")
 echo "$sout" | grep -q "sampled driver RAT (K=128)" \
-  || { echo "FAIL: v1 sample response missing sampled line"; exit 1; }
-"$BIN" request --tcp "$PORT" --wire v2 --sinks 12 --seed 5 \
+  || { echo "FAIL: Unix-socket sample response missing sampled line"; exit 1; }
+"$BIN" request --tcp "$PORT" --sinks 12 --seed 5 \
   --algo wid --samples 128 --deadline-ms 120000 --save-buffering "$BUF2" \
   | grep -q "sampled driver RAT (K=128)" \
-  || { echo "FAIL: v2 sample response missing sampled line"; exit 1; }
+  || { echo "FAIL: TCP sample response missing sampled line"; exit 1; }
 cmp "$BUF1" "$BUF2" \
-  || { echo "FAIL: sample-mode v1 and v2 bufferings differ"; exit 1; }
+  || { echo "FAIL: sample-mode Unix-socket and TCP bufferings differ"; exit 1; }
 
 # Same net, different rule: the rule is part of the response-cache key
 # so the worker's result cache misses, but the compiled-tape cache is
 # keyed by the topology digest alone — the r1 requests above already
 # compiled this tree, so this request must be a tape hit (skipping
 # the compile).  The workers' own stats prove it.
-"$BIN" request --tcp "$PORT" --wire v2 --bench r1 --algo wid --rule det \
+"$BIN" request --tcp "$PORT" --bench r1 --algo wid --rule det \
   --deadline-ms 120000 >/dev/null
 thits=0
 for ws in "$CSOCK".shard*; do
@@ -97,13 +98,13 @@ done
 [ "$thits" -ge 1 ] \
   || { echo "FAIL: no tape-cache hit after same-net replay"; exit 1; }
 
-# A short closed-loop load through the router in v2 binary.
-lg=$("$LOADGEN" --socket "$CSOCK" --wire v2 --connections 2 --requests 20 \
+# A short closed-loop load through the router.
+lg=$("$LOADGEN" --socket "$CSOCK" --connections 2 --requests 20 \
   --distinct 4 --sinks 12)
 echo "$lg" | head -3
 grep -q "^ok 20 " <<<"$lg"
 
-cstats=$("$BIN" stats --tcp "$PORT" --wire v2 --socket "$CSOCK")
+cstats=$("$BIN" stats --tcp "$PORT" --socket "$CSOCK")
 grep -qx "cluster_shards 2" <<<"$cstats"
 grep -qx "ok 25" <<<"$cstats"
 grep -q "^kind_request 25" <<<"$cstats"
@@ -112,6 +113,15 @@ grep -q "^cluster_shard_0_links " <<<"$cstats"
 if grep -qE "^cluster_v[12]_cache_" <<<"$cstats"; then
   echo "FAIL: router stats report a request cache"; exit 1
 fi
+
+# There is one wire encoding: --wire is an unknown option (cmdliner's
+# exit 124), even against the live cluster a request would reach (a
+# failed connect exits 1).
+status=0
+"$BIN" request --socket "$CSOCK" --wire v1 --bench r1 >/dev/null 2>&1 \
+  || status=$?
+[ "$status" -eq 124 ] \
+  || { echo "FAIL: request --wire v1 exited $status, expected 124"; exit 1; }
 
 "$BIN" shutdown --socket "$CSOCK"
 wait "$CLUSTER"

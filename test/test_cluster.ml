@@ -1,10 +1,10 @@
 (* End-to-end tests for lib/cluster: the routed path must be
    byte-identical to a single server at any shard count (including
-   cache-hit answers and error replies), v1 and v2 clients must agree
-   through the router, sharding must be a pure function of the routing
-   tree, the bounded queues must refuse overload with busy, the router
-   must link up as soon as its worker listens, and a worker response
-   the router cannot decode must still answer a v1 client. *)
+   cache-hit answers and error replies), sharding must be a pure
+   function of the routing tree, the bounded queues must refuse
+   overload with busy, the router must link up as soon as its worker
+   listens, and a worker response reaches the client verbatim even
+   when it does not decode. *)
 
 let streeq = Alcotest.(check (list string))
 
@@ -28,8 +28,8 @@ let stream_request k =
   }
 
 (* Raw response payloads for requests [0, n) over one connection. *)
-let run_stream ?(n = 100) ~wire socket =
-  let client = Serve.Client.connect ~wire socket in
+let run_stream ?(n = 100) socket =
+  let client = Serve.Client.connect socket in
   Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
   List.init n (fun k ->
       match Serve.Client.request_raw client (stream_request k) with
@@ -70,16 +70,12 @@ let with_direct_server f =
       f socket_path)
 
 let test_shard_counts_agree () =
-  let one =
-    Cluster.Inproc.with_cluster ~shards:1 (run_stream ~wire:Serve.Wire.V2)
-  in
-  let three =
-    Cluster.Inproc.with_cluster ~shards:3 (run_stream ~wire:Serve.Wire.V2)
-  in
+  let one = Cluster.Inproc.with_cluster ~shards:1 run_stream in
+  let three = Cluster.Inproc.with_cluster ~shards:3 run_stream in
   streeq "1-shard and 3-shard raw response payloads" one three;
   (* And both equal a plain router-less server: the cluster adds
      routing, not semantics. *)
-  let direct = with_direct_server (run_stream ~wire:Serve.Wire.V2) in
+  let direct = with_direct_server run_stream in
   streeq "cluster equals a single router-less server" one direct
 
 (* ---------- error replies: router and server must agree ---------- *)
@@ -101,68 +97,46 @@ let write_all fd s =
   in
   go 0
 
-(* One reply frame, as text to compare: errors by kind, encoding, code
-   and message, anything else by its bytes. *)
+(* One reply frame, as text to compare: errors by code and message,
+   anything else by kind and bytes. *)
 let read_reply (fd, dec) =
   match Serve.Wire.recv dec fd with
-  | Serve.Wire.Frame { kind = "error"; payload; proto } ->
-    let e, enc =
-      match proto with
-      | Serve.Wire.V1 -> (Serve.Protocol.decode_error payload, "v1")
-      | Serve.Wire.V2 -> (Serve.Codec_bin.decode_error payload, "v2")
-    in
-    Printf.sprintf "error %s %s: %s" enc e.Serve.Protocol.code
-      e.Serve.Protocol.message
-  | Serve.Wire.Frame { kind; payload; proto } ->
-    Printf.sprintf "%s %s %s" kind
-      (if proto = Serve.Wire.V1 then "v1" else "v2")
-      (Digest.to_hex (Digest.string payload))
+  | Serve.Wire.Frame { kind = "error"; payload } ->
+    let e = Serve.Codec_bin.decode_error payload in
+    Printf.sprintf "error %s: %s" e.Serve.Protocol.code e.Serve.Protocol.message
+  | Serve.Wire.Frame { kind; payload } ->
+    Printf.sprintf "%s %s" kind (Digest.to_hex (Digest.string payload))
   | Serve.Wire.Oversized _ -> "oversized reply"
   | exception
       (Serve.Wire.Closed | Failure _ | Unix.Unix_error (Unix.ECONNRESET, _, _))
     ->
     "closed"
 
-let valid_request proto =
-  let req = stream_request 3 in
-  let payload =
-    match proto with
-    | Serve.Wire.V1 -> Serve.Protocol.encode_request req
-    | Serve.Wire.V2 -> Serve.Codec_bin.encode_request req
-  in
-  Serve.Wire.frame_bytes ~proto ~kind:"request" payload
+let valid_request () =
+  Serve.Wire.frame_bytes ~kind:"request"
+    (Serve.Codec_bin.encode_request (stream_request 3))
 
-(* Sampled requests whose relax is not > 0, in both encodings: each
-   earns one parse error, and the connection survives. *)
+(* Sampled requests whose relax is not > 0: each earns one parse
+   error, and the connection survives. *)
 let bad_relax =
   lazy
-    (List.concat_map
+    (List.map
        (fun relax ->
          let req =
            { (stream_request 5) with Serve.Protocol.samples = 64; relax }
          in
-         List.map
-           (fun (proto, enc, payload) ->
-             ( Printf.sprintf "%s request with relax %g" enc relax,
-               proto,
-               Serve.Wire.frame_bytes ~proto ~kind:"request" payload,
-               1,
-               false ))
-           [
-             (Serve.Wire.V1, "v1", Serve.Protocol.encode_request req);
-             (Serve.Wire.V2, "v2", Serve.Codec_bin.encode_request req);
-           ])
+         ( Printf.sprintf "v2 request with relax %g" relax,
+           Serve.Wire.frame_bytes ~kind:"request"
+             (Serve.Codec_bin.encode_request req),
+           1,
+           false ))
        [ 0.0; -1.0; Float.nan ])
 
-(* Each case: name, framing, bytes to send, how many reply frames they
-   earn, and whether the connection is then closed. *)
+(* Each case: name, bytes to send, how many reply frames they earn, and
+   whether the connection is then closed. *)
 let bad_inputs =
   lazy
-    (let v1 = Serve.Wire.V1 and v2 = Serve.Wire.V2 in
-     let frame proto kind payload =
-       Serve.Wire.frame_bytes ~proto ~kind payload
-     in
-     let malformed = "id 4\nseed notanumber\ntree\n" in
+    (let frame kind payload = Serve.Wire.frame_bytes ~kind payload in
      let bin = Serve.Codec_bin.encode_request (stream_request 4) in
      let off, _ = Serve.Codec_bin.request_tree_span bin in
      (* A tree node count of zero. *)
@@ -171,35 +145,33 @@ let bad_inputs =
        ^ String.sub bin (off + 1) (String.length bin - off - 1)
      in
      let over = 8 * 1024 * 1024 + 1 in
-     let oversized_v1 =
-       Printf.sprintf "varbuf1 request %d\n" over ^ String.make over 'x'
-     in
      let oversized_v2 =
-       let h = frame v2 "request" "" in
+       let h = frame "request" "" in
        String.sub h 0 6 ^ "\000\128\000\001" ^ String.make over 'x'
      in
      [
-       ("malformed v1 request", v1, frame v1 "request" malformed, 1, false);
-       ("v1 text in a v2 frame", v2, frame v2 "request" malformed, 1, false);
+       ( "v1 text in a v2 frame",
+         frame "request" "id 4\nseed notanumber\ntree\n",
+         1,
+         false );
        ( "v2 request cut inside its head",
-         v2,
-         frame v2 "request" (String.sub bin 0 12),
+         frame "request" (String.sub bin 0 12),
          1,
          false );
-       ( "v2 request with a corrupt tree",
-         v2,
-         frame v2 "request" corrupt_tree,
+       ("v2 request with a corrupt tree", frame "request" corrupt_tree, 1, false);
+       ( "v2 request whose tree length overflows",
+         frame "request" Test_codec_bin.overflow_request,
          1,
          false );
-       ("oversized v1 frame", v1, oversized_v1, 1, false);
-       ("oversized v2 frame", v2, oversized_v2, 1, false);
-       ("unknown v1 kind", v1, frame v1 "bogus" "", 1, false);
-       ("unknown v2 kind", v2, frame v2 "ok" "", 1, false);
-       ("corrupt v1 header", v1, "varbuf1 request many\n", 1, true);
-       (* After a v2 frame, so the framing error is v2-encoded too. *)
+       ( "v2 request announcing 2^24 tree nodes",
+         frame "request" Test_codec_bin.absurd_request,
+         1,
+         false );
+       ("oversized v2 frame", oversized_v2, 1, false);
+       ("unknown v2 kind", frame "ok" "", 1, false);
+       ("v1 text header", "varbuf1 stats 0\n", 1, true);
        ( "corrupt v2 header after a v2 frame",
-         v2,
-         frame v2 "ok" "" ^ "\xABVB2\009\002\000\000\000\000",
+         frame "ok" "" ^ "\xABVB2\009\002\000\000\000\000",
          2,
          true );
      ]
@@ -207,7 +179,7 @@ let bad_inputs =
 
 let error_replies socket =
   List.concat_map
-    (fun (name, proto, bytes, replies, closes) ->
+    (fun (name, bytes, replies, closes) ->
       let conn = raw_connect socket in
       Fun.protect ~finally:(fun () -> Unix.close (fst conn)) @@ fun () ->
       write_all (fst conn) bytes;
@@ -218,11 +190,11 @@ let error_replies socket =
           let closed = read_reply conn in
           let fresh = raw_connect socket in
           Fun.protect ~finally:(fun () -> Unix.close (fst fresh)) @@ fun () ->
-          write_all (fst fresh) (valid_request proto);
+          write_all (fst fresh) (valid_request ());
           [ closed; read_reply fresh ]
         end
         else begin
-          write_all (fst conn) (valid_request proto);
+          write_all (fst conn) (valid_request ());
           [ read_reply conn ]
         end
       in
@@ -233,29 +205,34 @@ let test_error_replies_agree () =
   let direct = with_direct_server error_replies in
   let routed = Cluster.Inproc.with_cluster ~shards:1 error_replies in
   streeq "router-less server and router reply alike" direct routed;
-  (* Not vacuous: every bad input got an error, and every corrupt
-     header closed its connection. *)
+  (* Not vacuous: every bad input got an error, the valid request after
+     it was answered, and every corrupt header closed its connection. *)
   List.iter
-    (fun (name, _, _, _, closes) ->
+    (fun (name, _, _, closes) ->
       let mine =
         List.filter (String.starts_with ~prefix:(name ^ ": ")) direct
       in
       Alcotest.(check bool) (name ^ " answered with an error") true
         (List.exists (String.starts_with ~prefix:(name ^ ": error")) mine);
+      Alcotest.(check bool) (name ^ " then keeps serving") true
+        (List.exists (String.starts_with ~prefix:(name ^ ": response ")) mine);
       Alcotest.(check bool) (name ^ " closes only on a corrupt header") closes
         (List.mem (name ^ ": closed") mine))
     (Lazy.force bad_inputs);
-  (* A relax that is not > 0 is the request's fault, not the engine's. *)
+  (* Bad request payloads are the request's fault, not the engine's; a
+     v1 text header is the protocol's. *)
+  let expect code name =
+    let prefix = Printf.sprintf "%s: error %s:" name code in
+    Alcotest.(check bool) (name ^ " is a " ^ code ^ " error") true
+      (List.exists (String.starts_with ~prefix) direct)
+  in
   List.iter
-    (fun (name, proto, _, _, _) ->
-      let prefix =
-        Printf.sprintf "%s: error %s %s:" name
-          (if proto = Serve.Wire.V1 then "v1" else "v2")
-          Serve.Protocol.err_parse
-      in
-      Alcotest.(check bool) (name ^ " is a parse error") true
-        (List.exists (String.starts_with ~prefix) direct))
-    (Lazy.force bad_relax)
+    (fun (name, _, _, _) -> expect Serve.Protocol.err_parse name)
+    (Lazy.force bad_relax);
+  List.iter (expect Serve.Protocol.err_parse)
+    [ "v2 request whose tree length overflows";
+      "v2 request announcing 2^24 tree nodes" ];
+  expect Serve.Protocol.err_proto "v1 text header"
 
 (* ---------- a worker whose responses do not decode ---------- *)
 
@@ -284,8 +261,7 @@ let garbage_worker ~stop ~accepts socket_path =
           let rec frames () =
             match Serve.Wire.next dec with
             | Some (Serve.Wire.Frame { kind = "request"; _ }) ->
-              Serve.Wire.write_frame_pv fd ~proto:Serve.Wire.V2
-                ~kind:"response" garbage;
+              Serve.Wire.write_frame fd ~kind:"response" garbage;
               frames ()
             | Some (Serve.Wire.Frame { kind = "shutdown"; _ }) -> drop fd
             | Some _ -> frames ()
@@ -303,8 +279,7 @@ let garbage_worker ~stop ~accepts socket_path =
               if fd = lfd then begin
                 let c, _ = Unix.accept lfd in
                 Atomic.incr accepts;
-                Serve.Wire.write_frame_pv c ~proto:Serve.Wire.V1 ~kind:"hello"
-                  (Serve.Protocol.hello_full ^ "\n");
+                Serve.Wire.write_frame c ~kind:"hello" Serve.Protocol.hello;
                 conns := (c, Serve.Wire.decoder ()) :: !conns
               end
               else
@@ -344,55 +319,32 @@ let test_undecodable_worker_response () =
       Sys.remove worker_socket)
     (fun () ->
       wait_for_file router_socket;
-      (* Two requests then a stats probe on one connection per
-         encoding.  The stats reply coming third shows no request
-         earned a second frame; the timeout turns a lost request into
-         a failure instead of a hang. *)
-      let replies proto =
-        let ((fd, _) as conn) = raw_connect router_socket in
-        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-        let ask bytes =
-          write_all fd bytes;
-          try read_reply conn
-          with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            "no reply"
-        in
-        let r1 = ask (valid_request proto) in
-        let r2 = ask (valid_request proto) in
-        let stats = ask (Serve.Wire.frame_bytes ~proto ~kind:"stats" "") in
-        [ r1; r2; List.hd (String.split_on_char ' ' stats) ]
+      (* Two requests then a stats probe on one connection.  The stats
+         reply coming third shows no request earned a second frame; the
+         timeout turns a lost request into a failure instead of a
+         hang. *)
+      let ((fd, _) as conn) = raw_connect router_socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let ask bytes =
+        write_all fd bytes;
+        try read_reply conn
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          "no reply"
       in
-      let internal = "error v1 internal: undecodable worker response" in
-      streeq "v1: one internal error per request, then stats"
-        [ internal; internal; "stats" ]
-        (replies Serve.Wire.V1);
-      let verbatim = "response v2 " ^ Digest.to_hex (Digest.string garbage) in
-      streeq "v2: the worker's bytes per request, then stats"
+      let r1 = ask (valid_request ()) in
+      let r2 = ask (valid_request ()) in
+      let stats = ask (Serve.Wire.frame_bytes ~kind:"stats" "") in
+      let verbatim = "response " ^ Digest.to_hex (Digest.string garbage) in
+      streeq "the worker's bytes per request, then stats"
         [ verbatim; verbatim; "stats" ]
-        (replies Serve.Wire.V2);
+        [ r1; r2; List.hd (String.split_on_char ' ' stats) ];
       Alcotest.(check int) "the router kept its one link" 1
         (Atomic.get accepts))
 
-let test_v1_v2_agree_through_router () =
-  Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
-      let v1 = run_stream ~n:20 ~wire:Serve.Wire.V1 socket in
-      let v2 = run_stream ~n:20 ~wire:Serve.Wire.V2 socket in
-      (* Different bytes on the wire, same decoded values — and the
-         same canonical text once both are re-encoded. *)
-      List.iteri
-        (fun k (t, b) ->
-          let from_text = Serve.Protocol.decode_response t in
-          let from_bin = Serve.Codec_bin.decode_response b in
-          Alcotest.(check string)
-            (Printf.sprintf "request %d: v1 and v2 decode to one value" k)
-            (Serve.Protocol.encode_response from_text)
-            (Serve.Protocol.encode_response from_bin))
-        (List.combine v1 v2))
-
 let test_stats_topology_and_cache () =
   Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
-      ignore (run_stream ~n:30 ~wire:Serve.Wire.V2 socket);
+      ignore (run_stream ~n:30 socket);
       let client = Serve.Client.connect socket in
       Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
       let lines = String.split_on_char '\n' (Serve.Client.stats client) in
@@ -469,8 +421,7 @@ let test_busy_backpressure_and_drain () =
         Serve.Codec_bin.encode_request (stream_request 0)
       in
       for _ = 1 to 3 do
-        Serve.Wire.write_frame_pv fd ~proto:Serve.Wire.V2 ~kind:"request"
-          payload
+        Serve.Wire.write_frame fd ~kind:"request" payload
       done;
       (match Serve.Wire.recv dec fd with
       | Serve.Wire.Frame { kind = "error"; payload; _ } ->
@@ -556,16 +507,14 @@ let suite =
   [
     Alcotest.test_case "1-shard, 3-shard and router-less responses are byte-identical"
       `Slow test_shard_counts_agree;
-    Alcotest.test_case "v1 and v2 clients agree through the router" `Slow
-      test_v1_v2_agree_through_router;
     Alcotest.test_case "stats report topology and traffic" `Quick
       test_stats_topology_and_cache;
     Alcotest.test_case "sharding is canonical in the tree" `Quick
       test_shard_of_request_is_canonical;
     Alcotest.test_case "router-less server and router give the same error replies"
       `Slow test_error_replies_agree;
-    Alcotest.test_case "undecodable worker response: v1 error, v2 verbatim"
-      `Quick test_undecodable_worker_response;
+    Alcotest.test_case "undecodable worker response: verbatim" `Quick
+      test_undecodable_worker_response;
     Alcotest.test_case "router links up soon after its worker binds" `Quick
       test_links_up_soon_after_worker_binds;
     Alcotest.test_case "bounded queue refuses overload; drain fails stuck work"

@@ -1,18 +1,19 @@
-(* Fuzz/property tests for the v2 binary payload codec (`Codec_bin`)
-   and the v2 binary framing (`Wire`), mirroring what
-   `test_wire_formats` establishes for the v1 text formats:
+(* Fuzz/property tests for the binary payload codec (`Codec_bin`) and
+   the framing (`Wire`), mirroring what `test_wire_formats` establishes
+   for the tree and buffering text formats:
 
    - round-trips are bit-exact (encode → decode → encode is the
-     identity on bytes) and agree with the text codec on values;
+     identity on bytes) and keep every field's value;
    - any strict prefix of an encoding is rejected with `Failure`;
-   - arbitrary single-byte corruption either still decodes (to some
-     value) or raises `Failure` — never any other exception;
-   - the frame decoder resynchronises after an oversized v2 frame and
-     reads v1 and v2 frames interleaved on one connection. *)
+   - arbitrary single-byte corruption, an overflowing varint or an
+     impossible node count either still decodes (to some value) or
+     raises `Failure` — never any other exception;
+   - the frame decoder resynchronises after an oversized frame and
+     rejects a retired v1 text header. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* ---------- generators (trees/assignments come from the v1 suite) ---------- *)
+(* ---------- generators (trees/assignments come from test_wire_formats) ---------- *)
 
 let rule_gen =
   QCheck.Gen.(
@@ -43,15 +44,11 @@ let request_gen =
     and* deadline_ms = int_range 0 100_000
     and* mc_trials = int_range 0 1000
     and* wire_sizing = bool
-    (* 0 (the pre-sample default, omitted from the v1 encoding) must
-       stay common so the historical-bytes path is exercised. *)
+    (* The defaults must stay common so the historical-bytes path is
+       exercised. *)
     and* samples = oneof [ return 0; int_range 1 4096 ]
     and* relax = oneof [ return 1.0; float_range 0.25 4.0 ]
-    (* 0 (the default library, omitted from both encodings) must stay
-       common so the historical-bytes path is exercised. *)
     and* btypes = oneof [ return 0; int_range 1 32 ]
-    (* Max_yield (the default objective, omitted from both encodings)
-       must likewise stay common. *)
     and* objective =
       oneof
         [
@@ -79,8 +76,44 @@ let request_gen =
         tree;
       })
 
+(* Value equality read field by field, independent of the codec under
+   test: floats compare by their bits, trees by their Rctree.Io text and
+   assignments by their Bufins.Assignment text.  A field that the
+   encoder and the decoder both dropped therefore still fails. *)
+let bits = Int64.bits_of_float
+
+let rule_bits = function
+  | Bufins.Prune.Deterministic -> (0, [])
+  | Bufins.Prune.Two_param { p_l; p_t } -> (1, List.map bits [ p_l; p_t ])
+  | Bufins.Prune.One_param { alpha } -> (2, [ bits alpha ])
+  | Bufins.Prune.Four_param { alpha_l; alpha_u; beta_l; beta_u } ->
+    (3, List.map bits [ alpha_l; alpha_u; beta_l; beta_u ])
+
+let objective_bits = function
+  | Bufins.Dominance.Max_yield -> (0, [])
+  | Bufins.Dominance.Min_power t -> (1, [ bits t ])
+  | Bufins.Dominance.Weighted w -> (2, [ bits w ])
+
+let request_fields (q : Serve.Protocol.request) =
+  let open Serve.Protocol in
+  ( (q.id, q.seed, q.mode, rule_bits q.rule, q.deadline_ms, q.mc_trials),
+    (q.wire_sizing, q.samples, bits q.relax, q.btypes),
+    (objective_bits q.objective, bits q.eps_power, Rctree.Io.to_string q.tree) )
+
+let response_fields (r : Serve.Protocol.response) =
+  let open Serve.Protocol in
+  ( (r.r_id, r.nodes, r.peak_candidates, r.total_candidates),
+    List.map bits [ r.root_mean; r.root_std; r.root_yield95 ],
+    Option.map
+      (fun s -> (s.s_k, List.map bits [ s.s_mean; s.s_std; s.s_rat_at_yield ]))
+      r.sampled,
+    Option.map (fun (m, s) -> (bits m, bits s)) r.mc,
+    Option.map bits r.r_power,
+    Bufins.Assignment.to_string r.assignment )
+
 let arb_request =
-  QCheck.make request_gen ~print:Serve.Protocol.encode_request
+  QCheck.make request_gen ~print:(fun q ->
+      String.escaped (Serve.Codec_bin.encode_request q))
 
 let finite_float = QCheck.Gen.float_range (-1e9) 1e9
 
@@ -121,35 +154,26 @@ let response_gen =
       })
 
 let arb_response =
-  QCheck.make response_gen ~print:Serve.Protocol.encode_response
+  QCheck.make response_gen ~print:(fun r ->
+      String.escaped (Serve.Codec_bin.encode_response r))
 
-(* A canonical form for value comparison: the deterministic text
-   encoding (comparing `Rctree.Tree.t` structurally would compare
-   internal arrays; the text form is the protocol's own notion of
-   equality). *)
-let canon_req = Serve.Protocol.encode_request
-let canon_resp = Serve.Protocol.encode_response
-
-(* ---------- bit-exact round-trips, equal to the text codec ---------- *)
+(* ---------- bit-exact round-trips that keep every value ---------- *)
 
 let prop_request_roundtrip =
-  QCheck.Test.make ~name:"v2 request round-trip is bit-exact and v1-equal"
+  QCheck.Test.make ~name:"v2 request round-trip is bit-exact and value-equal"
     ~count:100 arb_request (fun q ->
       let b = Serve.Codec_bin.encode_request q in
       let q' = Serve.Codec_bin.decode_request b in
       Serve.Codec_bin.encode_request q' = b
-      && canon_req q' = canon_req q
-      && canon_req (Serve.Protocol.decode_request (canon_req q)) = canon_req q')
+      && request_fields q' = request_fields q)
 
 let prop_response_roundtrip =
-  QCheck.Test.make ~name:"v2 response round-trip is bit-exact and v1-equal"
+  QCheck.Test.make ~name:"v2 response round-trip is bit-exact and value-equal"
     ~count:200 arb_response (fun r ->
       let b = Serve.Codec_bin.encode_response r in
       let r' = Serve.Codec_bin.decode_response b in
       Serve.Codec_bin.encode_response r' = b
-      && canon_resp r' = canon_resp r
-      && canon_resp (Serve.Protocol.decode_response (canon_resp r))
-         = canon_resp r')
+      && response_fields r' = response_fields r)
 
 let prop_tree_roundtrip =
   QCheck.Test.make ~name:"v2 tree round-trip is bit-exact and Io-equal"
@@ -272,7 +296,79 @@ let prop_request_corruption =
       | exception Failure _ -> true
       | exception _ -> false)
 
-(* ---------- v2 framing: resync, interleaving, header errors ---------- *)
+(* ---------- hostile lengths: overflowing varints, impossible counts ---------- *)
+
+(* A nine-byte varint whose last group reaches the sign bit: read
+   naively it is -100. *)
+let varint_overflow = "\x9c\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+let f64 x =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.bits_of_float x);
+  Bytes.to_string b
+
+(* The blob of a root with one sink child "s1"; [parent] and [name_len]
+   are the raw bytes of the sink's parent id and name length. *)
+let tree_blob ?(parent = "\x00") ?(name_len = "\x02") () =
+  String.concat ""
+    [ "\x02\x00"; f64 0.0; f64 0.0; "\x02"; f64 10.0; f64 0.0; parent;
+      f64 10.0; f64 1.0; f64 100.0; name_len; "s1" ]
+
+(* The 39-byte head of a default request (everything before its tree
+   length), then [rest]. *)
+let request_with rest =
+  let tree = Serve.Codec_bin.decode_tree (tree_blob ()) in
+  let b = Serve.Codec_bin.encode_request (Serve.Protocol.default_request ~tree) in
+  let off, _ = Serve.Codec_bin.request_tree_span b in
+  String.sub b 0 (off - 1) ^ rest
+
+let with_blob blob = request_with (String.make 1 (Char.chr (String.length blob)) ^ blob)
+
+(* 48 bytes: the head, then an overflowing tree length. *)
+let overflow_request = request_with varint_overflow
+
+(* 2^24 tree nodes announced, one root present; 61 bytes as a request. *)
+let absurd_blob = "\x80\x80\x80\x08\x00" ^ f64 0.0 ^ f64 0.0
+let absurd_request = with_blob absurd_blob
+
+let fails what f =
+  match f () with
+  | _ -> Alcotest.failf "%s decoded" what
+  | exception Failure _ -> ()
+
+let test_varint_overflow () =
+  (* Not vacuous: the unmodified blob decodes inside a request. *)
+  ignore (Serve.Codec_bin.decode_request (with_blob (tree_blob ())));
+  fails "tree length (decode_request)" (fun () ->
+      Serve.Codec_bin.decode_request overflow_request);
+  fails "tree length (request_tree_span)" (fun () ->
+      Serve.Codec_bin.request_tree_span overflow_request);
+  List.iter
+    (fun (what, blob) ->
+      fails (what ^ " (decode_tree)") (fun () -> Serve.Codec_bin.decode_tree blob);
+      fails (what ^ " (decode_request)") (fun () ->
+          Serve.Codec_bin.decode_request (with_blob blob)))
+    [
+      ("string length", tree_blob ~name_len:varint_overflow ());
+      ("parent id", tree_blob ~parent:varint_overflow ());
+    ]
+
+let test_absurd_node_count () =
+  List.iter
+    (fun (what, decode) ->
+      let before = Gc.allocated_bytes () in
+      fails what decode;
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s allocated %.0f bytes" what allocated)
+        true (allocated < 1e6))
+    [
+      ("decode_tree", fun () -> ignore (Serve.Codec_bin.decode_tree absurd_blob));
+      ( "decode_request",
+        fun () -> ignore (Serve.Codec_bin.decode_request absurd_request) );
+    ]
+
+(* ---------- framing: resync, header errors ---------- *)
 
 let drain_events dec =
   let rec go acc =
@@ -297,55 +393,45 @@ let feed_all dec s =
 let test_v2_resync_after_oversized () =
   let dec = Serve.Wire.decoder ~max_payload:8 () in
   let stream =
-    Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"ok" "hi"
-    ^ Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"request"
-        (String.make 20 'x')
-    ^ Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"stats" "yes"
+    Serve.Wire.frame_bytes ~kind:"ok" "hi"
+    ^ Serve.Wire.frame_bytes ~kind:"request" (String.make 20 'x')
+    ^ Serve.Wire.frame_bytes ~kind:"stats" "yes"
   in
   feed_all dec stream;
   match drain_events dec with
-  | [ Serve.Wire.Frame { kind = "ok"; payload = "hi"; proto = Serve.Wire.V2 };
-      Serve.Wire.Oversized { kind = "request"; len = 20; proto = Serve.Wire.V2 };
-      Serve.Wire.Frame { kind = "stats"; payload = "yes"; proto = Serve.Wire.V2 };
+  | [ Serve.Wire.Frame { kind = "ok"; payload = "hi" };
+      Serve.Wire.Oversized { kind = "request"; len = 20 };
+      Serve.Wire.Frame { kind = "stats"; payload = "yes" };
     ] ->
     ()
   | events ->
     Alcotest.failf "unexpected event stream (%d events)" (List.length events)
 
-let test_framings_interleave () =
-  (* One connection, both framings alternating: each frame reports the
-     encoding it arrived in. *)
+let test_v1_header_is_failure () =
+  (* The retired text framing: its first byte already diverges from the
+     magic, so the stream is lost there, even after a good frame. *)
   let dec = Serve.Wire.decoder () in
-  let stream =
-    Serve.Wire.frame_bytes ~proto:Serve.Wire.V1 ~kind:"request" "text"
-    ^ Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"request" "bin"
-    ^ Serve.Wire.frame_bytes ~proto:Serve.Wire.V1 ~kind:"stats" ""
-    ^ Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"shutdown" ""
-  in
-  feed_all dec stream;
-  let got =
-    List.map
-      (function
-        | Serve.Wire.Frame f -> (f.Serve.Wire.kind, f.Serve.Wire.proto)
-        | Serve.Wire.Oversized _ -> ("oversized", Serve.Wire.V1))
-      (drain_events dec)
-  in
-  Alcotest.(check (list (pair string bool)))
-    "kinds and protos"
-    [ ("request", false); ("request", true); ("stats", false);
-      ("shutdown", true) ]
-    (List.map (fun (k, p) -> (k, p = Serve.Wire.V2)) got)
+  feed_all dec (Serve.Wire.frame_bytes ~kind:"ok" "" ^ "varbuf1 stats 0\n");
+  (match Serve.Wire.next dec with
+  | Some (Serve.Wire.Frame { kind = "ok"; payload = "" }) -> ()
+  | _ -> Alcotest.fail "expected the good frame first");
+  (match Serve.Wire.next dec with
+  | _ -> Alcotest.fail "expected a framing Failure"
+  | exception Failure _ -> ());
+  let dec = Serve.Wire.decoder () in
+  Serve.Wire.feed dec (Bytes.of_string "v") 1;
+  match Serve.Wire.next dec with
+  | _ -> Alcotest.fail "one byte of a v1 header must already fail"
+  | exception Failure _ -> ()
 
 let test_v2_header_errors () =
   let bad_version =
-    let b = Bytes.of_string
-        (Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"ok" "") in
+    let b = Bytes.of_string (Serve.Wire.frame_bytes ~kind:"ok" "") in
     Bytes.set b 4 '\x03';
     Bytes.to_string b
   in
   let bad_kind =
-    let b = Bytes.of_string
-        (Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"ok" "") in
+    let b = Bytes.of_string (Serve.Wire.frame_bytes ~kind:"ok" "") in
     Bytes.set b 5 '\xff';
     Bytes.to_string b
   in
@@ -360,7 +446,7 @@ let test_v2_header_errors () =
     [ bad_version; bad_kind; bad_magic ];
   (* A partial header is not an error — just an incomplete frame. *)
   let dec = Serve.Wire.decoder () in
-  let frame = Serve.Wire.frame_bytes ~proto:Serve.Wire.V2 ~kind:"ok" "x" in
+  let frame = Serve.Wire.frame_bytes ~kind:"ok" "x" in
   feed_all dec (String.sub frame 0 6);
   Alcotest.(check bool) "partial header pends" true (drain_events dec = [])
 
@@ -376,10 +462,14 @@ let suite =
     qcheck prop_request_truncation;
     qcheck prop_response_corruption;
     qcheck prop_request_corruption;
+    Alcotest.test_case "varint overflow is a Failure in every decoder" `Quick
+      test_varint_overflow;
+    Alcotest.test_case "an absurd tree node count fails before allocating"
+      `Quick test_absurd_node_count;
     Alcotest.test_case "v2 resync after oversized frame" `Quick
       test_v2_resync_after_oversized;
-    Alcotest.test_case "v1 and v2 frames interleave on one stream" `Quick
-      test_framings_interleave;
+    Alcotest.test_case "a v1 text header is a framing Failure" `Quick
+      test_v1_header_is_failure;
     Alcotest.test_case "v2 header corruption is a framing Failure" `Quick
       test_v2_header_errors;
   ]

@@ -11,8 +11,10 @@
      Nom model makes every sample identical and reproduces the
      deterministic optimum, and under WID the sampled quantile tracks
      Sta.Yield's analytic one;
-   - the sample fields round-trip through both wire codecs, and a
-     sample-free request keeps its exact pre-sample v1 bytes. *)
+   - the handler attaches a sampled block exactly when the request
+     samples, the sample fields round-trip through the request and
+     response encodings, and a relax that is not > 0 is a parse
+     failure. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
 let tech = Device.Tech.default_65nm
@@ -339,30 +341,25 @@ let test_wid_tracks_canonical_yield () =
 let small_tree =
   lazy (Rctree.Generate.random_steiner ~seed:3 ~sinks:4 ~die_um:4000.0 ())
 
-let test_v1_request_fields () =
-  let tree = Lazy.force small_tree in
-  let plain = Serve.Protocol.default_request ~tree in
-  let b = Serve.Protocol.encode_request plain in
-  (* The defaults are omitted, so pre-sample requests (and their cache
-     keys) keep their exact historical bytes. *)
-  List.iter
-    (fun line ->
-      let k = String.length line in
-      let rec occurs i =
-        i + k <= String.length b && (String.sub b i k = line || occurs (i + 1))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%S absent from default encoding" line)
-        false (occurs 0))
-    [ "samples"; "relax" ];
-  let req = { plain with Serve.Protocol.samples = 512; relax = 1.5 } in
-  let b = Serve.Protocol.encode_request req in
-  let req' = Serve.Protocol.decode_request b in
-  Alcotest.(check int) "samples round-trips" 512 req'.Serve.Protocol.samples;
-  Alcotest.(check (float 0.0)) "relax round-trips" 1.5
-    req'.Serve.Protocol.relax;
-  Alcotest.(check string) "re-encoding is stable" b
-    (Serve.Protocol.encode_request req')
+(* The handler routes on [samples]: a sample-free request takes the
+   canonical path and carries no sampled block; a sampling request
+   carries one whose K echoes the request and which survives the v2
+   response encoding bit for bit. *)
+let test_handler_sampled_block () =
+  let plain = Serve.Protocol.default_request ~tree:(Lazy.force small_tree) in
+  let r0 = Serve.Handler.run plain in
+  Alcotest.(check bool) "sample-free: no sampled block" true
+    (r0.Serve.Protocol.sampled = None);
+  let r = Serve.Handler.run { plain with Serve.Protocol.samples = 32 } in
+  (match r.Serve.Protocol.sampled with
+   | None -> Alcotest.fail "samples 32: no sampled block"
+   | Some s ->
+     Alcotest.(check int) "K echoes the request" 32 s.Serve.Protocol.s_k;
+     Alcotest.(check bool) "sampled std >= 0" true
+       (s.Serve.Protocol.s_std >= 0.0));
+  let b = Serve.Codec_bin.encode_response r in
+  Alcotest.(check string) "sampled response re-encodes bit-exact" b
+    (Serve.Codec_bin.encode_response (Serve.Codec_bin.decode_response b))
 
 let sampled_response sampled =
   {
@@ -392,14 +389,6 @@ let test_sampled_response_roundtrips () =
   List.iter
     (fun sampled ->
       let r = sampled_response sampled in
-      (* v1 text. *)
-      let b = Serve.Protocol.encode_response r in
-      let r' = Serve.Protocol.decode_response b in
-      Alcotest.(check bool) "v1 sampled block round-trips" true
-        (r'.Serve.Protocol.sampled = sampled);
-      Alcotest.(check string) "v1 re-encoding is stable" b
-        (Serve.Protocol.encode_response r');
-      (* v2 binary. *)
       let bb = Serve.Codec_bin.encode_response r in
       let rb = Serve.Codec_bin.decode_response bb in
       Alcotest.(check bool) "v2 sampled block round-trips" true
@@ -434,8 +423,9 @@ let test_v2_request_fields () =
   Alcotest.(check int) "tree is the payload tail" (String.length b) (off + len)
 
 (* relax must be > 0 and not NaN, whether or not the request samples:
-   both decoders, and the v2 head the router shards by, reject it as a
-   parse failure instead of leaving it to the engine. *)
+   both head readers — the full decode and the tree span the router
+   shards by — reject it as a parse failure instead of leaving it to
+   the engine. *)
 let test_relax_must_be_positive () =
   let plain = Serve.Protocol.default_request ~tree:(Lazy.force small_tree) in
   let rejects what f =
@@ -449,12 +439,10 @@ let test_relax_must_be_positive () =
     (fun (samples, relax) ->
       let req = { plain with Serve.Protocol.samples; relax } in
       let what = Printf.sprintf "samples %d relax %g" samples relax in
-      let v1 = Serve.Protocol.encode_request req in
-      let v2 = Serve.Codec_bin.encode_request req in
-      rejects (what ^ " (v1)") (fun () -> Serve.Protocol.decode_request v1);
-      rejects (what ^ " (v2)") (fun () -> Serve.Codec_bin.decode_request v2);
-      rejects (what ^ " (v2 tree span)") (fun () ->
-          Serve.Codec_bin.request_tree_span v2))
+      let b = Serve.Codec_bin.encode_request req in
+      rejects what (fun () -> Serve.Codec_bin.decode_request b);
+      rejects (what ^ " (tree span)") (fun () ->
+          Serve.Codec_bin.request_tree_span b))
     (List.concat_map
        (fun samples ->
          List.map (fun relax -> (samples, relax))
@@ -472,8 +460,9 @@ let suite =
       test_nom_model_matches_deterministic_optimum;
     Alcotest.test_case "WID sampled yield tracks the canonical prediction"
       `Quick test_wid_tracks_canonical_yield;
-    Alcotest.test_case "v1 request sample fields" `Quick test_v1_request_fields;
-    Alcotest.test_case "sampled response round-trips (v1 and v2)" `Quick
+    Alcotest.test_case "handler sampled block follows the request" `Quick
+      test_handler_sampled_block;
+    Alcotest.test_case "sampled response round-trips" `Quick
       test_sampled_response_roundtrips;
     Alcotest.test_case "v2 request sample fields" `Quick test_v2_request_fields;
     Alcotest.test_case "relax must be > 0 in both decoders" `Quick

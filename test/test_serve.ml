@@ -62,11 +62,11 @@ let test_request_roundtrip () =
       wire_sizing = true;
     }
   in
-  let text = Serve.Protocol.encode_request req in
-  let decoded = Serve.Protocol.decode_request text in
+  let bytes = Serve.Codec_bin.encode_request req in
+  let decoded = Serve.Codec_bin.decode_request bytes in
   Alcotest.(check string)
-    "request encoding round-trips exactly" text
-    (Serve.Protocol.encode_request decoded);
+    "request encoding round-trips exactly" bytes
+    (Serve.Codec_bin.encode_request decoded);
   Alcotest.(check int) "id" 42 decoded.Serve.Protocol.id;
   Alcotest.(check bool) "rule" true
     (decoded.Serve.Protocol.rule = Bufins.Prune.two_param ~p_l:0.6 ~p_t:0.85 ())
@@ -77,11 +77,11 @@ let test_response_roundtrip () =
       Serve.Protocol.id = 3; mc_trials = 32 }
   in
   let resp = Serve.Handler.run req in
-  let text = Serve.Protocol.encode_response resp in
-  let decoded = Serve.Protocol.decode_response text in
+  let bytes = Serve.Codec_bin.encode_response resp in
+  let decoded = Serve.Codec_bin.decode_response bytes in
   Alcotest.(check string)
-    "response encoding round-trips exactly" text
-    (Serve.Protocol.encode_response decoded);
+    "response encoding round-trips exactly" bytes
+    (Serve.Codec_bin.encode_response decoded);
   Alcotest.(check int) "id echoed" 3 resp.Serve.Protocol.r_id;
   Alcotest.(check bool) "mc present" true (resp.Serve.Protocol.mc <> None)
 
@@ -90,7 +90,7 @@ let test_error_roundtrip () =
     { Serve.Protocol.code = Serve.Protocol.err_parse;
       message = "line 3: unknown field" }
   in
-  let decoded = Serve.Protocol.decode_error (Serve.Protocol.encode_error e) in
+  let decoded = Serve.Codec_bin.decode_error (Serve.Codec_bin.encode_error e) in
   Alcotest.(check string) "code" e.Serve.Protocol.code decoded.Serve.Protocol.code;
   Alcotest.(check string) "message" e.Serve.Protocol.message
     decoded.Serve.Protocol.message
@@ -113,19 +113,20 @@ let test_server_errors_and_requests () =
       in
       Alcotest.(check string) "malformed -> error frame" "error"
         reply.Serve.Wire.kind;
-      let e = Serve.Protocol.decode_error reply.Serve.Wire.payload in
+      let e = Serve.Codec_bin.decode_error reply.Serve.Wire.payload in
       Alcotest.(check string) "malformed -> parse" Serve.Protocol.err_parse
         e.Serve.Protocol.code;
       (* 2. Oversized request: rejected, stream stays in sync. *)
       let reply =
         Serve.Client.roundtrip client ~kind:"request" (String.make 20_000 'x')
       in
-      let e = Serve.Protocol.decode_error reply.Serve.Wire.payload in
+      let e = Serve.Codec_bin.decode_error reply.Serve.Wire.payload in
       Alcotest.(check string) "oversized -> too_large"
         Serve.Protocol.err_too_large e.Serve.Protocol.code;
-      (* 3. Unknown frame kind: protocol error, connection survives. *)
-      let reply = Serve.Client.roundtrip client ~kind:"bogus" "" in
-      let e = Serve.Protocol.decode_error reply.Serve.Wire.payload in
+      (* 3. A frame kind clients do not send: protocol error,
+         connection survives. *)
+      let reply = Serve.Client.roundtrip client ~kind:"ok" "" in
+      let e = Serve.Codec_bin.decode_error reply.Serve.Wire.payload in
       Alcotest.(check string) "unknown kind -> proto" Serve.Protocol.err_proto
         e.Serve.Protocol.code;
       (* 4. The same connection still serves a real request. *)
@@ -183,7 +184,7 @@ let test_determinism_across_jobs () =
       Serve.Protocol.id = 9; seed = 7; mc_trials = 128 }
   in
   (* The in-process library call is the reference. *)
-  let expected = Serve.Protocol.encode_response (Serve.Handler.run req) in
+  let expected = Serve.Codec_bin.encode_response (Serve.Handler.run req) in
   let via_server jobs =
     let payload = ref "" in
     with_server ~jobs (fun client ->
@@ -228,10 +229,7 @@ let test_cache_key () =
     { req with
       Serve.Protocol.tree =
         Rctree.Generate.random_steiner ~seed:12 ~sinks:9 ~die_um:2000.0 () };
-  (* The key is a function of the decoded request, so v1 and v2
-     clients share entries. *)
-  Alcotest.(check string) "v1 text round trip keeps the key" k
-    (key (Serve.Protocol.decode_request (Serve.Protocol.encode_request req)));
+  (* The key is a function of the decoded request. *)
   Alcotest.(check string) "v2 binary round trip keeps the key" k
     (key (Serve.Codec_bin.decode_request (Serve.Codec_bin.encode_request req)))
 
@@ -273,11 +271,11 @@ let test_cache_end_to_end () =
         ask { req with Serve.Protocol.id = 22; deadline_ms = 60_000 }
       in
       let strip raw =
-        Serve.Protocol.encode_response
-          { (Serve.Protocol.decode_response raw) with Serve.Protocol.r_id = 0 }
+        Serve.Codec_bin.encode_response
+          { (Serve.Codec_bin.decode_response raw) with Serve.Protocol.r_id = 0 }
       in
       Alcotest.(check int) "new id echoed on hit" 22
-        (Serve.Protocol.decode_response third).Serve.Protocol.r_id;
+        (Serve.Codec_bin.decode_response third).Serve.Protocol.r_id;
       Alcotest.(check string) "hit differs only in id" (strip first)
         (strip third);
       let stats = Serve.Client.stats client in
@@ -397,39 +395,34 @@ let test_metrics_hit_ratio_and_kinds () =
 (* ---------- wire: resync after an oversized frame mid-stream ---------- *)
 
 let test_wire_resync_after_oversized () =
-  (* A tiny payload limit, the whole stream fed 3 bytes at a time so
-     the oversized frame's header and payload are both split across
-     feeds: the decoder must discard exactly the announced bytes and
-     hand over the following frame intact. *)
+  (* A tiny payload limit, the stream fed one byte at a time so the
+     oversized frame's discard spans twenty feeds: the decoder must
+     drop exactly the announced bytes and hand over the following frame
+     intact. *)
   let dec = Serve.Wire.decoder ~max_payload:8 () in
   let stream =
-    "varbuf1 ok 2\nhi" ^ "varbuf1 blob 20\n" ^ String.make 20 'x'
-    ^ "varbuf1 stats 3\nyes"
+    Serve.Wire.frame_bytes ~kind:"ok" "hi"
+    ^ Serve.Wire.frame_bytes ~kind:"request" (String.make 20 'x')
+    ^ Serve.Wire.frame_bytes ~kind:"stats" "yes"
   in
   let events = ref [] in
-  let drain () =
-    let rec go () =
-      match Serve.Wire.next dec with
-      | Some e ->
-        events := e :: !events;
-        go ()
-      | None -> ()
-    in
-    go ()
-  in
-  let n = String.length stream in
-  let i = ref 0 in
-  while !i < n do
-    let len = min 3 (n - !i) in
-    Serve.Wire.feed dec (Bytes.of_string (String.sub stream !i len)) len;
-    drain ();
-    i := !i + len
-  done;
+  String.iter
+    (fun ch ->
+      Serve.Wire.feed dec (Bytes.make 1 ch) 1;
+      let rec drain () =
+        Option.iter
+          (fun e ->
+            events := e :: !events;
+            drain ())
+          (Serve.Wire.next dec)
+      in
+      drain ())
+    stream;
   match List.rev !events with
   | [ Serve.Wire.Frame f1; Serve.Wire.Oversized o; Serve.Wire.Frame f2 ] ->
     Alcotest.(check string) "first frame kind" "ok" f1.Serve.Wire.kind;
     Alcotest.(check string) "first frame payload" "hi" f1.Serve.Wire.payload;
-    Alcotest.(check string) "oversized kind" "blob" o.kind;
+    Alcotest.(check string) "oversized kind" "request" o.kind;
     Alcotest.(check int) "oversized length" 20 o.len;
     Alcotest.(check string) "stream resynced" "stats" f2.Serve.Wire.kind;
     Alcotest.(check string) "payload after resync" "yes" f2.Serve.Wire.payload
@@ -468,13 +461,13 @@ let test_cache_hit_concurrent_clients () =
       in
       let replies = List.map Domain.join ds in
       let strip raw =
-        Serve.Protocol.encode_response
-          { (Serve.Protocol.decode_response raw) with Serve.Protocol.r_id = 0 }
+        Serve.Codec_bin.encode_response
+          { (Serve.Codec_bin.decode_response raw) with Serve.Protocol.r_id = 0 }
       in
       List.iter2
         (fun id raw ->
           Alcotest.(check int) "hit echoes the caller's id" id
-            (Serve.Protocol.decode_response raw).Serve.Protocol.r_id;
+            (Serve.Codec_bin.decode_response raw).Serve.Protocol.r_id;
           Alcotest.(check string) "hit payload matches the cached result"
             (strip warm) (strip raw))
         [ 101; 102 ] replies;
