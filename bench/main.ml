@@ -10,13 +10,12 @@
    identity and exits 1 on a mismatch.  The figures go to BENCH.json
    (override with --bench-json PATH).
 
-   --btypes-only and --pareto-only run just that section (with its
-   gates) and write a mini report; --smoke runs a reduced pass with
-   tight iteration budgets (the CI smoke bench); --jobs N (default:
-   VARBUF_JOBS or the recommended domain count) sizes the parallel
-   sections' pool; --obs adds the obs identity check and the counter/
-   phase section, and --trace PATH also writes a Chrome trace.  An
-   unknown flag exits 2 with the usage line.
+   --smoke runs a reduced pass with tight iteration budgets (the CI
+   smoke bench); --jobs N (default: VARBUF_JOBS or the recommended
+   domain count) sizes the parallel sections' pool; --obs adds the obs
+   identity check and the counter/phase section, and --trace PATH also
+   writes a Chrome trace.  An unknown flag exits 2 with the usage
+   line.
 
    Served requests are measured end to end by bench/e2e. *)
 
@@ -823,8 +822,6 @@ let json_float x =
   (* %.17g roundtrips; JSON has no infinities, clamp defensively. *)
   if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
 
-(* The btypes object, shared between the full report and the
-   [--btypes-only] mini report the CI matrix leg uploads. *)
 let add_btypes_section buf btypes =
   Buffer.add_string buf
     (Printf.sprintf
@@ -846,8 +843,6 @@ let add_btypes_section buf btypes =
     btypes.bt_rows;
   Buffer.add_string buf "  ]}"
 
-(* The pareto object, shared between the full report and the
-   [--pareto-only] mini report the CI matrix leg uploads. *)
 let add_pareto_section buf pareto =
   Buffer.add_string buf
     (Printf.sprintf
@@ -867,30 +862,6 @@ let add_pareto_section buf pareto =
            (if i = List.length pareto.pa_rows - 1 then "" else ",")))
     pareto.pa_rows;
   Buffer.add_string buf "  ]}"
-
-let write_pareto_json ~path ~smoke ~pareto =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"varbuf-bench/1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b" smoke);
-  add_pareto_section buf pareto;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n\n" path
-
-let write_btypes_json ~path ~smoke ~btypes =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"varbuf-bench/1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b" smoke);
-  add_btypes_section buf btypes;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n\n" path
 
 let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
     ~pareto ~obs =
@@ -991,14 +962,12 @@ let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
 let () =
   let smoke = ref false
   and obs = ref false
-  and btypes_only = ref false
-  and pareto_only = ref false
   and jobs = ref (Exec.Pool.default_jobs ())
   and json_path = ref "BENCH.json"
   and trace_path = ref None in
   let usage =
     "usage: main.exe [--smoke] [--jobs N] [--bench-json PATH] [--obs] \
-     [--trace PATH] [--btypes-only] [--pareto-only]"
+     [--trace PATH]"
   in
   Arg.parse
     [
@@ -1009,34 +978,22 @@ let () =
       ( "--trace",
         Arg.String (fun p -> trace_path := Some p),
         "PATH also write a Chrome trace (implies --obs)" );
-      ("--btypes-only", Arg.Set btypes_only, " only the buffer-library sweep");
-      ("--pareto-only", Arg.Set pareto_only, " only the power-aware Pareto sweep");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
   let smoke = !smoke and jobs = max 1 !jobs and json_path = !json_path in
   let obs_on = !obs || !trace_path <> None in
   if obs_on then Obs.Control.enable ();
-  if !btypes_only then begin
-    let btypes = run_btypes ~smoke () in
-    write_btypes_json ~path:json_path ~smoke ~btypes
-  end;
-  if !pareto_only then begin
-    let pareto = run_pareto ~smoke () in
-    write_pareto_json ~path:json_path ~smoke ~pareto
-  end;
-  if not (!btypes_only || !pareto_only) then begin
-    let micro = run_micro ~smoke () in
-    let probe = run_dp_probe ~smoke () in
-    let par = run_par_dp ~smoke ~jobs () in
-    let sample = run_sample ~smoke ~jobs () in
-    let tape = run_tape_bench ~smoke () in
-    let btypes = run_btypes ~smoke () in
-    let pareto = run_pareto ~smoke () in
-    let obs = if obs_on then Some (collect_obs_report ()) else None in
-    write_bench_json ~path:json_path ~smoke ~micro ~probe ~par ~sample ~tape
-      ~btypes ~pareto ~obs
-  end;
+  let micro = run_micro ~smoke () in
+  let probe = run_dp_probe ~smoke () in
+  let par = run_par_dp ~smoke ~jobs () in
+  let sample = run_sample ~smoke ~jobs () in
+  let tape = run_tape_bench ~smoke () in
+  let btypes = run_btypes ~smoke () in
+  let pareto = run_pareto ~smoke () in
+  let obs = if obs_on then Some (collect_obs_report ()) else None in
+  write_bench_json ~path:json_path ~smoke ~micro ~probe ~par ~sample ~tape
+    ~btypes ~pareto ~obs;
   Option.iter
     (fun path ->
       Obs.Span.flush ();

@@ -11,44 +11,22 @@ type source =
   | Htree of int       (* levels *)
   | File of string     (* varbuf tree file *)
 
-let die_of_tree tree =
-  (* Bounding square of the net, grid-aligned, for trees loaded from
-     files (generated sources know their die directly). *)
-  let hi = ref 4000.0 in
-  for id = 0 to Rctree.Tree.node_count tree - 1 do
-    let x, y = Rctree.Tree.position tree id in
-    hi := Float.max !hi (Float.max x y)
-  done;
-  ceil (!hi /. 500.0) *. 500.0
-
 let load_tree source seed =
   match source with
   | Bench name ->
     let info = Rctree.Benchmarks.find name in
     (Rctree.Benchmarks.load info, info.Rctree.Benchmarks.die_um)
   | Random sinks ->
-    let die_um = Float.max 4000.0 (sqrt (float_of_int sinks) *. 400.0) in
+    let die_um = Experiments.Common.die_for_sinks sinks in
     (Rctree.Generate.random_steiner ~seed ~sinks ~die_um (), die_um)
   | Htree levels ->
     let die_um = 20000.0 in
     (Rctree.Generate.h_tree ~seed ~levels ~die_um (), die_um)
   | File path ->
+    (* Files carry no die: take the net's grid-aligned bounding
+       square. *)
     let tree = Rctree.Io.load path in
-    (tree, die_of_tree tree)
-
-let algo_of_string = function
-  | "nom" -> Ok Experiments.Common.Nom
-  | "d2d" -> Ok Experiments.Common.D2d
-  | "wid" -> Ok Experiments.Common.Wid
-  | s -> Error (Printf.sprintf "unknown algorithm %S (nom|d2d|wid)" s)
-
-let rule_of_string p = function
-  | "det" -> Ok Bufins.Prune.deterministic
-  | "2p" -> Ok (Bufins.Prune.two_param ~p_l:p ~p_t:p ())
-  | "1p" -> Ok (Bufins.Prune.one_param ~alpha:0.95)
-  | "4p" -> Ok (Bufins.Prune.four_param ())
-  | s ->
-    Error (Printf.sprintf "unknown pruning rule %S (det|2p|1p|4p|sample)" s)
+    (tree, Experiments.Common.die_of_tree tree)
 
 (* Flush, then write/print the observability outputs the flags asked
    for.  Runs on both the normal and the DNF exit path, so an aborted
@@ -94,7 +72,7 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
       if rule_s = "sample" then
         if samples < 1 then Error "--samples must be >= 1 with --rule sample"
         else Ok Bufins.Prune.deterministic
-      else rule_of_string p rule_s
+      else Experiments.Common.rule_of_string ~others:[ "sample" ] ~p rule_s
     in
     (* --lib / --btypes select the buffer library for the run; every
        engine threads it through candidate generation, the device-id
@@ -117,7 +95,10 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
         try Ok (Bufins.Dominance.of_string objective_s)
         with Failure msg -> Error msg
     in
-    match (algo_of_string algo_s, rule_res, library_res, objective_res) with
+    match
+      (Experiments.Common.algo_of_string algo_s, rule_res, library_res,
+       objective_res)
+    with
     | Error msg, _, _, _
     | _, Error msg, _, _
     | _, _, Error msg, _

@@ -8,10 +8,8 @@
    exercises the cache-hit path and K above it the optimiser.
 
    Reports achieved throughput, latency quantiles (p50/p95/p99,
-   estimated from the sample-spanning latency histogram via
-   Numeric.Histogram.percentile — the same helper the server's stats
-   report uses), the latency histogram, and SLO attainment when
-   --slo-ms is given. *)
+   exact over every collected latency, via Numeric.Stats.percentile),
+   the latency histogram, and SLO attainment when --slo-ms is given. *)
 
 open Cmdliner
 
@@ -27,47 +25,25 @@ let bump outcome code =
     | Some n -> (code, n + 1) :: List.remove_assoc code outcome.failed
     | None -> (code, 1) :: outcome.failed)
 
-let rule_of_string p = function
-  | "det" -> Ok Bufins.Prune.deterministic
-  | "2p" -> Ok (Bufins.Prune.two_param ~p_l:p ~p_t:p ())
-  | "1p" -> Ok (Bufins.Prune.one_param ~alpha:0.95)
-  | "4p" -> Ok (Bufins.Prune.four_param ())
-  | s -> Error (Printf.sprintf "unknown pruning rule %S (det|2p|1p|4p)" s)
-
-let mode_of_string = function
-  | "nom" -> Ok Experiments.Common.Nom
-  | "d2d" -> Ok Experiments.Common.D2d
-  | "wid" -> Ok Experiments.Common.Wid
-  | s -> Error (Printf.sprintf "unknown algorithm %S (nom|d2d|wid)" s)
-
-let resolve_addr socket tcp =
-  match tcp with
-  | None -> Serve.Client.Unix_sock socket
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some port -> Serve.Client.Tcp ("127.0.0.1", port)
-    | None -> Serve.Client.addr_of_string s)
-
 let run socket tcp connections requests rps sinks distinct seed algo_s
     rule_s p deadline_ms slo_ms json_out =
   let ( let* ) r f = match r with Ok v -> f v | Error msg ->
     prerr_endline msg; 1
   in
-  let* mode = mode_of_string algo_s in
-  let* rule = rule_of_string p rule_s in
+  let* mode = Experiments.Common.algo_of_string algo_s in
+  let* rule = Experiments.Common.rule_of_string ~p rule_s in
   let* () =
     if connections < 1 || requests < 1 || distinct < 1 then
       Error "connections, requests and distinct must all be >= 1"
     else Ok ()
   in
-  let addr = resolve_addr socket tcp in
-  let die_um sinks = Float.max 4000.0 (sqrt (float_of_int sinks) *. 400.0) in
+  let addr = Serve.Client.resolve_addr ~socket tcp in
   (* K distinct nets, generated once and shared read-only by every
      connection domain. *)
   let trees =
     Array.init distinct (fun i ->
         Rctree.Generate.random_steiner ~seed:(seed + i) ~sinks
-          ~die_um:(die_um sinks) ())
+          ~die_um:(Experiments.Common.die_for_sinks sinks) ())
   in
   let reqs =
     Array.map
@@ -147,9 +123,7 @@ let run socket tcp connections requests rps sinks distinct seed algo_s
   in
   let hist = if n_lat > 0 then Some (Numeric.Histogram.of_samples lats) else None in
   let percentile q =
-    match hist with
-    | None -> nan
-    | Some h -> Numeric.Histogram.percentile h q
+    if n_lat = 0 then nan else Numeric.Stats.percentile lats q
   in
   let p50 = percentile 0.50
   and p95 = percentile 0.95

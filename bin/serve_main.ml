@@ -19,14 +19,6 @@ let tcp_client_arg =
          ~doc:"Connect over TCP instead of the Unix socket; a bare PORT \
                means 127.0.0.1:PORT.")
 
-let resolve_addr socket tcp =
-  match tcp with
-  | None -> Serve.Client.Unix_sock socket
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some port -> Serve.Client.Tcp ("127.0.0.1", port)
-    | None -> Serve.Client.addr_of_string s)
-
 (* Run a serving loop in the foreground until a shutdown request or
    SIGINT/SIGTERM; a socket that cannot be bound exits 1. *)
 let serve_foreground socket run =
@@ -43,8 +35,8 @@ let serve_foreground socket run =
 
 (* ---------- start ---------- *)
 
-let start socket tcp_port jobs queue_depth max_request_bytes cache_entries
-    tape_entries obs trace =
+let start socket tcp_port jobs queue_depth max_request_bytes cache_entries obs
+    trace =
   if obs || trace <> None then Obs.Control.enable ();
   let config =
     {
@@ -54,16 +46,15 @@ let start socket tcp_port jobs queue_depth max_request_bytes cache_entries
       queue_depth;
       max_payload = max_request_bytes;
       cache_entries;
-      tape_entries;
     }
   in
   Printf.printf
-    "varbuf-serve: listening on %s%s (jobs=%d, queue=%d, cache=%d, tapes=%d)\n%!"
+    "varbuf-serve: listening on %s%s (jobs=%d, queue=%d, cache=%d)\n%!"
     socket
     (match tcp_port with
     | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
     | None -> "")
-    jobs queue_depth cache_entries tape_entries;
+    jobs queue_depth cache_entries;
   serve_foreground socket (fun ~should_stop ->
       Serve.Server.run ~should_stop config);
   (match trace with
@@ -92,7 +83,8 @@ let start_cmd =
   let queue_arg =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
            ~doc:"Maximum requests queued or running; beyond it requests \
-                 are refused with a busy error.")
+                 the response cache cannot answer are refused with a \
+                 busy error.")
   in
   let max_bytes_arg =
     Arg.(value & opt int (8 * 1024 * 1024) & info [ "max-request-bytes" ]
@@ -100,15 +92,9 @@ let start_cmd =
   in
   let cache_arg =
     Arg.(value & opt int 128 & info [ "cache-entries" ] ~docv:"N"
-           ~doc:"Result-cache capacity (LRU); repeated request payloads \
+           ~doc:"Response-cache capacity (LRU); repeated request payloads \
                  are answered from memory byte-identically.  0 disables \
                  caching.")
-  in
-  let tape_arg =
-    Arg.(value & opt int 128 & info [ "tape-entries" ] ~docv:"N"
-           ~doc:"Compiled-tape cache capacity (LRU, keyed by topology \
-                 digest); warm topologies skip per-net tape \
-                 compilation.  0 disables the tape cache.")
   in
   let obs_arg =
     Arg.(value & flag & info [ "obs" ]
@@ -125,12 +111,12 @@ let start_cmd =
     (Cmd.info "start" ~doc:"run the buffering daemon (foreground)")
     Term.(
       const start $ socket_arg $ tcp_listen_arg $ jobs_arg $ queue_arg
-      $ max_bytes_arg $ cache_arg $ tape_arg $ obs_arg $ trace_arg)
+      $ max_bytes_arg $ cache_arg $ obs_arg $ trace_arg)
 
 (* ---------- cluster ---------- *)
 
 let cluster socket tcp_port shards jobs_per_shard queue_depth
-    max_request_bytes cache_entries tape_entries conns_per_shard =
+    max_request_bytes cache_entries conns_per_shard =
   let config =
     {
       Cluster.Supervisor.shards;
@@ -138,7 +124,6 @@ let cluster socket tcp_port shards jobs_per_shard queue_depth
       tcp_port;
       jobs_per_shard;
       cache_entries;
-      tape_entries;
       queue_depth;
       conns_per_shard;
       max_payload = max_request_bytes;
@@ -160,7 +145,7 @@ let cluster_cmd =
   let shards_arg =
     Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N"
            ~doc:"Worker processes; requests shard by a digest of the \
-                 routing tree, so each worker's result cache sees a \
+                 routing tree, so each worker's response cache sees a \
                  stable slice of the nets.")
   in
   let jobs_arg =
@@ -178,12 +163,7 @@ let cluster_cmd =
   in
   let cache_arg =
     Arg.(value & opt int 128 & info [ "cache-entries" ] ~docv:"N"
-           ~doc:"Result-cache capacity per worker; 0 disables caching.")
-  in
-  let tape_arg =
-    Arg.(value & opt int 128 & info [ "tape-entries" ] ~docv:"N"
-           ~doc:"Compiled-tape cache capacity per worker (LRU, keyed by \
-                 topology digest); 0 disables the tape cache.")
+           ~doc:"Response-cache capacity per worker; 0 disables caching.")
   in
   let conns_arg =
     Arg.(value & opt int 4 & info [ "conns-per-shard" ] ~docv:"N"
@@ -194,7 +174,7 @@ let cluster_cmd =
        ~doc:"run a sharded multi-process cluster (router + N workers)")
     Term.(
       const cluster $ socket_arg $ tcp_listen_arg $ shards_arg $ jobs_arg
-      $ queue_arg $ max_bytes_arg $ cache_arg $ tape_arg $ conns_arg)
+      $ queue_arg $ max_bytes_arg $ cache_arg $ conns_arg)
 
 (* ---------- request ---------- *)
 
@@ -211,23 +191,11 @@ let load_tree bench file seed sinks =
     try Ok (Rctree.Io.load path)
     with Sys_error msg | Failure msg -> Error ("cannot load tree: " ^ msg))
   | None, None, Some n ->
-    let die_um = Float.max 4000.0 (sqrt (float_of_int n) *. 400.0) in
-    Ok (Rctree.Generate.random_steiner ~seed ~sinks:n ~die_um ())
+    Ok
+      (Rctree.Generate.random_steiner ~seed ~sinks:n
+         ~die_um:(Experiments.Common.die_for_sinks n) ())
   | None, None, None -> Error "give one of --bench, --load or --sinks"
   | _ -> Error "give exactly one of --bench, --load or --sinks"
-
-let rule_of_string p = function
-  | "det" -> Ok Bufins.Prune.deterministic
-  | "2p" -> Ok (Bufins.Prune.two_param ~p_l:p ~p_t:p ())
-  | "1p" -> Ok (Bufins.Prune.one_param ~alpha:0.95)
-  | "4p" -> Ok (Bufins.Prune.four_param ())
-  | s -> Error (Printf.sprintf "unknown pruning rule %S (det|2p|1p|4p)" s)
-
-let mode_of_string = function
-  | "nom" -> Ok Experiments.Common.Nom
-  | "d2d" -> Ok Experiments.Common.D2d
-  | "wid" -> Ok Experiments.Common.Wid
-  | s -> Error (Printf.sprintf "unknown algorithm %S (nom|d2d|wid)" s)
 
 let probe_malformed client =
   (* A request frame whose payload is not a request: the server must
@@ -255,8 +223,8 @@ let request socket tcp bench file sinks algo_s rule_s p seed deadline_ms
     prerr_endline msg; 1
   in
   let* tree = load_tree bench file seed sinks in
-  let* mode = mode_of_string algo_s in
-  let* rule = rule_of_string p rule_s in
+  let* mode = Experiments.Common.algo_of_string algo_s in
+  let* rule = Experiments.Common.rule_of_string ~p rule_s in
   let* () =
     if samples < 0 then Error "--samples must be >= 0" else Ok ()
   in
@@ -275,7 +243,7 @@ let request socket tcp bench file sinks algo_s rule_s p seed deadline_ms
       btypes;
     }
   in
-  let addr = resolve_addr socket tcp in
+  let addr = Serve.Client.resolve_addr ~socket tcp in
   match Serve.Client.connect_addr addr with
   | exception Unix.Unix_error (e, _, _) ->
     prerr_endline
@@ -410,7 +378,7 @@ let request_cmd =
 (* ---------- stats / shutdown ---------- *)
 
 let with_client socket tcp f =
-  let addr = resolve_addr socket tcp in
+  let addr = Serve.Client.resolve_addr ~socket tcp in
   match Serve.Client.connect_addr addr with
   | exception Unix.Unix_error (e, _, _) ->
     prerr_endline

@@ -5,14 +5,6 @@
 
 open Cmdliner
 
-let die_of_tree tree =
-  let hi = ref 4000.0 in
-  for id = 0 to Rctree.Tree.node_count tree - 1 do
-    let x, y = Rctree.Tree.position tree id in
-    hi := Float.max !hi (Float.max x y)
-  done;
-  ceil (!hi /. 500.0) *. 500.0
-
 let run tree_path buffering_path mc skew report homogeneous budget_pct wire_pct
     seed =
   let tree =
@@ -32,7 +24,7 @@ let run tree_path buffering_path mc skew report homogeneous budget_pct wire_pct
         prerr_endline ("cannot load buffering: " ^ msg);
         exit 1)
   in
-  let die_um = die_of_tree tree in
+  let die_um = Experiments.Common.die_of_tree tree in
   let frac = budget_pct /. 100.0 in
   let budget =
     { Varmodel.Model.random_frac = frac; inter_die_frac = frac; spatial_frac = frac }

@@ -5,8 +5,6 @@ let fresh_base () =
     (Printf.sprintf "varbuf-cluster-%d-%d" (Unix.getpid ())
        (Atomic.fetch_and_add counter 1))
 
-let shard_socket base i = Printf.sprintf "%s.shard%d" base i
-
 let wait_for_sockets paths =
   let deadline = Unix.gettimeofday () +. 5.0 in
   let rec go () =
@@ -26,21 +24,26 @@ let with_cluster ~shards f =
   let router_socket = base ^ ".sock" in
   let stop_flag = Atomic.make false in
   let should_stop () = Atomic.get stop_flag in
+  let shard_sockets =
+    List.init shards (Supervisor.shard_socket ~socket_path:base)
+  in
   let workers =
-    List.init shards (fun i ->
+    List.map
+      (fun socket_path ->
         Domain.spawn (fun () ->
             Serve.Server.run ~should_stop
               {
-                (Serve.Server.default_config ~socket_path:(shard_socket base i)) with
+                (Serve.Server.default_config ~socket_path) with
                 Serve.Server.jobs = 2;
               }))
+      shard_sockets
   in
   let router =
     Domain.spawn (fun () ->
         Router.run ~should_stop
           {
             (Router.default_config ~socket_path:router_socket
-               ~shard_sockets:(Array.init shards (shard_socket base))) with
+               ~shard_sockets:(Array.of_list shard_sockets)) with
             Router.conns_per_shard = 2;
           })
   in
@@ -49,5 +52,5 @@ let with_cluster ~shards f =
     List.iter Domain.join (router :: workers)
   in
   Fun.protect ~finally:stop (fun () ->
-      wait_for_sockets (router_socket :: List.init shards (shard_socket base));
+      wait_for_sockets (router_socket :: shard_sockets);
       f router_socket)

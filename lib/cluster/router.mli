@@ -7,7 +7,7 @@
     Routing is {e canonical}: the shard key is a digest of the
     request's raw tree blob ({!Serve.Codec_bin.request_tree_span}), so
     the same net always lands on the same shard — and therefore hits
-    the same worker's result cache.  Request payloads are forwarded as
+    the same worker's response cache.  Request payloads are forwarded as
     the client sent them and worker responses are returned verbatim,
     byte-identical to what a single {!Serve.Server} would have
     produced.

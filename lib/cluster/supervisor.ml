@@ -4,7 +4,6 @@ type config = {
   tcp_port : int option;
   jobs_per_shard : int;
   cache_entries : int;
-  tape_entries : int;
   queue_depth : int;
   conns_per_shard : int;
   max_payload : int;
@@ -17,7 +16,6 @@ let default_config ~socket_path ~shards =
     tcp_port = None;
     jobs_per_shard = Exec.Pool.default_jobs ();
     cache_entries = 128;
-    tape_entries = 128;
     queue_depth = 64;
     conns_per_shard = 4;
     max_payload = 8 * 1024 * 1024;
@@ -45,7 +43,6 @@ let spawn_worker config i =
            ~socket_path:(shard_socket ~socket_path:config.socket_path i)) with
         Serve.Server.jobs = config.jobs_per_shard;
         cache_entries = config.cache_entries;
-        tape_entries = config.tape_entries;
         queue_depth = config.queue_depth;
         max_payload = config.max_payload;
       }

@@ -1,5 +1,5 @@
 (** The multi-process cluster: fork [shards] worker daemons (each a
-    {!Serve.Server} with its own {!Exec.Pool} and result cache on its
+    {!Serve.Server} with its own {!Exec.Pool} and response cache on its
     own [<socket>.shard<i>] Unix socket), then run the {!Router} in
     the calling process with worker supervision on its tick.
 
@@ -21,16 +21,15 @@ type config = {
   socket_path : string;  (** the router's front door *)
   tcp_port : int option;
   jobs_per_shard : int;
-  cache_entries : int;
-  tape_entries : int;  (** per-worker compiled-tape cache; 0 disables *)
+  cache_entries : int;  (** per-worker response cache; 0 disables *)
   queue_depth : int;
   conns_per_shard : int;
   max_payload : int;
 }
 
 val default_config : socket_path:string -> shards:int -> config
-(** Per shard: {!Exec.Pool.default_jobs} jobs, 128 cache entries, 128
-    tape entries, queue depth 64, 4 links; 8 MiB payloads; no TCP. *)
+(** Per shard: {!Exec.Pool.default_jobs} jobs, 128 cache entries,
+    queue depth 64, 4 links; 8 MiB payloads; no TCP. *)
 
 val shard_socket : socket_path:string -> int -> string
 (** Where shard [i]'s worker listens: [<socket_path>.shard<i>]. *)

@@ -16,7 +16,7 @@ let compute setup ?(sizes = [ 64; 128; 256; 512 ]) ?(budget = default_budget) ()
   let spatial = Varmodel.Model.default_heterogeneous in
   List.map
     (fun sinks ->
-      let die_um = Float.max 4000.0 (sqrt (float_of_int sinks) *. 400.0) in
+      let die_um = Common.die_for_sinks sinks in
       let tree = Rctree.Generate.random_steiner ~seed:77 ~sinks ~die_um () in
       let grid = Common.grid_for setup ~die_um in
       let canonical rule =

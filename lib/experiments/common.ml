@@ -36,9 +36,35 @@ let grid_for setup ~die_um =
   Varmodel.Grid.create ~width_um:die_um ~height_um:die_um ~pitch_um:setup.pitch_um
     ~range_um:setup.range_um
 
+let die_for_sinks sinks = Float.max 4000.0 (sqrt (float_of_int sinks) *. 400.0)
+
+let die_of_tree tree =
+  let hi = ref 4000.0 in
+  for id = 0 to Rctree.Tree.node_count tree - 1 do
+    let x, y = Rctree.Tree.position tree id in
+    hi := Float.max !hi (Float.max x y)
+  done;
+  ceil (!hi /. 500.0) *. 500.0
+
 type algo = Nom | D2d | Wid
 
 let algo_name = function Nom -> "NOM" | D2d -> "D2D" | Wid -> "WID"
+
+let algo_of_string = function
+  | "nom" -> Ok Nom
+  | "d2d" -> Ok D2d
+  | "wid" -> Ok Wid
+  | s -> Error (Printf.sprintf "unknown algorithm %S (nom|d2d|wid)" s)
+
+let rule_of_string ?(others = []) ~p = function
+  | "det" -> Ok Bufins.Prune.deterministic
+  | "2p" -> Ok (Bufins.Prune.two_param ~p_l:p ~p_t:p ())
+  | "1p" -> Ok (Bufins.Prune.one_param ~alpha:0.95)
+  | "4p" -> Ok (Bufins.Prune.four_param ())
+  | s ->
+    Error
+      (Printf.sprintf "unknown pruning rule %S (%s)" s
+         (String.concat "|" ([ "det"; "2p"; "1p"; "4p" ] @ others)))
 
 let model_mode = function
   | Nom -> Varmodel.Model.Nom

@@ -35,9 +35,27 @@ val mc_samples :
 
 val grid_for : setup -> die_um:float -> Varmodel.Grid.t
 
+val die_for_sinks : int -> float
+(** Die side (µm) for a generated net of that many sinks:
+    [max 4000 (400·√sinks)]. *)
+
+val die_of_tree : Rctree.Tree.t -> float
+(** Die side (µm) for a net that arrives without one: the bounding
+    square of its node positions, at least 4000 µm, rounded up to the
+    500 µm grid. *)
+
 type algo = Nom | D2d | Wid
 
 val algo_name : algo -> string
+
+val algo_of_string : string -> (algo, string) result
+(** ["nom"], ["d2d"] or ["wid"]; the error names the three. *)
+
+val rule_of_string :
+  ?others:string list -> p:float -> string -> (Bufins.Prune.t, string) result
+(** ["det"], ["2p"] (p_L = p_T = [p]), ["1p"] (α = 0.95) or ["4p"].
+    The error lists those spellings, then [others] (names a caller
+    handles before calling, such as bufferins's ["sample"]). *)
 
 val run_algo :
   setup ->
@@ -60,7 +78,8 @@ val run_algo :
     [objective] / [eps_power] (default [Max_yield] / 0 = the
     historical engine) forward the power-aware objective.  [tape], a
     {!Compile.Tape.compile} of the same tree, skips compiling it again
-    (serve's tape cache passes it); the result is the same bytes. *)
+    (the served-request benchmark's traced pass times the compile on
+    its own and passes the tape); the result is the same bytes. *)
 
 val run_sampled :
   setup ->

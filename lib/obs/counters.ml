@@ -44,19 +44,18 @@ let get t name =
   Mutex.unlock t.mu;
   v
 
-let find_hist t name ~lo ~hi ~bins =
+let latency_histogram () =
+  Numeric.Histogram.create_log ~lo:0.01 ~hi:100_000.0 ~bins:120
+
+(* [make] builds the bins only when the histogram is new. *)
+let find_hist t name ~make =
   Mutex.lock t.mu;
   let h =
     match Hashtbl.find_opt t.hists name with
     | Some h -> h
     | None ->
       let h =
-        {
-          hmu = Mutex.create ();
-          bins = Numeric.Histogram.create ~lo ~hi ~bins;
-          sum = 0.0;
-          vmax = neg_infinity;
-        }
+        { hmu = Mutex.create (); bins = make (); sum = 0.0; vmax = neg_infinity }
       in
       Hashtbl.add t.hists name h;
       h
@@ -64,8 +63,14 @@ let find_hist t name ~lo ~hi ~bins =
   Mutex.unlock t.mu;
   h
 
-let observe t name ?(lo = 0.0) ?(hi = 60_000.0) ?(bins = 120) x =
-  let h = find_hist t name ~lo ~hi ~bins in
+let observe t name ?lo ?hi ?bins x =
+  let make () =
+    match (lo, hi, bins) with
+    | None, None, None -> latency_histogram ()
+    | Some lo, Some hi, Some bins -> Numeric.Histogram.create ~lo ~hi ~bins
+    | _ -> invalid_arg "Obs.Counters.observe: give all of lo, hi and bins, or none"
+  in
+  let h = find_hist t name ~make in
   Mutex.lock h.hmu;
   Numeric.Histogram.add h.bins x;
   h.sum <- h.sum +. x;
@@ -113,10 +118,7 @@ let merge_into ~into src =
     (fun (name, sh) ->
       Mutex.lock sh.hmu;
       let dh =
-        find_hist into name
-          ~lo:(Numeric.Histogram.lo sh.bins)
-          ~hi:(Numeric.Histogram.hi sh.bins)
-          ~bins:(Numeric.Histogram.bins sh.bins)
+        find_hist into name ~make:(fun () -> Numeric.Histogram.empty_like sh.bins)
       in
       Mutex.lock dh.hmu;
       dh.bins <- Numeric.Histogram.merge dh.bins sh.bins;
@@ -132,11 +134,7 @@ let reset t =
   Hashtbl.iter
     (fun _ h ->
       Mutex.lock h.hmu;
-      h.bins <-
-        Numeric.Histogram.create
-          ~lo:(Numeric.Histogram.lo h.bins)
-          ~hi:(Numeric.Histogram.hi h.bins)
-          ~bins:(Numeric.Histogram.bins h.bins);
+      h.bins <- Numeric.Histogram.empty_like h.bins;
       h.sum <- 0.0;
       h.vmax <- neg_infinity;
       Mutex.unlock h.hmu)

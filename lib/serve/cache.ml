@@ -1,4 +1,4 @@
-(* Memoising result cache for the request handler.
+(* The worker's response cache: encoded replies, keyed by request.
 
    A response is a pure function of the request minus its routing
    fields ([id] is echoed verbatim and [deadline_ms] only bounds how
@@ -9,10 +9,12 @@
    size and storing it per entry would defeat the point of a bounded
    cache.
 
-   Storage, eviction and locking live in {!Lru}; this module adds the
-   key derivation. *)
+   Values are the {!Codec_bin.encode_response} bytes themselves: a hit
+   needs only {!Codec_bin.with_response_id}, and a string is one block
+   the GC never scans.  Storage, eviction and locking live in {!Lru};
+   this module adds the key derivation. *)
 
-type t = Protocol.response Lru.t
+type t = string Lru.t
 
 let create ~entries = Lru.create ~capacity:entries
 

@@ -8,6 +8,13 @@ let addr_of_string s =
     | None -> Unix_sock s)
   | _ -> Unix_sock s
 
+let resolve_addr ~socket = function
+  | None -> Unix_sock socket
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some port -> Tcp ("127.0.0.1", port)
+    | None -> addr_of_string s)
+
 let pp_addr = function
   | Unix_sock path -> path
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port

@@ -11,6 +11,11 @@ val addr_of_string : string -> addr
 (** ["host:port"] (with a numeric port) parses as {!Tcp}; anything
     else is a Unix-socket path. *)
 
+val resolve_addr : socket:string -> string option -> addr
+(** The CLIs' [--socket PATH] / [--tcp HOST:PORT] pair: [None] is the
+    Unix socket, a bare port means [127.0.0.1:PORT], and anything else
+    goes through {!addr_of_string}. *)
+
 val pp_addr : addr -> string
 
 type t

@@ -1,12 +1,6 @@
-let die_of_tree tree =
-  let hi = ref 4000.0 in
-  for id = 0 to Rctree.Tree.node_count tree - 1 do
-    let x, y = Rctree.Tree.position tree id in
-    hi := Float.max !hi (Float.max x y)
-  done;
-  ceil (!hi /. 500.0) *. 500.0
+let die_of_tree = Experiments.Common.die_of_tree
 
-let compute ?pool ?tape ?deadline_s (req : Protocol.request) =
+let compute ?pool ?deadline_s (req : Protocol.request) =
   let setup =
     {
       Experiments.Common.default_setup with
@@ -44,7 +38,7 @@ let compute ?pool ?tape ?deadline_s (req : Protocol.request) =
           ~wire_sizing:req.Protocol.wire_sizing ~samples:req.Protocol.samples
           ~relax:req.Protocol.relax ~seed:req.Protocol.seed
           ~objective:req.Protocol.objective ~eps_power:req.Protocol.eps_power
-          ?tape ~spatial ~grid req.Protocol.mode tree
+          ~spatial ~grid req.Protocol.mode tree
       in
       ( {
           Bufins.Assignment.buffers = r.Sample.Engine.buffers;
@@ -65,7 +59,7 @@ let compute ?pool ?tape ?deadline_s (req : Protocol.request) =
         Experiments.Common.run_algo setup ~rule:req.Protocol.rule ~budget
           ~wire_sizing:req.Protocol.wire_sizing
           ~objective:req.Protocol.objective ~eps_power:req.Protocol.eps_power
-          ?tape ~spatial ~grid req.Protocol.mode tree
+          ~spatial ~grid req.Protocol.mode tree
       in
       ( Bufins.Assignment.of_result r,
         r.Bufins.Engine.stats,
@@ -104,8 +98,7 @@ let compute ?pool ?tape ?deadline_s (req : Protocol.request) =
     assignment;
   }
 
-let run ?pool ?cache ?tapes ?tape_digest ?metrics ?deadline_s
-    (req : Protocol.request) =
+let run ?pool ?tapes:_ ?tape_digest:_ ?deadline_s (req : Protocol.request) =
   let deadline_s =
     match deadline_s with
     | Some s -> Some s
@@ -114,37 +107,8 @@ let run ?pool ?cache ?tapes ?tape_digest ?metrics ?deadline_s
         Some (float_of_int req.Protocol.deadline_ms /. 1000.0)
       else None
   in
-  (* The deadline applies whether or not the answer is cached: a client
-     whose budget already expired gets the deadline error it asked
-     for, not a stale-looking instant success. *)
   (match deadline_s with
   | Some s when s <= 0.0 ->
     raise (Bufins.Engine.Budget_exceeded "deadline expired before optimisation")
   | _ -> ());
-  (* The tape cache is consulted only on the compute path: a response
-     cache hit never touches the DP, so counting a tape hit for it
-     would overstate how often compilation was actually skipped. *)
-  let compute_with_tape () =
-    let tape =
-      Option.map (fun t -> Tapes.obtain ?digest:tape_digest t req.Protocol.tree)
-        tapes
-    in
-    compute ?pool ?tape ?deadline_s req
-  in
-  match cache with
-  | None -> compute_with_tape ()
-  | Some cache -> (
-    let key = Cache.key_of_request req in
-    match Cache.find cache key with
-    | Some resp ->
-      Option.iter Metrics.cache_hit metrics;
-      (* The cached body is id-independent; only the echo differs. *)
-      { resp with Protocol.r_id = req.Protocol.id }
-    | None ->
-      Option.iter Metrics.cache_miss metrics;
-      let resp = compute_with_tape () in
-      (* Only successful results are cached — a deadline trip depends
-         on the budget, not the payload, and must not poison faster
-         retries. *)
-      Cache.add cache key resp;
-      resp)
+  compute ?pool ?deadline_s req

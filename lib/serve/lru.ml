@@ -1,14 +1,13 @@
-(* The one LRU implementation behind the serve caches: the response
-   cache ({!Cache}) and the compiled-tape cache ({!Tapes}).
+(* The LRU behind the worker's response cache ({!Cache}).
 
    Recency is a logical clock: each touch restamps the entry, and
    insertion over capacity evicts the entry with the oldest stamp via
    a linear scan.  The scan is O(capacity), which is fine at the
-   capacities these caches run at (tens to a few hundred) — every
-   insertion already paid for a parse or an optimisation run.
+   capacities the cache runs at (tens to a few hundred) — every
+   insertion already paid for an optimisation run.
 
-   Both users share their instance across the pool's domains, so every
-   operation takes the instance's own mutex. *)
+   The server's event loop looks entries up while pool domains insert
+   them, so every operation takes the instance's own mutex. *)
 
 type 'a entry = { value : 'a; mutable stamp : int }
 

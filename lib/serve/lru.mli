@@ -1,5 +1,5 @@
-(** Bounded least-recently-used map from string keys, shared by the
-    response cache ({!Cache}) and the compiled-tape cache ({!Tapes}).
+(** Bounded least-recently-used map from string keys, backing the
+    worker's response cache ({!Cache}).
 
     Recency is a logical clock; eviction scans for the oldest stamp
     (O(capacity), deliberate — see the implementation note).

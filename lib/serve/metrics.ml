@@ -11,10 +11,20 @@ type t = {
   by_kind : (string, int Atomic.t) Hashtbl.t;
   code_mutex : Mutex.t;
   hist : Numeric.Histogram.t;
+  decades : int array;
   mutable lat_sum : float;
   mutable lat_max : float;
   hist_mutex : Mutex.t;
 }
+
+(* The bucket lines' coarse view: decade [d] counts latencies in
+   [0.01·10^d, 0.01·10^(d+1)) ms, the outer two also what lies beyond
+   them (0 ms included).  The percentiles come from the fine bins. *)
+let n_decades = 7
+
+let decade_of ms =
+  let f = Float.log10 ms +. 2.0 in
+  if not (f >= 0.0) then 0 else min (n_decades - 1) (int_of_float f)
 
 let create () =
   {
@@ -29,9 +39,8 @@ let create () =
     by_code = Hashtbl.create 8;
     by_kind = Hashtbl.create 8;
     code_mutex = Mutex.create ();
-    (* 120 bins of 500 ms: interactive requests land in the first few
-       bins, the clamped top bin catches everything slower. *)
-    hist = Numeric.Histogram.create ~lo:0.0 ~hi:60_000.0 ~bins:120;
+    hist = Obs.Counters.latency_histogram ();
+    decades = Array.make n_decades 0;
     lat_sum = 0.0;
     lat_max = 0.0;
     hist_mutex = Mutex.create ();
@@ -48,6 +57,8 @@ let request_ok t ~latency_ms =
   Atomic.incr t.ok;
   Mutex.lock t.hist_mutex;
   Numeric.Histogram.add t.hist latency_ms;
+  let d = decade_of latency_ms in
+  t.decades.(d) <- t.decades.(d) + 1;
   t.lat_sum <- t.lat_sum +. latency_ms;
   if latency_ms > t.lat_max then t.lat_max <- latency_ms;
   Mutex.unlock t.hist_mutex
@@ -113,20 +124,20 @@ let render t =
   if total > 0 then begin
     Printf.bprintf buf "latency_ms_mean %.1f\n" (t.lat_sum /. float_of_int total);
     Printf.bprintf buf "latency_ms_max %.1f\n" t.lat_max;
-    (* Histogram-estimated tails, exact to within one 500 ms bin. *)
-    Printf.bprintf buf "latency_ms_p50 %.1f\n"
-      (Numeric.Histogram.percentile t.hist 0.50);
-    Printf.bprintf buf "latency_ms_p95 %.1f\n"
-      (Numeric.Histogram.percentile t.hist 0.95);
-    Printf.bprintf buf "latency_ms_p99 %.1f\n"
-      (Numeric.Histogram.percentile t.hist 0.99);
-    for i = 0 to Numeric.Histogram.bins t.hist - 1 do
-      let count = Numeric.Histogram.bin_count t.hist i in
-      if count > 0 then
-        Printf.bprintf buf "latency_ms_bucket %g %d\n"
-          (Numeric.Histogram.bin_center t.hist i)
-          count
-    done
+    (* Histogram-estimated tails, within one log-scale bin (< 15%),
+       and never above the largest sample. *)
+    List.iter
+      (fun (key, p) ->
+        Printf.bprintf buf "latency_ms_%s %.1f\n" key
+          (Float.min t.lat_max (Numeric.Histogram.percentile t.hist p)))
+      [ ("p50", 0.50); ("p95", 0.95); ("p99", 0.99) ];
+    Array.iteri
+      (fun d count ->
+        if count > 0 then
+          Printf.bprintf buf "latency_ms_bucket %g %d\n"
+            (0.01 *. (10.0 ** float_of_int d))
+            count)
+      t.decades
   end;
   Mutex.unlock t.hist_mutex;
   (* With observability on, fold the global registry in: queue wait vs

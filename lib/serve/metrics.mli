@@ -4,14 +4,16 @@
     Counters are {!Atomic} so any domain may record; the latency
     histogram ({!Numeric.Histogram}) is guarded by a private mutex.
     {!render} is the text payload of the [stats] frame — line-oriented
-    key-value pairs, one histogram bucket per non-empty bin. *)
+    key-value pairs, one bucket line per non-empty latency decade. *)
 
 type t
 
 val create : unit -> t
-(** Fresh metrics; the latency histogram spans 0–60 000 ms (samples
-    beyond either end are clamped into the outermost bins, so no
-    request is ever lost from the distribution). *)
+(** Fresh metrics; the latency histogram has
+    {!Obs.Counters.latency_histogram}'s log-scale bins, 0.01 ms to
+    100 s, each under 15% wide (samples beyond either end are clamped
+    into the outermost bins, so no request is ever lost from the
+    distribution). *)
 
 val conn_opened : t -> unit
 val conn_closed : t -> unit
@@ -27,10 +29,11 @@ val request_error : t -> code:string -> unit
     distribution. *)
 
 val cache_hit : t -> unit
-(** A request answered from the result {!Cache}. *)
+(** A request answered from the response {!Cache}. *)
 
 val cache_miss : t -> unit
-(** A request that went to the optimiser (cache enabled but cold). *)
+(** A request admitted to the optimiser (cache enabled but cold); a
+    miss refused [busy] is not counted. *)
 
 val request_kind : t -> kind:string -> unit
 (** A client frame arrived, by frame kind ([request], [stats], …), so
@@ -54,18 +57,22 @@ val render : t -> string
     latency_ms_count 5
     latency_ms_mean 41.3
     latency_ms_max 80.1
-    latency_ms_p50 35.0
-    latency_ms_p95 78.2
+    latency_ms_p50 36.2
+    latency_ms_p95 80.1
     latency_ms_p99 80.1
-    latency_ms_bucket 25 3
-    latency_ms_bucket 75 2
+    latency_ms_bucket 1 1
+    latency_ms_bucket 10 4
     v}
     [cache_hit_ratio] is hits / (hits + misses), printed only once the
     cache has been consulted at least once.  [error_<code>] lines
     appear only for codes seen, [kind_<kind>] lines only for frame
     kinds seen; the mean/max/percentile and bucket lines only once at
-    least one ok response was recorded, bucket lines only for
-    non-empty bins (center, count).  Every [latency_ms_*] line covers
+    least one ok response was recorded.  The percentiles are read from
+    {!Obs.Counters.latency_histogram}'s bins, so each is within 15% of
+    the exact sample quantile, and capped at [latency_ms_max].  A
+    [latency_ms_bucket LO N] line says N responses took [LO] to
+    [10·LO] ms, for each non-empty decade from 0.01 ms (the first also
+    holds anything faster, the last, from 10 s, anything slower).  Every [latency_ms_*] line covers
     successful (ok) responses only — errors are counted in [errors]
     and [error_<code>] but excluded from the latency distribution, so
     [latency_ms_count] equals [ok], not [requests].  The exact key

@@ -7,7 +7,6 @@ type config = {
   queue_depth : int;
   max_connections : int;
   cache_entries : int;
-  tape_entries : int;
 }
 
 let default_config ~socket_path =
@@ -20,12 +19,11 @@ let default_config ~socket_path =
     queue_depth = 64;
     max_connections = 128;
     cache_entries = 128;
-    tape_entries = 128;
   }
 
 type job = {
   j_client : Front.client;
-  fut : (Protocol.response, Protocol.error) result Exec.Pool.future;
+  fut : (string, Protocol.error) result Exec.Pool.future;
   enqueued_at : float;
 }
 
@@ -43,10 +41,6 @@ let run ?(should_stop = fun () -> false) config =
   in
   let cache =
     if config.cache_entries > 0 then Some (Cache.create ~entries:config.cache_entries)
-    else None
-  in
-  let tapes =
-    if config.tape_entries > 0 then Some (Tapes.create ~entries:config.tape_entries)
     else None
   in
   let pool = Exec.Pool.create ~jobs:config.jobs () in
@@ -72,84 +66,88 @@ let run ?(should_stop = fun () -> false) config =
   in
   let jobs : job list ref = ref [] in
 
+  (* Answer from the response cache at once, before the queue-depth
+     check: a hit costs an id rewrite, so a full queue never refuses
+     it.  Only an admitted miss counts as one. *)
   let dispatch_request client payload =
     if Front.draining front then
       Front.fail front client Protocol.err_busy "server is draining"
-    else if List.length !jobs >= config.queue_depth then
-      Front.fail front client Protocol.err_busy
-        (Printf.sprintf "request queue full (depth %d)" config.queue_depth)
     else
-      (* With the tape cache on, a request's tape key is the digest of
-         its raw tree blob, taken in place: no re-encoding. *)
-      let decode payload =
-        let req = Codec_bin.decode_request payload in
-        if Option.is_none tapes then (req, None)
-        else
-          let off, len = Codec_bin.request_tree_span payload in
-          (req, Some (Tapes.digest_of_span payload ~off ~len))
-      in
-      match decode payload with
+      match Codec_bin.decode_request payload with
       | exception Failure msg -> Front.fail front client Protocol.err_parse msg
-      | req, tape_digest ->
-        let enqueued_at = Unix.gettimeofday () in
-        let deadline_at =
-          if req.Protocol.deadline_ms > 0 then
-            Some (enqueued_at +. (float_of_int req.Protocol.deadline_ms /. 1000.0))
-          else None
-        in
-        let task () =
-          let started = Unix.gettimeofday () in
-          let obs = Obs.Control.on () in
-          let t0 = if obs then Obs.Span.now_ns () else 0 in
-          if obs then
-            Obs.Counters.observe Obs.Counters.global "serve.queue_wait_ms"
-              ((started -. enqueued_at) *. 1000.0);
-          (* Queue wait counts against the deadline: re-derive the
-             remaining budget at execution start. *)
-          let deadline_s =
-            Option.map (fun at -> at -. started) deadline_at
-          in
-          let outcome =
-            match
-              Handler.run ~pool ?cache ?tapes ?tape_digest ~metrics ?deadline_s
-                req
-            with
-            | resp -> Ok resp
-            | exception Bufins.Engine.Budget_exceeded msg ->
-              Error { Protocol.code = Protocol.err_deadline; message = msg }
-            | exception (Failure msg | Invalid_argument msg) ->
-              Error { Protocol.code = Protocol.err_internal; message = msg }
-          in
-          if obs then begin
-            Obs.Counters.observe Obs.Counters.global "serve.exec_ms"
-              ((Unix.gettimeofday () -. started) *. 1000.0);
-            Obs.Span.record ~name:"request" ~cat:"serve" ~t0_ns:t0
+      | req -> (
+        let decoded_at = Unix.gettimeofday () in
+        let key = Option.map (fun c -> (c, Cache.key_of_request req)) cache in
+        match Option.bind key (fun (c, k) -> Cache.find c k) with
+        | Some reply ->
+          Metrics.cache_hit metrics;
+          let reply = Codec_bin.with_response_id reply req.Protocol.id in
+          let ms = (Unix.gettimeofday () -. decoded_at) *. 1000.0 in
+          (* A hit is answered without queueing, yet it still counts in
+             both stage histograms, so their means stay per answered
+             request. *)
+          if Obs.Control.on () then begin
+            Obs.Counters.observe Obs.Counters.global "serve.queue_wait_ms" 0.0;
+            Obs.Counters.observe Obs.Counters.global "serve.exec_ms" ms
           end;
-          outcome
-        in
-        let fut = Exec.Pool.submit ~on_complete:poke pool task in
-        jobs := !jobs @ [ { j_client = client; fut; enqueued_at } ]
+          Front.respond front client ~latency_ms:ms reply
+        | None when List.length !jobs >= config.queue_depth ->
+          Front.fail front client Protocol.err_busy
+            (Printf.sprintf "request queue full (depth %d)" config.queue_depth)
+        | None ->
+          if Option.is_some key then Metrics.cache_miss metrics;
+          let deadline_at =
+            if req.Protocol.deadline_ms > 0 then
+              Some
+                (decoded_at +. (float_of_int req.Protocol.deadline_ms /. 1000.0))
+            else None
+          in
+          let task () =
+            let started = Unix.gettimeofday () in
+            let obs = Obs.Control.on () in
+            let t0 = if obs then Obs.Span.now_ns () else 0 in
+            if obs then
+              Obs.Counters.observe Obs.Counters.global "serve.queue_wait_ms"
+                ((started -. decoded_at) *. 1000.0);
+            (* Queue wait counts against the deadline: re-derive the
+               remaining budget at execution start. *)
+            let deadline_s =
+              Option.map (fun at -> at -. started) deadline_at
+            in
+            let outcome =
+              match Handler.run ~pool ?deadline_s req with
+              | resp ->
+                let reply = Codec_bin.encode_response resp in
+                (* Only successful replies are cached: a deadline trip
+                   depends on the budget, not the payload, and must not
+                   poison faster retries. *)
+                Option.iter (fun (c, k) -> Cache.add c k reply) key;
+                Ok reply
+              | exception Bufins.Engine.Budget_exceeded msg ->
+                Error { Protocol.code = Protocol.err_deadline; message = msg }
+              | exception (Failure msg | Invalid_argument msg) ->
+                Error { Protocol.code = Protocol.err_internal; message = msg }
+            in
+            if obs then begin
+              Obs.Counters.observe Obs.Counters.global "serve.exec_ms"
+                ((Unix.gettimeofday () -. started) *. 1000.0);
+              Obs.Span.record ~name:"request" ~cat:"serve" ~t0_ns:t0
+            end;
+            outcome
+          in
+          let fut = Exec.Pool.submit ~on_complete:poke pool task in
+          jobs := !jobs @ [ { j_client = client; fut; enqueued_at = decoded_at } ])
   in
 
-  (* The occupancy/hit lines of the two in-process caches, appended to
-     the metrics in the same "key value" line format. *)
+  (* The response cache's occupancy lines, appended to the metrics in
+     the same "key value" line format. *)
   let stats_lines () =
-    let buf = Buffer.create 128 in
-    Option.iter
-      (fun c ->
-        let s = Cache.stats c in
-        Printf.bprintf buf "cache_entries %d\n" s.Lru.entries;
-        Printf.bprintf buf "cache_capacity %d\n" s.Lru.capacity)
-      cache;
-    Option.iter
-      (fun t ->
-        let s = Tapes.stats t in
-        Printf.bprintf buf "tape_entries %d\n" s.Lru.entries;
-        Printf.bprintf buf "tape_capacity %d\n" s.Lru.capacity;
-        Printf.bprintf buf "tape_hits %d\n" s.Lru.hits;
-        Printf.bprintf buf "tape_misses %d\n" s.Lru.misses)
-      tapes;
-    Buffer.contents buf
+    match cache with
+    | None -> ""
+    | Some c ->
+      let s = Cache.stats c in
+      Printf.sprintf "cache_entries %d\ncache_capacity %d\n" s.Lru.entries
+        s.Lru.capacity
   in
 
   let complete_jobs () =
@@ -159,9 +157,7 @@ let run ?(should_stop = fun () -> false) config =
       (fun j ->
         let latency_ms = (Unix.gettimeofday () -. j.enqueued_at) *. 1000.0 in
         match Exec.Pool.await j.fut with
-        | Ok resp ->
-          Front.respond front j.j_client ~latency_ms
-            (Codec_bin.encode_response resp)
+        | Ok reply -> Front.respond front j.j_client ~latency_ms reply
         | Error err ->
           Front.fail front j.j_client err.Protocol.code err.Protocol.message
         | exception e ->

@@ -11,12 +11,20 @@
     [jobs = 1] there are no workers and requests execute inline in the
     loop — a degenerate but correct (and bit-identical) mode.
 
+    The server owns the worker's one cache, the response {!Cache} of
+    encoded replies.  The loop decodes each request and looks it up
+    there first: a hit is answered at once with the cached bytes under
+    the request's id, and never enters the queue or the pool.  A miss
+    runs {!Handler.run} on the pool, and its reply is encoded once,
+    cached (successful replies only) and sent.
+
     Robustness contract:
     - a malformed or oversized request gets an [error] frame and the
       connection (and daemon) keep serving; only a corrupt frame
       {e header} closes that one connection;
     - at most [queue_depth] requests are queued or running; beyond
-      that, requests are refused with [busy];
+      that, cache misses are refused with [busy] (hits are still
+      answered);
     - a request's [deadline_ms] covers queue wait plus optimisation
       (mapped onto the engine's wall-clock budget) — an expired request
       gets a [deadline] error;
@@ -36,21 +44,15 @@ type config = {
   queue_depth : int;  (** max requests queued + running *)
   max_connections : int;  (** accepting pauses above this *)
   cache_entries : int;
-      (** result-{!Cache} capacity; [0] disables caching.  Repeated
+      (** response-{!Cache} capacity; [0] disables caching.  Repeated
           payloads (same seed/mode/rule/tree, ids and deadlines aside)
           are answered from memory, byte-identically; hits and misses
           show up in the [stats] report. *)
-  tape_entries : int;
-      (** compiled-{!Tapes} capacity; [0] disables the tape cache.
-          Requests whose topology digest is warm skip the per-net tape
-          compilation; results are byte-identical either way.  Occupancy and hit/miss lines
-          ([tape_*]) join the [stats] report. *)
 }
 
 val default_config : socket_path:string -> config
 (** jobs {!Exec.Pool.default_jobs}, backlog 64, 8 MiB payloads,
-    queue depth 64, 128 connections, 128 cache entries, 128 tape
-    entries. *)
+    queue depth 64, 128 connections, 128 cache entries. *)
 
 val run : ?should_stop:(unit -> bool) -> config -> unit
 (** Bind, serve until a [shutdown] request or [should_stop] (polled at

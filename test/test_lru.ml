@@ -134,9 +134,9 @@ let test_capacity_below_one_rejected () =
     [ 0; -1 ]
 
 let test_shared_across_domains () =
-  (* The response and tape caches share one instance across the pool's
-     domains: under concurrent finds and puts every lookup is counted
-     exactly once and the capacity bound holds. *)
+  (* The response cache shares one instance between the event loop and
+     the pool's domains: under concurrent finds and puts every lookup
+     is counted exactly once and the capacity bound holds. *)
   let lru = Serve.Lru.create ~capacity:8 in
   let per_domain = 2000 and domains = 4 in
   let worker d () =

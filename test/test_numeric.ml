@@ -331,6 +331,44 @@ let test_histogram_percentile () =
     (Invalid_argument "Histogram.percentile: p must be in [0, 1]") (fun () ->
       ignore (Numeric.Histogram.percentile one 1.5))
 
+let test_histogram_log_bins () =
+  (* 0.01 to 100 000 in 70 bins: ten per decade, each 25.9% wide. *)
+  let h = Numeric.Histogram.create_log ~lo:0.01 ~hi:100_000.0 ~bins:70 in
+  Numeric.Histogram.add h 0.0;
+  Numeric.Histogram.add h (-3.0);
+  Numeric.Histogram.add h 1e9;
+  Alcotest.(check int) "0 and negatives in the first bin" 2
+    (Numeric.Histogram.bin_count h 0);
+  Alcotest.(check int) "huge in the last bin" 1
+    (Numeric.Histogram.bin_count h 69);
+  (* Samples spread over six decades: every quantile is read within one
+     bin ratio of the nearest-rank sample. *)
+  let h = Numeric.Histogram.empty_like h in
+  Alcotest.(check int) "empty_like is empty" 0 (Numeric.Histogram.total h);
+  let xs = Array.init 600 (fun i -> 0.05 *. (10.0 ** (float_of_int i /. 100.0))) in
+  Array.iter (Numeric.Histogram.add h) xs;
+  let ratio = 10.0 ** 0.1 in
+  List.iter
+    (fun p ->
+      let exact = xs.(max 0 (int_of_float (ceil (p *. 600.0)) - 1)) in
+      let est = Numeric.Histogram.percentile h p in
+      Alcotest.(check bool)
+        (Printf.sprintf "p%g: %g within a bin of %g" p est exact)
+        true
+        (est >= exact /. ratio && est <= exact *. ratio))
+    [ 0.01; 0.5; 0.95; 0.99 ];
+  Alcotest.(check bool) "geometric bin centre" true
+    (Float.abs (Numeric.Histogram.bin_center h 0 -. (0.01 *. sqrt ratio)) < 1e-12);
+  Alcotest.check_raises "log and linear bins do not merge"
+    (Invalid_argument "Histogram.merge: histograms must share lo/hi/bins")
+    (fun () ->
+      ignore
+        (Numeric.Histogram.merge h
+           (Numeric.Histogram.create ~lo:0.01 ~hi:100_000.0 ~bins:70)));
+  Alcotest.check_raises "lo must be positive"
+    (Invalid_argument "Histogram.create_log: need 0 < lo < hi") (fun () ->
+      ignore (Numeric.Histogram.create_log ~lo:0.0 ~hi:1.0 ~bins:4))
+
 let test_histogram_validation () =
   Alcotest.check_raises "bins > 0"
     (Invalid_argument "Histogram.create: bins must be > 0") (fun () ->
@@ -534,4 +572,5 @@ let suite =
     Alcotest.test_case "stats percentile domain" `Quick test_percentile_domain;
     Alcotest.test_case "percentile = polymorphic-compare sort" `Quick
       test_percentile_matches_poly_compare;
+    Alcotest.test_case "histogram log bins" `Quick test_histogram_log_bins;
   ]

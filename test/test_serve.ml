@@ -198,7 +198,7 @@ let test_determinism_across_jobs () =
   Alcotest.(check string) "server at --jobs 4 is byte-identical" expected
     (via_server 4)
 
-(* ---------- result cache ---------- *)
+(* ---------- response cache ---------- *)
 
 let test_cache_key () =
   let req = Serve.Protocol.default_request ~tree:small_tree in
@@ -236,8 +236,9 @@ let test_cache_key () =
 let test_cache_lru () =
   let cache = Serve.Cache.create ~entries:2 in
   let resp id =
-    { (Serve.Handler.run (Serve.Protocol.default_request ~tree:small_tree)) with
-      Serve.Protocol.r_id = id }
+    Serve.Codec_bin.encode_response
+      { (Serve.Handler.run (Serve.Protocol.default_request ~tree:small_tree)) with
+        Serve.Protocol.r_id = id }
   in
   Serve.Cache.add cache "a" (resp 1);
   Serve.Cache.add cache "b" (resp 2);
@@ -392,6 +393,46 @@ let test_metrics_hit_ratio_and_kinds () =
   has "kind_request 2";
   has "kind_stats 1"
 
+let test_metrics_latency_percentiles () =
+  (* The latency percentiles must track the samples, not the width of
+     a coarse bin: millisecond requests read as milliseconds. *)
+  let line m key =
+    let prefix = key ^ " " in
+    let n = String.length prefix in
+    match
+      List.find_opt
+        (fun l -> String.length l > n && String.sub l 0 n = prefix)
+        (String.split_on_char '\n' (Serve.Metrics.render m))
+    with
+    | Some l -> float_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "no %s line" key
+  in
+  let within key lo hi v =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %.3f within [%g, %g]" key v lo hi)
+      true
+      (v >= lo && v <= hi)
+  in
+  let m = Serve.Metrics.create () in
+  for i = 0 to 99 do
+    Serve.Metrics.request_ok m ~latency_ms:(2.0 +. (float_of_int i /. 50.0))
+  done;
+  within "latency_ms_p50" 2.0 4.0 (line m "latency_ms_p50");
+  let m = Serve.Metrics.create () in
+  for _ = 1 to 90 do
+    Serve.Metrics.request_ok m ~latency_ms:3.0
+  done;
+  for _ = 1 to 10 do
+    Serve.Metrics.request_ok m ~latency_ms:300.0
+  done;
+  within "latency_ms_p50" (3.0 /. 1.15) (3.0 *. 1.15) (line m "latency_ms_p50");
+  within "latency_ms_p99" (300.0 /. 1.15) (300.0 *. 1.15)
+    (line m "latency_ms_p99");
+  (* A 0 ms sample is legal and lands in the lowest bin. *)
+  let m = Serve.Metrics.create () in
+  Serve.Metrics.request_ok m ~latency_ms:0.0;
+  within "latency_ms_p50 of a 0 ms sample" 0.0 0.02 (line m "latency_ms_p50")
+
 (* ---------- wire: resync after an oversized frame mid-stream ---------- *)
 
 let test_wire_resync_after_oversized () =
@@ -475,6 +516,79 @@ let test_cache_hit_concurrent_clients () =
         (List.mem "cache_hits 2"
            (String.split_on_char '\n' (Serve.Client.stats warm_client))))
 
+(* ---------- a cache hit is answered while the queue is full ---------- *)
+
+let test_cache_hit_when_queue_full () =
+  (* With one slot, a slow request fills the queue.  A replay of a
+     cached payload must still be answered (from the cache, under its
+     own id); a payload the cache has not seen is refused busy. *)
+  let tweak c = { c with Serve.Server.queue_depth = 1 } in
+  let warm_req =
+    { (Serve.Protocol.default_request ~tree:small_tree) with
+      Serve.Protocol.id = 1 }
+  in
+  let slow_req =
+    {
+      (Serve.Protocol.default_request
+         ~tree:
+           (Rctree.Generate.random_steiner ~seed:4 ~sinks:20 ~die_um:4000.0 ()))
+      with
+      Serve.Protocol.id = 2;
+      mc_trials = 40_000;
+    }
+  in
+  with_server_multi ~jobs:2 ~tweak (fun connect ->
+      let ctl = connect () in
+      Fun.protect ~finally:(fun () -> Serve.Client.close ctl) @@ fun () ->
+      let warm =
+        match Serve.Client.request_raw ctl warm_req with
+        | Ok raw -> raw
+        | Error e -> Alcotest.failf "warm-up failed: %s" e.Serve.Protocol.message
+      in
+      let slow =
+        Domain.spawn (fun () ->
+            let c = connect () in
+            Fun.protect
+              ~finally:(fun () -> Serve.Client.close c)
+              (fun () -> Serve.Client.request_raw c slow_req))
+      in
+      (* The slow request holds the slot once it counts as a miss. *)
+      let rec admitted tries =
+        let lines = String.split_on_char '\n' (Serve.Client.stats ctl) in
+        if List.mem "cache_misses 2" lines then ()
+        else if tries = 0 then Alcotest.fail "the slow request never arrived"
+        else begin
+          Unix.sleepf 0.01;
+          admitted (tries - 1)
+        end
+      in
+      admitted 500;
+      let c = connect () in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          (match
+             Serve.Client.request_raw c { warm_req with Serve.Protocol.id = 3 }
+           with
+          | Ok raw ->
+            Alcotest.(check int) "replay carries its own id" 3
+              (Serve.Codec_bin.response_id raw);
+            Alcotest.(check string) "replay bytes = warm bytes but the id"
+              (Serve.Codec_bin.with_response_id warm 0)
+              (Serve.Codec_bin.with_response_id raw 0)
+          | Error e ->
+            Alcotest.failf "replay refused while the queue was full: %s %s"
+              e.Serve.Protocol.code e.Serve.Protocol.message);
+          match
+            Serve.Client.request c
+              { warm_req with Serve.Protocol.id = 4; seed = 99 }
+          with
+          | Ok _ -> Alcotest.fail "a new payload must be refused while full"
+          | Error e ->
+            Alcotest.(check string) "new payload refused busy"
+              Serve.Protocol.err_busy e.Serve.Protocol.code);
+      match Domain.join slow with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "slow request failed: %s" e.Serve.Protocol.message)
+
 (* ---------- trace request ---------- *)
 
 let with_obs enabled f =
@@ -547,4 +661,8 @@ let suite =
     Alcotest.test_case "cache hits from concurrent clients" `Quick
       test_cache_hit_concurrent_clients;
     Alcotest.test_case "trace request" `Quick test_trace_request;
+    Alcotest.test_case "latency percentiles follow the samples" `Quick
+      test_metrics_latency_percentiles;
+    Alcotest.test_case "cache hit answered while the queue is full" `Quick
+      test_cache_hit_when_queue_full;
   ]
