@@ -5,8 +5,7 @@
    is linear, against the quadratic-ish 4P baseline, the canonical-form
    kernels, and end-to-end DP runs per benchmark size class), then a DP
    allocation probe, the task-parallel DP, the sample engine, the
-   compiled tape, the buffer-library size sweep and the power-aware
-   Pareto sweep.  Every section that compares two paths gates on their
+   buffer-library size sweep and the power-aware Pareto sweep.  Every section that compares two paths gates on their
    identity and exits 1 on a mismatch.  The figures go to BENCH.json
    (override with --bench-json PATH).
 
@@ -481,90 +480,6 @@ let collect_obs_report () =
     obs_phases = span_phase_totals ();
   }
 
-(* ---------- compiled-tape: cold vs warm ---------- *)
-
-type tape_row = {
-  tp_name : string;
-  tp_sinks : int;
-  tp_cold_ns : float;
-  tp_warm_ns : float;
-  tp_warm_bytes : float;
-}
-
-(* Table-1 nets r1..r5 through the same WID/2P DP two ways: a cold tape
-   (compile then execute — a serve tape-cache miss) and a warm tape
-   (execute a precompiled tape — the hit path).  Identity between the
-   two is fatal-checked.  The model is rebuilt inside [run_algo] on
-   every call, so each timed run consumes a fresh device-id stream. *)
-let run_tape_bench ~smoke () =
-  let setup = Experiments.Common.default_setup in
-  (* The compile share is a few percent — the same order as container
-     CPU jitter — so the noise floor needs a few best-of rounds to
-     converge. *)
-  let reps = if smoke then 4 else 5 in
-  let rows =
-    List.map
-      (fun name ->
-        let info = Rctree.Benchmarks.find name in
-        let tree = Rctree.Benchmarks.load info in
-        let grid =
-          Experiments.Common.grid_for setup
-            ~die_um:info.Rctree.Benchmarks.die_um
-        in
-        let spatial = Varmodel.Model.default_heterogeneous in
-        let run tape =
-          Experiments.Common.run_algo setup ~tape ~spatial ~grid
-            Experiments.Common.Wid tree
-        in
-        let tape = Compile.Tape.compile tree in
-        let cold () = run (Compile.Tape.compile tree) in
-        (* Identity first (doubling as warm-up): both paths must agree
-           structurally before either is timed. *)
-        if strip_result (run tape) <> strip_result (cold ()) then begin
-          Printf.eprintf "FATAL: warm tape run diverged from cold on %s\n" name;
-          exit 1
-        end;
-        (* Interleaved best-of rounds with the GC drained before every
-           measurement: a DP run allocates ~1000x the frontier it keeps,
-           so major-collection cycles straddling run boundaries would
-           otherwise attribute collection cost to whichever path runs
-           next. *)
-        let time f =
-          Gc.full_major ();
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          Unix.gettimeofday () -. t0
-        in
-        let warm_ns = ref infinity and cold_ns = ref infinity in
-        for _ = 1 to reps do
-          warm_ns := Float.min !warm_ns (time (fun () -> run tape));
-          cold_ns := Float.min !cold_ns (time cold)
-        done;
-        Gc.full_major ();
-        let before = Gc.allocated_bytes () in
-        ignore (run tape);
-        {
-          tp_name = name;
-          tp_sinks = info.Rctree.Benchmarks.sinks;
-          tp_cold_ns = !cold_ns *. 1e9;
-          tp_warm_ns = !warm_ns *. 1e9;
-          tp_warm_bytes = Gc.allocated_bytes () -. before;
-        })
-      [ "r1"; "r2"; "r3"; "r4"; "r5" ]
-  in
-  Printf.printf "== compiled tape (WID/2P, best of %d) ==\n" reps;
-  Printf.printf "%-4s %6s %12s %12s %9s %9s\n" "net" "sinks" "cold ns/op"
-    "warm ns/op" "warm/cold" "warm MB";
-  List.iter
-    (fun r ->
-      Printf.printf "%-4s %6d %12.0f %12.0f %9.2f %9.1f\n" r.tp_name r.tp_sinks
-        r.tp_cold_ns r.tp_warm_ns
-        (r.tp_warm_ns /. Float.max r.tp_cold_ns 1.0)
-        (r.tp_warm_bytes /. 1e6))
-    rows;
-  print_newline ();
-  rows
-
 (* ---------- buffer-library size: frontier growth + identity gates ---------- *)
 
 type btypes_row = {
@@ -863,8 +778,8 @@ let add_pareto_section buf pareto =
     pareto.pa_rows;
   Buffer.add_string buf "  ]}"
 
-let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
-    ~pareto ~obs =
+let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~btypes ~pareto
+    ~obs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"varbuf-bench/1\",\n";
@@ -912,19 +827,6 @@ let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~tape ~btypes
            row.sm_peak row.sm_total
            (if i = List.length sample.sm_rows - 1 then "" else ",")))
     sample.sm_rows;
-  Buffer.add_string buf "  ]}";
-  Buffer.add_string buf ",\n  \"tape\": {\"identical\": true, \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"sinks\": %d, \"cold_ns_per_op\": %s, \
-            \"warm_ns_per_op\": %s, \"warm_allocated_bytes\": %s}%s\n"
-           (json_escape r.tp_name) r.tp_sinks (json_float r.tp_cold_ns)
-           (json_float r.tp_warm_ns)
-           (json_float r.tp_warm_bytes)
-           (if i = List.length tape - 1 then "" else ",")))
-    tape;
   Buffer.add_string buf "  ]}";
   add_btypes_section buf btypes;
   add_pareto_section buf pareto;
@@ -988,12 +890,11 @@ let () =
   let probe = run_dp_probe ~smoke () in
   let par = run_par_dp ~smoke ~jobs () in
   let sample = run_sample ~smoke ~jobs () in
-  let tape = run_tape_bench ~smoke () in
   let btypes = run_btypes ~smoke () in
   let pareto = run_pareto ~smoke () in
   let obs = if obs_on then Some (collect_obs_report ()) else None in
-  write_bench_json ~path:json_path ~smoke ~micro ~probe ~par ~sample ~tape
-    ~btypes ~pareto ~obs;
+  write_bench_json ~path:json_path ~smoke ~micro ~probe ~par ~sample ~btypes
+    ~pareto ~obs;
   Option.iter
     (fun path ->
       Obs.Span.flush ();

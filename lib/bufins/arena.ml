@@ -16,90 +16,74 @@
    frontier size); the pruned frontiers themselves are always fresh
    exact-size arrays, so nothing long-lived ever aliases an arena. *)
 
+type 'a buf = { mutable data : 'a array }
+
+let buf () = { data = [||] }
+
+let grow b n fill =
+  if Array.length b.data < n then begin
+    let c = ref 16 in
+    while !c < n do
+      c := !c * 2
+    done;
+    b.data <- Array.make !c fill
+  end;
+  b.data
+
+(* Arena hit-rate: a borrow that fits the existing buffer is a reuse,
+   one that has to (re)allocate is a grow.  Handles are resolved once,
+   when the owner's module initialises. *)
+type counts = { reuse : Obs.Counters.counter; grew : Obs.Counters.counter }
+
+let counts prefix =
+  {
+    reuse = Obs.Counters.counter Obs.Counters.global (prefix ^ ".reuse");
+    grew = Obs.Counters.counter Obs.Counters.global (prefix ^ ".grow");
+  }
+
+let borrow c b n fill =
+  let grew = Array.length b.data < n in
+  if Obs.Control.on () then
+    Obs.Counters.incr (if grew then c.grew else c.reuse) 1;
+  grow b n fill
+
 type t = {
-  mutable load_keys : float array;
-  mutable rat_keys : float array;
-  mutable perm : int array;
-  mutable kept : int array;
-  mutable sort_tmp : int array;
-  mutable stage_a : Sol.t array; (* wired candidates *)
-  mutable stage_b : Sol.t array; (* wired + buffered, fed to the pruner *)
+  load_keys : float buf;
+  rat_keys : float buf;
+  perm : int buf;
+  kept : int buf;
+  sort_tmp : int buf;
+  stage_a : Sol.t buf; (* wired candidates *)
+  stage_b : Sol.t buf; (* wired + buffered, fed to the pruner *)
 }
 
 let create () =
   {
-    load_keys = [||];
-    rat_keys = [||];
-    perm = [||];
-    kept = [||];
-    sort_tmp = [||];
-    stage_a = [||];
-    stage_b = [||];
+    load_keys = buf ();
+    rat_keys = buf ();
+    perm = buf ();
+    kept = buf ();
+    sort_tmp = buf ();
+    stage_a = buf ();
+    stage_b = buf ();
   }
 
 let key : t Domain.DLS.key = Domain.DLS.new_key create
 let get () = Domain.DLS.get key
-
-let cap n =
-  let c = ref 16 in
-  while !c < n do
-    c := !c * 2
-  done;
-  !c
-
-(* Arena hit-rate: a borrow that fits the existing buffer is a reuse,
-   one that has to (re)allocate is a grow.  Handles are resolved once
-   at module initialisation. *)
-let obs_reuse = Obs.Counters.counter Obs.Counters.global "arena.reuse"
-let obs_grow = Obs.Counters.counter Obs.Counters.global "arena.grow"
-
-let note_borrow grew =
-  if Obs.Control.on () then
-    Obs.Counters.incr (if grew then obs_grow else obs_reuse) 1
-
-let load_keys t n =
-  let grew = Array.length t.load_keys < n in
-  if grew then t.load_keys <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.load_keys
-
-let rat_keys t n =
-  let grew = Array.length t.rat_keys < n in
-  if grew then t.rat_keys <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.rat_keys
-
-let perm t n =
-  let grew = Array.length t.perm < n in
-  if grew then t.perm <- Array.make (cap n) 0;
-  note_borrow grew;
-  t.perm
-
-let kept t n =
-  let grew = Array.length t.kept < n in
-  if grew then t.kept <- Array.make (cap n) 0;
-  note_borrow grew;
-  t.kept
-
-let stage_a t n ~dummy =
-  let grew = Array.length t.stage_a < n in
-  if grew then t.stage_a <- Array.make (cap n) dummy;
-  note_borrow grew;
-  t.stage_a
-
-let stage_b t n ~dummy =
-  let grew = Array.length t.stage_b < n in
-  if grew then t.stage_b <- Array.make (cap n) dummy;
-  note_borrow grew;
-  t.stage_b
+let arena_counts = counts "arena"
+let load_keys t n = borrow arena_counts t.load_keys n 0.0
+let rat_keys t n = borrow arena_counts t.rat_keys n 0.0
+let perm t n = borrow arena_counts t.perm n 0
+let kept t n = borrow arena_counts t.kept n 0
+let stage_a t n ~dummy = borrow arena_counts t.stage_a n dummy
+let stage_b t n ~dummy = borrow arena_counts t.stage_b n dummy
 
 (* Stable bottom-up mergesort of [idx.(0 .. n-1)].  Any stable sort
    computes the same permutation as [Array.stable_sort] under the same
    comparator, which is what pins which of several exact-duplicate
    candidates survives pruning (and hence the choice trail bytes). *)
 let sort_prefix t idx n ~cmp =
-  if Array.length t.sort_tmp < n then t.sort_tmp <- Array.make (cap n) 0;
-  let tmp = t.sort_tmp in
+  let tmp = grow t.sort_tmp n 0 in
   let merge lo mid hi =
     let i = ref lo and j = ref mid and k = ref lo in
     while !i < mid && !j < hi do

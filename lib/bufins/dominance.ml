@@ -31,6 +31,48 @@ let of_string s =
       (Printf.sprintf
          "objective: want max_yield | min_power T | weighted W, got %S" s)
 
+let pick objective ~n ~score ~power =
+  if n < 1 then invalid_arg "Dominance.pick: no candidates";
+  let best = ref 0 in
+  (match objective with
+  | Max_yield ->
+    let best_s = ref (score 0) in
+    for i = 1 to n - 1 do
+      let s = score i in
+      if s > !best_s then begin
+        best := i;
+        best_s := s
+      end
+    done
+  | Weighted w ->
+    let best_v = ref (score 0 -. (w *. power 0)) in
+    for i = 1 to n - 1 do
+      let v = score i -. (w *. power i) in
+      if v > !best_v then begin
+        best := i;
+        best_v := v
+      end
+    done
+  | Min_power target ->
+    let best_s = ref (score 0) and best_p = ref (power 0) in
+    let feasible = ref (!best_s >= target) in
+    for i = 1 to n - 1 do
+      let s = score i and p = power i in
+      let f = s >= target in
+      let better =
+        if f <> !feasible then f
+        else if f then p < !best_p || (p = !best_p && s > !best_s)
+        else s > !best_s
+      in
+      if better then begin
+        best := i;
+        best_s := s;
+        best_p := p;
+        feasible := f
+      end
+    done);
+  !best
+
 (* Bucketed, not additive: floor quantisation is what keeps ε-dominance
    transitive, and nested buckets (ε' = m·ε) are what make the kept
    frontier shrink monotonically as ε grows. *)

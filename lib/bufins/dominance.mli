@@ -70,6 +70,21 @@ val of_string : string -> objective
 (** Inverse of {!to_string}; also accepts ['='] in place of the space
     (CLI convenience).  @raise Failure on anything else. *)
 
+val pick :
+  objective -> n:int -> score:(int -> float) -> power:(int -> float) -> int
+(** [pick objective ~n ~score ~power] is the root choice among
+    candidates [0 .. n-1], given each one's timing score (higher is
+    better) and its energy.  Every comparison is strict, so ties keep
+    the earliest candidate:
+    - {!Max_yield}: the best score;
+    - [Weighted w]: the best [score − w · power];
+    - [Min_power t]: a feasible candidate (score ≥ [t]) before an
+      infeasible one; among feasible ones the least power, then the
+      best score; when none is feasible, the best score.
+    [score] and [power] are called at most once per candidate, in
+    index order.
+    @raise Invalid_argument when [n < 1]. *)
+
 val power_le : eps:float -> float -> float -> bool
 (** The ε-box order described above.  Total, transitive, and monotone
     in [eps] (bigger ε ⇒ bigger relation) for non-negative powers and

@@ -2,8 +2,10 @@
    over a compiled tape — seed each sink, lift each child frontier
    through the edge above it, merge at Steiner nodes — and differs only
    in its candidate type and kernels.  The driver owns what is common:
-   budgets, per-node bookkeeping, frontier storage, scheduling, and the
-   device-id binding the model-based engines share. *)
+   the dual-polarity frontier, budgets, per-node bookkeeping, frontier
+   storage, scheduling, the device-id binding the model-based engines
+   share, and the per-type tally, root load gate and choice read-back
+   around the kernels. *)
 
 type budget = {
   max_candidates : int option;
@@ -149,22 +151,42 @@ let buffer_forms b e =
 (* The DP.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type 'f steps = {
-  sink : node:int -> cap:float -> rat:float -> 'f;
-  lift : child:int -> edge:int -> length:float -> 'f -> 'f;
+type 's polar = { ev : 's array; od : 's array }
+
+type 's steps = {
+  sink : node:int -> cap:float -> rat:float -> 's;
+  lift : child:int -> edge:int -> length:float -> 's polar -> 's polar;
   merge :
     node:int ->
     check_time:(unit -> unit) ->
     check_count:(int -> unit) ->
-    'f ->
-    'f ->
-    'f;
-  size : 'f -> int;
+    's array ->
+    's array ->
+    's array;
   nodes : Obs.Counters.counter;
   cat : string;
 }
 
-type 'f outcome = { root : 'f; peak : int; total : int }
+type 's outcome = { root : 's array; peak : int; total : int }
+
+let size f = Array.length f.ev + Array.length f.od
+
+(* Even with even, odd with odd: a merged candidate must deliver the
+   same parity to both subtrees, so cross-parity combinations are
+   ill-typed and never generated.  The odd merge is skipped (not run
+   on empties) when both odd sides are empty, so an inverter-free run
+   makes exactly the single-frontier calls.  The sides are unpacked
+   before the first merge and each operand is passed on, not kept:
+   a merge that has combined its operands can let both lifted child
+   frontiers be collected while it prunes. *)
+let merge_polar steps ~node ~check_time ~check_count a b =
+  let { ev = a_ev; od = a_od } = a and { ev = b_ev; od = b_od } = b in
+  let ev = steps.merge ~node ~check_time ~check_count a_ev b_ev in
+  let od =
+    if Array.length a_od = 0 && Array.length b_od = 0 then [||]
+    else steps.merge ~node ~check_time ~check_count a_od b_od
+  in
+  { ev; od }
 
 let run ?pool ?(grain = default_grain) ~budget ~t_start steps
     (tape : Compile.Tape.t) =
@@ -183,19 +205,22 @@ let run ?pool ?(grain = default_grain) ~budget ~t_start steps
     frontiers.(child) <- None;
     let e = tape.edge_above.(child) in
     let l = steps.lift ~child ~edge:e ~length:tape.edge_length.(e) f in
-    check_count budget ~at:"edge above node" child (steps.size l);
+    check_count budget ~at:"edge above node" child (size l);
     l
   in
   let frontier id =
     let l = tape.left.(id) and r = tape.right.(id) in
     if l < 0 then
-      steps.sink ~node:id ~cap:tape.sink_cap.(id) ~rat:tape.sink_rat.(id)
+      let s =
+        steps.sink ~node:id ~cap:tape.sink_cap.(id) ~rat:tape.sink_rat.(id)
+      in
+      { ev = [| s |]; od = [||] }
     else begin
       let a = lift l in
       if r < 0 then a
       else begin
         let b = lift r in
-        steps.merge ~node:id ~check_time
+        merge_polar steps ~node:id ~check_time
           ~check_count:(check_count budget ~at:"merge at node" id)
           a b
       end
@@ -210,7 +235,7 @@ let run ?pool ?(grain = default_grain) ~budget ~t_start steps
       Obs.Counters.incr steps.nodes 1;
       Obs.Span.record ~name:"node" ~cat:steps.cat ~t0_ns:t0
     end;
-    let len = steps.size front in
+    let len = size front in
     check_count budget ~at:"node" id len;
     let rec bump_peak () =
       let cur = Atomic.get peak in
@@ -264,7 +289,56 @@ let run ?pool ?(grain = default_grain) ~budget ~t_start steps
   | _ -> Array.iter compute tape.post);
   if Obs.Control.on () then Obs.Span.flush ();
   {
-    root = Option.get frontiers.(root tape);
+    root = (Option.get frontiers.(root tape)).ev;
     peak = Atomic.get peak;
     total = Atomic.get total;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Around the kernels.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The counter names derive from the library, so handles cannot be
+   resolved at module initialisation; the cold registry lookup hides
+   behind the caller's obs gate. *)
+let count_types ~prefix library ~child ~generated ~lo ~hi ~kept ~nkept =
+  let nlib = Array.length library in
+  let gen = Array.make nlib 0 and kep = Array.make nlib 0 in
+  for i = lo to hi - 1 do
+    match generated i with
+    | Sol.Buffered { buffer; _ } -> gen.(buffer) <- gen.(buffer) + 1
+    | _ -> ()
+  done;
+  for i = 0 to nkept - 1 do
+    match kept i with
+    | Sol.Buffered { node; buffer; _ } when node = child ->
+      kep.(buffer) <- kep.(buffer) + 1
+    | _ -> ()
+  done;
+  Array.iteri
+    (fun bi (b : Device.Buffer.t) ->
+      let add what n =
+        if n > 0 then
+          Obs.Counters.add Obs.Counters.global
+            (prefix ^ ".type." ^ b.Device.Buffer.name ^ what)
+            n
+      in
+      add ".generated" gen.(bi);
+      add ".kept" kep.(bi))
+    library
+
+(* The driver is a gate too: the root keeps the candidates it can
+   drive within the limit, falling back to the unconstrained set when
+   nothing complies. *)
+let within_load_limit limit ~mean_load root =
+  match limit with
+  | None -> (true, root)
+  | Some limit -> (
+    match List.filter (fun s -> mean_load s <= limit) (Array.to_list root) with
+    | [] -> (false, root)
+    | compliant -> (true, Array.of_list compliant))
+
+let assignment ~library ~wires choice =
+  let read lib = List.map (fun (node, i) -> (node, lib.(i))) in
+  ( read library (Sol.buffers_of_choice choice),
+    read wires (Sol.widths_of_choice choice) )

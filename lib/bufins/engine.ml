@@ -84,18 +84,6 @@ type result = {
   stats : stats;
 }
 
-(* A dual-polarity frontier.  [ev] holds the candidates that deliver
-   every sink its specified signal sense (even inversion count on each
-   root-sink path), [od] those one inversion away.  Libraries without
-   inverters never populate [od], and the root selects from [ev] only,
-   so sink polarity is restored by construction.  The even side is the
-   historical frontier: with no inverters in the library the [od]
-   arrays stay empty and the engine's instruction stream is the
-   pre-polarity one. *)
-type frontier = { ev : Sol.t array; od : Sol.t array }
-
-let frontier_size f = Array.length f.ev + Array.length f.od
-
 (* Eq. 33-34: lift one candidate through a wire of length [l] sized
    with the given width option. *)
 let lift_wire wire ~node ~width ~length (s : Sol.t) =
@@ -245,38 +233,6 @@ let stage_wired_plain config ~wire_rc ~child ~length (sols : Sol.t array) =
     (wired, nw)
   end
 
-(* Per-type candidate accounting, bumped only when observability is
-   on.  The counter names derive from the library
-   ([dp.type.<name>.generated] / [.kept]), so handles cannot be
-   resolved at module initialisation; the cold registry lookup hides
-   behind the obs gate. *)
-let obs_types config ~child ~cand ~nw ~k out =
-  let nlib = Array.length config.library in
-  let gen = Array.make nlib 0 and kept = Array.make nlib 0 in
-  for i = nw to k - 1 do
-    match cand.(i).Sol.choice with
-    | Sol.Buffered { buffer; _ } -> gen.(buffer) <- gen.(buffer) + 1
-    | _ -> ()
-  done;
-  Array.iter
-    (fun (s : Sol.t) ->
-      match s.Sol.choice with
-      | Sol.Buffered { node; buffer; _ } when node = child ->
-        kept.(buffer) <- kept.(buffer) + 1
-      | _ -> ())
-    out;
-  Array.iteri
-    (fun bi (b : Device.Buffer.t) ->
-      if gen.(bi) > 0 then
-        Obs.Counters.add Obs.Counters.global
-          ("dp.type." ^ b.Device.Buffer.name ^ ".generated")
-          gen.(bi);
-      if kept.(bi) > 0 then
-        Obs.Counters.add Obs.Counters.global
-          ("dp.type." ^ b.Device.Buffer.name ^ ".kept")
-          kept.(bi))
-    config.library
-
 (* Stage the buffered variants on top of the wired candidates and
    prune, producing one side of a dual-polarity frontier.  [wired] /
    [nw] is this side's wired set and [cross] / [ncross] the opposite
@@ -394,137 +350,62 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
         Prune.prune_sub_power config.rule ~eps:config.eps_power cand !k
       else Prune.prune_sub config.rule cand !k
     in
-    if Obs.Control.on () then obs_types config ~child ~cand ~nw ~k:!k out;
+    if Obs.Control.on () then
+      Driver.count_types ~prefix:"dp" config.library ~child
+        ~generated:(fun i -> cand.(i).Sol.choice)
+        ~lo:nw ~hi:!k
+        ~kept:(fun i -> out.(i).Sol.choice)
+        ~nkept:(Array.length out);
     out
   end
 
-(* Combine the two lifted child frontiers at a Steiner node: linear or
-   cross-product merge plus a prune. *)
-let combine_lifted config ~node ~check_time ~check_count
-    (lifted : Sol.t array array) =
+(* Combine one parity of the two lifted child frontiers at a Steiner
+   node: linear or cross-product merge plus a prune.  Neither operand
+   is read after the merge, so both can be collected while the
+   (larger) merged set is pruned. *)
+let merge_lifted config ~node ~check_time ~check_count a b =
   let merged =
-    if Prune.is_linear config.rule then
-      merge_linear ~node lifted.(0) lifted.(1)
+    if Prune.is_linear config.rule then merge_linear ~node a b
     else
       merge_cross ~node
         ~check:(Driver.cross_check ~check_time ~check_count)
-        lifted.(0) lifted.(1)
+        a b
   in
-  (* The lifted child frontiers are dead the moment the merge has
-     combined them: clear the slots so both arrays can be collected
-     while the (larger) merged set is pruned, instead of pinning
-     memory across every concurrently live task. *)
-  lifted.(0) <- [||];
-  lifted.(1) <- [||];
   if Obs.Control.on () then Obs.Counters.incr obs_merged (Array.length merged);
   if Dominance.power_aware config.power_objective then
     Prune.prune_sub_power config.rule ~eps:config.eps_power merged
       (Array.length merged)
   else Prune.prune config.rule merged
 
-(* Merge two dual-polarity frontiers side by side: even with even, odd
-   with odd — a merged candidate must deliver the same parity to both
-   subtrees, so cross-parity combinations are ill-typed and never
-   generated.  The odd merge is skipped entirely (not run on empties)
-   when both sides are empty, keeping the inverter-free instruction
-   stream identical to the historical engine. *)
-let combine_frontiers config ~node ~check_time ~check_count (a : frontier)
-    (b : frontier) =
-  let ev =
-    combine_lifted config ~node ~check_time ~check_count [| a.ev; b.ev |]
-  in
-  let od =
-    if Array.length a.od = 0 && Array.length b.od = 0 then [||]
-    else combine_lifted config ~node ~check_time ~check_count [| a.od; b.od |]
-  in
-  { ev; od }
-
 (* Root-frontier epilogue: load-limit gate, driver lift, objective
    scan, and result assembly. *)
 let finish config ~t_start ~peak ~total ~n root_sols =
   let tech = config.tech in
-  (* The driver is a gate too: apply the load limit at the root if
-     configured, falling back to the unconstrained set when nothing
-     complies. *)
-  let compliant =
-    match config.load_limit with
-    | None -> root_sols
-    | Some limit ->
-      Array.of_list
-        (List.filter
-           (fun s -> Sol.mean_load s <= limit)
-           (Array.to_list root_sols))
-  in
   let load_limit_met, root_sols =
-    if Array.length compliant = 0 then (config.load_limit = None, root_sols)
-    else (true, compliant)
+    Driver.within_load_limit config.load_limit ~mean_load:Sol.mean_load
+      root_sols
   in
   let driver_rat (s : Sol.t) =
     Linform.axpy (-.tech.Device.Tech.driver_r) s.Sol.load s.Sol.rat
   in
-  let score q =
+  let score (s : Sol.t) =
+    let q = driver_rat s in
     match config.objective with
     | Max_mean -> Linform.mean q
     | Max_yield y ->
       if Linform.is_deterministic q then Linform.mean q
       else Linform.percentile q (1.0 -. y)
   in
-  assert (Array.length root_sols > 0) (* every node always yields >= 1 candidate *);
-  let best = ref root_sols.(0) in
-  let root_rat = ref (driver_rat root_sols.(0)) in
-  (match config.power_objective with
-  | Dominance.Max_yield ->
-    for i = 1 to Array.length root_sols - 1 do
-      let q = driver_rat root_sols.(i) in
-      if score q > score !root_rat then begin
-        best := root_sols.(i);
-        root_rat := q
-      end
-    done
-  | Dominance.Weighted w ->
-    let best_v = ref (score !root_rat -. (w *. (!best).Sol.power)) in
-    for i = 1 to Array.length root_sols - 1 do
-      let q = driver_rat root_sols.(i) in
-      let v = score q -. (w *. root_sols.(i).Sol.power) in
-      if v > !best_v then begin
-        best := root_sols.(i);
-        root_rat := q;
-        best_v := v
-      end
-    done
-  | Dominance.Min_power target ->
-    (* Minimum power among candidates meeting the RAT target under the
-       configured score quantile; infeasible roots fall back to the
-       best-score candidate so the result degrades to [Max_yield]. *)
-    let feasible = ref (score !root_rat >= target) in
-    for i = 1 to Array.length root_sols - 1 do
-      let s = root_sols.(i) in
-      let q = driver_rat s in
-      let f = score q >= target in
-      let better =
-        if f && not !feasible then true
-        else if f <> !feasible then false
-        else if f then
-          s.Sol.power < (!best).Sol.power
-          || (s.Sol.power = (!best).Sol.power && score q > score !root_rat)
-        else score q > score !root_rat
-      in
-      if better then begin
-        best := s;
-        root_rat := q;
-        feasible := f
-      end
-    done);
-  let best = !best and root_rat = !root_rat in
-  let buffers =
-    List.map
-      (fun (node, bi) -> (node, config.library.(bi)))
-      (Sol.buffers_of_choice best.Sol.choice)
+  let best =
+    root_sols.(Dominance.pick config.power_objective
+                 ~n:(Array.length root_sols)
+                 ~score:(fun i -> score root_sols.(i))
+                 ~power:(fun i -> root_sols.(i).Sol.power))
   in
-  let widths =
-    List.map
-      (fun (node, wi) -> (node, config.wires.(wi)))
-      (Sol.widths_of_choice best.Sol.choice)
+  let root_rat = driver_rat best in
+  let buffers, widths =
+    Driver.assignment ~library:config.library ~wires:config.wires
+      best.Sol.choice
   in
   Log.info (fun m ->
       m "done: %d nodes, peak %d candidates, %d buffers, RAT mean %.1f" n
@@ -560,7 +441,7 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
      candidates plus one buffered variant per library type, staged in
      the domain's arena buffers — only the pruned frontier is a fresh
      allocation. *)
-  let lift ~child ~edge ~length (f : frontier) =
+  let lift ~child ~edge ~length (f : Sol.t Driver.polar) =
     let obs = Obs.Control.on () in
     let t0 = if obs then Obs.Span.now_ns () else 0 in
     let wire_rc = Driver.wire_forms bound edge in
@@ -582,24 +463,21 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
           ~buf_forms ~child ~wired:cross ~nw:ncross ~cross:wired ~ncross:nw
     in
     if obs then Obs.Span.record ~name:"lift" ~cat:"dp" ~t0_ns:t0;
-    { ev; od }
+    { Driver.ev; od }
   in
   let out =
     Driver.run ?pool ?grain ~budget:config.budget ~t_start
       {
-        Driver.sink =
-          (fun ~node ~cap ~rat ->
-            { ev = [| Sol.of_sink ~node ~cap ~rat |]; od = [||] });
+        Driver.sink = Sol.of_sink;
         lift;
-        merge = combine_frontiers config;
-        size = frontier_size;
+        merge = merge_lifted config;
         nodes = obs_nodes;
         cat = "dp";
       }
       tape
   in
   finish config ~t_start ~peak:out.Driver.peak ~total:out.Driver.total
-    ~n:tape.Compile.Tape.n out.Driver.root.ev
+    ~n:tape.Compile.Tape.n out.Driver.root
 
 let run ?pool ?grain config ~model tree =
   run_tape ?pool ?grain config ~model (Compile.Tape.compile tree)

@@ -31,15 +31,6 @@ let default_config ?(heuristic = Stochastic_dominance) ?(length_frac = 0.05) () 
 
 type sol = { load : Numeric.Pmf.t; rat : Numeric.Pmf.t; choice : Sol.choice }
 
-(* Dual-polarity frontier, mirroring the canonical engine: [ev]
-   candidates deliver every sink its specified signal sense, [od] are
-   one inversion away.  Inverter-free libraries keep [od] empty and
-   the historical single-frontier instruction stream; the root selects
-   from [ev] only. *)
-type frontier = { ev : sol array; od : sol array }
-
-let frontier_size f = Array.length f.ev + Array.length f.od
-
 type result = {
   rat_mean : float;
   rat_std : float;
@@ -149,7 +140,7 @@ let prune config sols =
    exactly the duplicate the stable sort would keep — the pruned
    frontier is identical to exhaustive generation. *)
 let lift_edge config ~same_types ~flip_types ~convex ~child ~length
-    (f : frontier) =
+    (f : sol Driver.polar) =
   let tech = config.tech in
   (* The manufactured length of each segment: drawn length times
      (1 + delta), delta discretised from N(0, length_frac^2). *)
@@ -247,111 +238,76 @@ let lift_edge config ~same_types ~flip_types ~convex ~child ~length
         done
       end;
       let out = prune config cand in
-      if Obs.Control.on () then begin
-        let nlib = Array.length config.library in
-        let gen = Array.make nlib 0 and kept = Array.make nlib 0 in
-        for i = nw to ncand - 1 do
-          match cand.(i).choice with
-          | Sol.Buffered { buffer; _ } -> gen.(buffer) <- gen.(buffer) + 1
-          | _ -> ()
-        done;
-        Array.iter
-          (fun s ->
-            match s.choice with
-            | Sol.Buffered { node; buffer; _ } when node = child ->
-              kept.(buffer) <- kept.(buffer) + 1
-            | _ -> ())
-          out;
-        Array.iteri
-          (fun bi (b : Device.Buffer.t) ->
-            if gen.(bi) > 0 then
-              Obs.Counters.add Obs.Counters.global
-                ("prob.type." ^ b.Device.Buffer.name ^ ".generated")
-                gen.(bi);
-            if kept.(bi) > 0 then
-              Obs.Counters.add Obs.Counters.global
-                ("prob.type." ^ b.Device.Buffer.name ^ ".kept")
-                kept.(bi))
-          config.library
-      end;
+      if Obs.Control.on () then
+        Driver.count_types ~prefix:"prob" config.library ~child
+          ~generated:(fun i -> cand.(i).choice)
+          ~lo:nw ~hi:ncand
+          ~kept:(fun i -> out.(i).choice)
+          ~nkept:(Array.length out);
       out
     end
   in
   let ev = build_side wired_ev wired_od in
   let od = if not od_out then [||] else build_side wired_od wired_ev in
-  { ev; od }
+  { Driver.ev; od }
 
 (* The full cross-product merge of [6] (independence between
-   solutions), with the in-loop deadline check, followed by a prune. *)
+   solutions), with the in-loop deadline check, followed by a prune.
+   A side with an empty operand merges to empty: a merged candidate
+   needs both subtrees at the same parity. *)
 let merge_node config ~node ~check_time ~check_count a b =
   let na = Array.length a and nb = Array.length b in
-  let combine sa sb =
-    {
-      load = Numeric.Pmf.add sa.load sb.load;
-      rat = Numeric.Pmf.min2 sa.rat sb.rat;
-      choice = Sol.Merged { node; left = sa.choice; right = sb.choice };
-    }
-  in
-  let merged = Array.make (na * nb) (combine a.(0) b.(0)) in
-  for i = 0 to na - 1 do
-    for j = 0 to nb - 1 do
-      let k = (i * nb) + j in
-      (* The cross product is quadratic: check the deadline inside the
-         loop, not only per node, so one pathological merge cannot
-         overshoot the budget by its whole runtime. *)
-      if k land 1023 = 0 then check_time ();
-      merged.(k) <- combine a.(i) b.(j)
-    done
-  done;
-  check_count (Array.length merged);
-  if Obs.Control.on () then Obs.Counters.incr obs_merged (Array.length merged);
-  prune config merged
-
-(* Parity-matched subtree merge: even with even, odd with odd.  A side
-   with an empty operand merges to empty (a merged candidate needs
-   both subtrees at the same parity), and the odd merge is skipped
-   entirely for inverter-free runs. *)
-let merge_frontiers config ~node ~check_time ~check_count (a : frontier)
-    (b : frontier) =
-  let side x y =
-    if Array.length x = 0 || Array.length y = 0 then [||]
-    else merge_node config ~node ~check_time ~check_count x y
-  in
-  let ev = side a.ev b.ev in
-  let od =
-    if Array.length a.od = 0 && Array.length b.od = 0 then [||]
-    else side a.od b.od
-  in
-  { ev; od }
+  if na = 0 || nb = 0 then [||]
+  else begin
+    let combine sa sb =
+      {
+        load = Numeric.Pmf.add sa.load sb.load;
+        rat = Numeric.Pmf.min2 sa.rat sb.rat;
+        choice = Sol.Merged { node; left = sa.choice; right = sb.choice };
+      }
+    in
+    let merged = Array.make (na * nb) (combine a.(0) b.(0)) in
+    for i = 0 to na - 1 do
+      for j = 0 to nb - 1 do
+        let k = (i * nb) + j in
+        (* The cross product is quadratic: check the deadline inside the
+           loop, not only per node, so one pathological merge cannot
+           overshoot the budget by its whole runtime. *)
+        if k land 1023 = 0 then check_time ();
+        merged.(k) <- combine a.(i) b.(j)
+      done
+    done;
+    check_count (Array.length merged);
+    if Obs.Control.on () then Obs.Counters.incr obs_merged (Array.length merged);
+    prune config merged
+  end
 
 (* Pick the root candidate with the best mean driver-input RAT and
    assemble the result record. *)
 let finish config ~t_start ~peak root_sols =
   let tech = config.tech in
+  let q s =
+    Numeric.Pmf.mean s.rat
+    -. (tech.Device.Tech.driver_r *. Numeric.Pmf.mean s.load)
+  in
   let best =
-    assert (Array.length root_sols > 0);
-    let q s =
-      Numeric.Pmf.mean s.rat
-      -. (tech.Device.Tech.driver_r *. Numeric.Pmf.mean s.load)
-    in
-    let bs = ref root_sols.(0) in
-    for i = 1 to Array.length root_sols - 1 do
-      if q root_sols.(i) > q !bs then bs := root_sols.(i)
-    done;
-    !bs
+    root_sols.(Dominance.pick Dominance.Max_yield
+                 ~n:(Array.length root_sols)
+                 ~score:(fun i -> q root_sols.(i))
+                 ~power:(fun _ -> 0.0))
   in
   let rat =
     Numeric.Pmf.sub best.rat
       (Numeric.Pmf.scale tech.Device.Tech.driver_r best.load)
   in
+  let buffers, _ =
+    Driver.assignment ~library:config.library ~wires:[||] best.choice
+  in
   {
     rat_mean = Numeric.Pmf.mean rat;
     rat_std = Numeric.Pmf.std rat;
     rat_p05 = Numeric.Pmf.percentile rat 0.05;
-    buffers =
-      List.map
-        (fun (node, bi) -> (node, config.library.(bi)))
-        (Sol.buffers_of_choice best.choice);
+    buffers;
     peak_candidates = peak;
     runtime_s = Unix.gettimeofday () -. t_start;
   }
@@ -378,28 +334,21 @@ let run_tape ?pool ?grain config tape =
         Driver.sink =
           (fun ~node ~cap ~rat ->
             {
-              ev =
-                [|
-                  {
-                    load = Numeric.Pmf.constant cap;
-                    rat = Numeric.Pmf.constant rat;
-                    choice = Sol.At_sink node;
-                  };
-                |];
-              od = [||];
+              load = Numeric.Pmf.constant cap;
+              rat = Numeric.Pmf.constant rat;
+              choice = Sol.At_sink node;
             });
         lift =
           (fun ~child ~edge:_ ~length f ->
             lift_edge config ~same_types ~flip_types ~convex ~child
               ~length f);
-        merge = merge_frontiers config;
-        size = frontier_size;
+        merge = merge_node config;
         nodes = obs_nodes;
         cat = "dp";
       }
       tape
   in
-  finish config ~t_start ~peak:out.Driver.peak out.Driver.root.ev
+  finish config ~t_start ~peak:out.Driver.peak out.Driver.root
 
 let run ?pool ?grain config tree =
   run_tape ?pool ?grain config (Compile.Tape.compile tree)

@@ -28,8 +28,8 @@ let map_cells setup ~f xs =
     Exec.Pool.parallel_map ~chunk:1 pool ~f xs
   | _ -> List.map f xs
 
-let mc_samples setup inst ~seed ~trials =
-  Sta.Buffered.monte_carlo ?pool:setup.pool inst
+let mc_samples ?check setup inst ~seed ~trials =
+  Sta.Buffered.monte_carlo ?pool:setup.pool ?check inst
     ~rng:(Numeric.Rng.create ~seed) ~trials
 
 let grid_for setup ~die_um =

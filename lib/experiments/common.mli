@@ -29,9 +29,15 @@ val map_cells : setup -> f:('a -> 'b) -> 'a list -> 'b list
     builds its own tree/model/engine run.  Order is preserved. *)
 
 val mc_samples :
-  setup -> Sta.Buffered.instance -> seed:int -> trials:int -> float array
+  ?check:(unit -> unit) ->
+  setup ->
+  Sta.Buffered.instance ->
+  seed:int ->
+  trials:int ->
+  float array
 (** Monte-Carlo samples through the setup's pool (deterministic in
-    [seed] at any job count; see {!Sta.Buffered.monte_carlo}). *)
+    [seed] at any job count; see {!Sta.Buffered.monte_carlo}, which
+    runs [check] before each chunk of trials). *)
 
 val grid_for : setup -> die_um:float -> Varmodel.Grid.t
 

@@ -42,7 +42,6 @@ type config = {
   insertion : Bufins.Engine.insertion;
   power_objective : Bufins.Dominance.objective;
   eps_power : float;
-  energies : float array option;
 }
 
 let default_config ?(samples = 256) ?(seed = 1) ?(relax = 1.0)
@@ -67,13 +66,7 @@ let default_config ?(samples = 256) ?(seed = 1) ?(relax = 1.0)
     insertion = Bufins.Engine.Convex_auto;
     power_objective = Bufins.Dominance.default;
     eps_power = 0.0;
-    energies = None;
   }
-
-let energies_of config =
-  match config.energies with
-  | Some e -> e
-  | None -> Device.Buffer.energies config.library
 
 type sol = {
   load : float array; (* per-sample downstream capacitance, fF *)
@@ -81,15 +74,6 @@ type sol = {
   power : float; (* accumulated buffer energy, fJ (exact, not sampled) *)
   choice : Bufins.Sol.choice;
 }
-
-(* Dual-polarity frontier, mirroring the canonical engine: [ev] rows
-   deliver every sink its specified signal sense, [od] rows are one
-   inversion away.  Without inverters in the library [od] stays empty
-   and the instruction stream is the historical single-frontier one;
-   the root selects from [ev] only. *)
-type frontier = { ev : sol array; od : sol array }
-
-let frontier_size f = Array.length f.ev + Array.length f.od
 
 type result = {
   best : sol;
@@ -296,7 +280,8 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
    skipping its generation changes no output byte, only the candidate
    count fed to the quadratic pruning pass. *)
 let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
-    ~same_types ~flip_types ~wire_rc ~buf_forms ~child ~length (f : frontier) =
+    ~same_types ~flip_types ~wire_rc ~buf_forms ~child ~length
+    (f : sol Bufins.Driver.polar) =
   let obs = Obs.Control.on () in
   let t0 = if obs then Obs.Span.now_ns () else 0 in
   let ar = Sarena.get () in
@@ -528,33 +513,12 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
       emit_block ~lo:wlo ~hi:whi same_types;
       emit_block ~lo:xlo ~hi:xhi flip_types;
       let out = prune_rows ~k ~need ~power_aware ~eps ar ncand in
-      if obs then begin
-        let gen = Array.make nlib 0 and kept = Array.make nlib 0 in
-        for i = nw_side to ncand - 1 do
-          match bc.(i) with
-          | Bufins.Sol.Buffered { buffer; _ } ->
-            gen.(buffer) <- gen.(buffer) + 1
-          | _ -> ()
-        done;
-        Array.iter
-          (fun s ->
-            match s.choice with
-            | Bufins.Sol.Buffered { node; buffer; _ } when node = child ->
-              kept.(buffer) <- kept.(buffer) + 1
-            | _ -> ())
-          out;
-        Array.iteri
-          (fun bi (b : Device.Buffer.t) ->
-            if gen.(bi) > 0 then
-              Obs.Counters.add Obs.Counters.global
-                ("sample.type." ^ b.Device.Buffer.name ^ ".generated")
-                gen.(bi);
-            if kept.(bi) > 0 then
-              Obs.Counters.add Obs.Counters.global
-                ("sample.type." ^ b.Device.Buffer.name ^ ".kept")
-                kept.(bi))
-          config.library
-      end;
+      if obs then
+        Bufins.Driver.count_types ~prefix:"sample" config.library ~child
+          ~generated:(fun i -> bc.(i))
+          ~lo:nw_side ~hi:ncand
+          ~kept:(fun i -> out.(i).choice)
+          ~nkept:(Array.length out);
       out
     end
   in
@@ -564,12 +528,12 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
     else build_side ~wlo:nw_ev ~whi:ntot ~xlo:0 ~xhi:nw_ev
   in
   if obs then Obs.Span.record ~name:"lift" ~cat:"sample" ~t0_ns:t0;
-  { ev; od }
+  { Bufins.Driver.ev; od }
 
-(* Subtree merge: the full cross product with an exact per-sample min,
-   staged into the arena's B stage and pruned. *)
-let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
-    (b : sol array) =
+(* Subtree merge of one parity: the full cross product with an exact
+   per-sample min, staged into the arena's B stage and pruned. *)
+let merge_rows ~k ~need ~power_aware ~eps ~node ~check_time ~check_count
+    (a : sol array) (b : sol array) =
   let na = Array.length a and nb = Array.length b in
   let ncand = na * nb in
   if ncand = 0 then [||]
@@ -584,6 +548,7 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
     check_block (ncand * k) bl br;
     Array.iter (check_row ~k) a;
     Array.iter (check_row ~k) b;
+    let check = Bufins.Driver.cross_check ~check_time ~check_count in
     let count = ref 0 in
     for i = 0 to na - 1 do
       let sa = a.(i) in
@@ -617,20 +582,6 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check (a : sol array)
     prune_rows ~k ~need ~power_aware ~eps ar ncand
   end
 
-(* Parity-matched subtree merge: even rows pair with even, odd with
-   odd (a merged candidate needs both subtrees at the same parity).
-   The odd merge is skipped entirely when both sides are empty, so the
-   inverter-free instruction stream is the historical one. *)
-let merge_frontiers ~k ~need ~power_aware ~eps ~node ~check_time ~check_count
-    (a : frontier) (b : frontier) =
-  let check = Bufins.Driver.cross_check ~check_time ~check_count in
-  let ev = merge_rows ~k ~need ~power_aware ~eps ~node ~check a.ev b.ev in
-  let od =
-    if Array.length a.od = 0 && Array.length b.od = 0 then [||]
-    else merge_rows ~k ~need ~power_aware ~eps ~node ~check a.od b.od
-  in
-  { ev; od }
-
 (* Root-frontier epilogue: load-limit gate, per-sample driver lift,
    yield scoring, result assembly. *)
 let finish config ~t_start ~k ~peak ~total ~n root_sols =
@@ -640,85 +591,45 @@ let finish config ~t_start ~k ~peak ~total ~n root_sols =
     Array.iter (fun x -> s := !s +. x) v;
     !s /. float_of_int (Array.length v)
   in
-  let compliant =
-    match config.load_limit with
-    | None -> root_sols
-    | Some limit ->
-      Array.of_list
-        (List.filter
-           (fun s -> sample_mean s.load <= limit)
-           (Array.to_list root_sols))
-  in
   let load_limit_met, root_sols =
-    if Array.length compliant = 0 then (config.load_limit = None, root_sols)
-    else (true, compliant)
+    Bufins.Driver.within_load_limit config.load_limit
+      ~mean_load:(fun s -> sample_mean s.load)
+      root_sols
   in
-  assert (Array.length root_sols > 0);
   let driver_rat s =
     Array.init k (fun j ->
         s.rat.(j) -. (tech.Device.Tech.driver_r *. s.load.(j)))
   in
   let p = Float.max 0.0 (Float.min 1.0 (1.0 -. config.yield)) in
-  let score q = Numeric.Stats.percentile q p in
-  let best = ref root_sols.(0) in
-  let root_rat = ref (driver_rat root_sols.(0)) in
-  let best_score = ref (score !root_rat) in
-  let root_best_per_sample = Array.copy !root_rat in
-  let feasible =
-    ref
-      (match config.power_objective with
-      | Bufins.Dominance.Min_power target -> !best_score >= target
-      | _ -> true)
+  let q0 = driver_rat root_sols.(0) in
+  let root_best_per_sample = Array.copy q0 in
+  let scores =
+    Array.mapi
+      (fun i s ->
+        let q = if i = 0 then q0 else driver_rat s in
+        for j = 0 to k - 1 do
+          if q.(j) > root_best_per_sample.(j) then
+            root_best_per_sample.(j) <- q.(j)
+        done;
+        Numeric.Stats.percentile q p)
+      root_sols
   in
-  for i = 1 to Array.length root_sols - 1 do
-    let s = root_sols.(i) in
-    let q = driver_rat s in
-    for j = 0 to k - 1 do
-      if q.(j) > root_best_per_sample.(j) then
-        root_best_per_sample.(j) <- q.(j)
-    done;
-    let sc = score q in
-    let better =
-      match config.power_objective with
-      | Bufins.Dominance.Max_yield -> sc > !best_score
-      | Bufins.Dominance.Weighted w ->
-        sc -. (w *. s.power) > !best_score -. (w *. (!best).power)
-      | Bufins.Dominance.Min_power target ->
-        (* Minimum power among target-feasible candidates; infeasible
-           roots fall back to the best-score pick. *)
-        let f = sc >= target in
-        if f && not !feasible then true
-        else if f <> !feasible then false
-        else if f then
-          s.power < (!best).power
-          || (s.power = (!best).power && sc > !best_score)
-        else sc > !best_score
-    in
-    if better then begin
-      best := s;
-      root_rat := q;
-      best_score := sc;
-      match config.power_objective with
-      | Bufins.Dominance.Min_power target -> feasible := sc >= target
-      | _ -> ()
-    end
-  done;
-  let best = !best and root_rat = !root_rat in
-  let buffers =
-    List.map
-      (fun (node, bi) -> (node, config.library.(bi)))
-      (Bufins.Sol.buffers_of_choice best.choice)
+  let b =
+    Bufins.Dominance.pick config.power_objective ~n:(Array.length root_sols)
+      ~score:(Array.get scores)
+      ~power:(fun i -> root_sols.(i).power)
   in
-  let widths =
-    List.map
-      (fun (node, wi) -> (node, config.wires.(wi)))
-      (Bufins.Sol.widths_of_choice best.choice)
+  let best = root_sols.(b) and rat_at_yield = scores.(b) in
+  let root_rat = driver_rat best in
+  let buffers, widths =
+    Bufins.Driver.assignment ~library:config.library ~wires:config.wires
+      best.choice
   in
   let summary = Numeric.Stats.summarize root_rat in
   Log.info (fun m ->
       m "done: %d nodes, K=%d, peak %d candidates, %d buffers, RAT@%g%% %.1f"
         n k peak (List.length buffers) (100.0 *. config.yield)
-        !best_score);
+        rat_at_yield);
   {
     best;
     root_rat;
@@ -727,7 +638,7 @@ let finish config ~t_start ~k ~peak ~total ~n root_sols =
     widths;
     sampled_mean = summary.Numeric.Stats.mean;
     sampled_std = summary.Numeric.Stats.std;
-    rat_at_yield = !best_score;
+    rat_at_yield;
     load_limit_met;
     stats =
       {
@@ -770,7 +681,7 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
   in
   let power_aware = Bufins.Dominance.power_aware config.power_objective in
   let eps = config.eps_power in
-  let energies = energies_of config in
+  let energies = Device.Buffer.energies config.library in
   (* The convex pre-filter is sound only under full per-sample
      dominance (need = k): relax > 1 disables pruning (brute-force
      reference) and relax < 1 counts partial dominance, where a
@@ -787,16 +698,10 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
         Bufins.Driver.sink =
           (fun ~node ~cap ~rat ->
             {
-              ev =
-                [|
-                  {
-                    load = Array.make k cap;
-                    rat = Array.make k rat;
-                    power = 0.0;
-                    choice = Bufins.Sol.At_sink node;
-                  };
-                |];
-              od = [||];
+              load = Array.make k cap;
+              rat = Array.make k rat;
+              power = 0.0;
+              choice = Bufins.Sol.At_sink node;
             });
         lift =
           (fun ~child ~edge ~length f ->
@@ -805,8 +710,7 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
               ~wire_rc:(Bufins.Driver.wire_forms bound edge)
               ~buf_forms:(Bufins.Driver.buffer_forms bound edge)
               ~child ~length f);
-        merge = merge_frontiers ~k ~need ~power_aware ~eps;
-        size = frontier_size;
+        merge = merge_rows ~k ~need ~power_aware ~eps;
         nodes = obs_nodes;
         cat = "sample";
       }
@@ -814,7 +718,7 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
   in
   finish config ~t_start ~k ~peak:out.Bufins.Driver.peak
     ~total:out.Bufins.Driver.total ~n:tape.Compile.Tape.n
-    out.Bufins.Driver.root.ev
+    out.Bufins.Driver.root
 
 let run ?pool ?grain config ~model tree =
   run_tape ?pool ?grain config ~model (Compile.Tape.compile tree)

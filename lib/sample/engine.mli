@@ -61,10 +61,8 @@ type config = {
   eps_power : float;
       (** ε-dominance bucket width for the power axis; 0 (default) is
           the exact frontier.  Only read under a power-aware
-          [power_objective]. *)
-  energies : float array option;
-      (** per-type energies (fJ) indexed like [library]; [None]
-          derives them with {!Device.Buffer.energies}. *)
+          [power_objective].  Each library type's energy is
+          {!Device.Buffer.energies}'s. *)
 }
 
 val default_config :

@@ -7,123 +7,57 @@
    pruning sweep's permutation / kept / mergesort scratch.  All of it
    is borrowed from the calling domain's arena for the duration of one
    lift / merge / prune — there is no suspension point inside those —
-   and grows geometrically to the domain's running peak.  Only the
-   pruned frontier (exact-size [Engine.sol] rows) is freshly
-   allocated. *)
+   and each buffer is a [Bufins.Arena.buf], grown geometrically to the
+   domain's running peak.  Only the pruned frontier (exact-size
+   [Engine.sol] rows) is freshly allocated. *)
 
 type t = {
-  mutable a_load : float array; (* wired rows, stride K *)
-  mutable a_rat : float array;
-  mutable a_choice : Bufins.Sol.choice array;
-  mutable b_load : float array; (* rows handed to the pruner, stride K *)
-  mutable b_rat : float array;
-  mutable b_choice : Bufins.Sol.choice array;
-  mutable b_power : float array; (* per-row accumulated energy, fJ *)
-  mutable mean_load : float array; (* per-row sample means (sort keys) *)
-  mutable mean_rat : float array;
-  mutable perm : int array;
-  mutable kept : int array;
-  mutable sort_tmp : int array;
+  a_load : float Bufins.Arena.buf; (* wired rows, stride K *)
+  a_rat : float Bufins.Arena.buf;
+  a_choice : Bufins.Sol.choice Bufins.Arena.buf;
+  b_load : float Bufins.Arena.buf; (* rows handed to the pruner, stride K *)
+  b_rat : float Bufins.Arena.buf;
+  b_choice : Bufins.Sol.choice Bufins.Arena.buf;
+  b_power : float Bufins.Arena.buf; (* per-row accumulated energy, fJ *)
+  mean_load : float Bufins.Arena.buf; (* per-row sample means (sort keys) *)
+  mean_rat : float Bufins.Arena.buf;
+  perm : int Bufins.Arena.buf;
+  kept : int Bufins.Arena.buf;
+  sort_tmp : int Bufins.Arena.buf;
 }
 
 let create () =
+  let buf = Bufins.Arena.buf in
   {
-    a_load = [||];
-    a_rat = [||];
-    a_choice = [||];
-    b_load = [||];
-    b_rat = [||];
-    b_choice = [||];
-    b_power = [||];
-    mean_load = [||];
-    mean_rat = [||];
-    perm = [||];
-    kept = [||];
-    sort_tmp = [||];
+    a_load = buf ();
+    a_rat = buf ();
+    a_choice = buf ();
+    b_load = buf ();
+    b_rat = buf ();
+    b_choice = buf ();
+    b_power = buf ();
+    mean_load = buf ();
+    mean_rat = buf ();
+    perm = buf ();
+    kept = buf ();
+    sort_tmp = buf ();
   }
 
 let key : t Domain.DLS.key = Domain.DLS.new_key create
 let get () = Domain.DLS.get key
-
-let cap n =
-  let c = ref 16 in
-  while !c < n do
-    c := !c * 2
-  done;
-  !c
-
-let obs_reuse = Obs.Counters.counter Obs.Counters.global "sample.arena.reuse"
-let obs_grow = Obs.Counters.counter Obs.Counters.global "sample.arena.grow"
-
-let note_borrow grew =
-  if Obs.Control.on () then
-    Obs.Counters.incr (if grew then obs_grow else obs_reuse) 1
-
-let a_load t n =
-  let grew = Array.length t.a_load < n in
-  if grew then t.a_load <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.a_load
-
-let a_rat t n =
-  let grew = Array.length t.a_rat < n in
-  if grew then t.a_rat <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.a_rat
-
-let a_choice t n ~dummy =
-  let grew = Array.length t.a_choice < n in
-  if grew then t.a_choice <- Array.make (cap n) dummy;
-  note_borrow grew;
-  t.a_choice
-
-let b_load t n =
-  let grew = Array.length t.b_load < n in
-  if grew then t.b_load <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.b_load
-
-let b_rat t n =
-  let grew = Array.length t.b_rat < n in
-  if grew then t.b_rat <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.b_rat
-
-let b_choice t n ~dummy =
-  let grew = Array.length t.b_choice < n in
-  if grew then t.b_choice <- Array.make (cap n) dummy;
-  note_borrow grew;
-  t.b_choice
-
-let b_power t n =
-  let grew = Array.length t.b_power < n in
-  if grew then t.b_power <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.b_power
-
-let mean_load t n =
-  let grew = Array.length t.mean_load < n in
-  if grew then t.mean_load <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.mean_load
-
-let mean_rat t n =
-  let grew = Array.length t.mean_rat < n in
-  if grew then t.mean_rat <- Array.make (cap n) 0.0;
-  note_borrow grew;
-  t.mean_rat
-
-let perm t n =
-  let grew = Array.length t.perm < n in
-  if grew then t.perm <- Array.make (cap n) 0;
-  note_borrow grew;
-  t.perm
-
-let kept t n =
-  let grew = Array.length t.kept < n in
-  if grew then t.kept <- Array.make (cap n) 0;
-  note_borrow grew;
-  t.kept
+let counts = Bufins.Arena.counts "sample.arena"
+let borrow b n fill = Bufins.Arena.borrow counts b n fill
+let a_load t n = borrow t.a_load n 0.0
+let a_rat t n = borrow t.a_rat n 0.0
+let a_choice t n ~dummy = borrow t.a_choice n dummy
+let b_load t n = borrow t.b_load n 0.0
+let b_rat t n = borrow t.b_rat n 0.0
+let b_choice t n ~dummy = borrow t.b_choice n dummy
+let b_power t n = borrow t.b_power n 0.0
+let mean_load t n = borrow t.mean_load n 0.0
+let mean_rat t n = borrow t.mean_rat n 0.0
+let perm t n = borrow t.perm n 0
+let kept t n = borrow t.kept n 0
 
 let[@inline] compare_at (v : float array) x y =
   Float.compare (Array.unsafe_get v x) (Array.unsafe_get v y)
@@ -143,9 +77,8 @@ let sort_prefix t n ~power_aware =
   for i = 0 to n - 1 do
     idx.(i) <- i
   done;
-  if Array.length t.sort_tmp < n then t.sort_tmp <- Array.make (cap n) 0;
-  let tmp = t.sort_tmp in
-  let ml = t.mean_load and mr = t.mean_rat and bp = t.b_power in
+  let tmp = Bufins.Arena.grow t.sort_tmp n 0 in
+  let ml = t.mean_load.data and mr = t.mean_rat.data and bp = t.b_power.data in
   if
     Array.length ml < n || Array.length mr < n
     || (power_aware && Array.length bp < n)

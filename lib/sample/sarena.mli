@@ -1,5 +1,5 @@
-(** Per-domain scratch buffers for the sample engine, mirroring
-    {!Bufins.Arena}: stride-K row matrices for wired and candidate
+(** Per-domain scratch buffers for the sample engine, each a
+    {!Bufins.Arena.buf}: stride-K row matrices for wired and candidate
     staging, per-row mean keys, choice trails, and the pruning sweep's
     permutation / kept / mergesort scratch.  Buffers are valid for the
     duration of one lift / merge / prune call on the borrowing
@@ -8,7 +8,8 @@
 type t
 
 val get : unit -> t
-(** The calling domain's arena ({!Domain.DLS}). *)
+(** The calling domain's arena ({!Domain.DLS}).  Its borrows count as
+    [sample.arena.*]. *)
 
 val a_load : t -> int -> float array
 val a_rat : t -> int -> float array

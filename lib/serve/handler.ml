@@ -1,6 +1,7 @@
 let die_of_tree = Experiments.Common.die_of_tree
 
 let compute ?pool ?deadline_s (req : Protocol.request) =
+  let t_start = Unix.gettimeofday () in
   let setup =
     {
       Experiments.Common.default_setup with
@@ -72,11 +73,17 @@ let compute ?pool ?deadline_s (req : Protocol.request) =
   let form = Experiments.Common.evaluate setup ~spatial ~grid tree ~widths buffers in
   let mc =
     if req.Protocol.mc_trials > 0 then begin
+      (* The deadline bounds the Monte-Carlo epilogue too: it is checked
+         before each chunk of trials, so a trip stops the run within
+         one chunk.  A run that finishes is bit-identical to an
+         unchecked one. *)
+      let check () = Bufins.Driver.check_time budget ~t_start in
+      check ();
       let inst =
         Experiments.Common.instance_for setup ~spatial ~grid tree ~widths buffers
       in
       let samples =
-        Experiments.Common.mc_samples setup inst ~seed:req.Protocol.seed
+        Experiments.Common.mc_samples ~check setup inst ~seed:req.Protocol.seed
           ~trials:req.Protocol.mc_trials
       in
       let s = Numeric.Stats.summarize samples in

@@ -26,8 +26,9 @@ val run :
     Monte-Carlo evaluation seeded by the request's [seed].
 
     [deadline_s] (default: from the request's [deadline_ms]) is mapped
-    onto the engine's wall-clock budget; a non-positive value trips
-    immediately.  [pool] parallelises the Monte-Carlo stage and the
+    onto the engine's wall-clock budget and also bounds the
+    Monte-Carlo stage, checked before it starts and between its chunks
+    of 64 trials; a non-positive value trips immediately.  [pool] parallelises the Monte-Carlo stage and the
     DP's subtree tasks.
 
     [tapes] and [tape_digest] are accepted and ignored: the tape is

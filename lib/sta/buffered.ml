@@ -214,11 +214,12 @@ let mc_trial inst rng =
   in
   sample_rat inst ~lookup
 
-let monte_carlo ?pool inst ~rng ~trials =
+let monte_carlo ?pool ?(check = ignore) inst ~rng ~trials =
   if trials <= 0 then invalid_arg "Buffered.monte_carlo: trials must be > 0";
   let chunks = (trials + mc_chunk_trials - 1) / mc_chunk_trials in
   let streams = Array.init chunks (fun c -> Numeric.Rng.split_at rng c) in
   let sample_chunk c =
+    check ();
     let lo = c * mc_chunk_trials in
     let len = min mc_chunk_trials (trials - lo) in
     let out = Array.make len 0.0 in

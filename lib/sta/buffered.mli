@@ -53,13 +53,20 @@ val sample_rat : instance -> lookup:(int -> float) -> float
     consistent within a call (same id ↦ same value). *)
 
 val monte_carlo :
-  ?pool:Exec.Pool.t -> instance -> rng:Numeric.Rng.t -> trials:int -> float array
+  ?pool:Exec.Pool.t ->
+  ?check:(unit -> unit) ->
+  instance ->
+  rng:Numeric.Rng.t ->
+  trials:int ->
+  float array
 (** [trials] independent joint samples of all sources, one
-    {!sample_rat} each.  Trials are drawn in fixed-size chunks, each
-    chunk from its own stream ([Numeric.Rng.split_at rng chunk]), so
-    for a given seed the returned array is {e bit-identical} whether
+    {!sample_rat} each.  Trials are drawn in fixed-size chunks of 64,
+    each chunk from its own stream ([Numeric.Rng.split_at rng chunk]),
+    so for a given seed the returned array is {e bit-identical} whether
     sampled sequentially (no [pool], or a 1-job pool) or across any
     number of domains of [pool].  [rng] itself is never advanced.
+    [check] (default: nothing) runs before each chunk; an exception it
+    raises abandons the run and reaches the caller (a deadline check).
     @raise Invalid_argument if [trials <= 0]. *)
 
 (** {1 Low-level access}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Compare two BENCH.json snapshots and print ns/op deltas per
-# benchmark row (micro, sample, tape, btypes, pareto).  Warn-only by
+# benchmark row (micro, sample, btypes, pareto).  Warn-only by
 # design: smoke-bench numbers are noisy, so the script always exits 0
 # when both files parse — CI runs it against the previous committed
 # snapshot purely for the human reading the log.
@@ -26,9 +26,6 @@ def rows(path):
     # the relax field existed timed relax 1 only.
     for r in d.get("sample", {}).get("rows", []):
         out["sample/K=%d/relax=%g" % (r["k"], r.get("relax", 1.0))] = r.get("ns_per_op")
-    for r in d.get("tape", {}).get("rows", []):
-        for kind in ("cold", "warm"):
-            out["tape/%s/%s" % (r["name"], kind)] = r.get(kind + "_ns_per_op")
     for r in d.get("btypes", {}).get("rows", []):
         out["btypes/%s/b=%d" % (r["net"], r["b"])] = r.get("ns_per_op")
     for r in d.get("pareto", {}).get("rows", []):

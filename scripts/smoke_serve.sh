@@ -44,9 +44,6 @@ wait "$SERVER"
 # must produce identical bufferings (the second answer comes from the
 # worker's response cache, so this also covers the cache-hit path
 # through the router).
-dune build bin/loadgen_main.exe
-LOADGEN=_build/default/bin/loadgen_main.exe
-
 CSOCK="${TMPDIR:-/tmp}/varbuf-smoke-cluster-$$.sock"
 BUF1="${TMPDIR:-/tmp}/varbuf-smoke-$$.buf1"
 BUF2="${TMPDIR:-/tmp}/varbuf-smoke-$$.buf2"
@@ -95,16 +92,10 @@ done
 [ "$hits" -ge 2 ] \
   || { echo "FAIL: $hits worker cache hits after two replays, expected 2"; exit 1; }
 
-# A short closed-loop load through the router.
-lg=$("$LOADGEN" --socket "$CSOCK" --connections 2 --requests 20 \
-  --distinct 4 --sinks 12)
-echo "$lg" | head -3
-grep -q "^ok 20 " <<<"$lg"
-
 cstats=$("$BIN" stats --tcp "$PORT" --socket "$CSOCK")
 grep -qx "cluster_shards 2" <<<"$cstats"
-grep -qx "ok 24" <<<"$cstats"
-grep -q "^kind_request 24" <<<"$cstats"
+grep -qx "ok 4" <<<"$cstats"
+grep -q "^kind_request 4" <<<"$cstats"
 grep -q "^cluster_shard_0_links " <<<"$cstats"
 # The router keeps no request caches of its own.
 if grep -qE "^cluster_v[12]_cache_" <<<"$cstats"; then

@@ -1123,6 +1123,54 @@ let test_arena_reuse_transparent () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* The growable scratch buffer behind both arenas: each growth is to
+   a power of two of at least 16, a borrow that fits reuses the
+   storage, and the owner's reuse / grow counters see every borrow
+   (but not a bare [grow]). *)
+let test_arena_buf () =
+  let was = Obs.Control.on () in
+  Obs.Control.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Obs.Control.disable ())
+    (fun () ->
+      let counts = Bufins.Arena.counts "test.arena" in
+      let read what = Obs.Counters.get Obs.Counters.global ("test.arena." ^ what) in
+      let reuse0 = read "reuse" and grow0 = read "grow" in
+      let b = Bufins.Arena.buf () in
+      let reuses = ref 0 and grows = ref 0 in
+      List.iter
+        (fun n ->
+          let before = b.Bufins.Arena.data in
+          let a = Bufins.Arena.borrow counts b n 7 in
+          let len = Array.length a in
+          Alcotest.(check bool)
+            (Printf.sprintf "borrow %d: storage holds it" n)
+            true
+            (len >= n && a == b.Bufins.Arena.data);
+          if Array.length before >= n then begin
+            incr reuses;
+            Alcotest.(check bool)
+              (Printf.sprintf "borrow %d: reused" n)
+              true (a == before)
+          end
+          else begin
+            incr grows;
+            Alcotest.(check bool)
+              (Printf.sprintf "borrow %d: grew to a power of two >= 16" n)
+              true
+              (len >= 16 && len land (len - 1) = 0 && len / 2 < max 16 n
+               && Array.for_all (( = ) 7) a)
+          end)
+        [ 0; 5; 16; 17; 3; 32; 33; 100; 128; 1; 129 ];
+      let before = b.Bufins.Arena.data in
+      let g = Bufins.Arena.grow b 1000 0 in
+      Alcotest.(check int) "grow 1000" 1024 (Array.length g);
+      Alcotest.(check bool) "grow then fits" true
+        (Bufins.Arena.grow b 1024 0 == g && g != before);
+      Alcotest.(check int) "grows counted" (grow0 + !grows) (read "grow");
+      Alcotest.(check int) "reuses counted" (reuse0 + !reuses) (read "reuse");
+      Alcotest.(check (pair int int)) "expected borrow split" (5, 6) (!grows, !reuses))
+
 let suite =
   [
     Alcotest.test_case "deterministic prune" `Quick test_det_prune;
@@ -1205,4 +1253,6 @@ let suite =
       test_parallel_probabilistic_deterministic;
     Alcotest.test_case "arena reuse is transparent" `Quick
       test_arena_reuse_transparent;
+    Alcotest.test_case "arena buffer grows to powers of two" `Quick
+      test_arena_buf;
   ]

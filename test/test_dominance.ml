@@ -339,6 +339,67 @@ let prop_rat_filtered =
       in
       sets_equal kept (naive_reference ~cmp ~dominates pts))
 
+(* ---------- root pick: Dominance.pick = a stable sort by key ---------- *)
+
+(* Scores and powers on coarse grids, so ties on every key are common;
+   a target above every score makes every candidate infeasible. *)
+let pick_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 24 in
+    let* scores = array_repeat n (map (fun i -> 0.5 *. float_of_int i) (int_range (-6) 6)) in
+    let* powers = array_repeat n (map (fun i -> 0.25 *. float_of_int i) (int_range 0 7)) in
+    let* w = oneofl [ 0.0; 0.5; 1.0; 3.0 ] in
+    let* t = map (fun i -> 0.5 *. float_of_int i) (int_range (-7) 7) in
+    return (scores, powers, w, t))
+
+let print_pick (scores, powers, w, t) =
+  Printf.sprintf "scores=[%s] powers=[%s] w=%g t=%g"
+    (String.concat ";" (Array.to_list (Array.map string_of_float scores)))
+    (String.concat ";" (Array.to_list (Array.map string_of_float powers)))
+    w t
+
+(* The reference: the first index of a stable sort by the objective's
+   key, so among equal keys the earliest candidate. *)
+let reference_pick objective scores powers =
+  let n = Array.length scores in
+  let cmp =
+    match objective with
+    | Bufins.Dominance.Max_yield ->
+      fun i j -> Float.compare scores.(j) scores.(i)
+    | Bufins.Dominance.Weighted w ->
+      let v i = scores.(i) -. (w *. powers.(i)) in
+      fun i j -> Float.compare (v j) (v i)
+    | Bufins.Dominance.Min_power t ->
+      fun i j ->
+        let fi = scores.(i) >= t and fj = scores.(j) >= t in
+        if fi <> fj then if fi then -1 else 1
+        else if fi && powers.(i) <> powers.(j) then
+          Float.compare powers.(i) powers.(j)
+        else Float.compare scores.(j) scores.(i)
+  in
+  let order = Array.init n (fun i -> i) in
+  Array.stable_sort cmp order;
+  order.(0)
+
+let prop_pick =
+  QCheck.Test.make ~name:"Dominance.pick = stable sort by the objective's key"
+    ~count:1000
+    (QCheck.make pick_gen ~print:print_pick)
+    (fun (scores, powers, w, t) ->
+      let top = Array.fold_left Float.max neg_infinity scores in
+      List.for_all
+        (fun objective ->
+          Bufins.Dominance.pick objective ~n:(Array.length scores)
+            ~score:(Array.get scores) ~power:(Array.get powers)
+          = reference_pick objective scores powers)
+        [
+          Bufins.Dominance.Max_yield;
+          Bufins.Dominance.Weighted w;
+          Bufins.Dominance.Min_power t;
+          (* no candidate feasible: the best score *)
+          Bufins.Dominance.Min_power (top +. 1.0);
+        ])
+
 (* ---------- objective spellings round-trip ---------- *)
 
 let test_objective_strings () =
@@ -376,4 +437,5 @@ let suite =
     qcheck prop_rat_filtered;
     Alcotest.test_case "objective spellings round-trip" `Quick
       test_objective_strings;
+    qcheck prop_pick;
   ]

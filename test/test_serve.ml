@@ -101,6 +101,22 @@ let test_handler_deadline () =
   | _ -> Alcotest.fail "an expired deadline must raise Budget_exceeded"
   | exception Bufins.Engine.Budget_exceeded _ -> ()
 
+(* The deadline bounds the Monte-Carlo epilogue, not only the DP: a
+   16-sink request with 200,000 trials takes about 10 s to answer in
+   full, and a 200 ms deadline must end it well within 2 s. *)
+let test_handler_mc_deadline () =
+  let tree = Rctree.Generate.random_steiner ~seed:3 ~sinks:16 ~die_um:4000.0 () in
+  let req =
+    { (Serve.Protocol.default_request ~tree) with
+      Serve.Protocol.mc_trials = 200_000 }
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Serve.Handler.run ~deadline_s:0.2 req with
+  | _ -> Alcotest.fail "a 200 ms deadline must end the Monte-Carlo run"
+  | exception Bufins.Engine.Budget_exceeded _ -> ());
+  let took = Unix.gettimeofday () -. t0 in
+  if took >= 2.0 then Alcotest.failf "the trip took %.2f s, expected < 2 s" took
+
 (* ---------- live server ---------- *)
 
 let test_server_errors_and_requests () =
@@ -665,4 +681,6 @@ let suite =
       test_metrics_latency_percentiles;
     Alcotest.test_case "cache hit answered while the queue is full" `Quick
       test_cache_hit_when_queue_full;
+    Alcotest.test_case "deadline bounds the Monte-Carlo run" `Quick
+      test_handler_mc_deadline;
   ]
