@@ -5,9 +5,11 @@
    is linear, against the quadratic-ish 4P baseline, the canonical-form
    kernels, and end-to-end DP runs per benchmark size class), then a DP
    allocation probe, the task-parallel DP, the sample engine, the
-   buffer-library size sweep and the power-aware Pareto sweep.  Every section that compares two paths gates on their
-   identity and exits 1 on a mismatch.  The figures go to BENCH.json
-   (override with --bench-json PATH).
+   buffer-library size sweep and the power-aware Pareto sweep.  The
+   par_dp, sample and obs sections compare two paths, gate on their
+   identity and exit 1 on a mismatch; the library-size and Pareto
+   sweeps only measure (their correctness checks are test_btypes').
+   The figures go to BENCH.json (override with --bench-json PATH).
 
    --smoke runs a reduced pass with tight iteration budgets (the CI
    smoke bench); --jobs N (default: VARBUF_JOBS or the recommended
@@ -480,7 +482,7 @@ let collect_obs_report () =
     obs_phases = span_phase_totals ();
   }
 
-(* ---------- buffer-library size: frontier growth + identity gates ---------- *)
+(* ---------- buffer-library size: frontier growth ---------- *)
 
 type btypes_row = {
   bt_b : int;
@@ -492,45 +494,14 @@ type btypes_row = {
   bt_inverters : int;
 }
 
-type btypes_report = {
-  bt_rows : btypes_row list;
-  bt_identity_b1 : bool;
-  bt_peak_ratio : float;  (* worst peak(b=8)/peak(b=1) across nets *)
-}
-
 (* The WID DP across library sizes b = 1..16 on the Table-1 nets:
-   ns/op, candidate counts and the chosen type mix.  Two gates, both
-   fatal:
-
-   - at b = 1 (the historical repeater library) [Convex_auto] must be
-     byte-identical to the [Exhaustive] per-type scan — the convex
-     insertion step is an optimisation, never a semantics change;
-   - the peak frontier at b = 8 must stay under 4x the b = 1 peak on
-     every net — the empirical form of the O(bn^2) claim (candidate
-     generation is linear in b, the pruned frontier nearly flat). *)
+   ns/op, candidate counts and the chosen type mix. *)
 let run_btypes ~smoke () =
   let setup = Experiments.Common.default_setup in
   let nets = if smoke then [ "r1"; "r2" ] else [ "r1"; "r2"; "r3"; "r4"; "r5" ] in
   let bs = [ 1; 2; 4; 8; 16 ] in
   let reps = if smoke then 1 else 3 in
   let spatial = Varmodel.Model.default_heterogeneous in
-  let identity_b1 =
-    let info = Rctree.Benchmarks.find "r1" in
-    let tree = Rctree.Benchmarks.load info in
-    let grid =
-      Experiments.Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um
-    in
-    let model () =
-      Varmodel.Model.create ~mode:Varmodel.Model.Wid ~spatial ~grid ()
-    in
-    let run insertion =
-      strip_result
-        (Bufins.Engine.run
-           { (Bufins.Engine.default_config ()) with Bufins.Engine.insertion }
-           ~model:(model ()) tree)
-    in
-    run Bufins.Engine.Convex_auto = run Bufins.Engine.Exhaustive
-  in
   let rows =
     List.concat_map
       (fun net ->
@@ -576,16 +547,6 @@ let run_btypes ~smoke () =
           bs)
       nets
   in
-  let peak net b =
-    (List.find (fun r -> r.bt_net = net && r.bt_b = b) rows).bt_peak
-  in
-  let peak_ratio =
-    List.fold_left
-      (fun acc net ->
-        Float.max acc
-          (float_of_int (peak net 8) /. float_of_int (max 1 (peak net 1))))
-      0.0 nets
-  in
   Printf.printf "== buffer-library size (WID/2P, best of %d) ==\n" reps;
   Printf.printf "%-4s %4s %12s %8s %10s %8s %5s\n" "net" "b" "ns/op" "peak"
     "total" "buffers" "inv";
@@ -594,21 +555,8 @@ let run_btypes ~smoke () =
       Printf.printf "%-4s %4d %12.0f %8d %10d %8d %5d\n" r.bt_net r.bt_b
         r.bt_ns_per_op r.bt_peak r.bt_total r.bt_buffers r.bt_inverters)
     rows;
-  Printf.printf
-    "b=1 convex = exhaustive: %b, worst peak(b=8)/peak(b=1): %.2f\n\n"
-    identity_b1 peak_ratio;
-  if not identity_b1 then begin
-    prerr_endline
-      "FATAL: convex insertion diverged from exhaustive at b=1";
-    exit 1
-  end;
-  if peak_ratio >= 4.0 then begin
-    Printf.eprintf
-      "FATAL: peak frontier grew %.2fx from b=1 to b=8 (gate: < 4x)\n"
-      peak_ratio;
-    exit 1
-  end;
-  { bt_rows = rows; bt_identity_b1 = identity_b1; bt_peak_ratio = peak_ratio }
+  print_newline ();
+  rows
 
 (* ---------- power-aware Pareto frontier: size and cost vs ε ---------- *)
 
@@ -621,47 +569,15 @@ type pareto_row = {
   pa_power_fj : float;
 }
 
-type pareto_report = {
-  pa_rows : pareto_row list;
-  pa_identity_eps0 : bool;
-}
-
 (* The power-aware (load, RAT, power) Pareto DP across ε ∈ {0, 1e-3,
    1e-2} on the Table-1 nets: ns/op, frontier sizes and the chosen
-   tree's buffer energy, under the [Weighted 1.0] objective.  One
-   gate, fatal: with every per-type energy forced to zero,
-   [Weighted 0.0] at ε = 0 must be byte-identical to the total-order
-   ([Max_yield]) engine — a constant power axis makes the Pareto
-   comparator the historical order, so any divergence is a dominance
-   bug, not noise. *)
+   tree's buffer energy, under the [Weighted 1.0] objective. *)
 let run_pareto ~smoke () =
   let setup = Experiments.Common.default_setup in
   let nets = if smoke then [ "r1"; "r2" ] else [ "r1"; "r2"; "r3"; "r4"; "r5" ] in
   let epss = [ 0.0; 1e-3; 1e-2 ] in
   let reps = if smoke then 1 else 3 in
   let spatial = Varmodel.Model.default_heterogeneous in
-  let identity_eps0 =
-    let info = Rctree.Benchmarks.find "r1" in
-    let tree = Rctree.Benchmarks.load info in
-    let grid =
-      Experiments.Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um
-    in
-    let model () =
-      Varmodel.Model.create ~mode:Varmodel.Model.Wid ~spatial ~grid ()
-    in
-    let config = Bufins.Engine.default_config () in
-    let zeros = Array.make (Array.length config.Bufins.Engine.library) 0.0 in
-    (* Zero energies on BOTH sides: the total-order engine still
-       carries (never compares) the power annotation, so matching
-       bytes needs matching energies, not just a zero weight. *)
-    let config = { config with Bufins.Engine.energies = Some zeros } in
-    let run config = strip_result (Bufins.Engine.run config ~model:(model ()) tree) in
-    run
-      { config with
-        Bufins.Engine.power_objective = Bufins.Dominance.Weighted 0.0;
-        eps_power = 0.0 }
-    = run config
-  in
   let rows =
     List.concat_map
       (fun net ->
@@ -708,14 +624,8 @@ let run_pareto ~smoke () =
       Printf.printf "%-4s %8g %12.0f %8d %10d %10.2f\n" r.pa_net r.pa_eps
         r.pa_ns_per_op r.pa_peak r.pa_total r.pa_power_fj)
     rows;
-  Printf.printf "eps=0 zero-energy weighted = total-order engine: %b\n\n"
-    identity_eps0;
-  if not identity_eps0 then begin
-    prerr_endline
-      "FATAL: zero-energy Pareto prune diverged from the total-order engine";
-    exit 1
-  end;
-  { pa_rows = rows; pa_identity_eps0 = identity_eps0 }
+  print_newline ();
+  rows
 
 (* ---------- BENCH.json (hand-rolled writer; no JSON dependency) ---------- *)
 
@@ -737,13 +647,8 @@ let json_float x =
   (* %.17g roundtrips; JSON has no infinities, clamp defensively. *)
   if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
 
-let add_btypes_section buf btypes =
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"btypes\": {\"identity_b1\": %b, \"peak_ratio_b8_b1\": %s, \
-        \"rows\": [\n"
-       btypes.bt_identity_b1
-       (json_float btypes.bt_peak_ratio));
+let add_btypes_section buf rows =
+  Buffer.add_string buf ",\n  \"btypes\": {\"rows\": [\n";
   List.iteri
     (fun i r ->
       Buffer.add_string buf
@@ -754,15 +659,12 @@ let add_btypes_section buf btypes =
            (json_escape r.bt_net) r.bt_b
            (json_float r.bt_ns_per_op)
            r.bt_peak r.bt_total r.bt_buffers r.bt_inverters
-           (if i = List.length btypes.bt_rows - 1 then "" else ",")))
-    btypes.bt_rows;
+           (if i = List.length rows - 1 then "" else ",")))
+    rows;
   Buffer.add_string buf "  ]}"
 
-let add_pareto_section buf pareto =
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"pareto\": {\"identity_eps0\": %b, \"rows\": [\n"
-       pareto.pa_identity_eps0);
+let add_pareto_section buf rows =
+  Buffer.add_string buf ",\n  \"pareto\": {\"rows\": [\n";
   List.iteri
     (fun i r ->
       Buffer.add_string buf
@@ -774,8 +676,8 @@ let add_pareto_section buf pareto =
            (json_float r.pa_ns_per_op)
            r.pa_peak r.pa_total
            (json_float r.pa_power_fj)
-           (if i = List.length pareto.pa_rows - 1 then "" else ",")))
-    pareto.pa_rows;
+           (if i = List.length rows - 1 then "" else ",")))
+    rows;
   Buffer.add_string buf "  ]}"
 
 let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~btypes ~pareto

@@ -90,7 +90,7 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
       | None, None -> Ok Experiments.Common.default_setup.library
     in
     let objective_res =
-      if eps_power < 0.0 then Error "--eps-power must be >= 0"
+      if not (eps_power >= 0.0) then Error "--eps-power must be >= 0"
       else
         try Ok (Bufins.Dominance.of_string objective_s)
         with Failure msg -> Error msg
@@ -104,6 +104,11 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
     | _, _, Error msg, _
     | _, _, _, Error msg ->
       prerr_endline msg;
+      1
+    | Ok _, Ok rule, Ok _, Ok objective
+      when Bufins.Dominance.power_aware objective
+           && not (Bufins.Prune.is_linear rule) ->
+      prerr_endline "--rule 4p takes no power-aware --objective";
       1
     | Ok algo, Ok rule, Ok library, Ok objective -> (
       let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in

@@ -50,6 +50,7 @@ let borrow c b n fill =
 type t = {
   load_keys : float buf;
   rat_keys : float buf;
+  power_keys : float buf;
   perm : int buf;
   kept : int buf;
   sort_tmp : int buf;
@@ -61,6 +62,7 @@ let create () =
   {
     load_keys = buf ();
     rat_keys = buf ();
+    power_keys = buf ();
     perm = buf ();
     kept = buf ();
     sort_tmp = buf ();
@@ -73,6 +75,7 @@ let get () = Domain.DLS.get key
 let arena_counts = counts "arena"
 let load_keys t n = borrow arena_counts t.load_keys n 0.0
 let rat_keys t n = borrow arena_counts t.rat_keys n 0.0
+let power_keys t n = borrow arena_counts t.power_keys n 0.0
 let perm t n = borrow arena_counts t.perm n 0
 let kept t n = borrow arena_counts t.kept n 0
 let stage_a t n ~dummy = borrow arena_counts t.stage_a n dummy

@@ -50,6 +50,7 @@ val load_keys : t -> int -> float array
 (** A buffer of length >= n; contents unspecified. *)
 
 val rat_keys : t -> int -> float array
+val power_keys : t -> int -> float array
 val perm : t -> int -> int array
 val kept : t -> int -> int array
 

@@ -76,9 +76,36 @@ let pick objective ~n ~score ~power =
 (* Bucketed, not additive: floor quantisation is what keeps ε-dominance
    transitive, and nested buckets (ε' = m·ε) are what make the kept
    frontier shrink monotonically as ε grows. *)
-let power_le ~eps a b =
-  if eps <= 0.0 then a <= b
-  else Float.floor (a /. eps) <= Float.floor (b /. eps)
+let power_bucket ~eps p = if eps <= 0.0 then p else Float.floor (p /. eps)
+let power_le ~eps a b = power_bucket ~eps a <= power_bucket ~eps b
+
+(* One walk over the buckets in ascending order: a bucket's
+   sweep-first row (best RAT, then least power, then least index) is
+   kept only when its RAT beats every lower bucket's.  No closure
+   captures the float state, so it stays unboxed. *)
+let sorts_first (rat : float array) (power : float array) i j =
+  rat.(i) > rat.(j)
+  || rat.(i) = rat.(j)
+     && (power.(i) < power.(j) || (power.(i) = power.(j) && i < j))
+
+let staircase ~eps ~order ~n ~rat ~power ~kept =
+  let nkept = ref 0 and lower = ref neg_infinity and k = ref 0 in
+  while !k < n do
+    let first = order.(!k) in
+    let b = power_bucket ~eps power.(first) in
+    let best = ref first in
+    incr k;
+    while !k < n && power_bucket ~eps power.(order.(!k)) = b do
+      if sorts_first rat power order.(!k) !best then best := order.(!k);
+      incr k
+    done;
+    if rat.(!best) > !lower then begin
+      kept.(!nkept) <- !best;
+      incr nkept;
+      lower := rat.(!best)
+    end
+  done;
+  !nkept
 
 type scan = Exact_last | Rat_filtered | Rat_prefilter | Scan_kept
 

@@ -58,8 +58,9 @@ val default : objective
 
 val power_aware : objective -> bool
 (** [false] only for {!Max_yield}: the objectives under which pruning
-    must keep cheaper-power candidates alive (and the convex per-type
-    argmax, which keeps only the best-timing row, must disengage). *)
+    must keep cheaper-power candidates alive (and the per-type insert
+    step keeps each type's {!staircase}, not only its best-timing
+    row). *)
 
 val to_string : objective -> string
 (** ["max_yield"], ["min_power <rat_target>"] or ["weighted <w>"] —
@@ -85,10 +86,35 @@ val pick :
     index order.
     @raise Invalid_argument when [n < 1]. *)
 
+val power_bucket : eps:float -> float -> float
+(** The ε-box of an energy: the energy itself at [eps <= 0], else
+    [floor (p /. eps)].  Non-decreasing in [p]. *)
+
 val power_le : eps:float -> float -> float -> bool
-(** The ε-box order described above.  Total, transitive, and monotone
-    in [eps] (bigger ε ⇒ bigger relation) for non-negative powers and
+(** The ε-box order described above: [power_bucket ~eps a <=
+    power_bucket ~eps b].  Total, transitive, and monotone in [eps]
+    (bigger ε ⇒ bigger relation) for non-negative powers and
     integer-multiple ε steps. *)
+
+val staircase :
+  eps:float ->
+  order:int array ->
+  n:int ->
+  rat:float array ->
+  power:float array ->
+  kept:int array ->
+  int
+(** The power-aware {!sweep} of rows that all share one load: sorted
+    by RAT descending, then power ascending, then index ascending, row
+    [d] drops row [r] exactly when [d] sorts first and
+    [power_bucket ~eps] of [d]'s power is no higher than [r]'s, so the
+    survivors are the (RAT, power bucket) staircase.  This computes
+    that set in one walk, without the RAT sort: [order.(0 .. n-1)]
+    lists the rows (indices into [rat] and [power]) in non-decreasing
+    power bucket, in any order within a bucket.  The survivors go to
+    [kept.(0 ..)], lowest bucket first, and the count is returned.
+    With every power equal it is the earliest row of maximal RAT.
+    [kept] must have room for [n] indices. *)
 
 (** Scan shape of the kept-set walk — one per historical pruner, so
     refactored engines reproduce their exact pre-refactor dominance
@@ -109,8 +135,8 @@ type scan =
           the RAT ordering, so the prefilter stays sound) *)
   | Scan_kept
       (** unfiltered newest-first scan of every kept candidate — the
-          stochastic-dominance PMF heuristic, relaxed per-sample
-          counting, and the power-aware 4P baseline *)
+          stochastic-dominance PMF heuristic and relaxed per-sample
+          counting *)
 
 val sweep :
   order:int array ->

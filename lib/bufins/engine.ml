@@ -47,20 +47,17 @@ let energies_of config =
   | Some e -> e
   | None -> Device.Buffer.energies config.library
 
-(* The convex pre-selection is byte-exact only when the pruning rule
-   compares pure means on both axes ({!Prune.mean_exact}) and no two
-   library types share an input capacitance (distinct load keys mean
-   no equal-key duplicate class can span two types, so the argmax
-   scan's earliest-maximiser tie-break coincides with the stable
-   sort's).  Everything else falls back to exhaustive generation.
-   Power-aware objectives also force exhaustive generation: the
-   per-type argmax keeps only the best-timing row, but a Pareto
-   frontier must let cheaper-power rows survive alongside it. *)
+(* The per-type selection of the insert step ({!insert_and_prune}) is
+   byte-exact only when the pruning rule compares pure means on both
+   axes ({!Prune.mean_exact}) and no two library types share an input
+   capacitance (distinct load keys mean no equal-key duplicate class
+   can span two types, so the order in which the selected rows are
+   staged cannot move a stable-sort tie).  Everything else falls back
+   to exhaustive generation. *)
 let use_convex config =
   config.insertion = Convex_auto
   && Prune.mean_exact config.rule
   && Device.Buffer.caps_distinct config.library
-  && not (Dominance.power_aware config.power_objective)
 
 let log_src = Logs.Src.create "varbuf.engine" ~doc:"buffer-insertion DP"
 
@@ -248,18 +245,32 @@ let stage_wired_plain config ~wire_rc ~child ~length (sols : Sol.t array) =
    cross-polarity variants — so the stable sort keeps the same
    representative among exact duplicates.
 
-   [convex] is the O(bn²) insert step: for a fixed type every
-   buffered candidate shares one load form, so under a mean-exact
-   rule only the one maximising the buffered mean RAT can survive
-   pruning; the scan computes that mean bit-exactly as the
+   [convex] is the O(bn²) insert step (Li & Shi): every row buffered
+   with one type shares that type's load form, so under a mean-exact
+   rule the pruner orders a type's rows by buffered mean RAT
+   (descending), then raw power (ascending), then staging position,
+   and row d drops row r exactly when d sorts first and d's power
+   bucket ({!Dominance.power_bucket}) is no higher than r's.  So only
+   a row whose bucket lies strictly below the bucket of every
+   same-type row sorting before it can survive: the type's
+   (RAT, power) staircase.  Without a power axis every row shares one
+   bucket and the staircase is the earliest maximiser of the buffered
+   mean RAT.  Skipped rows all have a same-type dominator that sorts
+   first, and dominance is transitive, so the pruned frontier, its
+   order and every choice trail are those of exhaustive generation.
+   The scan computes the buffered mean bit-exactly as the
    materialised candidate would (including [Linform.axpy]'s k = 0
-   short-circuit) and the strict > comparison keeps the earliest
-   maximiser — the representative the exhaustive stable sort pins.
-   Candidate counts reported by obs and the response stats are
-   post-prune, so the pre-selection changes no output bytes. *)
+   short-circuit) and the power as [insert_buffer] stores it.
+   Power-aware sides sort their drivable rows by power once:
+   adding a type's energy and bucketing are both monotone, so that
+   one order groups every type's buckets.  Candidate counts reported
+   by the response stats are post-prune, so the selection changes no
+   output bytes; obs counts the staged rows after selection. *)
 let insert_and_prune config ~convex ~energies ~same_types ~flip_types
     ~buf_forms ~child ~wired ~nw ~cross ~ncross =
   let arena = Arena.get () in
+  let power = Dominance.power_aware config.power_objective in
+  let eps = config.eps_power in
   let drivable (s : Sol.t) =
     match config.load_limit with
     | None -> true
@@ -278,8 +289,8 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
   let nd_flip =
     if Array.length flip_types = 0 then 0 else count_drivable cross ncross
   in
-  let per_same = if convex then min nd_same 1 else nd_same in
-  let per_flip = if convex then min nd_flip 1 else nd_flip in
+  let per_same = if convex && not power then min nd_same 1 else nd_same in
+  let per_flip = if convex && not power then min nd_flip 1 else nd_flip in
   let ncand =
     nw
     + (per_same * Array.length same_types)
@@ -302,38 +313,53 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
       incr k
     in
     (if convex then begin
-       let argmax src n bi =
-         let _, tb_form = buf_forms.(bi) in
-         let res = config.library.(bi).Device.Buffer.res_kohm in
-         let neg_res = -.res in
-         let tb_nom = Linform.mean tb_form in
-         let best = ref (-1) and best_m = ref neg_infinity in
-         for i = 0 to n - 1 do
-           let s = src.(i) in
-           if drivable s then begin
-             let m =
-               (if neg_res = 0.0 then Sol.mean_rat s
-                else (neg_res *. Sol.mean_load s) +. Sol.mean_rat s)
-               -. tb_nom
-             in
-             if m > !best_m then begin
-               best := i;
-               best_m := m
+       (* [rows.(0 .. nd-1)]: the drivable rows of [src], by power when
+          the power axis counts (the stable sort keeps index order
+          among equal powers); then, per type, the buffered mean RAT
+          and power of each row, and the type's staircase. *)
+       let staircases src n types nd =
+         if nd > 0 then begin
+           let rows = Arena.perm arena nd in
+           let j = ref 0 in
+           for i = 0 to n - 1 do
+             if drivable src.(i) then begin
+               rows.(!j) <- i;
+               incr j
              end
-           end
-         done;
-         !best
+           done;
+           if power then
+             Arena.sort_prefix arena rows nd ~cmp:(fun a b ->
+                 Float.compare src.(a).Sol.power src.(b).Sol.power);
+           let rat = Arena.rat_keys arena n and pw = Arena.power_keys arena n in
+           let kept = Arena.kept arena nd in
+           Array.iter
+             (fun bi ->
+               let _, tb_form = buf_forms.(bi) in
+               let neg_res = -.config.library.(bi).Device.Buffer.res_kohm in
+               let tb_nom = Linform.mean tb_form in
+               let energy = energies.(bi) in
+               for r = 0 to nd - 1 do
+                 let i = rows.(r) in
+                 let s = src.(i) in
+                 rat.(i) <-
+                   (if neg_res = 0.0 then Sol.mean_rat s
+                    else (neg_res *. Sol.mean_load s) +. Sol.mean_rat s)
+                   -. tb_nom;
+                 pw.(i) <- (if power then s.Sol.power +. energy else 0.0)
+               done;
+               let nkept =
+                 Dominance.staircase
+                   ~eps:(if power then eps else 0.0)
+                   ~order:rows ~n:nd ~rat ~power:pw ~kept
+               in
+               for r = 0 to nkept - 1 do
+                 emit src kept.(r) bi
+               done)
+             types
+         end
        in
-       Array.iter
-         (fun bi ->
-           let i = argmax wired nw bi in
-           if i >= 0 then emit wired i bi)
-         same_types;
-       Array.iter
-         (fun bi ->
-           let i = argmax cross ncross bi in
-           if i >= 0 then emit cross i bi)
-         flip_types
+       staircases wired nw same_types nd_same;
+       staircases cross ncross flip_types nd_flip
      end
      else begin
        for i = 0 to nw - 1 do
@@ -346,8 +372,7 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
        done
      end);
     let out =
-      if Dominance.power_aware config.power_objective then
-        Prune.prune_sub_power config.rule ~eps:config.eps_power cand !k
+      if power then Prune.prune_sub_power config.rule ~eps cand !k
       else Prune.prune_sub config.rule cand !k
     in
     if Obs.Control.on () then
@@ -430,6 +455,11 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
      over-counts budgets and runtimes as soon as anything else runs in
      parallel with the DP. *)
   let t_start = Unix.gettimeofday () in
+  if
+    Dominance.power_aware config.power_objective
+    && not (Prune.is_linear config.rule)
+  then
+    invalid_arg "Engine.run_tape: the 4P rule takes no power-aware objective";
   let bound =
     Driver.bind ~model ~library:config.library ~wires:config.wires tape
   in

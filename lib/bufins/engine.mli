@@ -37,22 +37,27 @@ type objective = Max_mean | Max_yield of float
 
 (** How the insert-site step generates buffered candidates.
 
-    [Convex_auto] (the default) applies the O(bn²) convex
-    pre-selection: for each buffer type, every candidate buffered at a
+    [Convex_auto] (the default) applies the O(bn²) per-type
+    selection: for each buffer type, every candidate buffered at a
     site shares one load form, so under a rule whose dominance is a
     pure mean comparison ({!Prune.mean_exact} — the deterministic rule
-    and 2P(0.5, 0.5)) at most the wired candidate maximising the
-    buffered mean RAT can survive pruning, and only that one is
-    generated — the frontier fed to the pruner is [n + b] instead of
-    [n + n·b].  The pre-selection computes the buffered mean
-    bit-exactly and keeps the earliest maximiser, so the pruned
-    frontier (and every output byte) is identical to exhaustive
-    generation; it engages only when the rule is mean-exact and the
-    library's input caps are pairwise distinct, and silently falls
-    back to exhaustive generation otherwise (1P, 4P, 2P with p̄ > 0.5).
+    and 2P(0.5, 0.5)) only the type's (buffered mean RAT, power
+    bucket) staircase ({!Dominance.staircase}) can survive pruning,
+    and only those rows are generated.  Under [Max_yield] every row
+    shares one bucket, so that is the single wired candidate
+    maximising the buffered mean RAT and the frontier fed to the
+    pruner is [n + b] instead of [n + n·b]; under a power-aware
+    objective it is each type's cheaper-and-slower rows that no
+    same-type row beats on both axes.  The selection computes the
+    buffered mean and power bit-exactly and keeps the row the pruner's
+    stable sort would keep among ties, so the pruned frontier (and
+    every output byte) is identical to exhaustive generation; it
+    engages only when the rule is mean-exact and the library's input
+    caps are pairwise distinct, and silently falls back to exhaustive
+    generation otherwise (1P, 4P, 2P with p̄ > 0.5).
 
     [Exhaustive] always generates the full wired × type product — the
-    brute-force reference the convex path is tested against. *)
+    brute-force reference the selection is tested against. *)
 type insertion = Convex_auto | Exhaustive
 
 type config = {
@@ -81,18 +86,21 @@ type config = {
           order of [rule] alone, and every output byte matches the
           pre-power engine.  [Min_power] / [Weighted] switch pruning to
           the (load, RAT, power) Pareto frontier
-          ({!Prune.prune_sub_power}), disable the convex pre-selection
-          (which keeps only best-timing rows), and change the root
-          scalarisation — see {!Dominance.objective}. *)
+          ({!Prune.prune_sub_power}), widen the [Convex_auto] insert
+          step from each type's best-timing row to its (RAT, power)
+          staircase, and change the root scalarisation — see
+          {!Dominance.objective}.  The 4P rule takes none of them:
+          {!run_tape} raises [Invalid_argument]. *)
   eps_power : float;
-      (** ε-dominance knob for the power axis ({!Dominance.power_le}):
-          0 (the default) is the exact Pareto frontier; larger values
-          merge power buckets of width ε and bound the frontier.  Only
-          read under a power-aware [power_objective]. *)
+      (** ε-dominance knob for the power axis ({!Dominance.power_le}),
+          [>= 0]: 0 (the default) is the exact Pareto frontier; larger
+          values merge power buckets of width ε and bound the frontier.
+          Only read under a power-aware [power_objective]. *)
   energies : float array option;
       (** per-type energies (fJ) indexed like [library]; [None] (the
-          default) derives them with {!Device.Buffer.energies}.  The
-          bench's ε = 0 identity gate overrides with zeros. *)
+          default) derives them with {!Device.Buffer.energies}.
+          [test_btypes]' ε = 0 zero-energy identity overrides with
+          zeros. *)
 }
 
 val default_config : ?rule:Prune.t -> ?objective:objective -> ?wire_sizing:bool -> unit -> config
@@ -154,7 +162,9 @@ val run_tape :
     result is byte-identical at any job count (modulo
     [stats.runtime_s], which is wall-clock).  The model must be fresh:
     binding consumes its device ids.
-    @raise Budget_exceeded when the configured budget trips. *)
+    @raise Budget_exceeded when the configured budget trips.
+    @raise Invalid_argument for the 4P rule under a power-aware
+    [power_objective]. *)
 
 val run :
   ?pool:Exec.Pool.t ->

@@ -252,18 +252,8 @@ let prefix_list sols n =
    "dominated by any earlier candidate" reference at every ε
    (Dominance's bucket order is transitive, and a dominator always
    sorts no later than what it dominates).  The linear rules keep the
-   running-max RAT prefilter (every dominance clause still implies the
-   RAT-key ordering); 4P scans every kept candidate, with the
-   quantised near-duplicate collapse folded into the comparator — the
-   up-front dedup of the power-blind path could drop the cheaper-power
-   twin, which is exactly what a power frontier must keep. *)
-let duplicate_q (a : Sol.t) (b : Sol.t) =
-  let q x = Float.round (x /. 0.01) in
-  q (Sol.mean_load a) = q (Sol.mean_load b)
-  && q (Sol.mean_rat a) = q (Sol.mean_rat b)
-  && q (Linform.std a.Sol.load) = q (Linform.std b.Sol.load)
-  && q (Linform.std a.Sol.rat) = q (Linform.std b.Sol.rat)
-
+   running-max RAT prefilter: every dominance clause still implies the
+   RAT-key ordering. *)
 let prune_linear_power rule ~eps sols n =
   let arena = Arena.get () in
   let kl = Arena.load_keys arena n and kr = Arena.rat_keys arena n in
@@ -282,26 +272,14 @@ let prune_linear_power rule ~eps sols n =
         let c = Float.compare kr.(b) kr.(a) in
         if c <> 0 then c
         else Float.compare sols.(a).Sol.power sols.(b).Sol.power);
-  let scan =
-    match rule with
-    | Deterministic | Two_param _ | One_param _ -> Dominance.Rat_prefilter
-    | Four_param _ -> Dominance.Scan_kept
-  in
-  let base_dominates =
-    match rule with
-    | Four_param _ ->
-      fun a b -> dominates rule sols.(a) sols.(b) || duplicate_q sols.(a) sols.(b)
-    | Deterministic | Two_param _ | One_param _ ->
-      fun a b -> dominates rule sols.(a) sols.(b)
-  in
   let kept = Arena.kept arena n in
   let nkept =
     Dominance.sweep ~order:idx ~n
       ~rat_key:(fun i -> kr.(i))
       ~dominates:(fun k i ->
-        base_dominates k i
+        dominates rule sols.(k) sols.(i)
         && Dominance.power_le ~eps sols.(k).Sol.power sols.(i).Sol.power)
-      ~scan ~kept
+      ~scan:Dominance.Rat_prefilter ~kept
   in
   Array.init nkept (fun k -> sols.(kept.(k)))
 

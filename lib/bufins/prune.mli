@@ -91,8 +91,7 @@ val prune_sub_power : t -> eps:float -> Sol.t array -> int -> Sol.t array
     power-aware: a candidate is dropped only when a kept one dominates
     it under [rule] {e and} costs no more energy under
     {!Dominance.power_le} at [eps].  The sort order adds raw power
-    ascending as the ε-independent tie-break; the linear rules keep
-    their running-max RAT prefilter ({!Dominance.Rat_prefilter}), 4P
-    scans every kept candidate with the quantised near-duplicate
-    collapse folded into the comparator.  [eps = 0] is the exact
-    frontier; larger ε merges power buckets and can only shrink it. *)
+    ascending as the ε-independent tie-break, and the sweep keeps the
+    running-max RAT prefilter ({!Dominance.Rat_prefilter}).  [eps = 0]
+    is the exact frontier; larger ε merges power buckets and can only
+    shrink it.  {!Engine.run_tape} never calls it under 4P. *)

@@ -470,6 +470,9 @@ let read_request_head r =
   let samples = get_zigzag r "samples" in
   let relax = get_f64 r "relax" in
   if not (relax > 0.0) then failwith "binary payload: relax must be > 0";
+  (* relax > 1 turns sample pruning off, which no served workload asks
+     for and nothing bounds. *)
+  if relax > 1.0 then failwith "binary payload: relax must be <= 1";
   let tree_len = get_varint r "tree length" in
   need r tree_len "tree blob";
   (* Bytes after the blob form the extension region (see
@@ -510,6 +513,13 @@ let read_request_head r =
     | t -> failwith (Printf.sprintf "binary payload: unknown extension tag %d" t)
   done;
   let btypes = !btypes and objective = !objective and eps_power = !eps_power in
+  (* The canonical engine takes no power-aware objective under 4P
+     ([Bufins.Engine.run_tape] raises); sampled requests ignore
+     [rule]. *)
+  if samples <= 0
+     && Bufins.Dominance.power_aware objective
+     && not (Bufins.Prune.is_linear rule)
+  then failwith "binary payload: rule 4p takes no power-aware objective";
   ( (fun tree ->
       {
         Protocol.id;

@@ -26,9 +26,9 @@ let with_obs enabled f =
       if was then Obs.Control.enable () else Obs.Control.disable ())
 
 let config ?(rule = Bufins.Prune.two_param ()) ?(library = Device.Buffer.default_library)
-    ?(insertion = Bufins.Engine.Convex_auto) () =
+    ?(insertion = Bufins.Engine.Convex_auto) ?(wire_sizing = false) () =
   {
-    (Bufins.Engine.default_config ~rule ()) with
+    (Bufins.Engine.default_config ~rule ~wire_sizing ()) with
     Bufins.Engine.tech;
     library;
     insertion;
@@ -106,35 +106,74 @@ let libraries =
     ("b=5", Device.Buffer.synth_library ~btypes:5);
   ]
 
+(* Each power-aware objective at eps_power 0 and 1e-2: under a
+   mean-exact rule the insert step then builds only each type's
+   (RAT, power) staircase. *)
+let power_objectives =
+  List.concat_map
+    (fun o -> [ (o, 0.0); (o, 1e-2) ])
+    Bufins.Dominance.[ Weighted 1.0; Weighted 50.0; Min_power (-1500.0) ]
+
 let test_convex_equals_exhaustive () =
   let die = 4000.0 in
+  let check ?(wire_sizing = false) ?load_limit ~rule ~library:(lbl, library)
+      (objective, eps) (seed, sinks) =
+    let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
+    let run insertion =
+      strip_result
+        (Bufins.Engine.run
+           {
+             (config ~rule ~library ~insertion ~wire_sizing ()) with
+             Bufins.Engine.load_limit;
+             power_objective = objective;
+             eps_power = eps;
+           }
+           ~model:(model die) tree)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %s %s eps=%g%s%s seed=%d convex=exhaustive"
+         (Bufins.Prune.name rule) lbl
+         (Bufins.Dominance.to_string objective)
+         eps
+         (if wire_sizing then " wire-sizing" else "")
+         (match load_limit with
+          | Some l -> Printf.sprintf " load-limit=%g" l
+          | None -> "")
+         seed)
+      true
+      (run Bufins.Engine.Convex_auto = run Bufins.Engine.Exhaustive)
+  in
   List.iter
     (fun rule ->
-      let cases =
-        if Bufins.Prune.is_linear rule then [ (211, 12); (97, 25) ]
-        else [ (211, 6) ]
+      (* The power-aware objectives run on the small net only where
+         the rule falls back to exhaustive insertion (their frontiers
+         grow large under 2P(0.9, 0.9)), and not at all under 4P,
+         which refuses them. *)
+      let max_yield_cases, power_cases =
+        if not (Bufins.Prune.is_linear rule) then ([ (211, 6) ], [])
+        else if Bufins.Prune.mean_exact rule then
+          ([ (211, 12); (97, 25) ], [ (211, 12); (97, 25) ])
+        else ([ (211, 12); (97, 25) ], [ (211, 6) ])
       in
       List.iter
-        (fun (lbl, library) ->
+        (fun library ->
           List.iter
-            (fun (seed, sinks) ->
-              let tree =
-                Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die ()
-              in
-              let run insertion =
-                strip_result
-                  (Bufins.Engine.run
-                     (config ~rule ~library ~insertion ())
-                     ~model:(model die) tree)
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s seed=%d convex=exhaustive"
-                   (Bufins.Prune.name rule) lbl seed)
-                true
-                (run Bufins.Engine.Convex_auto = run Bufins.Engine.Exhaustive))
-            cases)
+            (check ~rule ~library (Bufins.Dominance.Max_yield, 0.0))
+            max_yield_cases;
+          List.iter
+            (fun objective -> List.iter (check ~rule ~library objective) power_cases)
+            power_objectives)
         libraries)
-    rules
+    rules;
+  (* A load limit and wire sizing both reshape the wired rows the
+     staircase scans. *)
+  let library = List.nth libraries 2
+  and weighted = (Bufins.Dominance.Weighted 1.0, 1e-2) in
+  List.iter
+    (fun rule ->
+      check ~load_limit:60.0 ~rule ~library weighted (97, 25);
+      check ~wire_sizing:true ~rule ~library weighted (211, 12))
+    [ Bufins.Prune.deterministic; Bufins.Prune.two_param () ]
 
 let test_convex_tape_jobs_obs () =
   (* One mean-exact rule on an inverter-bearing library: the sequential
@@ -172,6 +211,64 @@ let test_convex_tape_jobs_obs () =
                 [ 1; 2; 4 ]))
         [ false; true ])
     [ Bufins.Engine.Convex_auto; Bufins.Engine.Exhaustive ]
+
+(* ---------- Table-1 nets ---------- *)
+
+let table1_net name =
+  let setup = Experiments.Common.default_setup in
+  let info = Rctree.Benchmarks.find name in
+  let grid =
+    Experiments.Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um
+  in
+  ( Rctree.Benchmarks.load info,
+    fun () ->
+      Varmodel.Model.create ~mode:Varmodel.Model.Wid
+        ~spatial:Varmodel.Model.default_heterogeneous ~grid () )
+
+(* With every type's energy zero the power axis is constant, so at
+   eps_power 0 the Pareto prune is the total order and [Weighted 0]
+   picks what [Max_yield] picks: the power-aware run, through the
+   staircase insert step, must land on the default run's bytes.  Both
+   sides carry the zero energies, since the default engine still
+   accumulates (never compares) them. *)
+let test_zero_energy_weighted () =
+  let tree, model = table1_net "r1" in
+  let config = Bufins.Engine.default_config () in
+  let config =
+    {
+      config with
+      Bufins.Engine.energies =
+        Some (Array.make (Array.length config.Bufins.Engine.library) 0.0);
+    }
+  in
+  let run config = strip_result (Bufins.Engine.run config ~model:(model ()) tree) in
+  Alcotest.(check bool) "r1 weighted 0 = max_yield" true
+    (run
+       {
+         config with
+         Bufins.Engine.power_objective = Bufins.Dominance.Weighted 0.0;
+         eps_power = 0.0;
+       }
+    = run config)
+
+(* The O(bn²) claim's empirical form: candidate generation is linear
+   in b and the pruned frontier nearly flat, so the WID/2P peak
+   frontier at b = 8 stays under four times the b = 1 peak. *)
+let test_peak_b8_under_4x () =
+  List.iter
+    (fun name ->
+      let tree, model = table1_net name in
+      let peak b =
+        (Bufins.Engine.run
+           (config ~library:(Device.Buffer.synth_library ~btypes:b) ())
+           ~model:(model ()) tree)
+          .Bufins.Engine.stats.Bufins.Engine.peak_candidates
+      in
+      let p1 = peak 1 and p8 = peak 8 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s peak b=8 (%d) < 4 x peak b=1 (%d)" name p8 p1)
+        true (p8 < 4 * p1))
+    [ "r1"; "r2" ]
 
 (* ---------- polarity invariant ---------- *)
 
@@ -313,6 +410,10 @@ let suite =
       `Quick test_convex_equals_exhaustive;
     Alcotest.test_case "convex identity across tape/jobs/obs" `Quick
       test_convex_tape_jobs_obs;
+    Alcotest.test_case "zero-energy weighted 0 = max_yield on r1" `Quick
+      test_zero_energy_weighted;
+    Alcotest.test_case "peak frontier at b=8 under 4x b=1 on r1, r2" `Quick
+      test_peak_b8_under_4x;
     qcheck prop_inverter_chains_restore_polarity;
     qcheck prop_sample_polarity;
     Alcotest.test_case "sample prefilter = brute force (relax 1 and 1.5)"

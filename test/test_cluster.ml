@@ -116,8 +116,8 @@ let valid_request () =
   Serve.Wire.frame_bytes ~kind:"request"
     (Serve.Codec_bin.encode_request (stream_request 3))
 
-(* Sampled requests whose relax is not > 0: each earns one parse
-   error, and the connection survives. *)
+(* Sampled requests whose relax lies outside (0, 1]: each earns one
+   parse error, and the connection survives. *)
 let bad_relax =
   lazy
     (List.map
@@ -130,7 +130,32 @@ let bad_relax =
              (Serve.Codec_bin.encode_request req),
            1,
            false ))
-       [ 0.0; -1.0; Float.nan ])
+       [ 0.0; -1.0; Float.nan; 2.0; 1e300 ])
+
+(* A canonical 4P request under a power-aware objective: its 4P cross
+   merge read no clock, so this 8-sink net held a worker far past the
+   deadline.  It now earns one parse error at once. *)
+let four_p_power =
+  lazy
+    (let tree =
+       Rctree.Generate.random_steiner ~seed:211 ~sinks:8 ~die_um:4000.0 ()
+     in
+     let req =
+       {
+         (Serve.Protocol.default_request ~tree) with
+         Serve.Protocol.id = 6;
+         rule = Bufins.Prune.four_param ();
+         objective = Bufins.Dominance.Weighted 1.0;
+         deadline_ms = 2000;
+       }
+     in
+     ( "v2 4P request with a power-aware objective",
+       Serve.Wire.frame_bytes ~kind:"request"
+         (Serve.Codec_bin.encode_request req),
+       1,
+       false ))
+
+let refused_heads = lazy (Lazy.force four_p_power :: Lazy.force bad_relax)
 
 (* Each case: name, bytes to send, how many reply frames they earn, and
    whether the connection is then closed. *)
@@ -175,7 +200,7 @@ let bad_inputs =
          2,
          true );
      ]
-     @ Lazy.force bad_relax)
+     @ Lazy.force refused_heads)
 
 let error_replies socket =
   List.concat_map
@@ -228,7 +253,7 @@ let test_error_replies_agree () =
   in
   List.iter
     (fun (name, _, _, _) -> expect Serve.Protocol.err_parse name)
-    (Lazy.force bad_relax);
+    (Lazy.force refused_heads);
   List.iter (expect Serve.Protocol.err_parse)
     [ "v2 request whose tree length overflows";
       "v2 request announcing 2^24 tree nodes" ];

@@ -45,9 +45,10 @@ let request_gen =
     and* mc_trials = int_range 0 1000
     and* wire_sizing = bool
     (* The defaults must stay common so the historical-bytes path is
-       exercised. *)
+       exercised.  Only accepted requests: relax lies in (0, 1], and a
+       canonical 4P request keeps the default objective. *)
     and* samples = oneof [ return 0; int_range 1 4096 ]
-    and* relax = oneof [ return 1.0; float_range 0.25 4.0 ]
+    and* relax = oneof [ return 1.0; float_range 0.25 1.0 ]
     and* btypes = oneof [ return 0; int_range 1 32 ]
     and* objective =
       oneof
@@ -59,6 +60,11 @@ let request_gen =
            return (Bufins.Dominance.Weighted w));
         ]
     and* eps_power = oneof [ return 0.0; float_range 1e-6 1.0 ] in
+    let objective =
+      if samples = 0 && not (Bufins.Prune.is_linear rule) then
+        Bufins.Dominance.Max_yield
+      else objective
+    in
     return
       {
         Serve.Protocol.id;
@@ -368,6 +374,52 @@ let test_absurd_node_count () =
         fun () -> ignore (Serve.Codec_bin.decode_request absurd_request) );
     ]
 
+(* The head reader refuses what no caller needs and nothing bounds:
+   relax outside (0, 1], and a canonical (samples = 0) 4P request
+   under a power-aware objective, whose 4P cross merge ran unbounded
+   on this 8-sink net.  The refusal needs no tree. *)
+let head_request =
+  lazy
+    (Serve.Protocol.default_request
+       ~tree:(Rctree.Generate.random_steiner ~seed:211 ~sinks:8 ~die_um:4000.0 ()))
+
+let refused what q =
+  let b = Serve.Codec_bin.encode_request q in
+  fails (what ^ " (decode_request)") (fun () -> Serve.Codec_bin.decode_request b);
+  fails (what ^ " (request_tree_span)") (fun () ->
+      Serve.Codec_bin.request_tree_span b)
+
+let accepted what q =
+  let b = Serve.Codec_bin.encode_request q in
+  match Serve.Codec_bin.decode_request b with
+  | _ -> ()
+  | exception Failure m -> Alcotest.failf "%s refused: %s" what m
+
+let test_refuses_4p_power () =
+  let four_p =
+    {
+      (Lazy.force head_request) with
+      Serve.Protocol.rule = Bufins.Prune.four_param ();
+      objective = Bufins.Dominance.Weighted 1.0;
+    }
+  in
+  refused "4P weighted 1" four_p;
+  refused "4P min_power"
+    { four_p with Serve.Protocol.objective = Bufins.Dominance.Min_power 0.0 };
+  accepted "4P max_yield" { four_p with Serve.Protocol.objective = Bufins.Dominance.Max_yield };
+  accepted "sampled 4P weighted 1" { four_p with Serve.Protocol.samples = 16 }
+
+let test_refuses_relax_above_1 () =
+  let base = Lazy.force head_request in
+  List.iter
+    (fun relax ->
+      refused (Printf.sprintf "relax %g" relax) { base with Serve.Protocol.relax })
+    [ 0.0; -1.0; Float.nan; 1.0 +. epsilon_float; 2.0; 1e300; infinity ];
+  List.iter
+    (fun relax ->
+      accepted (Printf.sprintf "relax %g" relax) { base with Serve.Protocol.relax })
+    [ 1.0; 0.8; 1e-300 ]
+
 (* ---------- framing: resync, header errors ---------- *)
 
 let drain_events dec =
@@ -466,6 +518,10 @@ let suite =
       test_varint_overflow;
     Alcotest.test_case "an absurd tree node count fails before allocating"
       `Quick test_absurd_node_count;
+    Alcotest.test_case "the head refuses canonical 4P under a power objective"
+      `Quick test_refuses_4p_power;
+    Alcotest.test_case "the head refuses relax outside (0, 1]" `Quick
+      test_refuses_relax_above_1;
     Alcotest.test_case "v2 resync after oversized frame" `Quick
       test_v2_resync_after_oversized;
     Alcotest.test_case "a v1 text header is a framing Failure" `Quick

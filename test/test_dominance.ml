@@ -157,6 +157,53 @@ let prop_eps_monotone =
       in
       non_incr sizes)
 
+(* ---------- staircase: the power sweep over one load class ---------- *)
+
+(* [Dominance.staircase] walks the rows once in power-bucket order; it
+   must keep exactly the rows the power sweep keeps when every row has
+   the same load (one buffer type at one site), whatever the order
+   within a bucket, and with every power equal it is the earliest
+   max-RAT row.  The coarse grids make RAT ties within a bucket common,
+   which is where the tie-breaks (raw power, then index) matter. *)
+let prop_staircase =
+  QCheck.Test.make
+    ~name:"staircase flavour: one walk = power sweep over one load"
+    ~count:1000 arb_pts_eps (fun (pts, eps) ->
+      let pts = Array.map (fun p -> { p with load = 0.0 }) pts in
+      let n = Array.length pts in
+      let walk pts order =
+        let kept = Array.make n 0 in
+        let nkept =
+          Bufins.Dominance.staircase ~eps ~order ~n
+            ~rat:(Array.map (fun p -> p.rat) pts)
+            ~power:(Array.map (fun p -> p.power) pts)
+            ~kept
+        in
+        Array.sub kept 0 nkept
+      in
+      let bucket i = Bufins.Dominance.power_bucket ~eps pts.(i).power in
+      let by_power = Array.init n Fun.id in
+      Array.stable_sort
+        (fun a b -> Float.compare pts.(a).power pts.(b).power)
+        by_power;
+      (* Buckets ascending, index descending within one. *)
+      let reversed = Array.init n Fun.id in
+      Array.sort
+        (fun a b ->
+          let c = Float.compare (bucket a) (bucket b) in
+          if c <> 0 then c else compare b a)
+        reversed;
+      let sweep = Array.to_list (power_kept ~eps pts) in
+      let flat = Array.map (fun p -> { p with power = 0.0 }) pts in
+      let earliest_max =
+        Array.fold_left
+          (fun best i -> if flat.(i).rat > flat.(best).rat then i else best)
+          0 (Array.init n Fun.id)
+      in
+      sets_equal (walk pts by_power) sweep
+      && sets_equal (walk pts reversed) sweep
+      && walk flat (Array.init n Fun.id) = [| earliest_max |])
+
 (* ---------- b-type flavour: equal-load groups keep earliest max-RAT ---------- *)
 
 let btype_dom pts j i = pts.(j).load = pts.(i).load && pts.(j).rat >= pts.(i).rat
@@ -430,6 +477,7 @@ let suite =
     qcheck prop_power_pareto;
     qcheck prop_eps_soundness;
     qcheck prop_eps_monotone;
+    qcheck prop_staircase;
     qcheck prop_btype_groups;
     qcheck prop_sample_exact;
     qcheck prop_sample_relaxed;

@@ -1,20 +1,22 @@
 (* Golden byte-identity regression.
 
-   The bench gates enforce "new machinery must not move a byte of
-   historical output"; this suite pins the same contract inside
-   [dune runtest]: with [eps_power = 0], every rule x engine x
-   sequential/jobs 1/2/4 x obs on/off run must reproduce the captured
-   fingerprints exactly — %.17g floats, full assignment, candidate
-   counts.  All cases but "sample-16-weighted" run the default
-   objective ([max_yield]).  The first thirteen were captured before
-   the shared dominance sweep (commit 620e644); the next eleven pin
-   the cases the tape identity suites once compared against the
-   recursive tree walk, captured from that walk before it was
-   replaced by the one tape driver; the last three were captured
-   before the sample engine's inner loops were rewritten.  Any drift
-   in the driver, the [Bufins.Dominance] sweep, the power threading,
-   the convex gating or the sample kernels shows up here as a
-   fingerprint mismatch. *)
+   New machinery must not move a byte of historical output; this
+   suite pins that contract inside [dune runtest]: every rule x engine
+   x sequential/jobs 1/2/4 x obs on/off run must reproduce the
+   captured fingerprints exactly — %.17g floats, full assignment,
+   candidate counts.  The first thirteen were captured before the shared
+   dominance sweep (commit 620e644); the next eleven pin the cases the
+   tape identity suites once compared against the recursive tree walk,
+   captured from that walk before it was replaced by the one tape
+   driver; the next three were captured before the sample engine's
+   inner loops were rewritten.  All of those but "sample-16-weighted"
+   run the default objective ([max_yield]).  The last twenty-four run
+   the canonical engine under the power-aware objectives, captured
+   (commit 8afb10f) while its insert step still built every wired x
+   type row there.  Any drift in the driver, the [Bufins.Dominance]
+   sweep, the power threading, the convex gating, the staircase
+   selection or the sample kernels shows up here as a fingerprint
+   mismatch. *)
 
 let tech = Device.Tech.default_65nm
 
@@ -94,7 +96,9 @@ let fp_prob (r : Bufins.Probabilistic.result) =
 (* Each case maps a run mode to its fingerprint; the contract is that
    the fingerprint does not depend on the mode. *)
 
-let canonical_run ~insertion ~rule ~library ~sinks ~seed m =
+(* A power-aware run's fingerprint also carries the chosen root
+   candidate's energy, which only those objectives read. *)
+let power_run ~objective ~eps ~insertion ~rule ~library ~sinks ~seed m =
   let die = 4000.0 in
   let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
   let cfg =
@@ -103,6 +107,8 @@ let canonical_run ~insertion ~rule ~library ~sinks ~seed m =
       Bufins.Engine.tech;
       library;
       insertion;
+      power_objective = objective;
+      eps_power = eps;
     }
   in
   let run pool = Bufins.Engine.run ?pool ~grain:2 cfg ~model:(model die) tree in
@@ -111,9 +117,13 @@ let canonical_run ~insertion ~rule ~library ~sinks ~seed m =
     | None -> run None
     | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
   in
-  fp_canonical r
+  if Bufins.Dominance.power_aware objective then
+    fp_canonical r ^ " power=" ^ f17 r.Bufins.Engine.best.Bufins.Sol.power
+  else fp_canonical r
 
+let canonical_run = power_run ~objective:Bufins.Dominance.default ~eps:0.0
 let canonical_case = canonical_run ~insertion:Bufins.Engine.Convex_auto
+let power_case = power_run ~insertion:Bufins.Engine.Convex_auto
 
 let sample_run ~objective ~samples ~mseed ~relax ~library ~sinks ~seed m =
   let die = 4000.0 in
@@ -147,6 +157,55 @@ let prob_case ~heuristic ~sinks ~seed m =
     | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
   in
   fp_prob r
+
+(* The canonical engine under the power-aware objectives: five
+   objectives on the default and a four-type library, each at
+   eps_power 0 and 1e-2, under 2P(0.5, 0.5); weighted 1 under det,
+   1P(0.95) and 2P(0.9, 0.9) on a 10-sink net (2P(0.9, 0.9) keeps
+   over a thousand candidates on the 20-sink one); and one
+   exhaustive-insertion twin. *)
+let power_cases =
+  let on_library (tag, library, sinks, seed) =
+    List.concat_map
+      (fun (oname, objective) ->
+        List.map
+          (fun (etag, eps) ->
+            ( Printf.sprintf "2p%s-%s%s" tag oname etag,
+              power_case ~objective ~eps
+                ~rule:(Bufins.Prune.two_param ())
+                ~library ~sinks ~seed ))
+          [ ("", 0.0); ("-eps", 1e-2) ])
+      [
+        ("weighted-0.5", Bufins.Dominance.Weighted 0.5);
+        ("weighted-1", Bufins.Dominance.Weighted 1.0);
+        ("weighted-50", Bufins.Dominance.Weighted 50.0);
+        ("min-power", Bufins.Dominance.Min_power (-1500.0));
+        ("min-power-fallback", Bufins.Dominance.Min_power 1e9);
+      ]
+  in
+  let weighted_1 = Bufins.Dominance.Weighted 1.0 in
+  List.concat_map on_library
+    [
+      ("", Device.Buffer.default_library, 20, 211);
+      ("-b4", Device.Buffer.synth_library ~btypes:4, 22, 311);
+    ]
+  @ List.map
+      (fun (name, rule) ->
+        ( name ^ "-weighted-1",
+          power_case ~objective:weighted_1 ~eps:0.0 ~rule
+            ~library:Device.Buffer.default_library ~sinks:10 ~seed:211 ))
+      [
+        ("det", Bufins.Prune.deterministic);
+        ("1p-95", Bufins.Prune.one_param ~alpha:0.95);
+        ("2p-9", Bufins.Prune.two_param ~p_l:0.9 ~p_t:0.9 ());
+      ]
+  @ [
+      ( "2p-b4-weighted-1-exhaustive",
+        power_run ~insertion:Bufins.Engine.Exhaustive ~objective:weighted_1
+          ~eps:0.0 ~rule:(Bufins.Prune.two_param ())
+          ~library:(Device.Buffer.synth_library ~btypes:4)
+          ~sinks:22 ~seed:311 );
+    ]
 
 let cases =
   [
@@ -258,6 +317,7 @@ let cases =
         ~mseed:1 ~relax:1.0 ~library:Device.Buffer.default_library ~sinks:10
         ~seed:7 );
   ]
+  @ power_cases
 
 (* Captured from the sequential tree walk with obs off; see the capture
    note at the top.  Empty while capturing. *)
@@ -317,6 +377,54 @@ let expected : (string * string) list =
       "rat=-1012.3562818924644/20.812866334868975 y=-1037.51771033145 buf=[23:inv1;20:inv3;14:inv3;13:inv3;12:inv3;11:inv3;10:inv3;8:inv3;7:inv1;6:inv3;5:inv3;3:inv3;2:buf2] w=[] llm=true peak=35 total=201" );
     ( "sample-16-weighted",
       "rat=-1345.7191284608546/26.662660781089691 y=-1377.9978416719121 buf=[17:x4;16:x1;15:x1;14:x1;11:x16;8:x16;7:x4;4:x4;2:x16] w=[] llm=true peak=929 total=2224" );
+    ( "2p-weighted-0.5",
+      "rat=-1237.870419532348/33.567917227452007 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x16;9:x4;4:x16;2:x16] w=[] llm=true peak=88 total=533 power=332.91666666666669" );
+    ( "2p-weighted-0.5-eps",
+      "rat=-1237.870419532348/33.567917227452007 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x16;9:x4;4:x16;2:x16] w=[] llm=true peak=88 total=533 power=332.91666666666669" );
+    ( "2p-weighted-1",
+      "rat=-1237.870419532348/33.567917227452007 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x16;9:x4;4:x16;2:x16] w=[] llm=true peak=88 total=533 power=332.91666666666669" );
+    ( "2p-weighted-1-eps",
+      "rat=-1237.870419532348/33.567917227452007 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x16;9:x4;4:x16;2:x16] w=[] llm=true peak=88 total=533 power=332.91666666666669" );
+    ( "2p-weighted-50",
+      "rat=-1852.350173035027/19.458115997655632 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;2:x16] w=[] llm=true peak=88 total=533 power=239.75000000000003" );
+    ( "2p-weighted-50-eps",
+      "rat=-1852.350173035027/19.458115997655632 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;2:x16] w=[] llm=true peak=88 total=533 power=239.75000000000003" );
+    ( "2p-min-power",
+      "rat=-1402.5446617016944/30.603285419046209 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x4;12:x1;9:x4;4:x16;3:x4] w=[] llm=true peak=88 total=533 power=297.25" );
+    ( "2p-min-power-eps",
+      "rat=-1402.5446617016944/30.603285419046209 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x4;12:x1;9:x4;4:x16;3:x4] w=[] llm=true peak=88 total=533 power=297.25" );
+    ( "2p-min-power-fallback",
+      "rat=-1237.870419532348/33.567917227452007 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x16;9:x4;4:x16;2:x16] w=[] llm=true peak=88 total=533 power=332.91666666666669" );
+    ( "2p-min-power-fallback-eps",
+      "rat=-1237.870419532348/33.567917227452007 buf=[37:x16;36:x4;33:x16;31:x16;28:x16;27:x4;24:x16;22:x4;18:x4;13:x16;9:x4;4:x16;2:x16] w=[] llm=true peak=88 total=533 power=332.91666666666669" );
+    ( "2p-b4-weighted-0.5",
+      "rat=-1130.772763452921/41.17170390034827 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:inv3;30:inv3;25:inv3;24:buf2;23:inv3;22:inv3;21:inv3;20:inv3;15:buf2;14:inv3;13:inv3;12:inv3;11:inv3;9:inv3;8:inv3;5:inv3;4:inv3;3:inv3;2:inv3] w=[] llm=true peak=271 total=1158 power=597.95852545619289" );
+    ( "2p-b4-weighted-0.5-eps",
+      "rat=-1130.772763452921/41.17170390034827 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:inv3;30:inv3;25:inv3;24:buf2;23:inv3;22:inv3;21:inv3;20:inv3;15:buf2;14:inv3;13:inv3;12:inv3;11:inv3;9:inv3;8:inv3;5:inv3;4:inv3;3:inv3;2:inv3] w=[] llm=true peak=269 total=1152 power=597.95852545619289" );
+    ( "2p-b4-weighted-1",
+      "rat=-1359.8994113866261/25.544391397541659 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;22:inv3;21:inv3;20:inv3;15:buf2;14:buf2;13:inv1;10:inv3;4:inv3;3:inv3] w=[] llm=true peak=271 total=1158 power=383.46546022887077" );
+    ( "2p-b4-weighted-1-eps",
+      "rat=-1359.8994113866261/25.544391397541659 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;22:inv3;21:inv3;20:inv3;15:buf2;14:buf2;13:inv1;10:inv3;4:inv3;3:inv3] w=[] llm=true peak=269 total=1152 power=383.46546022887077" );
+    ( "2p-b4-weighted-50",
+      "rat=-1926.5367307703714/16.70895585880367 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;14:buf2;13:inv1;10:inv3;9:inv1;8:inv3;5:inv3;4:inv1] w=[] llm=true peak=271 total=1158 power=298.77782247519781" );
+    ( "2p-b4-weighted-50-eps",
+      "rat=-1926.5367307703714/16.70895585880367 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;14:buf2;13:inv1;10:inv3;9:inv1;8:inv3;5:inv3;4:inv1] w=[] llm=true peak=269 total=1152 power=298.77782247519781" );
+    ( "2p-b4-min-power",
+      "rat=-1389.5155743355108/21.717088791815286 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;22:inv3;21:inv3;20:inv3;15:buf2;14:buf2;13:inv1;10:inv3;8:inv1;5:inv1;3:inv3] w=[] llm=true peak=271 total=1158 power=370.54177540503986" );
+    ( "2p-b4-min-power-eps",
+      "rat=-1389.5155743355108/21.717088791815286 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;22:inv3;21:inv3;20:inv3;15:buf2;14:buf2;13:inv1;10:inv3;8:inv1;5:inv1;3:inv3] w=[] llm=true peak=269 total=1152 power=370.54177540503986" );
+    ( "2p-b4-min-power-fallback",
+      "rat=-1130.772763452921/41.17170390034827 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:inv3;30:inv3;25:inv3;24:buf2;23:inv3;22:inv3;21:inv3;20:inv3;15:buf2;14:inv3;13:inv3;12:inv3;11:inv3;9:inv3;8:inv3;5:inv3;4:inv3;3:inv3;2:inv3] w=[] llm=true peak=271 total=1158 power=597.95852545619289" );
+    ( "2p-b4-min-power-fallback-eps",
+      "rat=-1130.772763452921/41.17170390034827 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:inv3;30:inv3;25:inv3;24:buf2;23:inv3;22:inv3;21:inv3;20:inv3;15:buf2;14:inv3;13:inv3;12:inv3;11:inv3;9:inv3;8:inv3;5:inv3;4:inv3;3:inv3;2:inv3] w=[] llm=true peak=269 total=1152 power=597.95852545619289" );
+    ( "det-weighted-1",
+      "rat=-1077.6437665356655/37.444316891859174 buf=[17:x16;16:x4;13:x16;11:x16;8:x16;7:x4;4:x16;2:x16] w=[] llm=true peak=64 total=244 power=226.5" );
+    ( "1p-95-weighted-1",
+      "rat=-1077.6437665356655/37.444316891859174 buf=[17:x16;16:x4;13:x16;11:x16;8:x16;7:x4;4:x16;2:x16] w=[] llm=true peak=67 total=255 power=226.5" );
+    ( "2p-9-weighted-1",
+      "rat=-1077.6437665356655/37.444316891859174 buf=[17:x16;16:x4;13:x16;11:x16;8:x16;7:x4;4:x16;2:x16] w=[] llm=true peak=470 total=977 power=226.5" );
+    ( "2p-b4-weighted-1-exhaustive",
+      "rat=-1359.8994113866261/25.544391397541659 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;22:inv3;21:inv3;20:inv3;15:buf2;14:buf2;13:inv1;10:inv3;4:inv3;3:inv3] w=[] llm=true peak=271 total=1158 power=383.46546022887077" );
   ]
 
 (* Capture helper: VARBUF_GOLDEN_DUMP=FILE writes the baseline
