@@ -48,8 +48,8 @@ let dump_obs ~obs ~trace =
   end
 
 let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
-    wire_sizing save_buffering load_limit lib_file btypes jobs par_grain samples
-    relax objective_s eps_power obs trace =
+    wire_sizing save_buffering load_limit lib_file btypes jobs samples relax
+    objective_s eps_power obs trace =
   if obs || trace <> None then Obs.Control.enable ();
   let source =
     match (bench, sinks, htree, file) with
@@ -119,7 +119,6 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
           Experiments.Common.default_setup with
           mc_trials = mc;
           pool;
-          par_grain;
           library;
         }
       in
@@ -313,12 +312,6 @@ let jobs_arg =
                chunks run across them.  Results are identical at any \
                job count.")
 
-let par_grain_arg =
-  Arg.(value & opt (some int) None & info [ "par-grain" ] ~docv:"NODES"
-         ~doc:"Subtree-size cutoff for DP parallelism: subtrees at or \
-               below it run inline inside their parent task (default: \
-               the engine's built-in grain).")
-
 let samples_arg =
   Arg.(value & opt int 256 & info [ "samples" ] ~docv:"K"
          ~doc:"Process corners per candidate with --rule sample: every \
@@ -370,7 +363,7 @@ let cmd =
       const run $ bench_arg $ sinks_arg $ htree_arg $ file_arg $ algo_arg
       $ rule_arg $ p_arg $ seed_arg $ mc_arg $ homogeneous_arg $ save_arg
       $ wire_sizing_arg $ save_buffering_arg $ load_limit_arg $ lib_arg
-      $ btypes_arg $ jobs_arg $ par_grain_arg $ samples_arg $ relax_arg
+      $ btypes_arg $ jobs_arg $ samples_arg $ relax_arg
       $ objective_arg $ eps_power_arg $ obs_arg $ trace_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -107,38 +107,29 @@ let staircase ~eps ~order ~n ~rat ~power ~kept =
   done;
   !nkept
 
-type scan = Exact_last | Rat_filtered | Rat_prefilter | Scan_kept
+type scan = Rat_filtered | Scan_kept
 
-let sweep ~order ~n ~rat_key ~dominates ~scan ~kept =
+(* Newest kept first: recent candidates are the likeliest dominators.
+   Plain loops over the key array, not a recursive closure per
+   candidate, so the walk allocates nothing. *)
+let sweep ~order ~n ~rat_keys ~dominates ~scan ~kept =
+  let filtered = match scan with Rat_filtered -> true | Scan_kept -> false in
   let nkept = ref 0 in
   let rat_max = ref neg_infinity in
   for s = 0 to n - 1 do
     let i = order.(s) in
-    let ki = rat_key i in
-    let dominated =
-      match scan with
-      | Exact_last -> !nkept > 0 && dominates kept.(!nkept - 1) i
-      | Rat_filtered ->
-        if ki > !rat_max then false
-        else
-          (* Newest kept first: recent candidates are the likeliest
-             dominators, and the kept-side RAT filter is the necessary
-             mean ordering every 2P dominance clause implies. *)
-          let rec go k =
-            k >= 0
-            && ((rat_key kept.(k) >= ki && dominates kept.(k) i) || go (k - 1))
-          in
-          go (!nkept - 1)
-      | Rat_prefilter ->
-        if ki > !rat_max then false
-        else
-          let rec go k = k >= 0 && (dominates kept.(k) i || go (k - 1)) in
-          go (!nkept - 1)
-      | Scan_kept ->
-        let rec go k = k >= 0 && (dominates kept.(k) i || go (k - 1)) in
-        go (!nkept - 1)
-    in
-    if not dominated then begin
+    let ki = rat_keys.(i) in
+    let dominated = ref false in
+    if not (filtered && ki > !rat_max) then begin
+      let k = ref (!nkept - 1) in
+      while (not !dominated) && !k >= 0 do
+        let j = kept.(!k) in
+        if ((not filtered) || rat_keys.(j) >= ki) && dominates j i then
+          dominated := true;
+        decr k
+      done
+    end;
+    if not !dominated then begin
       kept.(!nkept) <- i;
       incr nkept;
       if ki > !rat_max then rat_max := ki

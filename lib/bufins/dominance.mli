@@ -4,13 +4,13 @@
     rules' total/partial orders on (load, RAT) forms ({!Prune}), the
     per-sample tie-or-beat counting of the sampling engine
     ({!Sample.Engine}), and the PMF heuristics of the [6] baseline
-    ({!Probabilistic}) — and PR 9's convex b-type pre-selection is a
-    fourth, specialised to same-load groups.  They all reduce to the
-    same sweep: sort the candidates by the frontier order, walk them
-    once, and drop a candidate as soon as a kept one dominates it.
-    This module owns that sweep (index-based, storage-agnostic, so each
-    engine keeps its own arena layout) plus the power axis every
-    flavour gains in the Pareto generalisation: an {e ε-box} order on
+    ({!Probabilistic}).  They all reduce to the same sweep: sort the
+    candidates by the frontier order, walk them once, and drop a
+    candidate as soon as a kept one dominates it.  This module owns
+    that sweep (index-based, storage-agnostic, so each engine keeps its
+    own arena layout) in two scan shapes, the (RAT, power) staircase of
+    the canonical insert step, plus the power axis every flavour gains
+    in the Pareto generalisation: an {e ε-box} order on
     switching/leakage energy and the per-request objective that decides
     whether the power axis participates at all.
 
@@ -33,10 +33,12 @@
     {2 Default-objective guarantee}
 
     With the default objective ({!Max_yield}) the power axis is
-    ignored entirely: every engine calls the sweep with the exact scan
-    shape, sort order and comparator it used before the refactor, so
-    default runs are byte-identical to the pre-power seed (the golden
-    suite and the bench [pareto] ε = 0 gate assert this). *)
+    ignored entirely: every engine sorts with the order and prunes
+    with the comparator it used before the power axis existed, so each
+    prune keeps the same candidates in the same order, and default
+    runs are byte-identical to the pre-power seed (the golden suite
+    asserts this).  The comparator call sequence is not part of the
+    guarantee: {!Rat_filtered} skips calls that cannot succeed. *)
 
 (** Per-request optimisation objective, threaded from the CLI and the
     serve protocol down to root selection and pruning. *)
@@ -116,44 +118,40 @@ val staircase :
     With every power equal it is the earliest row of maximal RAT.
     [kept] must have room for [n] indices. *)
 
-(** Scan shape of the kept-set walk — one per historical pruner, so
-    refactored engines reproduce their exact pre-refactor dominance
-    call sequence (the obs counters count those calls). *)
+(** Scan shape of the kept-set walk.  Both keep exactly the greedy
+    set: a candidate is dropped iff a kept candidate dominates it. *)
 type scan =
-  | Exact_last
-      (** test only the most recently kept candidate — exact for the
-          scalar-key total orders (det, 1P, 2P(0.5), PMF mean and
-          percentile heuristics) *)
   | Rat_filtered
-      (** running-max RAT prefilter, then a newest-first scan of kept
-          candidates that passes each through the necessary-mean
-          filter before the expensive comparator — 2P with p̄ > 0.5,
-          4P, and the sampling engine at full dominance *)
-  | Rat_prefilter
-      (** running-max RAT prefilter, then an unfiltered newest-first
-          scan — the power-aware linear rules (dominance still implies
-          the RAT ordering, so the prefilter stays sound) *)
+      (** for flavours whose dominance implies the RAT-key order
+          ([dominates k i] ⇒ [rat_keys.(k) >= rat_keys.(i)]): a
+          candidate above the running maximum of kept RAT keys is kept
+          with no comparator call, and otherwise only kept candidates
+          with a RAT key at least the candidate's are tested, newest
+          first.  Every canonical linear rule with or without the power
+          axis, the [6] mean and percentile heuristics, and the
+          sampling engine at full dominance ([need = K]).  On a total
+          order the newest kept candidate holds the running maximum,
+          so this makes at most one call per candidate, to it. *)
   | Scan_kept
-      (** unfiltered newest-first scan of every kept candidate — the
-          stochastic-dominance PMF heuristic and relaxed per-sample
-          counting *)
+      (** every kept candidate, newest first, with no filter — for
+          flavours where dominance does not imply the RAT-key order:
+          the [6] stochastic-dominance heuristic (its CDF tolerance
+          lets a dominator's mean sit fractionally below the dominated
+          one's) and relaxed per-sample counting ([need < K]) *)
 
 val sweep :
   order:int array ->
   n:int ->
-  rat_key:(int -> float) ->
+  rat_keys:float array ->
   dominates:(int -> int -> bool) ->
   scan:scan ->
   kept:int array ->
   int
-(** [sweep ~order ~n ~rat_key ~dominates ~scan ~kept] walks the
+(** [sweep ~order ~n ~rat_keys ~dominates ~scan ~kept] walks the
     candidate indices [order.(0 .. n-1)] (already sorted by the
     flavour's frontier order), writes the surviving indices into
     [kept.(0 ..)] in walk order and returns how many survived.
-    [dominates kept_idx cand_idx] is the flavour's comparator —
-    called in exactly the order the scan shape dictates, so callers
-    counting comparator invocations (obs) see the historical
-    sequence.  [rat_key] feeds the running-max prefilter and the
-    {!Rat_filtered} per-candidate filter; it is read but never stored,
-    so any caller-side caching layout works.  [kept] must have room
-    for [n] indices. *)
+    [dominates kept_idx cand_idx] is the flavour's comparator and
+    [rat_keys.(i)] candidate [i]'s RAT key, which only {!Rat_filtered}
+    acts on; keys must not be NaN.  [kept] must have room for [n]
+    indices. *)

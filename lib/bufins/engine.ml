@@ -266,11 +266,11 @@ let stage_wired_plain config ~wire_rc ~child ~length (sols : Sol.t array) =
    one order groups every type's buckets.  Candidate counts reported
    by the response stats are post-prune, so the selection changes no
    output bytes; obs counts the staged rows after selection. *)
-let insert_and_prune config ~convex ~energies ~same_types ~flip_types
-    ~buf_forms ~child ~wired ~nw ~cross ~ncross =
+let insert_and_prune config ~power_eps ~convex ~energies ~same_types
+    ~flip_types ~buf_forms ~child ~wired ~nw ~cross ~ncross =
   let arena = Arena.get () in
-  let power = Dominance.power_aware config.power_objective in
-  let eps = config.eps_power in
+  let power = Option.is_some power_eps in
+  let eps = Option.value power_eps ~default:0.0 in
   let drivable (s : Sol.t) =
     match config.load_limit with
     | None -> true
@@ -348,9 +348,8 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
                  pw.(i) <- (if power then s.Sol.power +. energy else 0.0)
                done;
                let nkept =
-                 Dominance.staircase
-                   ~eps:(if power then eps else 0.0)
-                   ~order:rows ~n:nd ~rat ~power:pw ~kept
+                 Dominance.staircase ~eps ~order:rows ~n:nd ~rat ~power:pw
+                   ~kept
                in
                for r = 0 to nkept - 1 do
                  emit src kept.(r) bi
@@ -371,10 +370,7 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
            Array.iter (fun bi -> emit cross i bi) flip_types
        done
      end);
-    let out =
-      if power then Prune.prune_sub_power config.rule ~eps cand !k
-      else Prune.prune_sub config.rule cand !k
-    in
+    let out = Prune.prune_sub config.rule ?eps:power_eps cand !k in
     if Obs.Control.on () then
       Driver.count_types ~prefix:"dp" config.library ~child
         ~generated:(fun i -> cand.(i).Sol.choice)
@@ -387,8 +383,9 @@ let insert_and_prune config ~convex ~energies ~same_types ~flip_types
 (* Combine one parity of the two lifted child frontiers at a Steiner
    node: linear or cross-product merge plus a prune.  Neither operand
    is read after the merge, so both can be collected while the
-   (larger) merged set is pruned. *)
-let merge_lifted config ~node ~check_time ~check_count a b =
+   (larger) merged set is pruned.  Under [max_yield] a merge of at most
+   one row passes through unpruned, so obs never counted it. *)
+let merge_lifted config ~power_eps ~node ~check_time ~check_count a b =
   let merged =
     if Prune.is_linear config.rule then merge_linear ~node a b
     else
@@ -397,10 +394,9 @@ let merge_lifted config ~node ~check_time ~check_count a b =
         a b
   in
   if Obs.Control.on () then Obs.Counters.incr obs_merged (Array.length merged);
-  if Dominance.power_aware config.power_objective then
-    Prune.prune_sub_power config.rule ~eps:config.eps_power merged
-      (Array.length merged)
-  else Prune.prune config.rule merged
+  let n = Array.length merged in
+  if n <= 1 && Option.is_none power_eps then merged
+  else Prune.prune_sub config.rule ?eps:power_eps merged n
 
 (* Root-frontier epilogue: load-limit gate, driver lift, objective
    scan, and result assembly. *)
@@ -455,10 +451,12 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
      over-counts budgets and runtimes as soon as anything else runs in
      parallel with the DP. *)
   let t_start = Unix.gettimeofday () in
-  if
-    Dominance.power_aware config.power_objective
-    && not (Prune.is_linear config.rule)
-  then
+  (* The pruners' ε under a power-aware objective, [None] otherwise. *)
+  let power_eps =
+    if Dominance.power_aware config.power_objective then Some config.eps_power
+    else None
+  in
+  if Option.is_some power_eps && not (Prune.is_linear config.rule) then
     invalid_arg "Engine.run_tape: the 4P rule takes no power-aware objective";
   let bound =
     Driver.bind ~model ~library:config.library ~wires:config.wires tape
@@ -483,14 +481,15 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
        passes (each borrows stage_b for its candidates and copies the
        pruned frontier out before the other starts). *)
     let ev =
-      insert_and_prune config ~convex ~energies ~same_types ~flip_types
-        ~buf_forms ~child ~wired ~nw ~cross ~ncross
+      insert_and_prune config ~power_eps ~convex ~energies ~same_types
+        ~flip_types ~buf_forms ~child ~wired ~nw ~cross ~ncross
     in
     let od =
       if (not has_inv) && ncross = 0 then [||]
       else
-        insert_and_prune config ~convex ~energies ~same_types ~flip_types
-          ~buf_forms ~child ~wired:cross ~nw:ncross ~cross:wired ~ncross:nw
+        insert_and_prune config ~power_eps ~convex ~energies ~same_types
+          ~flip_types ~buf_forms ~child ~wired:cross ~nw:ncross ~cross:wired
+          ~ncross:nw
     in
     if obs then Obs.Span.record ~name:"lift" ~cat:"dp" ~t0_ns:t0;
     { Driver.ev; od }
@@ -500,7 +499,7 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
       {
         Driver.sink = Sol.of_sink;
         lift;
-        merge = merge_lifted config;
+        merge = merge_lifted config ~power_eps;
         nodes = obs_nodes;
         cat = "dp";
       }

@@ -85,8 +85,8 @@ type config = {
           axis is carried but never compared, pruning is the total
           order of [rule] alone, and every output byte matches the
           pre-power engine.  [Min_power] / [Weighted] switch pruning to
-          the (load, RAT, power) Pareto frontier
-          ({!Prune.prune_sub_power}), widen the [Convex_auto] insert
+          the (load, RAT, power) Pareto frontier ({!Prune.prune_sub}
+          with [~eps:eps_power]), widen the [Convex_auto] insert
           step from each type's best-timing row to its (RAT, power)
           staircase, and change the root scalarisation — see
           {!Dominance.objective}.  The 4P rule takes none of them:

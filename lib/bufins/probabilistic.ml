@@ -15,7 +15,6 @@ type config = {
   length_frac : float;
   pmf_points : int;
   budget : Engine.budget;
-  insertion : Engine.insertion;
 }
 
 let default_config ?(heuristic = Stochastic_dominance) ?(length_frac = 0.05) () =
@@ -26,7 +25,6 @@ let default_config ?(heuristic = Stochastic_dominance) ?(length_frac = 0.05) () 
     length_frac;
     pmf_points = 5;
     budget = Engine.no_budget;
-    insertion = Engine.Convex_auto;
   }
 
 type sol = { load : Numeric.Pmf.t; rat : Numeric.Pmf.t; choice : Sol.choice }
@@ -54,24 +52,21 @@ let dominates heuristic a b =
     Numeric.Pmf.stochastically_dominates b.load a.load
     && Numeric.Pmf.stochastically_dominates a.rat b.rat
 
-(* Mean and percentile dominance are total orders, so the sorted sweep
-   is exact and only the last kept candidate need be tested; stochastic
-   dominance is partial, so candidates are tested against every kept
-   solution (the unbounded-complexity behaviour [6] was criticised
-   for).  A mean-ordering prefilter like the 2P sweep's would not be
-   exact here: [Pmf.stochastically_dominates] admits a small CDF
-   tolerance, so a dominating PMF's mean may sit fractionally below the
-   dominated one's.  Keys are computed once per candidate and the sort
-   is stable, so which duplicate survives (and hence the choice trail)
-   is unchanged from the list implementation. *)
+(* Mean and percentile dominance are total orders on the cached keys,
+   so dominance implies the RAT-key order and the [Rat_filtered] sweep
+   tests at most the last kept candidate; stochastic dominance is
+   partial, so candidates are tested against every kept solution (the
+   unbounded-complexity behaviour [6] was criticised for).  The RAT-key
+   filter would not be exact there: [Pmf.stochastically_dominates]
+   admits a small CDF tolerance, so a dominating PMF's mean may sit
+   fractionally below the dominated one's.  Keys are computed once per
+   candidate and the sort is stable, so which duplicate survives (and
+   hence the choice trail) is unchanged from the list implementation. *)
 let prune_impl config (sols : sol array) =
   let heuristic = config.heuristic in
   let n = Array.length sols in
-  if n <= 1 then sols
-  else begin
-    let arena = Arena.get () in
-    let kl = Arena.load_keys arena n and kr = Arena.rat_keys arena n in
-    (match heuristic with
+  let keys kl kr =
+    match heuristic with
     | Percentile_dominance p ->
       for i = 0 to n - 1 do
         kl.(i) <- Numeric.Pmf.percentile sols.(i).load p;
@@ -81,28 +76,14 @@ let prune_impl config (sols : sol array) =
       for i = 0 to n - 1 do
         kl.(i) <- Numeric.Pmf.mean sols.(i).load;
         kr.(i) <- Numeric.Pmf.mean sols.(i).rat
-      done);
-    let idx = Arena.perm arena n in
-    for i = 0 to n - 1 do
-      idx.(i) <- i
-    done;
-    Arena.sort_prefix arena idx n ~cmp:(fun a b ->
-        let c = Float.compare kl.(a) kl.(b) in
-        if c <> 0 then c else Float.compare kr.(b) kr.(a));
-    let scan =
-      match heuristic with
-      | Stochastic_dominance -> Dominance.Scan_kept
-      | Mean_dominance | Percentile_dominance _ -> Dominance.Exact_last
-    in
-    let kept = Arena.kept arena n in
-    let nkept =
-      Dominance.sweep ~order:idx ~n
-        ~rat_key:(fun i -> kr.(i))
-        ~dominates:(fun k i -> dominates heuristic sols.(k) sols.(i))
-        ~scan ~kept
-    in
-    Array.init nkept (fun k -> sols.(kept.(k)))
-  end
+      done
+  in
+  let scan =
+    match heuristic with
+    | Stochastic_dominance -> Dominance.Scan_kept
+    | Mean_dominance | Percentile_dominance _ -> Dominance.Rat_filtered
+  in
+  Prune.sorted_sweep ~keys ~dominates:(dominates heuristic) ~scan sols n
 
 (* Handles resolved once at module initialisation (handle lookup locks
    the registry); bumped only when observability is enabled. *)
@@ -131,15 +112,8 @@ let prune config sols =
    Each output parity side takes its own wired candidates plus
    buffered variants: same-parity (non-inverting) types over its own
    wired rows and parity-flipping (inverting) types over the opposite
-   side's.  [convex] (Convex_auto insertion under [Mean_dominance]
-   with pairwise-distinct caps) compacts each type's block to the
-   single source maximising the buffered mean RAT before the prune:
-   every candidate of a type shares the constant load PMF, so the
-   total-order sweep provably drops all others, and with distinct caps
-   no equal-key class spans two types, so the earliest maximiser is
-   exactly the duplicate the stable sort would keep — the pruned
-   frontier is identical to exhaustive generation. *)
-let lift_edge config ~same_types ~flip_types ~convex ~child ~length
+   side's. *)
+let lift_edge config ~same_types ~flip_types ~child ~length
     (f : sol Driver.polar) =
   let tech = config.tech in
   (* The manufactured length of each segment: drawn length times
@@ -190,12 +164,8 @@ let lift_edge config ~same_types ~flip_types ~convex ~child ~length
      sort sees identical input. *)
   let build_side (own : sol array) (cross : sol array) =
     let nw = Array.length own and nx = Array.length cross in
-    let per_own = if convex then min nw 1 else nw in
-    let per_cross = if convex then min nx 1 else nx in
     let ncand =
-      nw
-      + (per_own * Array.length same_types)
-      + (per_cross * Array.length flip_types)
+      nw + (nw * Array.length same_types) + (nx * Array.length flip_types)
     in
     if ncand = 0 then [||]
     else begin
@@ -205,38 +175,18 @@ let lift_edge config ~same_types ~flip_types ~convex ~child ~length
         cand.(nw - 1 - i) <- own.(i)
       done;
       let k = ref nw in
-      let emit s =
-        cand.(!k) <- s;
-        incr k
-      in
-      if convex then begin
-        (* Earliest maximiser of the buffered mean RAT, strict [>]. *)
-        let argmax (src : sol array) bi =
-          let best = ref (buffered src.(0) bi) in
-          let best_m = ref (Numeric.Pmf.mean !best.rat) in
-          for i = 1 to Array.length src - 1 do
-            let s = buffered src.(i) bi in
-            let m = Numeric.Pmf.mean s.rat in
-            if m > !best_m then begin
-              best := s;
-              best_m := m
-            end
-          done;
-          !best
-        in
-        Array.iter (fun bi -> if nw > 0 then emit (argmax own bi)) same_types;
+      let emit src types =
         Array.iter
-          (fun bi -> if nx > 0 then emit (argmax cross bi))
-          flip_types
-      end
-      else begin
-        for i = 0 to nw - 1 do
-          Array.iter (fun bi -> emit (buffered own.(i) bi)) same_types
-        done;
-        for i = 0 to nx - 1 do
-          Array.iter (fun bi -> emit (buffered cross.(i) bi)) flip_types
-        done
-      end;
+          (fun s ->
+            Array.iter
+              (fun bi ->
+                cand.(!k) <- buffered s bi;
+                incr k)
+              types)
+          src
+      in
+      emit own same_types;
+      emit cross flip_types;
       let out = prune config cand in
       if Obs.Control.on () then
         Driver.count_types ~prefix:"prob" config.library ~child
@@ -321,11 +271,6 @@ let run_tape ?pool ?grain config tape =
   let same_types, flip_types =
     Device.Buffer.partition_indices config.library
   in
-  let convex =
-    config.insertion = Engine.Convex_auto
-    && (match config.heuristic with Mean_dominance -> true | _ -> false)
-    && Device.Buffer.caps_distinct config.library
-  in
   (* This DP consumes no shared mutable state at all (no device-id
      counter), so it needs no binding. *)
   let out =
@@ -340,8 +285,7 @@ let run_tape ?pool ?grain config tape =
             });
         lift =
           (fun ~child ~edge:_ ~length f ->
-            lift_edge config ~same_types ~flip_types ~convex ~child
-              ~length f);
+            lift_edge config ~same_types ~flip_types ~child ~length f);
         merge = merge_node config;
         nodes = obs_nodes;
         cat = "dp";

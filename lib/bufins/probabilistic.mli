@@ -38,22 +38,15 @@ type config = {
   length_frac : float;  (** sigma of wire-length variation / drawn length *)
   pmf_points : int;     (** discretisation points for each δ (default 5) *)
   budget : Engine.budget;
-  insertion : Engine.insertion;
-      (** [Convex_auto] (the default) compacts each buffer type's
-          insertion block to the single source maximising the buffered
-          mean RAT — sound (and byte-identical to [Exhaustive]) only
-          under [Mean_dominance] with pairwise-distinct library caps,
-          so it silently falls back to exhaustive generation for the
-          other heuristics. *)
 }
 
 val default_config : ?heuristic:heuristic -> ?length_frac:float -> unit -> config
 (** 65 nm tech, default library, stochastic dominance, 5% length
-    variation, 5-point discretisation, [Convex_auto] insertion, no
-    budget.  A library mixing repeaters and inverters is handled with
-    the same dual-polarity frontiers as {!Engine}: merges match
-    inversion parity and the root selects among even-parity candidates
-    only. *)
+    variation, 5-point discretisation, no budget.  Each insertion site
+    builds every wired × type candidate before the prune.  A library
+    mixing repeaters and inverters is handled with the same
+    dual-polarity frontiers as {!Engine}: merges match inversion parity
+    and the root selects among even-parity candidates only. *)
 
 type result = {
   rat_mean : float;       (** mean of the root RAT PMF (after driver) *)

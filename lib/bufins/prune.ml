@@ -96,59 +96,78 @@ let rat_key rule (s : Sol.t) =
   | Deterministic | Two_param _ | Four_param _ -> Sol.mean_rat s
   | One_param { alpha } -> safe_percentile s.Sol.rat alpha
 
-(* Linear-rule pruning over an array frontier: cache both keys once per
-   candidate, stable-sort an index permutation (stability preserves
-   which of several exact duplicates survives, hence the choice trail),
-   then sweep in load order.
+(* The one sorted sweep every array frontier shares: cache both keys
+   once per candidate, stable-sort an index permutation (stability
+   preserves which of several exact duplicates survives, hence the
+   choice trail), sweep in load order, copy the survivors out.  The
+   scratch (key caches, permutation, kept set, sort temp) comes from
+   the calling domain's {!Arena}; only the pruned frontier is fresh.
+   [n] is the prefix of [sols] holding candidates — staging buffers
+   hand over capacity, not exact length. *)
+let sorted_sweep ~keys ?tie ~dominates ~scan sols n =
+  if n <= 1 then Array.sub sols 0 n
+  else begin
+    let arena = Arena.get () in
+    let kl = Arena.load_keys arena n and kr = Arena.rat_keys arena n in
+    keys kl kr;
+    let idx = Arena.perm arena n in
+    for i = 0 to n - 1 do
+      idx.(i) <- i
+    done;
+    Arena.sort_prefix arena idx n ~cmp:(fun a b ->
+        let c = Float.compare kl.(a) kl.(b) in
+        if c <> 0 then c
+        else
+          let c = Float.compare kr.(b) kr.(a) in
+          match tie with
+          | Some tie when c = 0 -> tie sols.(a) sols.(b)
+          | _ -> c);
+    let kept = Arena.kept arena n in
+    let nkept =
+      Dominance.sweep ~order:idx ~n ~rat_keys:kr
+        ~dominates:(fun k i -> dominates sols.(k) sols.(i))
+        ~scan ~kept
+    in
+    Array.init nkept (fun k -> sols.(kept.(k)))
+  end
 
-   For the scalar-key rules the last kept candidate has the maximal RAT
-   key seen, so testing against it alone is exact dominance pruning.
-   For 2P with p̄ > 0.5 dominance is sparser (pairs with close means are
-   incomparable), but every clause of [dominates rule k s] — the strict
-   probabilistic RAT test, its p = 0.5 mean reduction, and the duplicate
-   collapse — implies the mean ordering μ_rat(k) >= μ_rat(s) (Lemma 4:
-   P(K > S) > ½ iff μ_K > μ_S).  The sweep therefore keeps a running
-   maximum of kept RAT keys: a candidate strictly above it extends the
-   mean frontier and is kept with no pairwise test at all, and otherwise
-   only kept candidates passing the cheap mean filter are tested with
-   the erfc-based probabilistic comparison.  The kept set is exactly the
-   one the naive scan-all-kept sweep produces (Theorem 2's transitivity
-   already made any kept dominator sufficient grounds to drop). *)
-(* The scratch (key caches, permutation, kept set, sort temp) comes
-   from the calling domain's {!Arena} instead of being allocated per
-   call; only the pruned frontier itself is fresh.  [n] is the prefix
-   of [sols] holding candidates — staging buffers hand over capacity,
-   not exact length. *)
-let prune_linear rule sols n =
-  let arena = Arena.get () in
-  let kl = Arena.load_keys arena n and kr = Arena.rat_keys arena n in
-  for i = 0 to n - 1 do
-    kl.(i) <- load_key rule sols.(i);
-    kr.(i) <- rat_key rule sols.(i)
-  done;
-  let idx = Arena.perm arena n in
-  for i = 0 to n - 1 do
-    idx.(i) <- i
-  done;
-  Arena.sort_prefix arena idx n ~cmp:(fun a b ->
-      let c = Float.compare kl.(a) kl.(b) in
-      if c <> 0 then c else Float.compare kr.(b) kr.(a));
-  let scan =
-    match rule with
-    | Deterministic | One_param _ -> Dominance.Exact_last
-    | Two_param { p_l; p_t } ->
-      if p_l = 0.5 && p_t = 0.5 then Dominance.Exact_last
-      else Dominance.Rat_filtered
-    | Four_param _ -> Dominance.Rat_filtered
+(* Every clause of [dominates rule k s] — the deterministic and 1P key
+   comparisons, the strict probabilistic 2P RAT test, its p = 0.5 mean
+   reduction, and the duplicate collapse — implies the RAT-key ordering
+   rat_key k >= rat_key s (Lemma 4: P(K > S) > ½ iff μ_K > μ_S), and
+   conjoining the power test only makes dominance rarer.  So the
+   [Rat_filtered] sweep applies: a candidate above the running maximum
+   of kept RAT keys extends the frontier with no pairwise test, and
+   otherwise only kept candidates passing the key filter meet the
+   (erfc-based, for 2P with p̄ > 0.5) comparator.  Under the scalar
+   total orders that is at most one call, against the last kept
+   candidate.  Theorem 2's transitivity makes any kept dominator
+   sufficient grounds to drop.
+
+   With [eps] the kept set is the (load, RAT, power) Pareto frontier:
+   the dominator must also cost no more energy under
+   {!Dominance.power_le}, and raw power ascending breaks sort ties — an
+   ε-independent order, so the greedy kept-only scan equals the
+   quadratic "dominated by any earlier candidate" reference at every ε,
+   and growing ε can only merge buckets.  Without [eps] no tie-break is
+   added: it would move which exact duplicate survives. *)
+let prune_linear rule ?eps sols n =
+  let keys kl kr =
+    for i = 0 to n - 1 do
+      kl.(i) <- load_key rule sols.(i);
+      kr.(i) <- rat_key rule sols.(i)
+    done
   in
-  let kept = Arena.kept arena n in
-  let nkept =
-    Dominance.sweep ~order:idx ~n
-      ~rat_key:(fun i -> kr.(i))
-      ~dominates:(fun k i -> dominates rule sols.(k) sols.(i))
-      ~scan ~kept
-  in
-  Array.init nkept (fun k -> sols.(kept.(k)))
+  match eps with
+  | None ->
+    sorted_sweep ~keys ~dominates:(dominates rule) ~scan:Dominance.Rat_filtered
+      sols n
+  | Some eps ->
+    sorted_sweep ~keys
+      ~tie:(fun (a : Sol.t) (b : Sol.t) -> Float.compare a.power b.power)
+      ~dominates:(fun (a : Sol.t) (b : Sol.t) ->
+        dominates rule a b && Dominance.power_le ~eps a.power b.power)
+      ~scan:Dominance.Rat_filtered sols n
 
 (* Exact 4P pruning in O(N log N).  4P dominance is transitive (the
    percentile intervals chain), so a candidate may be discarded as soon
@@ -246,57 +265,18 @@ let prefix_list sols n =
   let rec go i acc = if i < 0 then acc else go (i - 1) (sols.(i) :: acc) in
   go (n - 1) []
 
-(* Power-aware Pareto pruning: the same arena sweep over a third axis.
-   The sort order is ε-independent — load key, RAT key descending, raw
-   power ascending — so the greedy kept-only scan equals the quadratic
-   "dominated by any earlier candidate" reference at every ε
-   (Dominance's bucket order is transitive, and a dominator always
-   sorts no later than what it dominates).  The linear rules keep the
-   running-max RAT prefilter: every dominance clause still implies the
-   RAT-key ordering. *)
-let prune_linear_power rule ~eps sols n =
-  let arena = Arena.get () in
-  let kl = Arena.load_keys arena n and kr = Arena.rat_keys arena n in
-  for i = 0 to n - 1 do
-    kl.(i) <- load_key rule sols.(i);
-    kr.(i) <- rat_key rule sols.(i)
-  done;
-  let idx = Arena.perm arena n in
-  for i = 0 to n - 1 do
-    idx.(i) <- i
-  done;
-  Arena.sort_prefix arena idx n ~cmp:(fun a b ->
-      let c = Float.compare kl.(a) kl.(b) in
-      if c <> 0 then c
-      else
-        let c = Float.compare kr.(b) kr.(a) in
-        if c <> 0 then c
-        else Float.compare sols.(a).Sol.power sols.(b).Sol.power);
-  let kept = Arena.kept arena n in
-  let nkept =
-    Dominance.sweep ~order:idx ~n
-      ~rat_key:(fun i -> kr.(i))
-      ~dominates:(fun k i ->
-        dominates rule sols.(k) sols.(i)
-        && Dominance.power_le ~eps sols.(k).Sol.power sols.(i).Sol.power)
-      ~scan:Dominance.Rat_prefilter ~kept
-  in
-  Array.init nkept (fun k -> sols.(kept.(k)))
-
-let prune_dispatch rule sols n =
-  if n <= 1 then if n = 0 then [||] else [| sols.(0) |]
-  else
-    match rule with
-    | Deterministic | Two_param _ | One_param _ -> prune_linear rule sols n
-    | Four_param { alpha_l; alpha_u; beta_l; beta_u } ->
+let prune_dispatch rule ?eps sols n =
+  match rule with
+  | Deterministic | Two_param _ | One_param _ -> prune_linear rule ?eps sols n
+  | Four_param _ when eps <> None ->
+    invalid_arg "Prune.prune_sub: the 4P rule has no power axis"
+  | Four_param { alpha_l; alpha_u; beta_l; beta_u } ->
+    if n <= 1 then Array.sub sols 0 n
+    else
       (* The 4P baseline stays list-based internally: it is the
          deliberately quadratic reference [7] behaviour that Table 2
          measures, not a kernel worth optimising. *)
       Array.of_list (prune_4p ~alpha_l ~alpha_u ~beta_l ~beta_u (prefix_list sols n))
-
-let prune_power_dispatch rule ~eps sols n =
-  if n <= 1 then if n = 0 then [||] else [| sols.(0) |]
-  else prune_linear_power rule ~eps sols n
 
 (* Per-rule candidate accounting.  Counter handles are resolved once
    at module initialisation (handle lookup locks the registry, and
@@ -321,11 +301,11 @@ let obs_kept = obs_handle "dp.kept"
 let obs_pruned = obs_handle "dp.pruned"
 let obs_span_names = Array.map (fun tag -> "prune." ^ tag) obs_tags
 
-let obs_wrap rule dispatch sols n =
-  if not (Obs.Control.on ()) then dispatch sols n
+let prune_sub rule ?eps sols n =
+  if not (Obs.Control.on ()) then prune_dispatch rule ?eps sols n
   else begin
     let t0 = Obs.Span.now_ns () in
-    let out = dispatch sols n in
+    let out = prune_dispatch rule ?eps sols n in
     let i = obs_tag_index rule in
     Obs.Counters.incr obs_generated.(i) n;
     Obs.Counters.incr obs_kept.(i) (Array.length out);
@@ -333,11 +313,6 @@ let obs_wrap rule dispatch sols n =
     Obs.Span.record ~name:obs_span_names.(i) ~cat:"dp" ~t0_ns:t0;
     out
   end
-
-let prune_sub rule sols n = obs_wrap rule (prune_dispatch rule) sols n
-
-let prune_sub_power rule ~eps sols n =
-  obs_wrap rule (prune_power_dispatch rule ~eps) sols n
 
 let prune rule sols =
   if Array.length sols <= 1 then sols

@@ -9,9 +9,10 @@
       comparison (Lemma 4) and pruning is exactly the deterministic
       sweep on the mean frontier — linear time after sorting.  For
       [p̄ > 0.5] the sweep applies the probabilistic test against the
-      last kept candidate; by Theorem 2 dominance is transitive, so the
-      sweep stays linear (it may keep a few extra candidates, never
-      drop an optimal one).
+      kept candidates whose mean RAT is at least the candidate's; by
+      Theorem 2 dominance is transitive, so a kept dominator is enough
+      (the sweep may keep a few extra candidates, never drop an
+      optimal one).
     - {!one_param}: the single-percentile rule of reference [8] —
       dominance on the {m \pi_\alpha } scalars, also a linear sweep.
     - {!four_param}: the DATE 2005 rule of reference [7] (§2.2,
@@ -69,29 +70,43 @@ val dominates : t -> Sol.t -> Sol.t -> bool
 (** [dominates rule a b]: may [b] be discarded in favour of [a]? *)
 
 val prune : t -> Sol.t array -> Sol.t array
-(** Remove dominated candidates.  Linear rules: cache the rule's keys,
-    stable-sort an index permutation by the load key, then sweep —
-    testing only the last kept candidate for the scalar-key rules, and
-    for 2P with p̄ > 0.5 filtering the kept set by the necessary mean
-    ordering (Lemma 4 / Theorem 2) with a running-maximum fast path
-    before any probabilistic comparison.  [Four_param]: interval
-    comparison, quadratic in spirit.  The result is a fresh array sorted
-    by the rule's load key (ascending); frontiers of length <= 1 are
-    returned as-is.  Scratch (key caches, permutation, kept set) comes
-    from the calling domain's {!Arena}. *)
+(** Remove dominated candidates.  Linear rules: {!sorted_sweep} by the
+    rule's load key (RAT key descending on ties) with the
+    {!Dominance.Rat_filtered} scan — every linear dominance clause
+    implies the RAT-key ordering (Lemma 4 / Theorem 2), so a candidate
+    above the running maximum of kept RAT keys is kept with no pairwise
+    test, and only kept candidates passing that key filter meet the
+    comparator.  [Four_param]: interval comparison, quadratic in
+    spirit.  The result is a fresh array sorted by the rule's load key
+    (ascending); frontiers of length <= 1 are returned as-is. *)
 
-val prune_sub : t -> Sol.t array -> int -> Sol.t array
+val prune_sub : t -> ?eps:float -> Sol.t array -> int -> Sol.t array
 (** [prune_sub rule sols n] prunes the first [n] elements of [sols] —
     the staging-buffer entry point ([sols] may be arena capacity larger
-    than [n]).  Always returns a fresh array, even for [n <= 1]. *)
+    than [n]).  Always returns a fresh array, even for [n <= 1].
 
-val prune_sub_power : t -> eps:float -> Sol.t array -> int -> Sol.t array
-(** The (load, RAT, power) Pareto-frontier counterpart of
-    {!prune_sub}, used by the engines when the request's objective is
-    power-aware: a candidate is dropped only when a kept one dominates
-    it under [rule] {e and} costs no more energy under
-    {!Dominance.power_le} at [eps].  The sort order adds raw power
-    ascending as the ε-independent tie-break, and the sweep keeps the
-    running-max RAT prefilter ({!Dominance.Rat_prefilter}).  [eps = 0]
-    is the exact frontier; larger ε merges power buckets and can only
-    shrink it.  {!Engine.run_tape} never calls it under 4P. *)
+    With [~eps] the engines' power-aware objectives prune to the
+    (load, RAT, power) Pareto frontier: a candidate is dropped only when
+    a kept one dominates it under [rule] {e and} costs no more energy
+    under {!Dominance.power_le} at [eps], and the sort adds raw power
+    ascending as the ε-independent tie-break.  [eps = 0] is the exact
+    frontier; larger ε merges power buckets and can only shrink it.
+    @raise Invalid_argument for [Four_param] with [~eps] (the engine
+    refuses 4P under a power-aware objective). *)
+
+val sorted_sweep :
+  keys:(float array -> float array -> unit) ->
+  ?tie:('a -> 'a -> int) ->
+  dominates:('a -> 'a -> bool) ->
+  scan:Dominance.scan ->
+  'a array ->
+  int ->
+  'a array
+(** [sorted_sweep ~keys ?tie ~dominates ~scan sols n] is the linear
+    pruner the canonical and [6] engines share.  [keys load rat] fills
+    the load and RAT keys of [sols.(0 .. n-1)] into the two arena
+    buffers; the candidates are stable-sorted by load key ascending,
+    RAT key descending, then [tie], and {!Dominance.sweep} keeps those
+    no kept candidate dominates.  Returns the survivors in sweep order
+    as a fresh array.  Scratch comes from the calling domain's
+    {!Arena}. *)

@@ -23,10 +23,6 @@ let of_sink ~node ~cap ~rat =
     choice = At_sink node;
   }
 
-let compare_for_prune a b =
-  let c = compare (mean_load a) (mean_load b) in
-  if c <> 0 then c else compare (mean_rat b) (mean_rat a)
-
 let buffers_of_choice choice =
   let rec walk acc = function
     | At_sink _ -> acc

@@ -40,11 +40,6 @@ val power : t -> float
 
 val of_sink : node:int -> cap:float -> rat:float -> t
 
-val compare_for_prune : t -> t -> int
-(** Sort key of the linear pruning sweep: mean load ascending, then
-    mean RAT {e descending}, so that after sorting the first candidate
-    of an equal-load run is the one worth keeping. *)
-
 val buffers_of_choice : choice -> (int * int) list
 (** [(node id, buffer library index)] of every buffer in the decision
     trail, in no particular order. *)

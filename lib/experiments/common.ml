@@ -6,7 +6,6 @@ type setup = {
   range_um : float;
   mc_trials : int;
   pool : Exec.Pool.t option;
-  par_grain : int option;
 }
 
 let default_setup =
@@ -18,7 +17,6 @@ let default_setup =
     range_um = 2000.0;
     mc_trials = 2000;
     pool = None;
-    par_grain = None;
   }
 
 let map_cells setup ~f xs =
@@ -98,7 +96,7 @@ let run_algo setup ?rule ?budget ?(wire_sizing = false) ?load_limit
     }
   in
   let tape = match tape with Some t -> t | None -> Compile.Tape.compile tree in
-  Bufins.Engine.run_tape ?pool:setup.pool ?grain:setup.par_grain config ~model
+  Bufins.Engine.run_tape ?pool:setup.pool config ~model
     tape
 
 let run_sampled setup ?budget ?(wire_sizing = false) ?load_limit ~samples
@@ -122,7 +120,7 @@ let run_sampled setup ?budget ?(wire_sizing = false) ?load_limit ~samples
     }
   in
   let tape = match tape with Some t -> t | None -> Compile.Tape.compile tree in
-  Sample.Engine.run_tape ?pool:setup.pool ?grain:setup.par_grain config ~model
+  Sample.Engine.run_tape ?pool:setup.pool config ~model
     tape
 
 let instance_for setup ~spatial ~grid tree ?(widths = []) buffers =

@@ -13,10 +13,8 @@ type setup = {
   pool : Exec.Pool.t option;
       (** When set (CLI [--jobs]), independent experiment cells,
           Monte-Carlo chunks and DP subtree tasks run across its
-          domains.  Results are identical with or without it. *)
-  par_grain : int option;
-      (** Subtree-size cutoff for intra-net DP parallelism (CLI
-          [--par-grain]); [None] uses {!Bufins.Engine.default_grain}. *)
+          domains ({!Bufins.Engine.default_grain} sets which subtrees
+          become tasks).  Results are identical with or without it. *)
 }
 
 val default_setup : setup

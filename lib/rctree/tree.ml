@@ -49,7 +49,15 @@ let of_spec spec =
   let rec build spec ~up ~wire_up =
     let id = fresh () in
     (match spec with
+    | Leaf { x; y; _ } | Node { x; y; _ } ->
+      if not (Float.is_finite x && Float.is_finite y) then
+        invalid_arg "Tree.of_spec: node coordinates must be finite");
+    (match spec with
     | Leaf { x; y; sink } ->
+      if not (Float.is_finite sink.sink_cap && sink.sink_cap >= 0.0) then
+        invalid_arg "Tree.of_spec: a sink capacitance must be finite and >= 0";
+      if not (Float.is_finite sink.sink_rat) then
+        invalid_arg "Tree.of_spec: a sink RAT must be finite";
       incr sinks;
       nodes.(id) <- { x; y; payload = Some sink; kids = []; up; wire_up }
     | Node { x; y; children } ->
@@ -70,6 +78,8 @@ let of_spec spec =
               | Some l ->
                 if l < 0.0 then
                   invalid_arg "Tree.of_spec: negative wire length";
+                if not (Float.is_finite l) then
+                  invalid_arg "Tree.of_spec: non-finite wire length";
                 l
               | None -> manhattan (x, y) (cx, cy)
             in

@@ -29,9 +29,14 @@ type t
 
 val of_spec : spec -> t
 (** Freeze a spec.  The top of the spec becomes the root (driver).
+    Every tree constructor ({!Io}, {!Generate} and the serving codec)
+    goes through here, so these checks are the one place a tree's
+    values are validated.
     @raise Invalid_argument if the root does not have exactly one
-    child, if any internal node has other than 1 or 2 children, or if
-    any explicit wire length is negative. *)
+    child, if any internal node has other than 1 or 2 children, if any
+    explicit wire length is negative or not finite, if any coordinate
+    is NaN or infinite, or if a sink's capacitance is NaN, infinite or
+    negative or its RAT NaN or infinite. *)
 
 (** {1 Shape} *)
 

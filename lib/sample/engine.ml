@@ -39,7 +39,6 @@ type config = {
   yield : float;
   budget : Bufins.Engine.budget;
   load_limit : float option;
-  insertion : Bufins.Engine.insertion;
   power_objective : Bufins.Dominance.objective;
   eps_power : float;
 }
@@ -63,7 +62,6 @@ let default_config ?(samples = 256) ?(seed = 1) ?(relax = 1.0)
     yield;
     budget = Bufins.Engine.no_budget;
     load_limit = None;
-    insertion = Bufins.Engine.Convex_auto;
     power_objective = Bufins.Dominance.default;
     eps_power = 0.0;
   }
@@ -227,9 +225,8 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
     in
     let kept = Sarena.kept ar ncand in
     let nkept =
-      Bufins.Dominance.sweep ~order:idx ~n:ncand
-        ~rat_key:(fun i -> mr.(i))
-        ~dominates ~scan ~kept
+      Bufins.Dominance.sweep ~order:idx ~n:ncand ~rat_keys:mr ~dominates ~scan
+        ~kept
     in
     let out =
       Array.init nkept (fun s ->
@@ -268,18 +265,8 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
 
    Both parities' wired rows share the arena's A stage (even rows
    first); each output side stages its candidates in the B stage and
-   prunes to a fresh frontier before the other side re-stages B.
-
-   [convex] (Convex_auto insertion at need = k, i.e. relax = 1)
-   pre-filters each (type, source-parity) block: a drivable wired row
-   whose per-sample buffered score rat − R_b·load is tie-or-beaten in
-   every sample by an earlier-or-strictly-better row of the same
-   block yields a buffered row that full per-sample dominance
-   provably drops — the materialised rows differ from the scores by
-   the same per-sample T_b shift and fl(x − y) is monotone in x — so
-   skipping its generation changes no output byte, only the candidate
-   count fed to the quadratic pruning pass. *)
-let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
+   prunes to a fresh frontier before the other side re-stages B. *)
+let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies
     ~same_types ~flip_types ~wire_rc ~buf_forms ~child ~length
     (f : sol Bufins.Driver.polar) =
   let obs = Obs.Control.on () in
@@ -371,79 +358,12 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
   in
   let has_flip = Array.length flip_types > 0 in
   let od_out = has_flip || nw_od > 0 in
-  (* Convex pre-filter flags, indexed [bi * ntot + row]. *)
-  let drop = if convex then Array.make (nlib * ntot) false else [||] in
-  let prefilter ~lo ~hi bi =
-    if convex && hi - lo > 1 then begin
-      let rows = Array.make (hi - lo) 0 in
-      let nr = ref 0 in
-      for row = lo to hi - 1 do
-        if drivable row then begin
-          rows.(!nr) <- row;
-          incr nr
-        end
-      done;
-      let nr = !nr in
-      if nr > 1 then begin
-        let r = res.(bi) in
-        let sc = Array.make (nr * k) 0.0 in
-        for x = 0 to nr - 1 do
-          let ro = rows.(x) * k and xo = x * k in
-          for j = 0 to k - 1 do
-            sc.(xo + j) <- arr.(ro + j) -. (r *. al.(ro + j))
-          done
-        done;
-        for x = 0 to nr - 1 do
-          let xo = x * k in
-          let dead = ref false in
-          let y = ref 0 in
-          while (not !dead) && !y < nr do
-            (if !y <> x then begin
-               let yo = !y * k in
-               let ge = ref true and gt = ref false in
-               let j = ref 0 in
-               while !ge && !j < k do
-                 if sc.(yo + !j) < sc.(xo + !j) then ge := false
-                 else if sc.(yo + !j) > sc.(xo + !j) then gt := true;
-                 incr j
-               done;
-               (* Drop x when y ties-or-beats it everywhere and is
-                  either strictly better somewhere or earlier (the
-                  earliest of an equal class survives, matching the
-                  stable sort's pick). *)
-               if !ge && (!gt || !y < x) then dead := true
-             end);
-            incr y
-          done;
-          if !dead then drop.(bi * ntot + rows.(x)) <- true
-        done
-      end
-    end
-  in
-  if convex then begin
-    Array.iter
-      (fun bi ->
-        prefilter ~lo:0 ~hi:nw_ev bi;
-        if od_out then prefilter ~lo:nw_ev ~hi:ntot bi)
-      same_types;
-    Array.iter
-      (fun bi ->
-        prefilter ~lo:nw_ev ~hi:ntot bi;
-        if od_out then prefilter ~lo:0 ~hi:nw_ev bi)
-      flip_types
-  end;
-  let keep bi row =
-    drivable row && ((not convex) || not drop.((bi * ntot) + row))
-  in
   let count_block ~lo ~hi types =
     let c = ref 0 in
-    Array.iter
-      (fun bi ->
-        for row = lo to hi - 1 do
-          if keep bi row then incr c
-        done)
-      types;
-    !c
+    for row = lo to hi - 1 do
+      if drivable row then incr c
+    done;
+    !c * Array.length types
   in
   (* Build one output side: wired rows [wlo, whi) reversed, then
      buffered rows — same-parity types over [wlo, whi), flip types
@@ -479,7 +399,7 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies ~convex
         for row = lo to hi - 1 do
           Array.iter
             (fun bi ->
-              if keep bi row then begin
+              if drivable row then begin
                 let dst = !next in
                 if dst >= ncand then invalid_arg "Sample.Engine: row overflow";
                 let dof = dst * k and ro = row * k and bo = bi * k in
@@ -682,16 +602,6 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
   let power_aware = Bufins.Dominance.power_aware config.power_objective in
   let eps = config.eps_power in
   let energies = Device.Buffer.energies config.library in
-  (* The convex pre-filter is sound only under full per-sample
-     dominance (need = k): relax > 1 disables pruning (brute-force
-     reference) and relax < 1 counts partial dominance, where a
-     pre-filtered row is not provably dropped.  Power-aware pruning
-     also disables it — cheaper-power rows must survive alongside the
-     best-timing one. *)
-  let convex =
-    config.insertion = Bufins.Engine.Convex_auto && need = k
-    && not power_aware
-  in
   let out =
     Bufins.Driver.run ?pool ?grain ~budget:config.budget ~t_start
       {
@@ -706,7 +616,7 @@ let run_tape ?pool ?grain config ~model (tape : Compile.Tape.t) =
         lift =
           (fun ~child ~edge ~length f ->
             lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies
-              ~convex ~same_types ~flip_types
+              ~same_types ~flip_types
               ~wire_rc:(Bufins.Driver.wire_forms bound edge)
               ~buf_forms:(Bufins.Driver.buffer_forms bound edge)
               ~child ~length f);

@@ -41,23 +41,13 @@ type config = {
   load_limit : float option;
       (** same mean-load drive constraint as the canonical engine,
           applied to sample means *)
-  insertion : Bufins.Engine.insertion;
-      (** [Convex_auto] (the default) pre-filters each buffer type's
-          insertion block at [relax = 1]: a wired row whose per-sample
-          buffered score is tie-or-beaten everywhere by another row of
-          the same block yields a candidate full dominance provably
-          drops, so it is never generated.  The surviving rows still go
-          through the full pruning pass, so output is byte-identical to
-          [Exhaustive]; the filter disengages at [relax ≠ 1], where the
-          guarantee does not hold. *)
   power_objective : Bufins.Dominance.objective;
       (** power-aware request objective.  The default
           ({!Bufins.Dominance.Max_yield}) is the historical engine —
           the power axis is carried but never compared.  [Min_power] /
           [Weighted] conjoin {!Bufins.Dominance.power_le} into the
           per-sample dominance test (a (load, RAT, power) Pareto
-          frontier), disable the convex pre-filter, and change the
-          root scalarisation. *)
+          frontier) and change the root scalarisation. *)
   eps_power : float;
       (** ε-dominance bucket width for the power axis; 0 (default) is
           the exact frontier.  Only read under a power-aware
@@ -74,8 +64,8 @@ val default_config :
   unit ->
   config
 (** 65 nm tech, the default buffer library, [samples = 256],
-    [seed = 1], [relax = 1], [yield = 0.95], [Convex_auto] insertion,
-    no budget.  A library mixing repeaters and inverters is handled
+    [seed = 1], [relax = 1], [yield = 0.95], no budget.  Each lift
+    stages every drivable wired × type row before the prune.  A library mixing repeaters and inverters is handled
     with the same dual-polarity frontiers as the canonical engine:
     merges match inversion parity and the root selects among
     even-parity candidates only.

@@ -155,6 +155,16 @@ type bin_node = {
   b_sink : Rctree.Tree.sink option;
 }
 
+(* Caps on what a request may ask for, well beyond every workload,
+   experiment and test: the bench sweeps b <= 16, the experiments draw
+   K <= 1024, and r5's die is 22.5 mm.  Above them nothing bounds the
+   work: a lift over the whole library reads no clock, the sample
+   matrix is drawn before the first deadline check, and a far node
+   widens the die, hence the variation grid, quadratically. *)
+let max_btypes = 64
+let max_samples = 4096
+let max_coord_um = 5e4
+
 let read_tree r =
   let n = get_varint r "tree node count" in
   if n < 1 then failwith "binary payload: tree has no nodes";
@@ -171,6 +181,11 @@ let read_tree r =
         let tag = get_u8 r what in
         let x = get_f64 r what in
         let y = get_f64 r what in
+        if not (Float.abs x <= max_coord_um && Float.abs y <= max_coord_um) then
+          failwith
+            (Printf.sprintf
+               "binary payload: node %d's coordinates must be finite and within %g um"
+               id max_coord_um);
         match tag with
         | 0 -> { b_x = x; b_y = y; b_parent = -1; b_wire = 0.0; b_sink = None }
         | 1 | 2 ->
@@ -468,6 +483,8 @@ let read_request_head r =
   let mc_trials = get_zigzag r "mc" in
   let wire_sizing = get_bool r "wire_sizing" in
   let samples = get_zigzag r "samples" in
+  if samples > max_samples then
+    failwith (Printf.sprintf "binary payload: samples must be <= %d" max_samples);
   let relax = get_f64 r "relax" in
   if not (relax > 0.0) then failwith "binary payload: relax must be > 0";
   (* relax > 1 turns sample pruning off, which no served workload asks
@@ -493,7 +510,9 @@ let read_request_head r =
         failwith "binary payload: duplicate btypes extension";
       seen_btypes := true;
       let v = get_zigzag er "btypes" in
-      if v < 0 then failwith "binary payload: btypes must be >= 0";
+      if v < 0 || v > max_btypes then
+        failwith
+          (Printf.sprintf "binary payload: btypes must lie in 0..%d" max_btypes);
       btypes := v
     | 0x02 ->
       if !seen_objective then

@@ -18,7 +18,14 @@
     varint beyond the 62-bit range the encoders emit, a count the
     remaining bytes cannot hold, or structural violations (the same
     tree/assignment rules the {!Rctree.Io} and {!Bufins.Assignment}
-    text parsers enforce). *)
+    text parsers enforce).
+
+    The request head also refuses what no caller needs and nothing
+    would bound: [samples] above 4096, [btypes] above 64, [relax]
+    outside (0, 1], and [rule 4p] with a power-aware objective on a
+    canonical ([samples = 0]) request.  A tree refuses any node
+    coordinate beyond ±5e4 µm, besides {!Rctree.Tree.of_spec}'s value
+    checks. *)
 
 (** {1 Envelopes} *)
 

@@ -41,19 +41,21 @@ type request = {
       (** > 0 routes the request to the sampling-based yield engine
           ({!Sample.Engine}) with K = [samples] process corners drawn
           from [seed]; 0 (the default) uses the canonical engine with
-          [rule]. *)
+          [rule].  At most 4096. *)
   relax : float;
-      (** sample-dominance relaxation forwarded to the sample engine
-          (1 = exact full dominance, > 1 = no pruning).  Must be > 0
-          (not NaN) even when [samples = 0], where it is otherwise
-          ignored. *)
+      (** sample-dominance relaxation forwarded to the sample engine:
+          1 (the default) is exact full dominance, and below 1 a
+          candidate dominated in [ceil (relax · K)] samples is dropped.
+          Must lie in (0, 1] (not NaN) even when [samples = 0], where
+          it is otherwise ignored; the no-pruning runs of relax > 1
+          exist only in process ({!Sample.Engine.config}). *)
   btypes : int;
       (** > 0 replaces the default buffer library with the
           deterministic synthetic b-type ladder
           {!Device.Buffer.synth_library} (sizes and inverters); 0 (the
-          default) keeps {!Device.Buffer.default_library}.  Omitted
-          from the encoding when 0, so historical requests keep their
-          exact bytes and cache keys. *)
+          default) keeps {!Device.Buffer.default_library}.  At most 64.
+          Omitted from the encoding when 0, so historical requests keep
+          their exact bytes and cache keys. *)
   objective : Bufins.Dominance.objective;
       (** power-aware optimisation objective, forwarded to whichever
           engine serves the request.  The default

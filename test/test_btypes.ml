@@ -1,8 +1,9 @@
-(* Multi-type buffer library tests: the convex insertion step must be
-   an optimisation, never a semantics change (Convex_auto ≡ Exhaustive
-   byte-for-byte wherever it engages, across engines, job counts and
-   obs), and the dual-polarity frontiers must only ever
-   choose assignments whose inverter chains restore sink polarity. *)
+(* Multi-type buffer library tests: the canonical engine's convex
+   insertion step must be an optimisation, never a semantics change
+   (Convex_auto ≡ Exhaustive byte-for-byte wherever it engages, across
+   job counts and obs), and the dual-polarity frontiers of every
+   engine must only ever choose assignments whose inverter chains
+   restore sink polarity. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
 let tech = Device.Tech.default_65nm
@@ -317,90 +318,68 @@ let prop_sample_polarity =
       let r = Sample.Engine.run cfg ~model:(model die) tree in
       check_sink_parity tree r.Sample.Engine.buffers)
 
-(* ---------- sampling engine: prefilter ≡ brute force ---------- *)
+(* ---------- sampling engine: exact pruning ≡ brute force ---------- *)
 
-let strip_sample (r : Sample.Engine.result) =
-  ( r.Sample.Engine.best.Sample.Engine.load,
-    r.Sample.Engine.best.Sample.Engine.rat,
-    r.Sample.Engine.root_rat,
-    r.Sample.Engine.root_best_per_sample,
-    r.Sample.Engine.buffers,
-    r.Sample.Engine.widths,
-    r.Sample.Engine.sampled_mean,
-    r.Sample.Engine.sampled_std,
-    r.Sample.Engine.rat_at_yield,
-    r.Sample.Engine.load_limit_met,
-    r.Sample.Engine.stats.Bufins.Engine.peak_candidates,
-    r.Sample.Engine.stats.Bufins.Engine.total_candidates )
-
-let test_sample_prefilter_identity () =
+(* Full per-sample dominance (relax 1) may only drop candidates that
+   lose or tie in every sample, so the root frontier's per-sample best
+   must equal the unpruned run's (relax > 1) bit for bit.  test_sample
+   holds this on the default library; here the inverting types add the
+   second parity frontier.  Unpruned frontiers grow exponentially,
+   hence the tiny trees. *)
+let test_sample_exact_matches_unpruned () =
   let die = 4000.0 in
+  let bits a = Array.map Int64.bits_of_float a in
   List.iter
     (fun (lbl, library) ->
-      (* relax = 1 engages the prefilter; relax > 1 disables pruning
-         entirely, so Convex_auto must disengage and match the brute
-         force bit-for-bit there too.  Unpruned frontiers grow
-         exponentially, hence the tiny trees at relax > 1. *)
       List.iter
-        (fun (relax, cases) ->
-          List.iter
-            (fun (seed, sinks) ->
-              let tree =
-                Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die ()
-              in
-              let run insertion =
-                let cfg =
-                  {
-                    (Sample.Engine.default_config ~samples:48 ~seed:5 ~relax ()) with
-                    tech;
-                    library;
-                    insertion;
-                  }
-                in
-                strip_sample (Sample.Engine.run cfg ~model:(model die) tree)
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s relax=%.1f seed=%d prefilter=brute" lbl
-                   relax seed)
-                true
-                (run Bufins.Engine.Convex_auto = run Bufins.Engine.Exhaustive))
-            cases)
-        [ (1.0, [ (41, 10); (42, 18) ]); (1.5, [ (41, 3); (42, 4) ]) ])
-    libraries
-
-(* ---------- probabilistic DP: compaction ≡ exhaustive ---------- *)
-
-let strip_prob (r : Bufins.Probabilistic.result) =
-  (r.rat_mean, r.rat_std, r.rat_p05, r.buffers, r.peak_candidates)
-
-let test_probabilistic_convex_identity () =
-  List.iter
-    (fun (heuristic, sinks, seed) ->
-      List.iter
-        (fun (lbl, library) ->
-          let tree =
-            Rctree.Generate.random_steiner ~seed ~sinks ~die_um:4000.0 ()
-          in
-          let run insertion =
+        (fun (seed, sinks) ->
+          let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:die () in
+          let best relax =
             let cfg =
               {
-                (Bufins.Probabilistic.default_config ~heuristic ()) with
-                Bufins.Probabilistic.library;
-                insertion;
+                (Sample.Engine.default_config ~samples:48 ~seed:5 ~relax ()) with
+                tech;
+                library;
               }
             in
-            strip_prob (Bufins.Probabilistic.run cfg tree)
+            bits
+              (Sample.Engine.run cfg ~model:(model die) tree)
+                .Sample.Engine.root_best_per_sample
           in
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s seed=%d convex=exhaustive"
-               (Bufins.Probabilistic.heuristic_name heuristic) lbl seed)
+            (Printf.sprintf "%s seed=%d relax 1 = unpruned" lbl seed)
             true
-            (run Bufins.Engine.Convex_auto = run Bufins.Engine.Exhaustive))
-        libraries)
-    [
-      (Bufins.Probabilistic.Mean_dominance, 18, 305);
-      (Bufins.Probabilistic.Stochastic_dominance, 8, 306);
-    ]
+            (best 1.0 = best 1.5))
+        [ (41, 3); (42, 4) ])
+    (List.filter (fun (_, lib) -> Device.Buffer.has_inverter lib) libraries)
+
+(* ---------- probabilistic DP: polarity ---------- *)
+
+let prop_probabilistic_polarity =
+  QCheck.Test.make ~count:10
+    ~name:"[6] engine keeps sink polarity with inverter libraries"
+    QCheck.(pair (int_range 2 12) (int_range 0 1000))
+    (fun (sinks, seed) ->
+      let tree =
+        Rctree.Generate.random_steiner ~seed ~sinks ~die_um:4000.0 ()
+      in
+      List.for_all
+        (fun ((_, library), heuristic) ->
+          let cfg =
+            {
+              (Bufins.Probabilistic.default_config ~heuristic ()) with
+              Bufins.Probabilistic.library;
+            }
+          in
+          check_sink_parity tree
+            (Bufins.Probabilistic.run cfg tree).Bufins.Probabilistic.buffers)
+        (List.concat_map
+           (fun lib ->
+             [
+               (lib, Bufins.Probabilistic.Mean_dominance);
+               (lib, Bufins.Probabilistic.Stochastic_dominance);
+             ])
+           (List.filter (fun (_, lib) -> Device.Buffer.has_inverter lib) libraries)))
 
 let suite =
   [
@@ -416,8 +395,7 @@ let suite =
       test_peak_b8_under_4x;
     qcheck prop_inverter_chains_restore_polarity;
     qcheck prop_sample_polarity;
-    Alcotest.test_case "sample prefilter = brute force (relax 1 and 1.5)"
-      `Quick test_sample_prefilter_identity;
-    Alcotest.test_case "probabilistic compaction = exhaustive" `Quick
-      test_probabilistic_convex_identity;
+    Alcotest.test_case "sample exact prune = unpruned per-sample best (inverters)"
+      `Quick test_sample_exact_matches_unpruned;
+    qcheck prop_probabilistic_polarity;
   ]

@@ -182,7 +182,9 @@ let prop_prune_output_sorted_nondominated =
 
 (* Solutions drawn from small integer grids so exact duplicates and
    mean ties are common — the cases where sort stability and the
-   duplicate-collapse clause decide which candidate survives. *)
+   duplicate-collapse clause decide which candidate survives.  Powers
+   sit on a half-fJ grid, so equal powers and shared ε = 0.5 buckets are
+   common too. *)
 let prune_sols_gen =
   QCheck.Gen.(
     list_size (int_range 0 40)
@@ -190,45 +192,77 @@ let prune_sols_gen =
        let* t = int_range 0 30 in
        let* sl = int_range 0 4 in
        let* st = int_range 0 4 in
+       let* p = int_range 0 6 in
        return
-         (mk_sol
-            ~sens_l:(if sl = 0 then [] else [ (1, float_of_int sl) ])
-            ~sens_t:(if st = 0 then [] else [ (2, float_of_int st) ])
-            (float_of_int l) (float_of_int t))))
+         {
+           (mk_sol
+              ~sens_l:(if sl = 0 then [] else [ (1, float_of_int sl) ])
+              ~sens_t:(if st = 0 then [] else [ (2, float_of_int st) ])
+              (float_of_int l) (float_of_int t))
+           with
+           Bufins.Sol.power = 0.5 *. float_of_int p;
+         }))
 
 (* The pre-rewrite sweep: sort by the rule's load key (RAT key
    descending on ties), then drop a candidate iff some already-kept
    solution dominates it.  No running-maximum fast path, no mean
    prefilter — this is the executable spec the array sweep's
-   monotone-frontier shortcuts must not deviate from. *)
-let reference_prune_linear ~load_key ~rat_key rule sols =
+   monotone-frontier shortcuts must not deviate from.  With [eps] it is
+   the Pareto spec: raw power ascending breaks the remaining ties, and
+   a dominator must also pass [Dominance.power_le]. *)
+let reference_prune_linear ?eps ~load_key ~rat_key rule sols =
+  let power_cmp (a : Bufins.Sol.t) (b : Bufins.Sol.t) =
+    match eps with None -> 0 | Some _ -> Float.compare a.power b.power
+  in
+  let dominates (k : Bufins.Sol.t) (s : Bufins.Sol.t) =
+    Bufins.Prune.dominates rule k s
+    &&
+    match eps with
+    | None -> true
+    | Some eps -> Bufins.Dominance.power_le ~eps k.power s.power
+  in
   let sorted =
     List.stable_sort
       (fun a b ->
         let c = Float.compare (load_key a) (load_key b) in
-        if c <> 0 then c else Float.compare (rat_key b) (rat_key a))
+        if c <> 0 then c
+        else
+          let c = Float.compare (rat_key b) (rat_key a) in
+          if c <> 0 then c else power_cmp a b)
       sols
   in
   List.rev
     (List.fold_left
        (fun kept s ->
-         if List.exists (fun k -> Bufins.Prune.dominates rule k s) kept then kept
-         else s :: kept)
+         if List.exists (fun k -> dominates k s) kept then kept else s :: kept)
        [] sorted)
 
+(* Each linear rule with and without the power axis (ε 0 and 0.5): the
+   one pruner serves both objectives, and under 2P with p̄ > 0.5 its
+   RAT-key filter is what keeps the power-aware prune near linear. *)
 let prop_prune_matches_list_reference =
   QCheck.Test.make ~name:"array prune = list reference (det/2P/1P)" ~count:300
     (QCheck.make prune_sols_gen) (fun sols ->
       let mean_l = Bufins.Sol.mean_load and mean_r = Bufins.Sol.mean_rat in
       let pctl_l s = Linform.percentile s.Bufins.Sol.load 0.95 in
       let pctl_r s = Linform.percentile s.Bufins.Sol.rat 0.95 in
+      let arr = Array.of_list sols in
       List.for_all
         (fun (rule, load_key, rat_key) ->
-          let expect = reference_prune_linear ~load_key ~rat_key rule sols in
-          let got = prune_list rule sols in
           (* Physically the same solutions, in the same order. *)
-          List.length expect = List.length got
-          && List.for_all2 (fun a b -> a == b) expect got)
+          let same expect got =
+            List.length expect = List.length got
+            && List.for_all2 (fun a b -> a == b) expect got
+          in
+          same (reference_prune_linear ~load_key ~rat_key rule sols)
+            (prune_list rule sols)
+          && List.for_all
+               (fun eps ->
+                 same
+                   (reference_prune_linear ~eps ~load_key ~rat_key rule sols)
+                   (Array.to_list
+                      (Bufins.Prune.prune_sub rule ~eps arr (Array.length arr))))
+               [ 0.0; 0.5 ])
         [
           (Bufins.Prune.deterministic, mean_l, mean_r);
           (Bufins.Prune.two_param (), mean_l, mean_r);

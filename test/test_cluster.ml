@@ -155,7 +155,61 @@ let four_p_power =
        1,
        false ))
 
-let refused_heads = lazy (Lazy.force four_p_power :: Lazy.force bad_relax)
+(* Requests for more buffer types or samples than any workload uses:
+   one lift over a 4096-type library, or the sample matrix of 4e6
+   samples drawn before the first deadline check, ran seconds past a
+   2-s deadline.  The router refuses them from the head alone. *)
+let over_caps =
+  lazy
+    (List.map
+       (fun (what, req) ->
+         ( "v2 request with " ^ what,
+           Serve.Wire.frame_bytes ~kind:"request"
+             (Serve.Codec_bin.encode_request
+                { req with Serve.Protocol.deadline_ms = 2000 }),
+           1,
+           false ))
+       [
+         ("btypes 4096", { (stream_request 7) with Serve.Protocol.btypes = 4096 });
+         ("btypes 65536", { (stream_request 7) with Serve.Protocol.btypes = 65536 });
+         ( "samples 4000000",
+           { (stream_request 7) with Serve.Protocol.samples = 4_000_000 } );
+       ])
+
+let refused_heads =
+  lazy
+    ((Lazy.force four_p_power :: Lazy.force bad_relax) @ Lazy.force over_caps)
+
+(* A sampled request whose one sink sits at x = 1e6 um: the die, hence
+   the variation grid, grew to 4e6 regions, each drawn K samples before
+   the first deadline check.  The head is fine, so the router forwards
+   it; the worker's tree decode refuses it at once. *)
+let far_sink =
+  lazy
+    (let sink =
+       { Rctree.Tree.sink_cap = 1.0; sink_rat = 100.0; sink_name = "s1" }
+     in
+     let tree =
+       Rctree.Tree.of_spec
+         (Rctree.Tree.Node
+            {
+              x = 0.0;
+              y = 0.0;
+              children = [ (Rctree.Tree.Leaf { x = 1e6; y = 0.0; sink }, None) ];
+            })
+     in
+     let req =
+       {
+         (Serve.Protocol.default_request ~tree) with
+         Serve.Protocol.id = 8;
+         samples = 64;
+         deadline_ms = 2000;
+       }
+     in
+     ( "v2 request with a sink at x = 1e6 um",
+       Serve.Wire.frame_bytes ~kind:"request" (Serve.Codec_bin.encode_request req),
+       1,
+       false ))
 
 (* Each case: name, bytes to send, how many reply frames they earn, and
    whether the connection is then closed. *)
@@ -199,6 +253,7 @@ let bad_inputs =
          frame "ok" "" ^ "\xABVB2\009\002\000\000\000\000",
          2,
          true );
+       Lazy.force far_sink;
      ]
      @ Lazy.force refused_heads)
 
@@ -256,7 +311,8 @@ let test_error_replies_agree () =
     (Lazy.force refused_heads);
   List.iter (expect Serve.Protocol.err_parse)
     [ "v2 request whose tree length overflows";
-      "v2 request announcing 2^24 tree nodes" ];
+      "v2 request announcing 2^24 tree nodes";
+      "v2 request with a sink at x = 1e6 um" ];
   expect Serve.Protocol.err_proto "v1 text header"
 
 (* ---------- a worker whose responses do not decode ---------- *)

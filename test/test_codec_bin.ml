@@ -314,11 +314,13 @@ let f64 x =
   Bytes.to_string b
 
 (* The blob of a root with one sink child "s1"; [parent] and [name_len]
-   are the raw bytes of the sink's parent id and name length. *)
-let tree_blob ?(parent = "\x00") ?(name_len = "\x02") () =
+   are the raw bytes of the sink's parent id and name length, the
+   others the sink's position, wire, capacitance and RAT. *)
+let tree_blob ?(parent = "\x00") ?(name_len = "\x02") ?(x = 10.0) ?(y = 0.0)
+    ?(wire = 10.0) ?(cap = 1.0) ?(rat = 100.0) () =
   String.concat ""
-    [ "\x02\x00"; f64 0.0; f64 0.0; "\x02"; f64 10.0; f64 0.0; parent;
-      f64 10.0; f64 1.0; f64 100.0; name_len; "s1" ]
+    [ "\x02\x00"; f64 0.0; f64 0.0; "\x02"; f64 x; f64 y; parent;
+      f64 wire; f64 cap; f64 rat; name_len; "s1" ]
 
 (* The 39-byte head of a default request (everything before its tree
    length), then [rest]. *)
@@ -419,6 +421,121 @@ let test_refuses_relax_above_1 () =
     (fun relax ->
       accepted (Printf.sprintf "relax %g" relax) { base with Serve.Protocol.relax })
     [ 1.0; 0.8; 1e-300 ]
+
+(* Caps far beyond every workload, experiment and test (the bench
+   sweeps b <= 16, the experiments draw K <= 1024): above them one lift
+   over the library, or the sample matrix drawn before the first
+   deadline check, ran unbounded. *)
+let test_refuses_btypes_above_64 () =
+  let base = Lazy.force head_request in
+  List.iter
+    (fun btypes ->
+      refused (Printf.sprintf "btypes %d" btypes) { base with Serve.Protocol.btypes })
+    [ 65; 4096; 65536 ];
+  List.iter
+    (fun btypes ->
+      accepted (Printf.sprintf "btypes %d" btypes) { base with Serve.Protocol.btypes })
+    [ 1; 16; 64 ]
+
+let test_refuses_samples_above_4096 () =
+  let base = Lazy.force head_request in
+  List.iter
+    (fun samples ->
+      refused (Printf.sprintf "samples %d" samples) { base with Serve.Protocol.samples })
+    [ 4097; 4_000_000 ];
+  List.iter
+    (fun samples ->
+      accepted (Printf.sprintf "samples %d" samples) { base with Serve.Protocol.samples })
+    [ 64; 1024; 4096 ]
+
+(* Tree values: the codec refuses a node beyond 5e4 um (over twice
+   r5's 22.5 mm die; a sink at 1e6 um made the sample matrix draw K
+   samples for each of 4e6 grid regions), and [Rctree.Tree.of_spec],
+   which every tree constructor shares, refuses non-finite values and
+   a negative capacitance.  Each blob also fails inside a request. *)
+let refused_tree what blob =
+  fails (what ^ " (decode_tree)") (fun () -> Serve.Codec_bin.decode_tree blob);
+  fails (what ^ " (decode_request)") (fun () ->
+      Serve.Codec_bin.decode_request (with_blob blob))
+
+let accepted_tree what blob =
+  match Serve.Codec_bin.decode_request (with_blob blob) with
+  | _ -> ()
+  | exception Failure m -> Alcotest.failf "%s refused: %s" what m
+
+let sink_spec ?(x = 10.0) ?(y = 0.0) ?wire ?(cap = 1.0) ?(rat = 100.0) () =
+  Rctree.Tree.Node
+    {
+      x = 0.0;
+      y = 0.0;
+      children =
+        [
+          ( Rctree.Tree.Leaf
+              {
+                x;
+                y;
+                sink =
+                  { Rctree.Tree.sink_cap = cap; sink_rat = rat; sink_name = "s1" };
+              },
+            wire );
+        ];
+    }
+
+let spec_refused what spec =
+  match Rctree.Tree.of_spec spec with
+  | _ -> Alcotest.failf "Tree.of_spec accepted %s" what
+  | exception Invalid_argument _ -> ()
+
+let test_refuses_far_coordinates () =
+  List.iter
+    (fun (x, y) ->
+      refused_tree (Printf.sprintf "sink at (%g, %g)" x y) (tree_blob ~x ~y ()))
+    [ (1e6, 0.0); (0.0, -1e6); (5e4 +. 1.0, 0.0); (0.0, -.(5e4 +. 1.0)) ];
+  accepted_tree "sink at (5e4, -5e4)" (tree_blob ~x:5e4 ~y:(-5e4) ());
+  (* The far sink of a sampled request: its head decodes, so the router
+     forwards it, and the worker's decode refuses it. *)
+  let far =
+    {
+      (Serve.Protocol.default_request
+         ~tree:(Rctree.Tree.of_spec (sink_spec ~x:1e6 ())))
+      with
+      Serve.Protocol.samples = 64;
+      deadline_ms = 2000;
+    }
+  in
+  let b = Serve.Codec_bin.encode_request far in
+  ignore (Serve.Codec_bin.request_tree_span b);
+  fails "far-sink request" (fun () -> Serve.Codec_bin.decode_request b)
+
+let test_refuses_nonfinite_coordinates () =
+  List.iter
+    (fun (x, y) ->
+      let what = Printf.sprintf "sink at (%g, %g)" x y in
+      refused_tree what (tree_blob ~x ~y ());
+      spec_refused what (sink_spec ~x ~y ()))
+    [ (Float.nan, 0.0); (0.0, Float.nan); (infinity, 0.0); (0.0, neg_infinity) ]
+
+let test_refuses_bad_sink_cap () =
+  List.iter
+    (fun cap ->
+      let what = Printf.sprintf "sink cap %g" cap in
+      refused_tree what (tree_blob ~cap ());
+      spec_refused what (sink_spec ~cap ()))
+    [ Float.nan; infinity; -1.0; -.epsilon_float ];
+  accepted_tree "sink cap 0" (tree_blob ~cap:0.0 ())
+
+let test_refuses_bad_sink_rat () =
+  List.iter
+    (fun rat ->
+      let what = Printf.sprintf "sink RAT %g" rat in
+      refused_tree what (tree_blob ~rat ());
+      spec_refused what (sink_spec ~rat ()))
+    [ Float.nan; infinity; neg_infinity ];
+  accepted_tree "sink RAT -1e6" (tree_blob ~rat:(-1e6) ())
+
+let test_refuses_infinite_wire () =
+  refused_tree "wire inf" (tree_blob ~wire:infinity ());
+  spec_refused "wire inf" (sink_spec ~wire:infinity ())
 
 (* ---------- framing: resync, header errors ---------- *)
 
@@ -522,6 +639,20 @@ let suite =
       `Quick test_refuses_4p_power;
     Alcotest.test_case "the head refuses relax outside (0, 1]" `Quick
       test_refuses_relax_above_1;
+    Alcotest.test_case "the head refuses btypes above 64" `Quick
+      test_refuses_btypes_above_64;
+    Alcotest.test_case "the head refuses samples above 4096" `Quick
+      test_refuses_samples_above_4096;
+    Alcotest.test_case "a tree refuses a node beyond 5e4 um" `Quick
+      test_refuses_far_coordinates;
+    Alcotest.test_case "a tree refuses NaN or infinite coordinates" `Quick
+      test_refuses_nonfinite_coordinates;
+    Alcotest.test_case "a tree refuses a NaN, infinite or negative sink cap"
+      `Quick test_refuses_bad_sink_cap;
+    Alcotest.test_case "a tree refuses a NaN or infinite sink RAT" `Quick
+      test_refuses_bad_sink_rat;
+    Alcotest.test_case "a tree refuses an infinite wire length" `Quick
+      test_refuses_infinite_wire;
     Alcotest.test_case "v2 resync after oversized frame" `Quick
       test_v2_resync_after_oversized;
     Alcotest.test_case "a v1 text header is a framing Failure" `Quick

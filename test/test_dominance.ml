@@ -6,8 +6,9 @@
    any-earlier scan) is exactly what transitivity buys, and it is what
    lets each engine scan only its kept frontier.  The per-sample
    flavour at need < K is *not* transitive, so its reference is the
-   greedy-over-kept definition itself, which still pins the prefilter
-   and scan shapes against a straightforward reimplementation.
+   greedy-over-kept definition itself, which still pins the RAT-key
+   filter and scan shapes against a straightforward
+   reimplementation.
 
    Values are drawn on coarse grids (halves, eighths) so ties — the
    place sort stability and tie-break bugs live — are common, and so
@@ -42,15 +43,17 @@ let print_pts pts =
 let arb_pts = QCheck.make pts_gen ~print:print_pts
 
 (* Sort + sweep under a flavour, returning the kept index set. *)
-let run_sweep ~cmp ~dominates ~scan ~rat_key pts =
+let run_sweep ~cmp ~dominates ~scan ~rat_keys pts =
   let n = Array.length pts in
   let order = Array.init n (fun i -> i) in
   Array.stable_sort cmp order;
   let kept = Array.make n 0 in
   let nkept =
-    Bufins.Dominance.sweep ~order ~n ~rat_key ~dominates ~scan ~kept
+    Bufins.Dominance.sweep ~order ~n ~rat_keys ~dominates ~scan ~kept
   in
   Array.sub kept 0 nkept
+
+let rats pts = Array.map (fun p -> p.rat) pts
 
 (* O(n²) reference for transitive flavours: i survives iff no point
    strictly earlier in the sort order dominates it. *)
@@ -78,16 +81,41 @@ let total_cmp pts a b =
 
 let total_dom pts j i = pts.(j).load <= pts.(i).load && pts.(j).rat >= pts.(i).rat
 
+(* On a total order the newest kept point holds the running-max RAT,
+   so the filtered sweep tests at most that one point per candidate:
+   the comparator sees a subsequence of the calls a last-kept-only
+   sweep would make, and the kept set is the naive reference's.  The
+   kept buffer starts at -1 and only grows, so its last written slot is
+   the newest kept point at any call. *)
 let prop_total_order =
-  QCheck.Test.make ~name:"total-order flavour: Exact_last = naive reference"
+  QCheck.Test.make
+    ~name:"total-order flavour: Rat_filtered tests only the last kept"
     ~count:500 arb_pts (fun pts ->
-      let cmp = total_cmp pts and dominates = total_dom pts in
-      let kept =
-        run_sweep ~cmp ~dominates ~scan:Bufins.Dominance.Exact_last
-          ~rat_key:(fun i -> pts.(i).rat)
-          pts
+      let cmp = total_cmp pts in
+      let n = Array.length pts in
+      let order = Array.init n Fun.id in
+      Array.stable_sort cmp order;
+      let kept = Array.make n (-1) in
+      let newest () =
+        let k = ref (n - 1) in
+        while !k >= 0 && kept.(!k) < 0 do
+          decr k
+        done;
+        if !k < 0 then -1 else kept.(!k)
       in
-      sets_equal kept (naive_reference ~cmp ~dominates pts))
+      let ok = ref true and tested = Array.make n false in
+      let dominates j i =
+        if tested.(i) || j <> newest () then ok := false;
+        tested.(i) <- true;
+        total_dom pts j i
+      in
+      let nkept =
+        Bufins.Dominance.sweep ~order ~n ~rat_keys:(rats pts) ~dominates
+          ~scan:Bufins.Dominance.Rat_filtered ~kept
+      in
+      !ok
+      && sets_equal (Array.sub kept 0 nkept)
+           (naive_reference ~cmp ~dominates:(total_dom pts) pts))
 
 (* ---------- power flavour: (load, RAT, power) Pareto frontier ---------- *)
 
@@ -114,13 +142,11 @@ let arb_pts_eps =
 let power_kept ~eps pts =
   run_sweep ~cmp:(power_cmp pts)
     ~dominates:(power_dom ~eps pts)
-    ~scan:Bufins.Dominance.Rat_prefilter
-    ~rat_key:(fun i -> pts.(i).rat)
-    pts
+    ~scan:Bufins.Dominance.Rat_filtered ~rat_keys:(rats pts) pts
 
 let prop_power_pareto =
   QCheck.Test.make
-    ~name:"power flavour: Rat_prefilter sweep = naive Pareto reference"
+    ~name:"power flavour: Rat_filtered sweep = naive Pareto reference"
     ~count:500 arb_pts_eps (fun (pts, eps) ->
       sets_equal (power_kept ~eps pts)
         (naive_reference ~cmp:(power_cmp pts)
@@ -214,9 +240,8 @@ let prop_btype_groups =
     ~count:500 arb_pts (fun pts ->
       let cmp = total_cmp pts and dominates = btype_dom pts in
       let kept =
-        run_sweep ~cmp ~dominates ~scan:Bufins.Dominance.Exact_last
-          ~rat_key:(fun i -> pts.(i).rat)
-          pts
+        run_sweep ~cmp ~dominates ~scan:Bufins.Dominance.Rat_filtered
+          ~rat_keys:(rats pts) pts
       in
       (* Oracle: per distinct load, the lowest-index point among those
          with the maximal RAT. *)
@@ -290,7 +315,7 @@ let run_sample_sweep ~dominates ~scan pts =
   let kept = Array.make n 0 in
   let nkept =
     Bufins.Dominance.sweep ~order ~n
-      ~rat_key:(fun i -> mean pts.(i).srat)
+      ~rat_keys:(Array.map (fun p -> mean p.srat) pts)
       ~dominates ~scan ~kept
   in
   Array.sub kept 0 nkept
@@ -316,11 +341,11 @@ let prop_sample_exact =
     ~name:"per-sample flavour, need = K: mean-RAT prefilter = naive reference"
     ~count:300 arb_spts (fun (k, _, pts) ->
       (* Full dominance is transitive and implies the mean-RAT order,
-         so the engine's Rat_prefilter shape must equal both
+         so the engine's Rat_filtered shape must equal both
          references. *)
       let dominates = sample_dom ~need:k pts in
       let swept =
-        run_sample_sweep ~dominates ~scan:Bufins.Dominance.Rat_prefilter pts
+        run_sample_sweep ~dominates ~scan:Bufins.Dominance.Rat_filtered pts
       in
       sets_equal swept (greedy_reference ~dominates pts)
       && sets_equal swept
@@ -358,7 +383,7 @@ let prop_sample_power =
         && sample_dom ~need pts j i
       in
       let scan =
-        if need >= k then Bufins.Dominance.Rat_prefilter
+        if need >= k then Bufins.Dominance.Rat_filtered
         else Bufins.Dominance.Scan_kept
       in
       let swept = run_sample_sweep ~dominates ~scan pts in
@@ -376,13 +401,19 @@ let prop_rat_filtered =
   QCheck.Test.make
     ~name:"Rat_filtered flavour: per-kept RAT filter = naive reference"
     ~count:500 arb_pts (fun pts ->
-      (* The filter requires dominance to imply the RAT-key ordering,
-         which the (load, RAT) partial order does. *)
-      let cmp = total_cmp pts and dominates = total_dom pts in
+      (* The filter requires dominance to imply the RAT-key ordering.
+         A RAT margin models 2P with p̄ > 0.5, where points with close
+         means are incomparable: still transitive (margins add up, and
+         exact duplicates collapse), but the newest kept point need not
+         dominate what an older one does. *)
+      let cmp = total_cmp pts in
+      let dominates j i =
+        (pts.(j).load <= pts.(i).load && pts.(j).rat >= pts.(i).rat +. 1.0)
+        || (pts.(j).load = pts.(i).load && pts.(j).rat = pts.(i).rat)
+      in
       let kept =
         run_sweep ~cmp ~dominates ~scan:Bufins.Dominance.Rat_filtered
-          ~rat_key:(fun i -> pts.(i).rat)
-          pts
+          ~rat_keys:(rats pts) pts
       in
       sets_equal kept (naive_reference ~cmp ~dominates pts))
 
