@@ -144,9 +144,10 @@ let cluster socket tcp_port shards jobs_per_shard queue_depth
 let cluster_cmd =
   let shards_arg =
     Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N"
-           ~doc:"Worker processes; requests shard by a digest of the \
-                 routing tree, so each worker's response cache sees a \
-                 stable slice of the nets.")
+           ~doc:"Worker processes.  A request goes to its home shard \
+                 (a digest of the routing tree) when that is idle, else \
+                 to the least-loaded shard with a ready link; cache \
+                 locality is best-effort and never changes bytes.")
   in
   let jobs_arg =
     Arg.(value & opt int (Exec.Pool.default_jobs ()) & info [ "jobs-per-shard" ]
@@ -154,7 +155,8 @@ let cluster_cmd =
   in
   let queue_arg =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
-           ~doc:"Pending-queue bound per shard; beyond it requests are \
+           ~doc:"Pending-queue bound per shard; a request whose chosen \
+                 shard (the least-loaded ready one) has a full queue is \
                  refused with a busy error.")
   in
   let max_bytes_arg =

@@ -159,6 +159,11 @@ let run ?metrics ?(should_stop = fun () -> false)
       (fun l -> l.l_alive && l.l_ready && l.l_busy = None)
       s.s_links
   in
+  let ready s = List.exists (fun l -> l.l_alive && l.l_ready) s.s_links in
+  (* A busy link is always live and ready: [kill_link] clears it. *)
+  let inflight s =
+    List.length (List.filter (fun l -> l.l_busy <> None) s.s_links)
+  in
 
   (* Move queued requests onto free links.  A write failure kills that
      link and requeues the request, so one pass makes progress until
@@ -266,21 +271,41 @@ let run ?metrics ?(should_stop = fun () -> false)
       try go () with Failure _ -> kill_link s l)
   in
 
-  (* A request is forwarded as the client sent it, to the shard its
-     tree blob digests to. *)
+  (* Requests sent to a shard other than their home. *)
+  let spilled = ref 0 in
+  (* The least-loaded shard with a ready link, a shard's load being its
+     busy links plus its queue.  Ties go to [home], then to
+     [(home + k) mod n] in order; with no ready link anywhere, home. *)
+  let pick home =
+    let best = ref home and best_load = ref max_int in
+    for k = 0 to n_shards - 1 do
+      let i = (home + k) mod n_shards in
+      let load = inflight shards.(i) + Queue.length shards.(i).s_queue in
+      if ready shards.(i) && load < !best_load then begin
+        best := i;
+        best_load := load
+      end
+    done;
+    !best
+  in
+
+  (* A request is forwarded as the client sent it, to the shard [pick]
+     chooses for its home. *)
   let dispatch_request client payload =
     if Front.draining front then
       Front.fail front client Protocol.err_busy "cluster is draining"
     else
       match shard_of_request ~shards:n_shards payload with
       | exception Failure msg -> Front.fail front client Protocol.err_parse msg
-      | idx ->
+      | home ->
+        let idx = pick home in
         let s = shards.(idx) in
         if Queue.length s.s_queue >= config.queue_depth then
           Front.fail front client Protocol.err_busy
             (Printf.sprintf "shard %d queue full (depth %d)" idx
                config.queue_depth)
         else begin
+          if idx <> home then incr spilled;
           Queue.push
             {
               p_client = client;
@@ -295,13 +320,12 @@ let run ?metrics ?(should_stop = fun () -> false)
   let stats_lines () =
     let buf = Buffer.create 256 in
     Printf.bprintf buf "cluster_shards %d\n" n_shards;
+    Printf.bprintf buf "cluster_spilled %d\n" !spilled;
     Array.iteri
       (fun i s ->
         let live = List.filter (fun l -> l.l_alive && l.l_ready) s.s_links in
-        let busy = List.filter (fun l -> l.l_busy <> None) live in
         Printf.bprintf buf "cluster_shard_%d_links %d\n" i (List.length live);
-        Printf.bprintf buf "cluster_shard_%d_inflight %d\n" i
-          (List.length busy);
+        Printf.bprintf buf "cluster_shard_%d_inflight %d\n" i (inflight s);
         Printf.bprintf buf "cluster_shard_%d_queue %d\n" i
           (Queue.length s.s_queue))
       shards;
@@ -362,11 +386,7 @@ let run ?metrics ?(should_stop = fun () -> false)
       if draining then
         Array.iter
           (fun s ->
-            if
-              (not (Queue.is_empty s.s_queue))
-              && not
-                   (List.exists (fun l -> l.l_alive && l.l_ready) s.s_links)
-            then begin
+            if (not (Queue.is_empty s.s_queue)) && not (ready s) then begin
               Queue.iter
                 (fun p -> fail p Protocol.err_internal "cluster shutting down")
                 s.s_queue;

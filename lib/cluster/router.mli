@@ -1,16 +1,22 @@
 (** The cluster front end: one process that accepts client connections
     through a {!Serve.Front} (Unix socket and optionally loopback TCP,
-    the same front door a {!Serve.Server} has), shards every [request]
-    by a digest of its routing tree, and forwards it to one of [N]
-    worker daemons ({!Serve.Server} processes, one per shard socket).
+    the same front door a {!Serve.Server} has), and forwards every
+    [request] to one of [N] worker daemons ({!Serve.Server} processes,
+    one per shard socket).
 
-    Routing is {e canonical}: the shard key is a digest of the
-    request's raw tree blob ({!Serve.Codec_bin.request_tree_span}), so
-    the same net always lands on the same shard — and therefore hits
-    the same worker's response cache.  Request payloads are forwarded as
-    the client sent them and worker responses are returned verbatim,
+    Routing is {e work-conserving}: a request goes to its {e home}
+    shard ({!shard_of_request}, a digest of its raw tree blob) when
+    that is idle, else to the least-loaded shard with a ready link.  A
+    shard's load is its busy links plus its queue; ties go to home,
+    then to [(home + k) mod N] in order.  So a net replays onto its
+    home worker's response cache whenever that costs no wait, and a
+    request never waits behind another while a worker idles.  Cache
+    locality is best-effort and never changes bytes: every worker
+    computes the same reply, request payloads are forwarded as the
+    client sent them and worker responses are returned verbatim,
     byte-identical to what a single {!Serve.Server} would have
-    produced.
+    produced.  The [stats] line [cluster_spilled] counts the requests
+    sent to a shard other than their home.
 
     Correlation is by connection, not by id: the router keeps up to
     [conns_per_shard] links per worker and puts {e at most one}
@@ -19,12 +25,15 @@
     request in flight on that link.  Client ids pass through verbatim.
 
     Admission control: each shard has a bounded pending queue
-    ([queue_depth]); a request that arrives with the queue full is
-    refused immediately with a [busy] error.  A worker that dies takes
-    its in-flight requests to [internal] errors; queued requests stay
-    queued and drain when the worker comes back (the router redials
-    lost links with a backoff capped at {!reconnect_interval} seconds,
-    and the {!Supervisor} restarts crashed worker processes).
+    ([queue_depth]); a request whose chosen shard's queue is full —
+    that is, the least-loaded ready shard's, or home's when no shard
+    has a ready link — is refused immediately with a [busy] error.  A
+    worker that dies takes its in-flight requests to [internal] errors;
+    queued requests stay queued and drain when the worker comes back
+    (the router redials lost links with a backoff capped at
+    {!reconnect_interval} seconds, and the {!Supervisor} restarts
+    crashed worker processes), while new requests go to shards that
+    have a ready link.
 
     Shutdown ([shutdown] frame or [should_stop]) drains: stop
     accepting, finish every queued and in-flight request, then forward
@@ -37,7 +46,7 @@ type config = {
   shard_sockets : string array;
       (** one worker daemon Unix socket per shard; the array order
           {e is} the shard numbering, so it must be identical across
-          restarts for cache locality *)
+          restarts for home shards, hence cache locality, to hold *)
   conns_per_shard : int;  (** links (= max in-flight) per worker *)
   queue_depth : int;  (** pending-queue bound per shard *)
   max_payload : int;
@@ -58,8 +67,9 @@ val reconnect_interval : float
     link that comes up resets it. *)
 
 val shard_of_request : shards:int -> string -> int
-(** The shard index for an encoded request payload — a digest of the
+(** The {e home} shard of an encoded request payload — a digest of the
     raw tree blob ({!Serve.Codec_bin.request_tree_span}) mod [shards].
+    The router sends the request there when home is idle.
     @raise Failure if the payload is malformed. *)
 
 val run :
@@ -73,6 +83,7 @@ val run :
     {!Supervisor} uses it to reap and respawn worker processes; it must
     not respawn once [draining] is true.  [metrics] counts router-side
     traffic (forwarded oks/errors, busy refusals, per-kind frames);
-    the [stats] reply appends [cluster_*] topology lines to
+    the [stats] reply appends [cluster_*] lines (shard count,
+    [cluster_spilled], per-shard links, in-flight and queue) to
     {!Serve.Metrics.render}.
     @raise Unix.Unix_error if a front socket cannot be bound. *)

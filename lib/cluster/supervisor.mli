@@ -6,9 +6,13 @@
     A worker that exits is reaped ([waitpid WNOHANG]) and respawned
     (throttled to one attempt per {!respawn_backoff} seconds per
     shard); its shard's queued requests wait for the restart while
-    in-flight ones fail with [internal].  Once the router starts
-    draining, respawn stops; after the router returns, any workers
-    still alive get SIGTERM, then SIGKILL after a 5-second grace.
+    in-flight ones fail with [internal], and new requests go to the
+    shards that still have a ready link.  (The {!Router} sends a
+    request home when idle, else to the least-loaded ready shard;
+    cache locality is best-effort and never changes bytes.)  Once the
+    router starts draining, respawn stops; after the router returns,
+    any workers still alive get SIGTERM, then SIGKILL after a 5-second
+    grace.
 
     {b Fork safety}: call {!run} before creating any domain — the
     workers are forked from the calling process at startup {e and} on

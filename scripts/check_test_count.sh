@@ -11,7 +11,7 @@
 set -ueo pipefail
 cd "$(dirname "$0")/.."
 
-EXPECTED=409
+EXPECTED=412
 
 if ! out=$(dune runtest --force "$@" 2>&1); then
   tail -60 <<<"$out"

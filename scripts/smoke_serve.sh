@@ -41,9 +41,10 @@ wait "$SERVER"
 
 # ---- sharded cluster: router + 2 workers, Unix socket + TCP ----
 # The same net requested through the router's Unix socket and over TCP
-# must produce identical bufferings (the second answer comes from the
-# worker's response cache, so this also covers the cache-hit path
-# through the router).
+# must produce identical bufferings.  Sent one after the other, the
+# second finds its home shard idle, so its answer comes from that
+# worker's response cache: this also covers the cache-hit path through
+# the router.
 CSOCK="${TMPDIR:-/tmp}/varbuf-smoke-cluster-$$.sock"
 BUF1="${TMPDIR:-/tmp}/varbuf-smoke-$$.buf1"
 BUF2="${TMPDIR:-/tmp}/varbuf-smoke-$$.buf2"
@@ -55,6 +56,19 @@ CLUSTER=$!
 
 for _ in $(seq 1 100); do [ -S "$CSOCK" ] && break; sleep 0.1; done
 [ -S "$CSOCK" ] || { echo "FAIL: cluster socket never appeared"; exit 1; }
+
+# The router's socket appears before its links to the workers are up,
+# and until a shard links, requests homed there go to the other one.
+# Wait for a ready link to each worker, so every request below that
+# finds its home idle is served there.
+linked() {
+  local s
+  s=$("$BIN" stats --socket "$CSOCK") || return 1
+  grep -q "^cluster_shard_1_links " <<<"$s" \
+    && ! grep -qE "^cluster_shard_[01]_links 0$" <<<"$s"
+}
+for _ in $(seq 1 100); do linked && break; sleep 0.05; done
+linked || { echo "FAIL: router never linked to both workers"; exit 1; }
 
 "$BIN" request --socket "$CSOCK" --bench r1 --algo wid --rule 2p \
   --deadline-ms 120000 --save-buffering "$BUF1" >/dev/null
@@ -92,10 +106,25 @@ done
 [ "$hits" -ge 2 ] \
   || { echo "FAIL: $hits worker cache hits after two replays, expected 2"; exit 1; }
 
+# A concurrent pair: one net over the Unix socket and over TCP at once.
+# Whichever arrives second may find its home busy and go to the idle
+# worker; the two bufferings must still agree byte for byte.
+"$BIN" request --socket "$CSOCK" --sinks 120 --seed 9 --algo wid --rule 2p \
+  --deadline-ms 120000 --save-buffering "$BUF1" >/dev/null &
+REQ1=$!
+"$BIN" request --tcp "$PORT" --sinks 120 --seed 9 --algo wid --rule 2p \
+  --deadline-ms 120000 --save-buffering "$BUF2" >/dev/null &
+REQ2=$!
+wait "$REQ1"
+wait "$REQ2"
+cmp "$BUF1" "$BUF2" \
+  || { echo "FAIL: concurrent Unix-socket and TCP bufferings differ"; exit 1; }
+
 cstats=$("$BIN" stats --tcp "$PORT" --socket "$CSOCK")
 grep -qx "cluster_shards 2" <<<"$cstats"
-grep -qx "ok 4" <<<"$cstats"
-grep -q "^kind_request 4" <<<"$cstats"
+grep -qx "ok 6" <<<"$cstats"
+grep -q "^kind_request 6" <<<"$cstats"
+grep -q "^cluster_spilled " <<<"$cstats"
 grep -q "^cluster_shard_0_links " <<<"$cstats"
 # The router keeps no request caches of its own.
 if grep -qE "^cluster_v[12]_cache_" <<<"$cstats"; then

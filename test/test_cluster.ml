@@ -1,10 +1,11 @@
 (* End-to-end tests for lib/cluster: the routed path must be
    byte-identical to a single server at any shard count (including
-   cache-hit answers and error replies), sharding must be a pure
-   function of the routing tree, the bounded queues must refuse
-   overload with busy, the router must link up as soon as its worker
-   listens, and a worker response reaches the client verbatim even
-   when it does not decode. *)
+   cache-hit answers, error replies and requests spilled off a busy
+   home), the home shard must be a pure function of the routing tree,
+   a busy or dead home must send new work to a ready shard, the bounded
+   queues must refuse overload with busy, the router must link up as
+   soon as its worker listens, and a worker response reaches the client
+   verbatim even when it does not decode. *)
 
 let streeq = Alcotest.(check (list string))
 
@@ -68,6 +69,50 @@ let with_direct_server f =
     (fun () ->
       wait_for_file socket_path;
       f socket_path)
+
+let home_of ~shards req =
+  Cluster.Router.shard_of_request ~shards (Serve.Codec_bin.encode_request req)
+
+let request_frame req =
+  Serve.Wire.frame_bytes ~kind:"request" (Serve.Codec_bin.encode_request req)
+
+(* The raw payload of the next reply frame, which must be a response. *)
+let read_payload (fd, dec) =
+  match Serve.Wire.recv dec fd with
+  | Serve.Wire.Frame { kind = "response"; payload } -> payload
+  | Serve.Wire.Frame { kind; _ } ->
+    Alcotest.failf "expected a response, got %s" kind
+  | Serve.Wire.Oversized _ -> Alcotest.fail "expected a response, got oversized"
+
+let payload_of what = function
+  | Ok payload -> payload
+  | Error e ->
+    Alcotest.failf "%s failed: %s %s" what e.Serve.Protocol.code
+      e.Serve.Protocol.message
+
+(* Poll [client]'s stats until [ok] holds for its lines (at most 10 s). *)
+let await_stats client what ok =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    let lines = String.split_on_char '\n' (Serve.Client.stats client) in
+    if ok lines then lines
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "stats never showed %s" what
+    else begin
+      Unix.sleepf 0.005;
+      go ()
+    end
+  in
+  go ()
+
+(* Wait until every shard of an [Inproc] cluster holds its 2 ready
+   links: before that, a request whose home is not linked yet goes to a
+   shard that is. *)
+let await_linked client ~shards =
+  let want = List.init shards (Printf.sprintf "cluster_shard_%d_links 2") in
+  ignore
+    (await_stats client "every shard linked" (fun lines ->
+         List.for_all (fun l -> List.mem l lines) want))
 
 let test_shard_counts_agree () =
   let one = Cluster.Inproc.with_cluster ~shards:1 run_stream in
@@ -425,15 +470,18 @@ let test_undecodable_worker_response () =
 
 let test_stats_topology_and_cache () =
   Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
-      ignore (run_stream ~n:30 socket);
       let client = Serve.Client.connect socket in
       Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      await_linked client ~shards:2;
+      ignore (run_stream ~n:30 socket);
       let lines = String.split_on_char '\n' (Serve.Client.stats client) in
       let has l =
         Alcotest.(check bool) (Printf.sprintf "stats has %S" l) true
           (List.mem l lines)
       in
       has "cluster_shards 2";
+      (* One sequential connection always finds its linked home idle. *)
+      has "cluster_spilled 0";
       has "ok 30";
       has "kind_request 30";
       Alcotest.(check bool) "per-shard lines present" true
@@ -463,6 +511,171 @@ let test_shard_of_request_is_canonical () =
          (Serve.Codec_bin.encode_request q'));
     Alcotest.(check int) "stable across repeats" s (tree_shard k)
   done
+
+(* ---------- dispatch: home when idle, else the least-loaded ready shard ---------- *)
+
+let test_spill_under_load () =
+  let shards = 2 in
+  (* About 0.4 s of Monte-Carlo on a worker's two jobs, in little
+     memory: still running when the fast request arrives. *)
+  let slow =
+    {
+      (Serve.Protocol.default_request
+         ~tree:
+           (Rctree.Generate.random_steiner ~seed:7 ~sinks:30 ~die_um:3000.0 ()))
+      with
+      Serve.Protocol.id = 1;
+      mc_trials = 20_000;
+    }
+  in
+  let home = home_of ~shards slow in
+  let rec same_home seed =
+    let req =
+      {
+        (Serve.Protocol.default_request
+           ~tree:(Rctree.Generate.random_steiner ~seed ~sinks:8 ~die_um:3000.0 ()))
+        with
+        Serve.Protocol.id = 2;
+      }
+    in
+    if home_of ~shards req = home then req else same_home (seed + 1)
+  in
+  let fast = same_home 1 in
+  let routed, lines =
+    Cluster.Inproc.with_cluster ~shards (fun socket ->
+        let probe = Serve.Client.connect socket in
+        Fun.protect ~finally:(fun () -> Serve.Client.close probe) @@ fun () ->
+        await_linked probe ~shards;
+        let ((fd, _) as conn) = raw_connect socket in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+        write_all fd (request_frame slow);
+        (* Only once the slow request holds its home's link does the
+           fast one go out, so the spill does not hang on timing. *)
+        let busy = Printf.sprintf "cluster_shard_%d_inflight 1" home in
+        ignore (await_stats probe busy (List.mem busy));
+        let second = Serve.Client.connect socket in
+        let fast_reply =
+          Fun.protect ~finally:(fun () -> Serve.Client.close second) (fun () ->
+              payload_of "fast request" (Serve.Client.request_raw second fast))
+        in
+        let slow_reply = read_payload conn in
+        ( [ slow_reply; fast_reply ],
+          String.split_on_char '\n' (Serve.Client.stats probe) ))
+  in
+  Alcotest.(check bool) "the fast request spilled off its busy home" true
+    (List.mem "cluster_spilled 1" lines);
+  let direct =
+    with_direct_server (fun socket ->
+        let client = Serve.Client.connect socket in
+        Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+        List.map
+          (fun req ->
+            payload_of "direct request" (Serve.Client.request_raw client req))
+          [ slow; fast ])
+  in
+  streeq "spilled and home replies equal a router-less server's" direct routed
+
+let test_dead_home_does_not_strand () =
+  (* Shard 0's worker never exists.  Once shard 1 links up, a request
+     whose home is shard 0 must be answered by shard 1 rather than wait
+     in shard 0's queue until the drain fails it. *)
+  let base = fresh_base "deadhome" in
+  let router_socket = base ^ ".sock" and worker_socket = base ^ ".shard1" in
+  let stop = Atomic.make false in
+  let should_stop () = Atomic.get stop in
+  let worker =
+    Domain.spawn (fun () ->
+        Serve.Server.run ~should_stop
+          { (Serve.Server.default_config ~socket_path:worker_socket) with
+            jobs = 1 })
+  in
+  let router =
+    Domain.spawn (fun () ->
+        Cluster.Router.run ~should_stop
+          (Cluster.Router.default_config ~socket_path:router_socket
+             ~shard_sockets:[| base ^ ".nowhere"; worker_socket |]))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join router;
+      Domain.join worker)
+    (fun () ->
+      wait_for_file router_socket;
+      let client = Serve.Client.connect router_socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      ignore
+        (await_stats client "a ready link to shard 1"
+           (List.exists (fun l ->
+                String.starts_with ~prefix:"cluster_shard_1_links " l
+                && l <> "cluster_shard_1_links 0")));
+      let rec homed_at_0 k =
+        let req = stream_request k in
+        if home_of ~shards:2 req = 0 then req else homed_at_0 (k + 1)
+      in
+      let req = homed_at_0 0 in
+      let ((fd, _) as conn) = raw_connect router_socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      write_all fd (request_frame req);
+      let reply =
+        try read_reply conn
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          "no reply"
+      in
+      let expected =
+        Serve.Codec_bin.encode_response (Serve.Handler.run req)
+      in
+      Alcotest.(check string) "answered by shard 1"
+        ("response " ^ Digest.to_hex (Digest.string expected))
+        reply;
+      Alcotest.(check bool) "counted as spilled" true
+        (List.mem "cluster_spilled 1"
+           (String.split_on_char '\n' (Serve.Client.stats client))))
+
+let test_concurrent_bytes () =
+  (* Two connections replay the canonical stream at once, the second
+     five requests ahead, so a request often finds its home busy with
+     the other connection's and spills.  Every reply keeps the bytes a
+     router-less server gives. *)
+  let direct = Array.of_list (with_direct_server run_stream) in
+  let routed, spilled =
+    Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
+        let a = raw_connect socket and b = raw_connect socket in
+        Fun.protect
+          ~finally:(fun () -> List.iter (fun (fd, _) -> Unix.close fd) [ a; b ])
+        @@ fun () ->
+        List.iter
+          (fun (fd, _) -> Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0)
+          [ a; b ];
+        let replies =
+          List.init 100 (fun k ->
+              let kb = (k + 5) mod 100 in
+              write_all (fst a) (request_frame (stream_request k));
+              write_all (fst b) (request_frame (stream_request kb));
+              let ra = read_payload a in
+              [ (k, ra); (kb, read_payload b) ])
+        in
+        let client = Serve.Client.connect socket in
+        Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+        let stats = String.split_on_char '\n' (Serve.Client.stats client) in
+        ( List.concat replies,
+          List.find_map
+            (fun l -> Scanf.sscanf_opt l "cluster_spilled %d%!" Fun.id)
+            stats ))
+  in
+  (* 3 of the 5 net pairs share a home, so about 60 steps can spill;
+     54-60 did in trial runs. *)
+  Alcotest.(check bool) "some requests spilled" true
+    (match spilled with Some n -> n > 0 | None -> false);
+  List.iter
+    (fun (k, payload) ->
+      Alcotest.(check string)
+        (Printf.sprintf "request %d" k)
+        (Digest.to_hex (Digest.string direct.(k)))
+        (Digest.to_hex (Digest.string payload)))
+    routed
 
 let test_busy_backpressure_and_drain () =
   (* A router whose single worker does not exist: requests queue up to
@@ -600,4 +813,10 @@ let suite =
       test_links_up_soon_after_worker_binds;
     Alcotest.test_case "bounded queue refuses overload; drain fails stuck work"
       `Quick test_busy_backpressure_and_drain;
+    Alcotest.test_case "a request whose home is busy spills to an idle shard"
+      `Quick test_spill_under_load;
+    Alcotest.test_case "a dead home does not strand new work" `Quick
+      test_dead_home_does_not_strand;
+    Alcotest.test_case "two concurrent streams keep a router-less server's bytes"
+      `Slow test_concurrent_bytes;
   ]
