@@ -31,6 +31,8 @@ let of_string s =
       (Printf.sprintf
          "objective: want max_yield | min_power T | weighted W, got %S" s)
 
+let root_yield = 0.95
+
 let pick objective ~n ~score ~power =
   if n < 1 then invalid_arg "Dominance.pick: no candidates";
   let best = ref 0 in

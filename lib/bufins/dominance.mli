@@ -73,6 +73,12 @@ val of_string : string -> objective
 (** Inverse of {!to_string}; also accepts ['='] in place of the space
     (CLI convenience).  @raise Failure on anything else. *)
 
+val root_yield : float
+(** 0.95: the timing-yield level at which every engine scores a root
+    candidate — the (1 − [root_yield])-quantile of its driver-output
+    RAT, the paper's "95% timing yield for RAT" figure of merit, fed
+    to {!pick} as the score. *)
+
 val pick :
   objective -> n:int -> score:(int -> float) -> power:(int -> float) -> int
 (** [pick objective ~n ~score ~power] is the root choice among

@@ -5,8 +5,6 @@ type budget = Driver.budget = {
 
 let no_budget = Driver.no_budget
 
-type objective = Max_mean | Max_yield of float
-
 type insertion = Convex_auto | Exhaustive
 
 type config = {
@@ -15,7 +13,6 @@ type config = {
   wires : Device.Wire_lib.t array;
   rule : Prune.t;
   budget : budget;
-  objective : objective;
   load_limit : float option;
   insertion : insertion;
   power_objective : Dominance.objective;
@@ -23,8 +20,7 @@ type config = {
   energies : float array option;
 }
 
-let default_config ?(rule = Prune.two_param ()) ?(objective = Max_yield 0.95)
-    ?(wire_sizing = false) () =
+let default_config ?(rule = Prune.two_param ()) ?(wire_sizing = false) () =
   let tech = Device.Tech.default_65nm in
   {
     tech;
@@ -34,7 +30,6 @@ let default_config ?(rule = Prune.two_param ()) ?(objective = Max_yield 0.95)
        else [| Device.Wire_lib.of_tech tech |]);
     rule;
     budget = no_budget;
-    objective;
     load_limit = None;
     insertion = Convex_auto;
     power_objective = Dominance.default;
@@ -315,8 +310,10 @@ let insert_and_prune config ~power_eps ~convex ~energies ~same_types
     (if convex then begin
        (* [rows.(0 .. nd-1)]: the drivable rows of [src], by power when
           the power axis counts (the stable sort keeps index order
-          among equal powers); then, per type, the buffered mean RAT
-          and power of each row, and the type's staircase. *)
+          among equal powers, and [pw] holds the raw powers only until
+          the per-type loop overwrites them); then, per type, the
+          buffered mean RAT and power of each row, and the type's
+          staircase. *)
        let staircases src n types nd =
          if nd > 0 then begin
            let rows = Arena.perm arena nd in
@@ -327,10 +324,13 @@ let insert_and_prune config ~power_eps ~convex ~energies ~same_types
                incr j
              end
            done;
-           if power then
-             Arena.sort_prefix arena rows nd ~cmp:(fun a b ->
-                 Float.compare src.(a).Sol.power src.(b).Sol.power);
            let rat = Arena.rat_keys arena n and pw = Arena.power_keys arena n in
+           if power then begin
+             for r = 0 to nd - 1 do
+               pw.(rows.(r)) <- src.(rows.(r)).Sol.power
+             done;
+             Arena.sort_prefix arena ~key:pw rows nd
+           end;
            let kept = Arena.kept arena nd in
            Array.iter
              (fun bi ->
@@ -411,11 +411,8 @@ let finish config ~t_start ~peak ~total ~n root_sols =
   in
   let score (s : Sol.t) =
     let q = driver_rat s in
-    match config.objective with
-    | Max_mean -> Linform.mean q
-    | Max_yield y ->
-      if Linform.is_deterministic q then Linform.mean q
-      else Linform.percentile q (1.0 -. y)
+    if Linform.is_deterministic q then Linform.mean q
+    else Linform.percentile q (1.0 -. Dominance.root_yield)
   in
   let best =
     root_sols.(Dominance.pick config.power_objective

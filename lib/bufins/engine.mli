@@ -26,15 +26,6 @@ type budget = Driver.budget = {
 
 val no_budget : budget
 
-(** How the final candidate is chosen at the root, among the pruned
-    frontier seen through the driver.  The DP's pruning is ordered by
-    means either way (the 2P rule); the objective only scalarises the
-    root choice.  [Max_yield y] picks the candidate with the best
-    (1 − y)-quantile RAT — the paper's "95% timing yield for RAT"
-    figure of merit — and reduces to [Max_mean] for deterministic
-    (NOM) forms. *)
-type objective = Max_mean | Max_yield of float
-
 (** How the insert-site step generates buffered candidates.
 
     [Convex_auto] (the default) applies the O(bn²) per-type
@@ -70,7 +61,6 @@ type config = {
           and wire sizing (the companion study of reference [8]). *)
   rule : Prune.t;
   budget : budget;
-  objective : objective;
   load_limit : float option;
       (** optional slew-style constraint: the maximum (mean) capacitance
           any buffer or the driver may drive, in fF.  Buffered
@@ -103,11 +93,10 @@ type config = {
           zeros. *)
 }
 
-val default_config : ?rule:Prune.t -> ?objective:objective -> ?wire_sizing:bool -> unit -> config
+val default_config : ?rule:Prune.t -> ?wire_sizing:bool -> unit -> config
 (** 65 nm tech, the default 3-buffer library, the paper's 2P(0.5, 0.5)
-    rule, the [Max_yield 0.95] objective, [Convex_auto] insertion and
-    no budget.  [wire_sizing] (default false) swaps the singleton
-    minimum-width wire library for
+    rule, [Convex_auto] insertion and no budget.  [wire_sizing]
+    (default false) swaps the singleton minimum-width wire library for
     {!Device.Wire_lib.default_library}.
 
     A library may mix repeaters and inverters
@@ -156,8 +145,9 @@ val run_tape :
   Compile.Tape.t ->
   result
 (** Optimise a compiled net ({!Compile.Tape.compile}).  The root
-    candidate is chosen by the configured {!objective} over the
-    driver-output RAT.  {!Driver.run} schedules the DP over [pool] and
+    candidate is chosen by [power_objective] ({!Dominance.pick}) over
+    the driver-output RAT's {!Dominance.root_yield} quantile (its mean
+    for a deterministic NOM form).  {!Driver.run} schedules the DP over [pool] and
     [grain] and binds the model's device ids in tape edge order, so the
     result is byte-identical at any job count (modulo
     [stats.runtime_s], which is wall-clock).  The model must be fresh:

@@ -13,7 +13,6 @@ type config = {
   library : Device.Buffer.t array;
   heuristic : heuristic;
   length_frac : float;
-  pmf_points : int;
   budget : Engine.budget;
 }
 
@@ -23,9 +22,11 @@ let default_config ?(heuristic = Stochastic_dominance) ?(length_frac = 0.05) () 
     library = Device.Buffer.default_library;
     heuristic;
     length_frac;
-    pmf_points = 5;
     budget = Engine.no_budget;
   }
+
+(* Discretisation points of each wire-length PMF. *)
+let pmf_points = 5
 
 type sol = { load : Numeric.Pmf.t; rat : Numeric.Pmf.t; choice : Sol.choice }
 
@@ -119,7 +120,7 @@ let lift_edge config ~same_types ~flip_types ~child ~length
   (* The manufactured length of each segment: drawn length times
      (1 + delta), delta discretised from N(0, length_frac^2). *)
   let l_pmf =
-    Numeric.Pmf.of_normal ~points:config.pmf_points ~mu:length
+    Numeric.Pmf.of_normal ~points:pmf_points ~mu:length
       ~sigma:(config.length_frac *. length)
       ()
   in

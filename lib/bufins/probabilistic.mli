@@ -36,7 +36,6 @@ type config = {
   library : Device.Buffer.t array;
   heuristic : heuristic;
   length_frac : float;  (** sigma of wire-length variation / drawn length *)
-  pmf_points : int;     (** discretisation points for each δ (default 5) *)
   budget : Engine.budget;
 }
 

@@ -96,7 +96,7 @@ let rat_key rule (s : Sol.t) =
   | Deterministic | Two_param _ | Four_param _ -> Sol.mean_rat s
   | One_param { alpha } -> safe_percentile s.Sol.rat alpha
 
-(* The one sorted sweep every array frontier shares: cache both keys
+(* The one sorted sweep every array frontier shares: cache the keys
    once per candidate, stable-sort an index permutation (stability
    preserves which of several exact duplicates survives, hence the
    choice trail), sweep in load order, copy the survivors out.  The
@@ -104,24 +104,27 @@ let rat_key rule (s : Sol.t) =
    the calling domain's {!Arena}; only the pruned frontier is fresh.
    [n] is the prefix of [sols] holding candidates — staging buffers
    hand over capacity, not exact length. *)
-let sorted_sweep ~keys ?tie ~dominates ~scan sols n =
+let sorted_sweep ~keys ?power ~dominates ~scan sols n =
   if n <= 1 then Array.sub sols 0 n
   else begin
     let arena = Arena.get () in
     let kl = Arena.load_keys arena n and kr = Arena.rat_keys arena n in
     keys kl kr;
+    let tie =
+      Option.map
+        (fun power ->
+          let pw = Arena.power_keys arena n in
+          for i = 0 to n - 1 do
+            pw.(i) <- power sols.(i)
+          done;
+          pw)
+        power
+    in
     let idx = Arena.perm arena n in
     for i = 0 to n - 1 do
       idx.(i) <- i
     done;
-    Arena.sort_prefix arena idx n ~cmp:(fun a b ->
-        let c = Float.compare kl.(a) kl.(b) in
-        if c <> 0 then c
-        else
-          let c = Float.compare kr.(b) kr.(a) in
-          match tie with
-          | Some tie when c = 0 -> tie sols.(a) sols.(b)
-          | _ -> c);
+    Arena.sort_prefix arena ~key:kl ~desc:kr ?tie idx n;
     let kept = Arena.kept arena n in
     let nkept =
       Dominance.sweep ~order:idx ~n ~rat_keys:kr
@@ -164,7 +167,7 @@ let prune_linear rule ?eps sols n =
       sols n
   | Some eps ->
     sorted_sweep ~keys
-      ~tie:(fun (a : Sol.t) (b : Sol.t) -> Float.compare a.power b.power)
+      ~power:(fun (s : Sol.t) -> s.power)
       ~dominates:(fun (a : Sol.t) (b : Sol.t) ->
         dominates rule a b && Dominance.power_le ~eps a.power b.power)
       ~scan:Dominance.Rat_filtered sols n

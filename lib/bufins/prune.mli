@@ -96,17 +96,18 @@ val prune_sub : t -> ?eps:float -> Sol.t array -> int -> Sol.t array
 
 val sorted_sweep :
   keys:(float array -> float array -> unit) ->
-  ?tie:('a -> 'a -> int) ->
+  ?power:('a -> float) ->
   dominates:('a -> 'a -> bool) ->
   scan:Dominance.scan ->
   'a array ->
   int ->
   'a array
-(** [sorted_sweep ~keys ?tie ~dominates ~scan sols n] is the linear
+(** [sorted_sweep ~keys ?power ~dominates ~scan sols n] is the linear
     pruner the canonical and [6] engines share.  [keys load rat] fills
     the load and RAT keys of [sols.(0 .. n-1)] into the two arena
-    buffers; the candidates are stable-sorted by load key ascending,
-    RAT key descending, then [tie], and {!Dominance.sweep} keeps those
-    no kept candidate dominates.  Returns the survivors in sweep order
-    as a fresh array.  Scratch comes from the calling domain's
-    {!Arena}. *)
+    buffers, and [power], when given, fills a third with each
+    candidate's power; {!Arena.sort_prefix} stable-sorts the
+    candidates by load key ascending, RAT key descending, then power
+    ascending, and {!Dominance.sweep} keeps those no kept candidate
+    dominates.  Returns the survivors in sweep order as a fresh array.
+    Scratch comes from the calling domain's {!Arena}. *)

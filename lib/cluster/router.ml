@@ -11,8 +11,6 @@ type config = {
   conns_per_shard : int;
   queue_depth : int;
   max_payload : int;
-  max_connections : int;
-  backlog : int;
 }
 
 let default_config ~socket_path ~shard_sockets =
@@ -23,8 +21,6 @@ let default_config ~socket_path ~shard_sockets =
     conns_per_shard = 4;
     queue_depth = 64;
     max_payload = 8 * 1024 * 1024;
-    max_connections = 128;
-    backlog = 64;
   }
 
 let reconnect_interval = 0.25
@@ -104,9 +100,7 @@ let run ?metrics ?(should_stop = fun () -> false)
       {
         Front.socket_path = config.socket_path;
         tcp_port = config.tcp_port;
-        backlog = config.backlog;
         max_payload = config.max_payload;
-        max_connections = config.max_connections;
       }
   in
   let drain_deadline = ref infinity in

@@ -50,14 +50,12 @@ type config = {
   conns_per_shard : int;  (** links (= max in-flight) per worker *)
   queue_depth : int;  (** pending-queue bound per shard *)
   max_payload : int;
-  max_connections : int;
-  backlog : int;
 }
 
 val default_config :
   socket_path:string -> shard_sockets:string array -> config
-(** 4 links per shard, queue depth 64, 8 MiB payloads, 128 client
-    connections, backlog 64, no TCP. *)
+(** 4 links per shard, queue depth 64, 8 MiB payloads, no TCP.  The
+    listen backlog and client-connection cap are {!Serve.Front}'s. *)
 
 val reconnect_interval : float
 (** The longest wait, in seconds, between redial attempts to a worker

@@ -10,8 +10,9 @@
     in list order), which makes the results independent of scheduling.
 
     One compiled tape serves every pruning rule, the probabilistic
-    baseline and the sampling engine, and can be cached across serve
-    requests keyed by a digest of the encoded topology. *)
+    baseline and the sampling engine.  Compiling costs about as much as
+    digesting the tree's bytes, so nothing caches tapes: each served
+    request compiles its own. *)
 
 type t = {
   n : int;  (** node count *)

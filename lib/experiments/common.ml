@@ -100,7 +100,7 @@ let run_algo setup ?rule ?budget ?(wire_sizing = false) ?load_limit
     tape
 
 let run_sampled setup ?budget ?(wire_sizing = false) ?load_limit ~samples
-    ?(relax = 1.0) ?(seed = 1) ?(yield = 0.95)
+    ?(relax = 1.0) ?(seed = 1)
     ?(objective = Bufins.Dominance.default) ?(eps_power = 0.0) ?tape ~spatial
     ~grid algo tree =
   let model =
@@ -109,8 +109,7 @@ let run_sampled setup ?budget ?(wire_sizing = false) ?load_limit ~samples
   in
   let config =
     {
-      (Sample.Engine.default_config ~samples ~seed ~relax ~yield ~wire_sizing
-         ()) with
+      (Sample.Engine.default_config ~samples ~seed ~relax ~wire_sizing ()) with
       Sample.Engine.tech = setup.tech;
       library = setup.library;
       budget = Option.value budget ~default:Bufins.Engine.no_budget;

@@ -93,7 +93,6 @@ val run_sampled :
   samples:int ->
   ?relax:float ->
   ?seed:int ->
-  ?yield:float ->
   ?objective:Bufins.Dominance.objective ->
   ?eps_power:float ->
   ?tape:Compile.Tape.t ->

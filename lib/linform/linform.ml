@@ -78,9 +78,9 @@ let sensitivity f id =
 
 (* Merge scratch, one per domain: the walk below writes every surviving
    entry here, then copies the prefix out.  The buffers grow
-   geometrically to the domain's largest merge (as [Bufins.Arena] and
-   [Sample.Sarena] do) and are borrowed only inside one
-   [merge_scaled] call, which calls nothing that could re-enter it. *)
+   geometrically to the domain's largest merge (as [Bufins.Arena]'s
+   do) and are borrowed only inside one [merge_scaled] call, which
+   calls nothing that could re-enter it. *)
 type scratch = { mutable s_ids : int array; mutable s_coefs : float array }
 
 let scratch_key : scratch Domain.DLS.key =

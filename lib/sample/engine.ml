@@ -36,7 +36,6 @@ type config = {
   samples : int;
   seed : int;
   relax : float;
-  yield : float;
   budget : Bufins.Engine.budget;
   load_limit : float option;
   power_objective : Bufins.Dominance.objective;
@@ -44,11 +43,9 @@ type config = {
 }
 
 let default_config ?(samples = 256) ?(seed = 1) ?(relax = 1.0)
-    ?(yield = 0.95) ?(wire_sizing = false) () =
+    ?(wire_sizing = false) () =
   if samples <= 0 then invalid_arg "Sample.Engine: samples must be positive";
   if not (relax > 0.0) then invalid_arg "Sample.Engine: relax must be positive";
-  if not (yield > 0.0 && yield < 1.0) then
-    invalid_arg "Sample.Engine: yield must lie in (0, 1)";
   let tech = Device.Tech.default_65nm in
   {
     tech;
@@ -59,7 +56,6 @@ let default_config ?(samples = 256) ?(seed = 1) ?(relax = 1.0)
     samples;
     seed;
     relax;
-    yield;
     budget = Bufins.Engine.no_budget;
     load_limit = None;
     power_objective = Bufins.Dominance.default;
@@ -163,37 +159,44 @@ let check_block n (load : float array) (rat : float array) =
     invalid_arg "Sample.Engine: staging block too short"
 
 (* Prune the [ncand] staged rows in the arena's B stage (load / rat /
-   power / choice / mean keys already filled) down to a fresh frontier,
-   by per-sample dominance counting against the [need] threshold.
-   Under a power-aware objective the comparator additionally requires
-   the dominator to cost no more energy ({!Bufins.Dominance.power_le}
-   at [eps]), with raw power ascending as the ε-independent sort
-   tie-break, so the kept set is the (load, RAT, power) Pareto
-   frontier. *)
+   choice rows and the mean and power keys already filled) down to a
+   fresh frontier, by per-sample dominance counting against the [need]
+   threshold.  Under a power-aware objective the comparator
+   additionally requires the dominator to cost no more energy
+   ({!Bufins.Dominance.power_le} at [eps]), with raw power ascending as
+   the ε-independent sort tie-break, so the kept set is the
+   (load, RAT, power) Pareto frontier. *)
 let prune_rows ~k ~need ~power_aware ~eps ar ncand =
-  let exact_need = need >= k in
-  if ncand <= 1 || need > k then
-    Array.init ncand (fun i ->
-        {
-          load = Array.sub (Sarena.b_load ar (ncand * k)) (i * k) k;
-          rat = Array.sub (Sarena.b_rat ar (ncand * k)) (i * k) k;
-          power = (Sarena.b_power ar ncand).(i);
-          choice = (Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0)).(i);
-        })
+  let bl = Bufins.Arena.b_load ar (ncand * k) in
+  let br = Bufins.Arena.b_rat ar (ncand * k) in
+  let bc = Bufins.Arena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
+  let bp = Bufins.Arena.power_keys ar ncand in
+  let row i =
+    {
+      load = Array.sub bl (i * k) k;
+      rat = Array.sub br (i * k) k;
+      power = bp.(i);
+      choice = bc.(i);
+    }
+  in
+  if ncand <= 1 || need > k then Array.init ncand row
   else begin
     let obs = Obs.Control.on () in
     let t0 = if obs then Obs.Span.now_ns () else 0 in
-    let bl = Sarena.b_load ar (ncand * k) in
-    let br = Sarena.b_rat ar (ncand * k) in
-    let bc = Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
-    let bp = Sarena.b_power ar ncand in
-    let mr = Sarena.mean_rat ar ncand in
+    let ml = Bufins.Arena.load_keys ar ncand in
+    let mr = Bufins.Arena.rat_keys ar ncand in
     (* Mean load ascending, mean RAT descending: the stable order the
        canonical pruner uses, so exact duplicates keep the same
        representative.  The power path adds raw power ascending — an
        ε-independent order, so growing ε can only merge buckets and
        shrink the kept set. *)
-    let idx = Sarena.sort_prefix ar ncand ~power_aware in
+    let idx = Bufins.Arena.perm ar ncand in
+    for i = 0 to ncand - 1 do
+      idx.(i) <- i
+    done;
+    Bufins.Arena.sort_prefix ar ~key:ml ~desc:mr
+      ?tie:(if power_aware then Some bp else None)
+      idx ncand;
     (* Row j dominates row i when it ties-or-beats it on both axes in
        at least [need] samples.  The sweep passes rows below [ncand]
        only, so one check of the staged block covers every unchecked
@@ -220,24 +223,15 @@ let prune_rows ~k ~need ~power_aware ~eps ar ncand =
        runs.  Conjoining the power test only makes dominance rarer,
        so the filters stay sound on the power path. *)
     let scan =
-      if exact_need then Bufins.Dominance.Rat_filtered
+      if need >= k then Bufins.Dominance.Rat_filtered
       else Bufins.Dominance.Scan_kept
     in
-    let kept = Sarena.kept ar ncand in
+    let kept = Bufins.Arena.kept ar ncand in
     let nkept =
       Bufins.Dominance.sweep ~order:idx ~n:ncand ~rat_keys:mr ~dominates ~scan
         ~kept
     in
-    let out =
-      Array.init nkept (fun s ->
-          let i = kept.(s) in
-          {
-            load = Array.sub bl (i * k) k;
-            rat = Array.sub br (i * k) k;
-            power = bp.(i);
-            choice = bc.(i);
-          })
-    in
+    let out = Array.init nkept (fun s -> row kept.(s)) in
     if obs then begin
       Obs.Counters.incr obs_generated ncand;
       Obs.Counters.incr obs_kept nkept;
@@ -271,15 +265,15 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies
     (f : sol Bufins.Driver.polar) =
   let obs = Obs.Control.on () in
   let t0 = if obs then Obs.Span.now_ns () else 0 in
-  let ar = Sarena.get () in
+  let ar = Bufins.Arena.get () in
   let nlib = Array.length config.library in
   let ns_ev = Array.length f.ev and ns_od = Array.length f.od in
   let nwid = Array.length config.wires in
   let nw_ev = nwid * ns_ev and nw_od = nwid * ns_od in
   let ntot = nw_ev + nw_od in
-  let al = Sarena.a_load ar (ntot * k) in
-  let arr = Sarena.a_rat ar (ntot * k) in
-  let ac = Sarena.a_choice ar ntot ~dummy:(Bufins.Sol.At_sink 0) in
+  let al = Bufins.Arena.a_load ar (ntot * k) in
+  let arr = Bufins.Arena.a_rat ar (ntot * k) in
+  let ac = Bufins.Arena.a_choice ar ntot ~dummy:(Bufins.Sol.At_sink 0) in
   (* Per-width r·L and c·L as K-vectors (constant rows when wire
      variation is off). *)
   let rl = Array.make (nwid * k) 0.0 in
@@ -377,12 +371,12 @@ let lift_rows config ~matrix ~k ~need ~power_aware ~eps ~energies
     in
     if ncand = 0 then [||]
     else begin
-      let bl = Sarena.b_load ar (ncand * k) in
-      let br = Sarena.b_rat ar (ncand * k) in
-      let bc = Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
-      let bpw = Sarena.b_power ar ncand in
-      let ml = Sarena.mean_load ar ncand in
-      let mr = Sarena.mean_rat ar ncand in
+      let bl = Bufins.Arena.b_load ar (ncand * k) in
+      let br = Bufins.Arena.b_rat ar (ncand * k) in
+      let bc = Bufins.Arena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
+      let bpw = Bufins.Arena.power_keys ar ncand in
+      let ml = Bufins.Arena.load_keys ar ncand in
+      let mr = Bufins.Arena.rat_keys ar ncand in
       check_block (ncand * k) bl br;
       for lrow = 0 to nw_side - 1 do
         let row = wlo + lrow in
@@ -458,13 +452,13 @@ let merge_rows ~k ~need ~power_aware ~eps ~node ~check_time ~check_count
   let ncand = na * nb in
   if ncand = 0 then [||]
   else begin
-    let ar = Sarena.get () in
-    let bl = Sarena.b_load ar (ncand * k) in
-    let br = Sarena.b_rat ar (ncand * k) in
-    let bc = Sarena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
-    let bpw = Sarena.b_power ar ncand in
-    let ml = Sarena.mean_load ar ncand in
-    let mr = Sarena.mean_rat ar ncand in
+    let ar = Bufins.Arena.get () in
+    let bl = Bufins.Arena.b_load ar (ncand * k) in
+    let br = Bufins.Arena.b_rat ar (ncand * k) in
+    let bc = Bufins.Arena.b_choice ar ncand ~dummy:(Bufins.Sol.At_sink 0) in
+    let bpw = Bufins.Arena.power_keys ar ncand in
+    let ml = Bufins.Arena.load_keys ar ncand in
+    let mr = Bufins.Arena.rat_keys ar ncand in
     check_block (ncand * k) bl br;
     Array.iter (check_row ~k) a;
     Array.iter (check_row ~k) b;
@@ -520,7 +514,7 @@ let finish config ~t_start ~k ~peak ~total ~n root_sols =
     Array.init k (fun j ->
         s.rat.(j) -. (tech.Device.Tech.driver_r *. s.load.(j)))
   in
-  let p = Float.max 0.0 (Float.min 1.0 (1.0 -. config.yield)) in
+  let p = 1.0 -. Bufins.Dominance.root_yield in
   let q0 = driver_rat root_sols.(0) in
   let root_best_per_sample = Array.copy q0 in
   let scores =
@@ -548,7 +542,8 @@ let finish config ~t_start ~k ~peak ~total ~n root_sols =
   let summary = Numeric.Stats.summarize root_rat in
   Log.info (fun m ->
       m "done: %d nodes, K=%d, peak %d candidates, %d buffers, RAT@%g%% %.1f"
-        n k peak (List.length buffers) (100.0 *. config.yield)
+        n k peak (List.length buffers)
+        (100.0 *. Bufins.Dominance.root_yield)
         rat_at_yield);
   {
     best;

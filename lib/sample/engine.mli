@@ -34,9 +34,6 @@ type config = {
           dominated in ≥ ceil(relax · K) samples.  1 = exact full
           dominance; > 1 disables pruning (brute force); < 1 prunes
           approximately. *)
-  yield : float;
-      (** yield level scored at the root: the best candidate maximises
-          the (1 − yield)-quantile of its sampled driver-output RAT *)
   budget : Bufins.Engine.budget;
   load_limit : float option;
       (** same mean-load drive constraint as the canonical engine,
@@ -59,18 +56,16 @@ val default_config :
   ?samples:int ->
   ?seed:int ->
   ?relax:float ->
-  ?yield:float ->
   ?wire_sizing:bool ->
   unit ->
   config
 (** 65 nm tech, the default buffer library, [samples = 256],
-    [seed = 1], [relax = 1], [yield = 0.95], no budget.  Each lift
+    [seed = 1], [relax = 1], no budget.  Each lift
     stages every drivable wired × type row before the prune.  A library mixing repeaters and inverters is handled
     with the same dual-polarity frontiers as the canonical engine:
     merges match inversion parity and the root selects among
     even-parity candidates only.
-    @raise Invalid_argument on non-positive [samples] or [relax], or
-    [yield] outside (0, 1). *)
+    @raise Invalid_argument on non-positive [samples] or [relax]. *)
 
 type sol = {
   load : float array;  (** per-sample downstream capacitance, fF *)
@@ -96,8 +91,9 @@ type result = {
   sampled_mean : float;  (** mean of [root_rat] *)
   sampled_std : float;  (** sample std of [root_rat] *)
   rat_at_yield : float;
-      (** the (1 − yield)-quantile of [root_rat] — the sampled
-          counterpart of {!Sta.Yield.rat_at_yield} *)
+      (** the (1 − {!Bufins.Dominance.root_yield})-quantile of
+          [root_rat], by which [power_objective] picked [best] — the
+          sampled counterpart of {!Sta.Yield.rat_at_yield} *)
   load_limit_met : bool;
   stats : Bufins.Engine.stats;
 }

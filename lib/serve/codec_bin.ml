@@ -157,12 +157,15 @@ type bin_node = {
 
 (* Caps on what a request may ask for, well beyond every workload,
    experiment and test: the bench sweeps b <= 16, the experiments draw
-   K <= 1024, and r5's die is 22.5 mm.  Above them nothing bounds the
-   work: a lift over the whole library reads no clock, the sample
-   matrix is drawn before the first deadline check, and a far node
-   widens the die, hence the variation grid, quadratically. *)
+   K <= 1024, the largest Monte-Carlo run asks 200,000 trials, and r5's
+   die is 22.5 mm.  Above them nothing bounds the work: a lift over the
+   whole library reads no clock, the sample matrix is drawn before the
+   first deadline check, the Monte-Carlo result array is sized by the
+   trial count, and a far node widens the die, hence the variation
+   grid, quadratically. *)
 let max_btypes = 64
 let max_samples = 4096
+let max_mc_trials = 1_000_000
 let max_coord_um = 5e4
 
 let read_tree r =
@@ -481,6 +484,9 @@ let read_request_head r =
   let rule = read_rule r in
   let deadline_ms = get_zigzag r "deadline_ms" in
   let mc_trials = get_zigzag r "mc" in
+  if mc_trials > max_mc_trials then
+    failwith
+      (Printf.sprintf "binary payload: mc_trials must be <= %d" max_mc_trials);
   let wire_sizing = get_bool r "wire_sizing" in
   let samples = get_zigzag r "samples" in
   if samples > max_samples then

@@ -21,11 +21,11 @@
     text parsers enforce).
 
     The request head also refuses what no caller needs and nothing
-    would bound: [samples] above 4096, [btypes] above 64, [relax]
-    outside (0, 1], and [rule 4p] with a power-aware objective on a
-    canonical ([samples = 0]) request.  A tree refuses any node
-    coordinate beyond ±5e4 µm, besides {!Rctree.Tree.of_spec}'s value
-    checks. *)
+    would bound: [samples] above 4096, [btypes] above 64, [mc_trials]
+    above 1,000,000, [relax] outside (0, 1], and [rule 4p] with a
+    power-aware objective on a canonical ([samples = 0]) request.  A
+    tree refuses any node coordinate beyond ±5e4 µm, besides
+    {!Rctree.Tree.of_spec}'s value checks. *)
 
 (** {1 Envelopes} *)
 

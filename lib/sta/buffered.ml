@@ -217,15 +217,18 @@ let mc_trial inst rng =
 let monte_carlo ?pool ?(check = ignore) inst ~rng ~trials =
   if trials <= 0 then invalid_arg "Buffered.monte_carlo: trials must be > 0";
   let chunks = (trials + mc_chunk_trials - 1) / mc_chunk_trials in
-  let streams = Array.init chunks (fun c -> Numeric.Rng.split_at rng c) in
   let sample_chunk c =
     check ();
+    (* [split_at] never advances [rng], so a chunk's stream depends on
+       its index alone: derived here, after the chunk's deadline check,
+       on whichever domain runs it. *)
+    let stream = Numeric.Rng.split_at rng c in
     let lo = c * mc_chunk_trials in
     let len = min mc_chunk_trials (trials - lo) in
     let out = Array.make len 0.0 in
     (* Explicit in-order loop: trials within a chunk share its stream. *)
     for i = 0 to len - 1 do
-      out.(i) <- mc_trial inst streams.(c)
+      out.(i) <- mc_trial inst stream
     done;
     out
   in

@@ -131,6 +131,15 @@ if grep -qE "^cluster_v[12]_cache_" <<<"$cstats"; then
   echo "FAIL: router stats report a request cache"; exit 1
 fi
 
+# A Monte-Carlo request above the request head's cap of 10^6 trials:
+# the router refuses it from the head alone (a parse error, client
+# exit 1) rather than forwarding it to a worker.
+status=0
+err=$("$BIN" request --socket "$CSOCK" --sinks 16 --seed 3 --algo wid \
+  --rule 2p --mc 2000000 --deadline-ms 500 2>&1 >/dev/null) || status=$?
+[ "$status" -eq 1 ] && grep -q "code=parse" <<<"$err" \
+  || { echo "FAIL: request --mc 2000000 exited $status ($err), expected a parse error"; exit 1; }
+
 # There is one wire encoding: --wire is an unknown option (cmdliner's
 # exit 124), even against the live cluster a request would reach (a
 # failed connect exits 1).

@@ -566,12 +566,12 @@ let test_rules_agree_on_deterministic_input () =
 
 let test_wid_rules_agree_on_small_tree () =
   (* 4P keeps a superset of 2P's frontier, so on instances it can
-     finish both must reach the same optimum (mean objective). *)
+     finish both must reach the same optimum (here the same root, so
+     the same mean). *)
   let die = 4000.0 in
   let tree = Rctree.Generate.random_steiner ~seed:41 ~sinks:24 ~die_um:die () in
   let run rule =
-    Bufins.Engine.run
-      { (config ~rule ()) with Bufins.Engine.objective = Bufins.Engine.Max_mean }
+    Bufins.Engine.run (config ~rule ())
       ~model:(model ~mode:Varmodel.Model.Wid die) tree
   in
   let two = run (Bufins.Prune.two_param ()) in
@@ -728,24 +728,6 @@ let test_probabilistic_time_budget () =
     Alcotest.(check bool)
       (Printf.sprintf "time limit message: %s" msg)
       true (contains msg "time limit")
-
-let test_objective_yield_vs_mean () =
-  (* Max_yield must never beat Max_mean on the mean, and vice versa on
-     the 95%-yield score. *)
-  let die = 4000.0 in
-  let tree = Rctree.Generate.random_steiner ~seed:61 ~sinks:80 ~die_um:die () in
-  let run objective =
-    (Bufins.Engine.run
-       { (config ()) with Bufins.Engine.objective }
-       ~model:(model ~mode:Varmodel.Model.Wid die) tree).Bufins.Engine.root_rat
-  in
-  let by_mean = run Bufins.Engine.Max_mean in
-  let by_yield = run (Bufins.Engine.Max_yield 0.95) in
-  Alcotest.(check bool) "mean objective wins on mean" true
-    (Linform.mean by_mean >= Linform.mean by_yield -. 1e-9);
-  let y95 f = Linform.percentile f 0.05 in
-  Alcotest.(check bool) "yield objective wins on y95" true
-    (y95 by_yield >= y95 by_mean -. 1e-9)
 
 let test_stats_reported () =
   let die = 4000.0 in
@@ -1157,7 +1139,53 @@ let test_arena_reuse_transparent () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* The growable scratch buffer behind both arenas: each growth is to
+(* The one frontier sort against [Array.stable_sort] under the same
+   comparator.  Keys come from a seven-value pool, so ties are dense and
+   ±0.0 pairs (equal under [Float.compare]) and NaN turn up; each case
+   sorts by the first key alone (the staircase's power order), by
+   (load, RAT) or by (load, RAT, power), over all [m] ids in order or a
+   strict subset (in index order, as the staircase passes it, or
+   shuffled), and leaves the capacity past [n] alone. *)
+let sort_case_gen =
+  QCheck.Gen.(
+    let pool = [| -0.0; 0.0; 1.0; -2.5; 3.0; infinity; Float.nan |] in
+    let* m = int_range 1 48 in
+    let keys = array_repeat m (map (Array.get pool) (int_bound 6)) in
+    let* key = keys and* desc = keys and* tie = keys in
+    let* shape = int_bound 2 and* subset = int_bound 2 in
+    let* ids =
+      match subset with
+      | 0 -> return (List.init m Fun.id)
+      | _ ->
+        let* drop = int_range 1 m and* order = shuffle_l (List.init m Fun.id) in
+        let kept = List.filteri (fun i _ -> i >= drop) order in
+        return (if subset = 1 then List.sort compare kept else kept)
+    in
+    let* pad = int_bound 3 in
+    let ids = Array.of_list ids in
+    return
+      (key, desc, tie, shape, Array.append ids (Array.make pad (-7)), Array.length ids))
+
+let prop_sort_prefix_is_stable_sort =
+  QCheck.Test.make ~name:"frontier sort = Array.stable_sort" ~count:500
+    (QCheck.make sort_case_gen) (fun (key, desc, tie, shape, ids, n) ->
+      let desc = if shape >= 1 then Some desc else None in
+      let tie = if shape = 2 then Some tie else None in
+      let cmp a b =
+        let c = Float.compare key.(a) key.(b) in
+        let c =
+          match desc with Some d when c = 0 -> Float.compare d.(b) d.(a) | _ -> c
+        in
+        match tie with Some p when c = 0 -> Float.compare p.(a) p.(b) | _ -> c
+      in
+      let expected = Array.sub ids 0 n in
+      Array.stable_sort cmp expected;
+      let got = Array.copy ids in
+      Bufins.Arena.sort_prefix (Bufins.Arena.get ()) ~key ?desc ?tie got n;
+      let rest a = Array.sub a n (Array.length a - n) in
+      Array.sub got 0 n = expected && rest got = rest ids)
+
+(* The growable scratch buffer behind the arena: each growth is to
    a power of two of at least 16, a borrow that fits reuses the
    storage, and the owner's reuse / grow counters see every borrow
    (but not a bare [grow]). *)
@@ -1255,7 +1283,6 @@ let suite =
       test_budget_labels;
     Alcotest.test_case "budget: [6] time limit" `Quick
       test_probabilistic_time_budget;
-    Alcotest.test_case "objective: yield vs mean" `Quick test_objective_yield_vs_mean;
     Alcotest.test_case "stats reported" `Quick test_stats_reported;
     Alcotest.test_case "buffers_of_choice" `Quick test_buffers_of_choice;
     Alcotest.test_case "load limit honoured" `Quick test_load_limit;
@@ -1289,4 +1316,5 @@ let suite =
       test_arena_reuse_transparent;
     Alcotest.test_case "arena buffer grows to powers of two" `Quick
       test_arena_buf;
+    qcheck prop_sort_prefix_is_stable_sort;
   ]

@@ -200,10 +200,11 @@ let four_p_power =
        1,
        false ))
 
-(* Requests for more buffer types or samples than any workload uses:
-   one lift over a 4096-type library, or the sample matrix of 4e6
-   samples drawn before the first deadline check, ran seconds past a
-   2-s deadline.  The router refuses them from the head alone. *)
+(* Requests for more buffer types, samples or Monte-Carlo trials than
+   any workload uses: one lift over a 4096-type library, the sample
+   matrix of 4e6 samples drawn before the first deadline check, or the
+   streams of 10^9 trials, ran seconds past a 2-s deadline.  The router
+   refuses them from the head alone. *)
 let over_caps =
   lazy
     (List.map
@@ -219,6 +220,8 @@ let over_caps =
          ("btypes 65536", { (stream_request 7) with Serve.Protocol.btypes = 65536 });
          ( "samples 4000000",
            { (stream_request 7) with Serve.Protocol.samples = 4_000_000 } );
+         ( "mc_trials 1000000000",
+           { (stream_request 7) with Serve.Protocol.mc_trials = 1_000_000_000 } );
        ])
 
 let refused_heads =

@@ -448,6 +448,20 @@ let test_refuses_samples_above_4096 () =
       accepted (Printf.sprintf "samples %d" samples) { base with Serve.Protocol.samples })
     [ 64; 1024; 4096 ]
 
+(* Nothing bounds a Monte-Carlo stage's setup before its first deadline
+   check: 10^9 trials held a worker for 12 s at 2.3 GB against a 500-ms
+   deadline.  The largest caller asks 200,000. *)
+let test_refuses_mc_trials_above_1e6 () =
+  let base = Lazy.force head_request in
+  List.iter
+    (fun mc_trials ->
+      refused (Printf.sprintf "mc_trials %d" mc_trials) { base with Serve.Protocol.mc_trials })
+    [ 1_000_001; 1_000_000_000 ];
+  List.iter
+    (fun mc_trials ->
+      accepted (Printf.sprintf "mc_trials %d" mc_trials) { base with Serve.Protocol.mc_trials })
+    [ 0; 200_000; 1_000_000 ]
+
 (* Tree values: the codec refuses a node beyond 5e4 um (over twice
    r5's 22.5 mm die; a sink at 1e6 um made the sample matrix draw K
    samples for each of 4e6 grid regions), and [Rctree.Tree.of_spec],
@@ -643,6 +657,8 @@ let suite =
       test_refuses_btypes_above_64;
     Alcotest.test_case "the head refuses samples above 4096" `Quick
       test_refuses_samples_above_4096;
+    Alcotest.test_case "the head refuses mc_trials above 10^6" `Quick
+      test_refuses_mc_trials_above_1e6;
     Alcotest.test_case "a tree refuses a node beyond 5e4 um" `Quick
       test_refuses_far_coordinates;
     Alcotest.test_case "a tree refuses NaN or infinite coordinates" `Quick
