@@ -9,7 +9,11 @@
    par_dp, sample and obs sections compare two paths, gate on their
    identity and exit 1 on a mismatch; the library-size and Pareto
    sweeps only measure (their correctness checks are test_btypes').
-   The figures go to BENCH.json (override with --bench-json PATH).
+   The figures go to BENCH.json (override with --bench-json PATH),
+   schema varbuf-bench/2: an env block records the core count (nproc),
+   Domain.recommended_domain_count, the OCaml version, the git rev, the
+   smoke flag and --jobs, and the par_dp row is marked oversubscribed
+   when its jobs exceed the cores.
 
    --smoke runs a reduced pass with tight iteration budgets (the CI
    smoke bench); --jobs N (default: VARBUF_JOBS or the recommended
@@ -639,6 +643,29 @@ let run_pareto ~smoke () =
   print_newline ();
   rows
 
+(* ---------- the machine a run measured ---------- *)
+
+(* The first line a shell command prints, or [None] if it fails. *)
+let capture cmd =
+  match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+    let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, Some l when l <> "" -> Some l
+    | _ -> None)
+
+type env = { nproc : int; git_rev : string }
+
+let probe_env () =
+  {
+    nproc =
+      Option.value ~default:(Domain.recommended_domain_count ())
+        (Option.bind (capture "nproc") int_of_string_opt);
+    git_rev =
+      Option.value ~default:"unknown" (capture "git rev-parse --short=12 HEAD");
+  }
+
 (* ---------- BENCH.json (hand-rolled writer; no JSON dependency) ---------- *)
 
 let json_escape s =
@@ -692,12 +719,20 @@ let add_pareto_section buf rows =
     rows;
   Buffer.add_string buf "  ]}"
 
-let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~btypes ~pareto
-    ~obs =
+let write_bench_json ~path ~env ~smoke ~jobs ~micro ~probe ~par ~sample
+    ~btypes ~pareto ~obs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"varbuf-bench/1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
+  Buffer.add_string buf "  \"schema\": \"varbuf-bench/2\",\n";
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"env\": {\"nproc\": %d, \"recommended_domain_count\": %d, \
+        \"ocaml_version\": \"%s\", \"git_rev\": \"%s\", \"smoke\": %b, \
+        \"jobs\": %d},\n"
+       env.nproc
+       (Domain.recommended_domain_count ())
+       (json_escape Sys.ocaml_version)
+       (json_escape env.git_rev) smoke jobs);
   Buffer.add_string buf "  \"micro\": [\n";
   List.iteri
     (fun i (name, ns) ->
@@ -720,12 +755,12 @@ let write_bench_json ~path ~smoke ~micro ~probe ~par ~sample ~btypes ~pareto
     (Printf.sprintf
        "  \"par_dp\": {\"sinks\": %d, \"jobs\": %d, \"grain\": %d, \
         \"seq_ns_per_op\": %s, \"par_ns_per_op\": %s, \"speedup\": %s, \
-        \"identical\": %b}"
+        \"identical\": %b, \"oversubscribed\": %b}"
        par.par_sinks par.par_jobs par.par_grain
        (json_float (par.seq_s *. 1e9))
        (json_float (par.par_s *. 1e9))
        (json_float (par.seq_s /. Float.max par.par_s 1e-9))
-       par.par_identical);
+       par.par_identical (par.par_jobs > env.nproc));
   Buffer.add_string buf
     (Printf.sprintf
        ",\n  \"sample\": {\"jobs_identical\": %b, \"obs_identical\": %b, \
@@ -799,6 +834,11 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
   let smoke = !smoke and jobs = max 1 !jobs and json_path = !json_path in
+  let env = probe_env () in
+  Printf.printf "env nproc %d domains %d ocaml %s git %s smoke %b jobs %d\n\n%!"
+    env.nproc
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version env.git_rev smoke jobs;
   let obs_on = !obs || !trace_path <> None in
   if obs_on then Obs.Control.enable ();
   (* The micro and sample sections run last: the sample section's exact
@@ -812,8 +852,8 @@ let () =
   let sample = run_sample ~smoke ~jobs () in
   let micro = run_micro ~smoke () in
   let obs = if obs_on then Some (collect_obs_report ()) else None in
-  write_bench_json ~path:json_path ~smoke ~micro ~probe ~par ~sample ~btypes
-    ~pareto ~obs;
+  write_bench_json ~path:json_path ~env ~smoke ~jobs ~micro ~probe ~par ~sample
+    ~btypes ~pareto ~obs;
   Option.iter
     (fun path ->
       Obs.Span.flush ();

@@ -130,7 +130,7 @@ let cluster socket tcp_port shards jobs_per_shard queue_depth
     }
   in
   Printf.printf
-    "varbuf-serve: cluster on %s%s (%d shards, jobs/shard=%d, cache/shard=%d)\n%!"
+    "varbuf-serve: cluster on %s%s (%d shards, jobs/shard=%d, cache=%d)\n%!"
     socket
     (match tcp_port with
     | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
@@ -145,9 +145,9 @@ let cluster_cmd =
   let shards_arg =
     Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N"
            ~doc:"Worker processes.  A request goes to its home shard \
-                 (a digest of the routing tree) when that is idle, else \
-                 to the least-loaded shard with a ready link; cache \
-                 locality is best-effort and never changes bytes.")
+                 (a digest of its payload) when that is idle, else to \
+                 the least-loaded shard with a ready link; the shard \
+                 never changes bytes.")
   in
   let jobs_arg =
     Arg.(value & opt int (Exec.Pool.default_jobs ()) & info [ "jobs-per-shard" ]
@@ -165,7 +165,10 @@ let cluster_cmd =
   in
   let cache_arg =
     Arg.(value & opt int 128 & info [ "cache-entries" ] ~docv:"N"
-           ~doc:"Response-cache capacity per worker; 0 disables caching.")
+           ~doc:"Response-cache capacity of the router, the cluster's \
+                 one cache (LRU; workers keep none): a repeated request \
+                 payload is answered there byte-identically, without \
+                 reaching a worker.  0 disables caching.")
   in
   let conns_arg =
     Arg.(value & opt int 4 & info [ "conns-per-shard" ] ~docv:"N"

@@ -18,15 +18,16 @@ let wait_for_sockets paths =
   in
   go ()
 
+let shard_socket router_socket =
+  Supervisor.shard_socket
+    ~socket_path:(Filename.chop_suffix router_socket ".sock")
+
 let with_cluster ~shards f =
   if shards < 1 then invalid_arg "Inproc.with_cluster: shards must be >= 1";
-  let base = fresh_base () in
-  let router_socket = base ^ ".sock" in
+  let router_socket = fresh_base () ^ ".sock" in
   let stop_flag = Atomic.make false in
   let should_stop () = Atomic.get stop_flag in
-  let shard_sockets =
-    List.init shards (Supervisor.shard_socket ~socket_path:base)
-  in
+  let shard_sockets = List.init shards (shard_socket router_socket) in
   let workers =
     List.map
       (fun socket_path ->
@@ -35,6 +36,7 @@ let with_cluster ~shards f =
               {
                 (Serve.Server.default_config ~socket_path) with
                 Serve.Server.jobs = 2;
+                cache_entries = 0;
               }))
       shard_sockets
   in

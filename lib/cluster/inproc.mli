@@ -15,6 +15,11 @@ val with_cluster : shards:int -> (string -> 'a) -> 'a
     every socket to be bound, runs [f router_socket] and always stops
     the cluster (router first, then workers, via one shared stop flag)
     even if [f] raises.  Each shard runs 2 jobs with the server's
-    default caches and queue depth; the router keeps 2 links per
-    shard.
+    default queue depth and, as under {!Supervisor}, no cache; the
+    router keeps 2 links per shard and the default response cache.
     @raise Failure if the sockets do not appear in time. *)
+
+val shard_socket : string -> int -> string
+(** [shard_socket router_socket i] is where shard [i]'s worker listens
+    in the cluster whose router listens on [router_socket], for a test
+    that reads a worker's own [stats]. *)

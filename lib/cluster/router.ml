@@ -11,6 +11,7 @@ type config = {
   conns_per_shard : int;
   queue_depth : int;
   max_payload : int;
+  cache_entries : int;
 }
 
 let default_config ~socket_path ~shard_sockets =
@@ -21,6 +22,7 @@ let default_config ~socket_path ~shard_sockets =
     conns_per_shard = 4;
     queue_depth = 64;
     max_payload = 8 * 1024 * 1024;
+    cache_entries = 128;
   }
 
 let reconnect_interval = 0.25
@@ -38,18 +40,20 @@ let tick = 0.2
 let drain_budget = 30.0
 let worker_stop_budget = 5.0
 
-let shard_of_request ~shards payload =
-  let off, len = Codec_bin.request_tree_span payload in
-  let d = Digest.substring payload off len in
-  (* First four digest bytes as a non-negative int. *)
-  let b i = Char.code d.[i] in
+(* The first four bytes of a {!Codec_bin.request_key} (its digest's)
+   as a non-negative int. *)
+let shard_of_key ~shards key =
+  let b i = Char.code key.[i] in
   let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
   v mod shards
 
-(* One admitted request: the client to answer and the payload to
+let shard_of_request ~shards payload =
+  shard_of_key ~shards (Codec_bin.request_key payload)
+
+(* One admitted request: the caller to answer and the payload to
    forward, as the client sent it. *)
 type pending = {
-  p_client : Front.client;
+  p_caller : Front.caller;
   p_payload : string;
   p_enqueued : float;
 }
@@ -101,6 +105,7 @@ let run ?metrics ?(should_stop = fun () -> false)
         Front.socket_path = config.socket_path;
         tcp_port = config.tcp_port;
         max_payload = config.max_payload;
+        cache_entries = config.cache_entries;
       }
   in
   let drain_deadline = ref infinity in
@@ -108,13 +113,14 @@ let run ?metrics ?(should_stop = fun () -> false)
   let read_buf = Bytes.create 65536 in
 
   (* Answer [p] with a worker reply frame ([kind] is "response" or
-     "error").  A response goes to the client verbatim; an error is
-     decoded so the router's metrics count its code. *)
+     "error").  A response goes to the client verbatim, and into the
+     front's cache; an error is decoded so the router's metrics count
+     its code. *)
   let complete p ~kind ~payload =
     match kind with
     | "response" ->
       let latency_ms = (Unix.gettimeofday () -. p.p_enqueued) *. 1000.0 in
-      Front.respond front p.p_client ~latency_ms payload
+      Front.respond front p.p_caller ~latency_ms payload
     | _ ->
       let err =
         try Codec_bin.decode_error payload
@@ -122,9 +128,9 @@ let run ?metrics ?(should_stop = fun () -> false)
           { Protocol.code = Protocol.err_internal;
             message = "undecodable worker error" }
       in
-      Front.fail front p.p_client err.Protocol.code err.Protocol.message
+      Front.fail front p.p_caller err.Protocol.code err.Protocol.message
   in
-  let fail p code message = Front.fail front p.p_client code message in
+  let fail p code message = Front.fail front p.p_caller code message in
 
   (* A failed dial: no new one for [s_backoff] seconds, which doubles
      up to [reconnect_interval] until a link comes up. *)
@@ -168,7 +174,7 @@ let run ?metrics ?(should_stop = fun () -> false)
       | None -> ()
       | Some l ->
         let p = Queue.pop s.s_queue in
-        if not (Front.alive p.p_client) then pump s
+        if not (Front.alive p.p_caller) then pump s
         else begin
           (match Wire.write_frame l.l_fd ~kind:"request" p.p_payload with
           | () -> l.l_busy <- Some p
@@ -283,32 +289,38 @@ let run ?metrics ?(should_stop = fun () -> false)
     !best
   in
 
-  (* A request is forwarded as the client sent it, to the shard [pick]
-     chooses for its home. *)
-  let dispatch_request client payload =
-    if Front.draining front then
-      Front.fail front client Protocol.err_busy "cluster is draining"
-    else
-      match shard_of_request ~shards:n_shards payload with
-      | exception Failure msg -> Front.fail front client Protocol.err_parse msg
-      | home ->
-        let idx = pick home in
-        let s = shards.(idx) in
-        if Queue.length s.s_queue >= config.queue_depth then
-          Front.fail front client Protocol.err_busy
-            (Printf.sprintf "shard %d queue full (depth %d)" idx
-               config.queue_depth)
-        else begin
-          if idx <> home then incr spilled;
-          Queue.push
-            {
-              p_client = client;
-              p_payload = payload;
-              p_enqueued = Unix.gettimeofday ();
-            }
-            s.s_queue;
-          pump s
-        end
+  (* The front has answered replays.  What is left is forwarded as the
+     client sent it, to the shard [pick] chooses for its home.  Home
+     comes from the key the front read for its cache, or from one read
+     here when it keeps none: one head read and one digest either way,
+     and no decode. *)
+  let dispatch_request caller payload =
+    match
+      match Front.key caller with
+      | Some key -> key
+      | None -> Codec_bin.request_key payload
+    with
+    | exception Failure msg -> Front.fail front caller Protocol.err_parse msg
+    | key ->
+      let home = shard_of_key ~shards:n_shards key in
+      let idx = pick home in
+      let s = shards.(idx) in
+      if Queue.length s.s_queue >= config.queue_depth then
+        Front.fail front caller Protocol.err_busy
+          (Printf.sprintf "shard %d queue full (depth %d)" idx
+             config.queue_depth)
+      else begin
+        Front.admitted front;
+        if idx <> home then incr spilled;
+        Queue.push
+          {
+            p_caller = caller;
+            p_payload = payload;
+            p_enqueued = Unix.gettimeofday ();
+          }
+          s.s_queue;
+        pump s
+      end
   in
 
   let stats_lines () =

@@ -42,7 +42,7 @@ let spawn_worker config i =
         (Serve.Server.default_config
            ~socket_path:(shard_socket ~socket_path:config.socket_path i)) with
         Serve.Server.jobs = config.jobs_per_shard;
-        cache_entries = config.cache_entries;
+        cache_entries = 0;
         queue_depth = config.queue_depth;
         max_payload = config.max_payload;
       }
@@ -103,6 +103,7 @@ let run ?should_stop config =
       conns_per_shard = config.conns_per_shard;
       queue_depth = config.queue_depth;
       max_payload = config.max_payload;
+      cache_entries = config.cache_entries;
     }
   in
   let stop_workers () =

@@ -6,11 +6,10 @@
    equal bytes), length-prefixed strings.
 
    Envelope layouts put the request/response id first as a fixed
-   8-byte little-endian field so a router can read or rewrite it
+   8-byte little-endian field so a front door can read or rewrite it
    without decoding the rest, and the request keeps the tree as one
-   length-prefixed blob at the tail so the shard hash can be computed
-   from the raw bytes ({!request_tree_span}) without building the
-   tree.
+   length-prefixed blob at the tail so it can be located from the raw
+   bytes ({!request_tree_span}) without building the tree.
 
    Every decoder is strict: trailing bytes, truncated input, unknown
    tags and out-of-range values raise [Failure], and never any other
@@ -474,15 +473,17 @@ let get_bool r what =
   | v -> failwith (Printf.sprintf "binary payload: %s byte %d is not a boolean" what v)
 
 (* Read everything up to (but not into) the tree blob; returns the
-   request as a function of its tree plus the blob length, and leaves
-   [r.pos] at the blob's first byte with the length already checked
-   against the remaining input. *)
+   request as a function of its tree, the blob length and the deadline
+   field's byte range, and leaves [r.pos] at the blob's first byte with
+   the length already checked against the remaining input. *)
 let read_request_head r =
   let id = get_i64le r "request id" in
   let seed = get_zigzag r "seed" in
   let mode = mode_of_code (get_u8 r "mode") in
   let rule = read_rule r in
+  let deadline_at = r.pos in
   let deadline_ms = get_zigzag r "deadline_ms" in
+  let deadline_span = (deadline_at, r.pos) in
   let mc_trials = get_zigzag r "mc" in
   if mc_trials > max_mc_trials then
     failwith
@@ -561,11 +562,12 @@ let read_request_head r =
         eps_power;
         tree;
       }),
-    tree_len )
+    tree_len,
+    deadline_span )
 
 let decode_request s =
   let r = reader s in
-  let request, tree_len = read_request_head r in
+  let request, tree_len, _ = read_request_head r in
   let tr = reader ~pos:r.pos ~limit:(r.pos + tree_len) s in
   let tree = read_tree tr in
   expect_end tr "tree";
@@ -573,8 +575,16 @@ let decode_request s =
 
 let request_tree_span s =
   let r = reader s in
-  let _, tree_len = read_request_head r in
+  let _, tree_len, _ = read_request_head r in
   (r.pos, tree_len)
+
+(* The id is the first 8 bytes, and the deadline follows the rule: the
+   bytes in between are the seed, mode and rule (at most 43), kept
+   verbatim after the digest of everything past the deadline. *)
+let request_key s =
+  let _, _, (deadline_at, deadline_end) = read_request_head (reader s) in
+  Digest.substring s deadline_end (String.length s - deadline_end)
+  ^ String.sub s 8 (deadline_at - 8)
 
 let request_id s =
   let r = reader s in

@@ -5,13 +5,13 @@
     equal values encode to equal bytes, and encode→decode→encode is
     bit-exact.
 
-    Layout choices made for the cluster router's hot path: the
+    Layout choices made for the front door's hot path: the
     request/response id is a fixed 8-byte little-endian field at
     offset 0 (readable and rewritable without decoding,
-    {!request_id}/{!with_request_id}), and the request's routing tree
-    is one length-prefixed blob at the payload's tail whose raw bytes
-    {!request_tree_span} locates without building the tree — the
-    shard hash is a digest of exactly those bytes.
+    {!request_id}/{!with_request_id}), so a cached reply is answered
+    under a new id by rewriting 8 bytes; and {!request_key} reads the
+    head once and keys the payload on its own bytes, without building
+    the tree.
 
     Every decoder raises [Failure] — and only [Failure] — on
     malformed input: truncation, trailing bytes, unknown tags, a
@@ -38,7 +38,22 @@ val decode_response : string -> Protocol.response
 val encode_error : Protocol.error -> string
 val decode_error : string -> Protocol.error
 
-(** {1 Router helpers (no full decode)} *)
+(** {1 Front-door helpers (no full decode)} *)
+
+val request_key : string -> string
+(** The response-cache key of an encoded request: the MD5 digest of
+    every byte after the [deadline_ms] field, followed by the bytes
+    between the id and the deadline (seed, mode and rule: at most 43).
+    It reads the head once, with {!decode_request}'s head checks, and
+    leaves the tree blob undecoded.
+
+    A response is a function of the request minus its [id] (echoed
+    verbatim) and [deadline_ms] (which only bounds the run), and the
+    same bytes always decode to the same request, so equal keys mean
+    equal responses up to the id.  Two encodings of one request can
+    differ only where a hand-made payload is not canonical (say,
+    extensions out of order); they miss each other, never hit wrongly.
+    @raise Failure if the head is malformed. *)
 
 val request_id : string -> int
 (** The id field of an encoded request, read from its fixed offset. *)
@@ -50,9 +65,9 @@ val response_id : string -> int
 val with_response_id : string -> int -> string
 
 val request_tree_span : string -> int * int
-(** [(offset, length)] of the raw tree blob inside an encoded request
-    — the bytes the cluster shards on.  Validates everything but the
-    blob itself. *)
+(** [(offset, length)] of the raw tree blob inside an encoded request.
+    Validates everything but the blob itself.  Only the served-request
+    benchmark ([bench/e2e]) still calls it. *)
 
 (** {1 Embedded values (exposed for the fuzz suites)} *)
 

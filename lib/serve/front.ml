@@ -2,25 +2,31 @@ type config = {
   socket_path : string;
   tcp_port : int option;
   max_payload : int;
+  cache_entries : int;
 }
 
 (* Far beyond the bench's and CI's handful of clients. *)
 let backlog = 64
 let max_connections = 128
 
-type client = {
+type conn = {
   fd : Unix.file_descr;
   dec : Wire.decoder;
   mutable alive : bool;
 }
 
+(* [entry] is the request's cache key and id, when the front keeps a
+   cache. *)
+type caller = { conn : conn; entry : (string * int) option }
+
 type t = {
   config : config;
   metrics : Metrics.t;
+  cache : string Lru.t option;
   listeners : Unix.file_descr list;
   prev_sigpipe : Sys.signal_behavior option;
   read_buf : Bytes.t;
-  mutable conns : client list;
+  mutable conns : conn list;
   mutable draining : bool;
 }
 
@@ -68,6 +74,10 @@ let listen ~metrics config =
   {
     config;
     metrics;
+    cache =
+      (if config.cache_entries > 0 then
+         Some (Lru.create ~capacity:config.cache_entries)
+       else None);
     listeners = !bound;
     prev_sigpipe;
     read_buf = Bytes.create 65536;
@@ -77,7 +87,8 @@ let listen ~metrics config =
 
 let draining t = t.draining
 let drain t = t.draining <- true
-let alive c = c.alive
+let alive caller = caller.conn.alive
+let key caller = Option.map fst caller.entry
 
 (* Write a frame, isolating connection death (EPIPE & friends) to this
    connection. *)
@@ -89,13 +100,52 @@ let send c ~kind payload =
 let send_error c code message =
   send c ~kind:"error" (Codec_bin.encode_error { Protocol.code; message })
 
-let fail t c code message =
+let refuse t c code message =
   Metrics.request_error t.metrics ~code;
   send_error c code message
 
-let respond t c ~latency_ms payload =
+let fail t caller code message = refuse t caller.conn code message
+
+let reply_ok t c ~latency_ms payload =
   Metrics.request_ok t.metrics ~latency_ms;
   send c ~kind:"response" payload
+
+(* Only a reply that echoes its request's id is stored: a hit rewrites
+   that field, and bytes that do not carry it are nothing to replay. *)
+let echoes id payload =
+  match Codec_bin.response_id payload with
+  | r -> r = id
+  | exception Failure _ -> false
+
+let respond t caller ~latency_ms payload =
+  (match (t.cache, caller.entry) with
+  | Some cache, Some (key, id) when echoes id payload -> Lru.put cache key payload
+  | _ -> ());
+  reply_ok t caller.conn ~latency_ms payload
+
+let admitted t = if Option.is_some t.cache then Metrics.cache_miss t.metrics
+
+(* A replay is answered here, before the caller decodes, routes or
+   queues anything: so a full queue never refuses it.  With no cache
+   the payload goes on untouched. *)
+let handle_request t ~request c payload =
+  if t.draining then refuse t c Protocol.err_busy "server is draining"
+  else
+    match t.cache with
+    | None -> request { conn = c; entry = None } payload
+    | Some cache -> (
+      let received = Unix.gettimeofday () in
+      match Codec_bin.request_key payload with
+      | exception Failure msg -> refuse t c Protocol.err_parse msg
+      | key -> (
+        let id = Codec_bin.request_id payload in
+        match Lru.find cache key with
+        | Some reply ->
+          Metrics.cache_hit t.metrics;
+          reply_ok t c
+            ~latency_ms:((Unix.gettimeofday () -. received) *. 1000.0)
+            (Codec_bin.with_response_id reply id)
+        | None -> request { conn = c; entry = Some (key, id) } payload))
 
 let watched t =
   let accepting =
@@ -117,11 +167,21 @@ let accept t listen_fd =
     t.conns <- c :: t.conns
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
+(* The cache's occupancy, in the stats frame's "key value" lines. *)
+let cache_lines t =
+  match t.cache with
+  | None -> ""
+  | Some cache ->
+    let s = Lru.stats cache in
+    Printf.sprintf "cache_entries %d\ncache_capacity %d\n" s.Lru.entries
+      s.Lru.capacity
+
 let handle_frame t ~request ~stats c (f : Wire.frame) =
   Metrics.request_kind t.metrics ~kind:f.Wire.kind;
   match f.Wire.kind with
-  | "request" -> request c f.Wire.payload
-  | "stats" -> send c ~kind:"stats" (Metrics.render t.metrics ^ stats ())
+  | "request" -> handle_request t ~request c f.Wire.payload
+  | "stats" ->
+    send c ~kind:"stats" (Metrics.render t.metrics ^ cache_lines t ^ stats ())
   | "trace" ->
     (* The recent span buffer as Chrome trace JSON; an empty trace
        when observability is off. *)
@@ -130,7 +190,7 @@ let handle_frame t ~request ~stats c (f : Wire.frame) =
     send c ~kind:"ok" "";
     t.draining <- true
   | kind ->
-    fail t c Protocol.err_proto (Printf.sprintf "unknown frame kind %S" kind)
+    refuse t c Protocol.err_proto (Printf.sprintf "unknown frame kind %S" kind)
 
 let handle_readable t ~request ~stats c =
   match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
@@ -143,7 +203,7 @@ let handle_readable t ~request ~stats c =
       match Wire.next c.dec with
       | None -> ()
       | Some (Wire.Oversized { kind; len }) ->
-        fail t c Protocol.err_too_large
+        refuse t c Protocol.err_too_large
           (Printf.sprintf "%s frame of %d bytes exceeds the %d-byte limit"
              kind len t.config.max_payload);
         pump ()
@@ -163,7 +223,7 @@ let close_conn t c =
   close_quietly c.fd;
   Metrics.conn_closed t.metrics
 
-let serve t ~request ~stats readable =
+let serve t ~request ?(stats = fun () -> "") readable =
   List.iter
     (fun fd -> if List.mem fd readable then accept t fd)
     t.listeners;

@@ -4,10 +4,10 @@
     wall-clock fields), so the bytes of
     [Codec_bin.encode_response (run req)] are identical whether the
     request is answered here, by a server at [--jobs 1], or by a server
-    at [--jobs 8] — the determinism the protocol promises.  The server
-    runs every request its response cache misses through this module;
-    tests and the served-request benchmark call it directly and compare
-    bytes. *)
+    at [--jobs 8] — the determinism the protocol promises, and what
+    lets a front answer a replay from its cache.  The server runs every
+    request its front does not answer through this module; tests and
+    the served-request benchmark call it directly and compare bytes. *)
 
 val die_of_tree : Rctree.Tree.t -> float
 (** {!Experiments.Common.die_of_tree}: the die a request's net is

@@ -1,4 +1,4 @@
-(* The LRU behind the worker's response cache ({!Cache}).
+(* The LRU behind the front door's response cache ({!Front}).
 
    Recency is a logical clock: each touch restamps the entry, and
    insertion over capacity evicts the entry with the oldest stamp via
@@ -6,8 +6,9 @@
    capacities the cache runs at (tens to a few hundred) — every
    insertion already paid for an optimisation run.
 
-   The server's event loop looks entries up while pool domains insert
-   them, so every operation takes the instance's own mutex. *)
+   Every operation takes the instance's own mutex, so one LRU may be
+   shared across domains; a front uses its cache from its event loop
+   alone. *)
 
 type 'a entry = { value : 'a; mutable stamp : int }
 

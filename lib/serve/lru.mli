@@ -1,5 +1,5 @@
 (** Bounded least-recently-used map from string keys, backing the
-    worker's response cache ({!Cache}).
+    front door's response cache ({!Front}).
 
     Recency is a logical clock; eviction scans for the oldest stamp
     (O(capacity), deliberate — see the implementation note).

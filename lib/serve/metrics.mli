@@ -29,11 +29,12 @@ val request_error : t -> code:string -> unit
     distribution. *)
 
 val cache_hit : t -> unit
-(** A request answered from the response {!Cache}. *)
+(** A request answered from the front's response cache ({!Front}). *)
 
 val cache_miss : t -> unit
-(** A request admitted to the optimiser (cache enabled but cold); a
-    miss refused [busy] is not counted. *)
+(** A request the front's cache could not answer, once its owner
+    admitted it (queued it for the optimiser or a worker); a miss
+    refused [busy] is not counted. *)
 
 val request_kind : t -> kind:string -> unit
 (** A client frame arrived, by frame kind ([request], [stats], …), so

@@ -18,7 +18,7 @@ let default_config ~socket_path =
   }
 
 type job = {
-  j_client : Front.client;
+  j_caller : Front.caller;
   fut : (string, Protocol.error) result Exec.Pool.future;
   enqueued_at : float;
 }
@@ -31,11 +31,8 @@ let run ?(should_stop = fun () -> false) config =
         Front.socket_path = config.socket_path;
         tcp_port = config.tcp_port;
         max_payload = config.max_payload;
+        cache_entries = config.cache_entries;
       }
-  in
-  let cache =
-    if config.cache_entries > 0 then Some (Cache.create ~entries:config.cache_entries)
-    else None
   in
   let pool = Exec.Pool.create ~jobs:config.jobs () in
   (* Self-pipe: completing pool tasks poke it so [select] wakes as soon
@@ -60,88 +57,48 @@ let run ?(should_stop = fun () -> false) config =
   in
   let jobs : job list ref = ref [] in
 
-  (* Answer from the response cache at once, before the queue-depth
-     check: a hit costs an id rewrite, so a full queue never refuses
-     it.  Only an admitted miss counts as one. *)
-  let dispatch_request client payload =
-    if Front.draining front then
-      Front.fail front client Protocol.err_busy "server is draining"
-    else
-      match Codec_bin.decode_request payload with
-      | exception Failure msg -> Front.fail front client Protocol.err_parse msg
-      | req -> (
-        let decoded_at = Unix.gettimeofday () in
-        let key = Option.map (fun c -> (c, Cache.key_of_request req)) cache in
-        match Option.bind key (fun (c, k) -> Cache.find c k) with
-        | Some reply ->
-          Metrics.cache_hit metrics;
-          let reply = Codec_bin.with_response_id reply req.Protocol.id in
-          let ms = (Unix.gettimeofday () -. decoded_at) *. 1000.0 in
-          (* A hit is answered without queueing, yet it still counts in
-             both stage histograms, so their means stay per answered
-             request. *)
-          if Obs.Control.on () then begin
-            Obs.Counters.observe Obs.Counters.global "serve.queue_wait_ms" 0.0;
-            Obs.Counters.observe Obs.Counters.global "serve.exec_ms" ms
-          end;
-          Front.respond front client ~latency_ms:ms reply
-        | None when List.length !jobs >= config.queue_depth ->
-          Front.fail front client Protocol.err_busy
-            (Printf.sprintf "request queue full (depth %d)" config.queue_depth)
-        | None ->
-          if Option.is_some key then Metrics.cache_miss metrics;
-          let deadline_at =
-            if req.Protocol.deadline_ms > 0 then
-              Some
-                (decoded_at +. (float_of_int req.Protocol.deadline_ms /. 1000.0))
-            else None
-          in
-          let task () =
-            let started = Unix.gettimeofday () in
-            let obs = Obs.Control.on () in
-            let t0 = if obs then Obs.Span.now_ns () else 0 in
-            if obs then
-              Obs.Counters.observe Obs.Counters.global "serve.queue_wait_ms"
-                ((started -. decoded_at) *. 1000.0);
-            (* Queue wait counts against the deadline: re-derive the
-               remaining budget at execution start. *)
-            let deadline_s =
-              Option.map (fun at -> at -. started) deadline_at
-            in
-            let outcome =
-              match Handler.run ~pool ?deadline_s req with
-              | resp ->
-                let reply = Codec_bin.encode_response resp in
-                (* Only successful replies are cached: a deadline trip
-                   depends on the budget, not the payload, and must not
-                   poison faster retries. *)
-                Option.iter (fun (c, k) -> Cache.add c k reply) key;
-                Ok reply
-              | exception Bufins.Engine.Budget_exceeded msg ->
-                Error { Protocol.code = Protocol.err_deadline; message = msg }
-              | exception (Failure msg | Invalid_argument msg) ->
-                Error { Protocol.code = Protocol.err_internal; message = msg }
-            in
-            if obs then begin
-              Obs.Counters.observe Obs.Counters.global "serve.exec_ms"
-                ((Unix.gettimeofday () -. started) *. 1000.0);
-              Obs.Span.record ~name:"request" ~cat:"serve" ~t0_ns:t0
-            end;
-            outcome
-          in
-          let fut = Exec.Pool.submit ~on_complete:poke pool task in
-          jobs := !jobs @ [ { j_client = client; fut; enqueued_at = decoded_at } ])
-  in
-
-  (* The response cache's occupancy lines, appended to the metrics in
-     the same "key value" line format. *)
-  let stats_lines () =
-    match cache with
-    | None -> ""
-    | Some c ->
-      let s = Cache.stats c in
-      Printf.sprintf "cache_entries %d\ncache_capacity %d\n" s.Lru.entries
-        s.Lru.capacity
+  (* The front has answered replays already: what arrives here runs. *)
+  let dispatch_request caller payload =
+    match Codec_bin.decode_request payload with
+    | exception Failure msg -> Front.fail front caller Protocol.err_parse msg
+    | _ when List.length !jobs >= config.queue_depth ->
+      Front.fail front caller Protocol.err_busy
+        (Printf.sprintf "request queue full (depth %d)" config.queue_depth)
+    | req ->
+      Front.admitted front;
+      let decoded_at = Unix.gettimeofday () in
+      let deadline_at =
+        if req.Protocol.deadline_ms > 0 then
+          Some (decoded_at +. (float_of_int req.Protocol.deadline_ms /. 1000.0))
+        else None
+      in
+      let task () =
+        let started = Unix.gettimeofday () in
+        let obs = Obs.Control.on () in
+        let t0 = if obs then Obs.Span.now_ns () else 0 in
+        if obs then
+          Obs.Counters.observe Obs.Counters.global "serve.queue_wait_ms"
+            ((started -. decoded_at) *. 1000.0);
+        (* Queue wait counts against the deadline: re-derive the
+           remaining budget at execution start. *)
+        let deadline_s = Option.map (fun at -> at -. started) deadline_at in
+        let outcome =
+          match Handler.run ~pool ?deadline_s req with
+          | resp -> Ok (Codec_bin.encode_response resp)
+          | exception Bufins.Engine.Budget_exceeded msg ->
+            Error { Protocol.code = Protocol.err_deadline; message = msg }
+          | exception (Failure msg | Invalid_argument msg) ->
+            Error { Protocol.code = Protocol.err_internal; message = msg }
+        in
+        if obs then begin
+          Obs.Counters.observe Obs.Counters.global "serve.exec_ms"
+            ((Unix.gettimeofday () -. started) *. 1000.0);
+          Obs.Span.record ~name:"request" ~cat:"serve" ~t0_ns:t0
+        end;
+        outcome
+      in
+      let fut = Exec.Pool.submit ~on_complete:poke pool task in
+      jobs := !jobs @ [ { j_caller = caller; fut; enqueued_at = decoded_at } ]
   in
 
   let complete_jobs () =
@@ -151,12 +108,12 @@ let run ?(should_stop = fun () -> false) config =
       (fun j ->
         let latency_ms = (Unix.gettimeofday () -. j.enqueued_at) *. 1000.0 in
         match Exec.Pool.await j.fut with
-        | Ok reply -> Front.respond front j.j_client ~latency_ms reply
+        | Ok reply -> Front.respond front j.j_caller ~latency_ms reply
         | Error err ->
-          Front.fail front j.j_client err.Protocol.code err.Protocol.message
+          Front.fail front j.j_caller err.Protocol.code err.Protocol.message
         | exception e ->
           (* A crash in the submit plumbing itself; isolate it too. *)
-          Front.fail front j.j_client Protocol.err_internal
+          Front.fail front j.j_caller Protocol.err_internal
             (Printexc.to_string e))
       done_
   in
@@ -177,7 +134,7 @@ let run ?(should_stop = fun () -> false) config =
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
       in
       if List.mem pipe_r readable then drain_pipe ();
-      Front.serve front ~request:dispatch_request ~stats:stats_lines readable;
+      Front.serve front ~request:dispatch_request readable;
       complete_jobs ();
       loop ()
     end

@@ -11,12 +11,15 @@
     [jobs = 1] there are no workers and requests execute inline in the
     loop — a degenerate but correct (and bit-identical) mode.
 
-    The server owns the worker's one cache, the response {!Cache} of
-    encoded replies.  The loop decodes each request and looks it up
-    there first: a hit is answered at once with the cached bytes under
-    the request's id, and never enters the queue or the pool.  A miss
-    runs {!Handler.run} on the pool, and its reply is encoded once,
-    cached (successful replies only) and sent.
+    The response cache is the front's ({!Front}, [cache_entries]
+    entries): a replay is answered there from its bytes, under its own
+    id, and never reaches this loop.  What does reach it is decoded and
+    runs {!Handler.run} on the pool; its reply is encoded once, handed
+    to the front (which stores [response] frames) and sent.  A cluster
+    starts its workers with [cache_entries = 0], so its one cache is
+    the router's.  The [serve.queue_wait_ms] and [serve.exec_ms]
+    observability histograms cover the requests this loop runs; a
+    front hit is in neither.
 
     Robustness contract:
     - a malformed or oversized request gets an [error] frame and the
@@ -42,10 +45,10 @@ type config = {
   max_payload : int;  (** request-frame size limit, bytes *)
   queue_depth : int;  (** max requests queued + running *)
   cache_entries : int;
-      (** response-{!Cache} capacity; [0] disables caching.  Repeated
-          payloads (same seed/mode/rule/tree, ids and deadlines aside)
-          are answered from memory, byte-identically; hits and misses
-          show up in the [stats] report. *)
+      (** the front's response-cache capacity; [0] disables caching.
+          Repeated payloads (same bytes, ids and deadlines aside) are
+          answered from memory, byte-identically; hits and misses show
+          up in the [stats] report. *)
 }
 
 val default_config : socket_path:string -> config

@@ -14,4 +14,4 @@ val create : entries:int -> t
 val digest_of_span : string -> off:int -> len:int -> string
 (** Hex MD5 of a raw tree blob inside an encoded request (from
     {!Codec_bin.request_tree_span}); the benchmark times it as the
-    router's shard digest. *)
+    router's digest, which is now {!Codec_bin.request_key}'s. *)

@@ -42,9 +42,8 @@ wait "$SERVER"
 # ---- sharded cluster: router + 2 workers, Unix socket + TCP ----
 # The same net requested through the router's Unix socket and over TCP
 # must produce identical bufferings.  Sent one after the other, the
-# second finds its home shard idle, so its answer comes from that
-# worker's response cache: this also covers the cache-hit path through
-# the router.
+# second is a replay: the router's front answers it from the cluster's
+# one response cache, without reaching a worker.
 CSOCK="${TMPDIR:-/tmp}/varbuf-smoke-cluster-$$.sock"
 BUF1="${TMPDIR:-/tmp}/varbuf-smoke-$$.buf1"
 BUF2="${TMPDIR:-/tmp}/varbuf-smoke-$$.buf2"
@@ -92,19 +91,21 @@ cmp "$BUF1" "$BUF2" \
   || { echo "FAIL: sample-mode Unix-socket and TCP bufferings differ"; exit 1; }
 
 # The second request of each Unix-socket/TCP pair above is a replay,
-# answered by its worker's response cache; the workers' own stats
-# prove it.  The worker keeps no other cache: no tape_* lines.
-hits=0
+# answered by the router's response cache: the router's own stats
+# prove it.  The workers keep no cache at all: they count no hits and
+# report no tape_* lines.
+rstats=$("$BIN" stats --socket "$CSOCK")
+hits=$(awk '$1 == "cache_hits" { print $2 }' <<<"$rstats")
+[ "${hits:-0}" -ge 2 ] \
+  || { echo "FAIL: ${hits:-0} router cache hits after two replays, expected 2"; exit 1; }
 for ws in "$CSOCK".shard*; do
   wstats=$("$BIN" stats --socket "$ws")
   if grep -q "^tape_" <<<"$wstats"; then
     echo "FAIL: worker stats report a tape cache"; exit 1
   fi
-  h=$(awk '$1 == "cache_hits" { print $2 }' <<<"$wstats")
-  hits=$(( hits + ${h:-0} ))
+  grep -qx "cache_hits 0" <<<"$wstats" \
+    || { echo "FAIL: worker $ws reports cache hits"; exit 1; }
 done
-[ "$hits" -ge 2 ] \
-  || { echo "FAIL: $hits worker cache hits after two replays, expected 2"; exit 1; }
 
 # A concurrent pair: one net over the Unix socket and over TCP at once.
 # Whichever arrives second may find its home busy and go to the idle
@@ -126,7 +127,8 @@ grep -qx "ok 6" <<<"$cstats"
 grep -q "^kind_request 6" <<<"$cstats"
 grep -q "^cluster_spilled " <<<"$cstats"
 grep -q "^cluster_shard_0_links " <<<"$cstats"
-# The router keeps no request caches of its own.
+# The router's one cache is the response cache: no cluster_v1/v2
+# request-cache lines.
 if grep -qE "^cluster_v[12]_cache_" <<<"$cstats"; then
   echo "FAIL: router stats report a request cache"; exit 1
 fi

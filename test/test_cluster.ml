@@ -1,11 +1,13 @@
 (* End-to-end tests for lib/cluster: the routed path must be
    byte-identical to a single server at any shard count (including
    cache-hit answers, error replies and requests spilled off a busy
-   home), the home shard must be a pure function of the routing tree,
-   a busy or dead home must send new work to a ready shard, the bounded
-   queues must refuse overload with busy, the router must link up as
-   soon as its worker listens, and a worker response reaches the client
-   verbatim even when it does not decode. *)
+   home), the home shard must be a pure function of the payload (ids
+   and deadlines aside), a busy or dead home must send new work to a
+   ready shard, a replay must be answered at the router's front without
+   reaching a worker while no error reply is ever stored there, the
+   bounded queues must refuse overload with busy, the router must link
+   up as soon as its worker listens, and a worker response reaches the
+   client verbatim even when it does not decode. *)
 
 let streeq = Alcotest.(check (list string))
 
@@ -28,12 +30,18 @@ let stream_request k =
     rule = Bufins.Prune.two_param ~p_l:0.6 ~p_t:0.6 ();
   }
 
+(* The same stream with seed [base + id]: streams of different bases
+   share no payload, so none of their replies comes from a front's
+   cache. *)
+let distinct_request ~base k =
+  { (stream_request k) with Serve.Protocol.seed = base + k }
+
 (* Raw response payloads for requests [0, n) over one connection. *)
-let run_stream ?(n = 100) socket =
+let run_stream ?(n = 100) ?(request = stream_request) socket =
   let client = Serve.Client.connect socket in
   Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
   List.init n (fun k ->
-      match Serve.Client.request_raw client (stream_request k) with
+      match Serve.Client.request_raw client (request k) with
       | Ok payload -> payload
       | Error e ->
         Alcotest.failf "request %d failed: %s %s" k e.Serve.Protocol.code
@@ -72,6 +80,32 @@ let with_direct_server f =
 
 let home_of ~shards req =
   Cluster.Router.shard_of_request ~shards (Serve.Codec_bin.encode_request req)
+
+(* About 0.4 s of Monte-Carlo on a worker's two jobs, in little
+   memory: still running when the next request arrives. *)
+let slow_request =
+  {
+    (Serve.Protocol.default_request
+       ~tree:(Rctree.Generate.random_steiner ~seed:7 ~sinks:30 ~die_um:3000.0 ()))
+    with
+    Serve.Protocol.id = 1;
+    mc_trials = 20_000;
+  }
+
+(* A fast 8-sink request with the given id whose home is [home]. *)
+let homed_at ~shards home ~id =
+  let rec go seed =
+    let req =
+      {
+        (Serve.Protocol.default_request
+           ~tree:(Rctree.Generate.random_steiner ~seed ~sinks:8 ~die_um:3000.0 ()))
+        with
+        Serve.Protocol.id;
+      }
+    in
+    if home_of ~shards req = home then req else go (seed + 1)
+  in
+  go 1
 
 let request_frame req =
   Serve.Wire.frame_bytes ~kind:"request" (Serve.Codec_bin.encode_request req)
@@ -503,8 +537,8 @@ let test_shard_of_request_is_canonical () =
   for k = 0 to 29 do
     let s = tree_shard k in
     Alcotest.(check bool) "in range" true (s >= 0 && s < shards);
-    (* Same net, different id/deadline → same shard (that is what
-       makes worker caches effective). *)
+    (* Same payload, different id/deadline → same shard: home comes
+       from the request's cache key, which leaves both out. *)
     let q' =
       { (stream_request k) with Serve.Protocol.id = 999_999;
         deadline_ms = 77_000 }
@@ -519,31 +553,9 @@ let test_shard_of_request_is_canonical () =
 
 let test_spill_under_load () =
   let shards = 2 in
-  (* About 0.4 s of Monte-Carlo on a worker's two jobs, in little
-     memory: still running when the fast request arrives. *)
-  let slow =
-    {
-      (Serve.Protocol.default_request
-         ~tree:
-           (Rctree.Generate.random_steiner ~seed:7 ~sinks:30 ~die_um:3000.0 ()))
-      with
-      Serve.Protocol.id = 1;
-      mc_trials = 20_000;
-    }
-  in
+  let slow = slow_request in
   let home = home_of ~shards slow in
-  let rec same_home seed =
-    let req =
-      {
-        (Serve.Protocol.default_request
-           ~tree:(Rctree.Generate.random_steiner ~seed ~sinks:8 ~die_um:3000.0 ()))
-        with
-        Serve.Protocol.id = 2;
-      }
-    in
-    if home_of ~shards req = home then req else same_home (seed + 1)
-  in
-  let fast = same_home 1 in
+  let fast = homed_at ~shards home ~id:2 in
   let routed, lines =
     Cluster.Inproc.with_cluster ~shards (fun socket ->
         let probe = Serve.Client.connect socket in
@@ -582,7 +594,8 @@ let test_spill_under_load () =
 let test_dead_home_does_not_strand () =
   (* Shard 0's worker never exists.  Once shard 1 links up, a request
      whose home is shard 0 must be answered by shard 1 rather than wait
-     in shard 0's queue until the drain fails it. *)
+     in shard 0's queue until the drain fails it.  The router keeps no
+     cache, so it reads the home key itself. *)
   let base = fresh_base "deadhome" in
   let router_socket = base ^ ".sock" and worker_socket = base ^ ".shard1" in
   let stop = Atomic.make false in
@@ -596,8 +609,11 @@ let test_dead_home_does_not_strand () =
   let router =
     Domain.spawn (fun () ->
         Cluster.Router.run ~should_stop
-          (Cluster.Router.default_config ~socket_path:router_socket
-             ~shard_sockets:[| base ^ ".nowhere"; worker_socket |]))
+          {
+            (Cluster.Router.default_config ~socket_path:router_socket
+               ~shard_sockets:[| base ^ ".nowhere"; worker_socket |]) with
+            Cluster.Router.cache_entries = 0;
+          })
   in
   Fun.protect
     ~finally:(fun () ->
@@ -638,11 +654,18 @@ let test_dead_home_does_not_strand () =
            (String.split_on_char '\n' (Serve.Client.stats client))))
 
 let test_concurrent_bytes () =
-  (* Two connections replay the canonical stream at once, the second
-     five requests ahead, so a request often finds its home busy with
-     the other connection's and spills.  Every reply keeps the bytes a
-     router-less server gives. *)
-  let direct = Array.of_list (with_direct_server run_stream) in
+  (* Two connections send a stream each at once, the second five nets
+     ahead, so a request often finds its home busy with the other
+     connection's and spills.  The streams' seeds differ, so no payload
+     repeats and the router's front answers none of them.  Every reply
+     keeps the bytes a router-less server gives. *)
+  let request_a = distinct_request ~base:1000
+  and request_b = distinct_request ~base:2000 in
+  let direct_a, direct_b =
+    with_direct_server (fun socket ->
+        ( Array.of_list (run_stream ~request:request_a socket),
+          Array.of_list (run_stream ~request:request_b socket) ))
+  in
   let routed, spilled =
     Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
         let a = raw_connect socket and b = raw_connect socket in
@@ -655,10 +678,13 @@ let test_concurrent_bytes () =
         let replies =
           List.init 100 (fun k ->
               let kb = (k + 5) mod 100 in
-              write_all (fst a) (request_frame (stream_request k));
-              write_all (fst b) (request_frame (stream_request kb));
+              write_all (fst a) (request_frame (request_a k));
+              write_all (fst b) (request_frame (request_b kb));
               let ra = read_payload a in
-              [ (k, ra); (kb, read_payload b) ])
+              [
+                (Printf.sprintf "a's request %d" k, direct_a.(k), ra);
+                (Printf.sprintf "b's request %d" kb, direct_b.(kb), read_payload b);
+              ])
         in
         let client = Serve.Client.connect socket in
         Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
@@ -668,17 +694,104 @@ let test_concurrent_bytes () =
             (fun l -> Scanf.sscanf_opt l "cluster_spilled %d%!" Fun.id)
             stats ))
   in
-  (* 3 of the 5 net pairs share a home, so about 60 steps can spill;
-     54-60 did in trial runs. *)
+  (* 40 of the 100 steps send two requests with one home; all 40
+     spilled in trial runs. *)
   Alcotest.(check bool) "some requests spilled" true
     (match spilled with Some n -> n > 0 | None -> false);
   List.iter
-    (fun (k, payload) ->
-      Alcotest.(check string)
-        (Printf.sprintf "request %d" k)
-        (Digest.to_hex (Digest.string direct.(k)))
+    (fun (what, expected, payload) ->
+      Alcotest.(check string) what
+        (Digest.to_hex (Digest.string expected))
         (Digest.to_hex (Digest.string payload)))
     routed
+
+(* ---------- the router's front holds the cluster's one cache ---------- *)
+
+let stats_lines client = String.split_on_char '\n' (Serve.Client.stats client)
+
+(* The [requests] line of each worker's own stats. *)
+let worker_requests socket ~shards =
+  List.init shards (fun i ->
+      let c = Serve.Client.connect (Cluster.Inproc.shard_socket socket i) in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      match
+        List.find_map
+          (fun l -> Scanf.sscanf_opt l "requests %d%!" Fun.id)
+          (stats_lines c)
+      with
+      | Some n -> n
+      | None -> Alcotest.failf "shard %d's stats have no requests line" i)
+
+let test_replay_answered_at_front () =
+  (* A replay arrives while its home is busy with the slow request: it
+     is answered at the router from the first reply, and no worker sees
+     it.  (A worker-side cache would have sent it to the idle shard to
+     be recomputed.) *)
+  let shards = 2 in
+  let home = home_of ~shards slow_request in
+  let fast = homed_at ~shards home ~id:2 in
+  Cluster.Inproc.with_cluster ~shards (fun socket ->
+      let client = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      await_linked client ~shards;
+      let first =
+        payload_of "first request" (Serve.Client.request_raw client fast)
+      in
+      let before = worker_requests socket ~shards in
+      let ((fd, _) as conn) = raw_connect socket in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      write_all fd (request_frame slow_request);
+      let busy = Printf.sprintf "cluster_shard_%d_inflight 1" home in
+      ignore (await_stats client busy (List.mem busy));
+      let replay =
+        payload_of "replay"
+          (Serve.Client.request_raw client { fast with Serve.Protocol.id = 3 })
+      in
+      Alcotest.(check string) "the first reply's bytes under the new id"
+        (Serve.Codec_bin.with_response_id first 3)
+        replay;
+      ignore (read_payload conn : string);
+      Alcotest.(check bool) "the router counts one hit" true
+        (List.mem "cache_hits 1" (stats_lines client));
+      (* Only the slow request reached a worker: its home. *)
+      Alcotest.(check (list int)) "workers' requests"
+        (List.mapi (fun i n -> if i = home then n + 1 else n) before)
+        (worker_requests socket ~shards))
+
+let test_error_reply_not_stored () =
+  (* A deadline trip depends on the budget, not the payload: the same
+     payload with no deadline is computed, and only then stored. *)
+  Cluster.Inproc.with_cluster ~shards:2 (fun socket ->
+      let client = Serve.Client.connect socket in
+      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
+      (match
+         Serve.Client.request_raw client
+           { slow_request with Serve.Protocol.deadline_ms = 50 }
+       with
+      | Ok _ -> Alcotest.fail "a 50-ms deadline must trip"
+      | Error e ->
+        Alcotest.(check string) "a deadline error" Serve.Protocol.err_deadline
+          e.Serve.Protocol.code);
+      let computed =
+        payload_of "the payload with no deadline"
+          (Serve.Client.request_raw client
+             { slow_request with Serve.Protocol.id = 4 })
+      in
+      let third =
+        payload_of "a third copy"
+          (Serve.Client.request_raw client
+             { slow_request with Serve.Protocol.id = 5; deadline_ms = 60_000 })
+      in
+      Alcotest.(check string) "the third copy is the computed reply"
+        (Serve.Codec_bin.with_response_id computed 5)
+        third;
+      let lines = stats_lines client in
+      List.iter
+        (fun l ->
+          Alcotest.(check bool) (Printf.sprintf "stats has %S" l) true
+            (List.mem l lines))
+        [ "cache_hits 1"; "cache_misses 2"; "error_deadline 1" ])
 
 let test_busy_backpressure_and_drain () =
   (* A router whose single worker does not exist: requests queue up to
@@ -822,4 +935,8 @@ let suite =
       test_dead_home_does_not_strand;
     Alcotest.test_case "two concurrent streams keep a router-less server's bytes"
       `Slow test_concurrent_bytes;
+    Alcotest.test_case "a replay is answered at the router while its home is busy"
+      `Quick test_replay_answered_at_front;
+    Alcotest.test_case "an error reply is never stored at the router" `Quick
+      test_error_reply_not_stored;
   ]

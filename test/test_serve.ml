@@ -218,7 +218,7 @@ let test_determinism_across_jobs () =
 
 let test_cache_key () =
   let req = Serve.Protocol.default_request ~tree:small_tree in
-  let key = Serve.Cache.key_of_request in
+  let key r = Serve.Codec_bin.request_key (Serve.Codec_bin.encode_request r) in
   let k = key req in
   (* id and deadline are routing, not payload: they must not split the
      cache; everything else must. *)
@@ -226,6 +226,10 @@ let test_cache_key () =
     (key { req with Serve.Protocol.id = 99 });
   Alcotest.(check string) "deadline ignored" k
     (key { req with Serve.Protocol.deadline_ms = 5000 });
+  (* 0 takes one varint byte and 60,000 three: the key skips the
+     field's bytes, whatever their length. *)
+  Alcotest.(check string) "a longer deadline varint ignored" k
+    (key { req with Serve.Protocol.deadline_ms = 60_000 });
   let splits field r =
     Alcotest.(check bool) (field ^ " splits") false (k = key r)
   in
@@ -249,22 +253,23 @@ let test_cache_key () =
   Alcotest.(check string) "v2 binary round trip keeps the key" k
     (key (Serve.Codec_bin.decode_request (Serve.Codec_bin.encode_request req)))
 
+(* The front's response cache is a [string Lru.t] of encoded replies. *)
 let test_cache_lru () =
-  let cache = Serve.Cache.create ~entries:2 in
+  let cache = Serve.Lru.create ~capacity:2 in
   let resp id =
     Serve.Codec_bin.encode_response
       { (Serve.Handler.run (Serve.Protocol.default_request ~tree:small_tree)) with
         Serve.Protocol.r_id = id }
   in
-  Serve.Cache.add cache "a" (resp 1);
-  Serve.Cache.add cache "b" (resp 2);
+  Serve.Lru.put cache "a" (resp 1);
+  Serve.Lru.put cache "b" (resp 2);
   (* Touch "a" so "b" is the LRU victim when "c" arrives. *)
-  Alcotest.(check bool) "a hits" true (Serve.Cache.find cache "a" <> None);
-  Serve.Cache.add cache "c" (resp 3);
-  Alcotest.(check int) "bounded" 2 (Serve.Cache.length cache);
-  Alcotest.(check bool) "a survived" true (Serve.Cache.find cache "a" <> None);
-  Alcotest.(check bool) "b evicted" true (Serve.Cache.find cache "b" = None);
-  Alcotest.(check bool) "c present" true (Serve.Cache.find cache "c" <> None)
+  Alcotest.(check bool) "a hits" true (Serve.Lru.find cache "a" <> None);
+  Serve.Lru.put cache "c" (resp 3);
+  Alcotest.(check int) "bounded" 2 (Serve.Lru.length cache);
+  Alcotest.(check bool) "a survived" true (Serve.Lru.find cache "a" <> None);
+  Alcotest.(check bool) "b evicted" true (Serve.Lru.find cache "b" = None);
+  Alcotest.(check bool) "c present" true (Serve.Lru.find cache "c" <> None)
 
 let test_cache_end_to_end () =
   let req =
