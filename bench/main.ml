@@ -105,15 +105,12 @@ let kernel_dp_shaped_tests =
 let bench_dp bench_name =
   let info = Rctree.Benchmarks.find bench_name in
   let tree = Rctree.Benchmarks.load info in
-  let setup = Experiments.Common.default_setup in
-  let grid =
-    Experiments.Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um
-  in
+  let setup = Job.default_setup in
+  let grid = Job.grid ~die_um:info.Rctree.Benchmarks.die_um in
   Staged.stage (fun () ->
       ignore
-        (Experiments.Common.run_algo setup
-           ~spatial:Varmodel.Model.default_heterogeneous ~grid
-           Experiments.Common.Wid tree))
+        (Job.run_algo setup ~spatial:Varmodel.Model.default_heterogeneous
+           ~grid Job.Wid tree))
 
 let micro_tests ~smoke =
   Test.make_grouped ~name:"varbuf"
@@ -195,10 +192,7 @@ let run_dp_probe ~smoke () =
   let sinks = if smoke then 100 else 300 in
   let die = 8000.0 in
   let tree = Rctree.Generate.random_steiner ~seed:7 ~sinks ~die_um:die () in
-  let grid =
-    Varmodel.Grid.create ~width_um:die ~height_um:die ~pitch_um:500.0
-      ~range_um:2000.0
-  in
+  let grid = Job.grid ~die_um:die in
   let model =
     Varmodel.Model.create ~mode:Varmodel.Model.Wid
       ~spatial:Varmodel.Model.default_heterogeneous ~grid ()
@@ -251,10 +245,7 @@ let run_par_dp ~smoke ~jobs () =
   let sinks = if smoke then 100 else 300 in
   let die = 8000.0 in
   let tree = Rctree.Generate.random_steiner ~seed:7 ~sinks ~die_um:die () in
-  let grid =
-    Varmodel.Grid.create ~width_um:die ~height_um:die ~pitch_um:500.0
-      ~range_um:2000.0
-  in
+  let grid = Job.grid ~die_um:die in
   let model () =
     Varmodel.Model.create ~mode:Varmodel.Model.Wid
       ~spatial:Varmodel.Model.default_heterogeneous ~grid ()
@@ -349,10 +340,7 @@ let run_sample ~smoke ~jobs () =
   let exact_sinks = 30 and relaxed_sinks = if smoke then 30 else 60 in
   let exact_net = net exact_sinks in
   let relaxed_net = if smoke then exact_net else net relaxed_sinks in
-  let grid =
-    Varmodel.Grid.create ~width_um:die ~height_um:die ~pitch_um:500.0
-      ~range_um:2000.0
-  in
+  let grid = Job.grid ~die_um:die in
   let model () =
     Varmodel.Model.create ~mode:Varmodel.Model.Wid
       ~spatial:Varmodel.Model.default_heterogeneous ~grid ()
@@ -443,10 +431,7 @@ type obs_report = {
 let run_obs_identity () =
   let die = 4000.0 in
   let tree = Rctree.Generate.random_steiner ~seed:5 ~sinks:60 ~die_um:die () in
-  let grid =
-    Varmodel.Grid.create ~width_um:die ~height_um:die ~pitch_um:500.0
-      ~range_um:2000.0
-  in
+  let grid = Job.grid ~die_um:die in
   let model () =
     Varmodel.Model.create ~mode:Varmodel.Model.Wid
       ~spatial:Varmodel.Model.default_heterogeneous ~grid ()
@@ -513,7 +498,7 @@ type btypes_row = {
 (* The WID DP across library sizes b = 1..16 on the Table-1 nets:
    ns/op, candidate counts and the chosen type mix. *)
 let run_btypes ~smoke () =
-  let setup = Experiments.Common.default_setup in
+  let setup = Job.default_setup in
   let nets = if smoke then [ "r1"; "r2" ] else [ "r1"; "r2"; "r3"; "r4"; "r5" ] in
   let bs = [ 1; 2; 4; 8; 16 ] in
   let reps = if smoke then 1 else 3 in
@@ -523,23 +508,16 @@ let run_btypes ~smoke () =
       (fun net ->
         let info = Rctree.Benchmarks.find net in
         let tree = Rctree.Benchmarks.load info in
-        let grid =
-          Experiments.Common.grid_for setup
-            ~die_um:info.Rctree.Benchmarks.die_um
-        in
+        let grid = Job.grid ~die_um:info.Rctree.Benchmarks.die_um in
         List.map
           (fun b ->
             let setup =
-              { setup with
-                Experiments.Common.library = Device.Buffer.synth_library ~btypes:b }
+              { setup with Job.library = Device.Buffer.synth_library ~btypes:b }
             in
             let best = ref None in
             for _ = 1 to reps do
               let t0 = Unix.gettimeofday () in
-              let r =
-                Experiments.Common.run_algo setup ~spatial ~grid
-                  Experiments.Common.Wid tree
-              in
+              let r = Job.run_algo setup ~spatial ~grid Job.Wid tree in
               let t = Unix.gettimeofday () -. t0 in
               match !best with
               | Some (bt, _) when bt <= t -> ()
@@ -589,7 +567,7 @@ type pareto_row = {
    1e-2} on the Table-1 nets: ns/op, frontier sizes and the chosen
    tree's buffer energy, under the [Weighted 1.0] objective. *)
 let run_pareto ~smoke () =
-  let setup = Experiments.Common.default_setup in
+  let setup = Job.default_setup in
   let nets = if smoke then [ "r1"; "r2" ] else [ "r1"; "r2"; "r3"; "r4"; "r5" ] in
   let epss = [ 0.0; 1e-3; 1e-2 ] in
   let reps = if smoke then 1 else 3 in
@@ -599,19 +577,16 @@ let run_pareto ~smoke () =
       (fun net ->
         let info = Rctree.Benchmarks.find net in
         let tree = Rctree.Benchmarks.load info in
-        let grid =
-          Experiments.Common.grid_for setup
-            ~die_um:info.Rctree.Benchmarks.die_um
-        in
+        let grid = Job.grid ~die_um:info.Rctree.Benchmarks.die_um in
         List.map
           (fun eps ->
             let best = ref None in
             for _ = 1 to reps do
               let t0 = Unix.gettimeofday () in
               let r =
-                Experiments.Common.run_algo setup
+                Job.run_algo setup
                   ~objective:(Bufins.Dominance.Weighted 1.0) ~eps_power:eps
-                  ~spatial ~grid Experiments.Common.Wid tree
+                  ~spatial ~grid Job.Wid tree
               in
               let t = Unix.gettimeofday () -. t0 in
               match !best with

@@ -17,7 +17,7 @@ let load_tree source seed =
     let info = Rctree.Benchmarks.find name in
     (Rctree.Benchmarks.load info, info.Rctree.Benchmarks.die_um)
   | Random sinks ->
-    let die_um = Experiments.Common.die_for_sinks sinks in
+    let die_um = Job.die_for_sinks sinks in
     (Rctree.Generate.random_steiner ~seed ~sinks ~die_um (), die_um)
   | Htree levels ->
     let die_um = 20000.0 in
@@ -26,7 +26,7 @@ let load_tree source seed =
     (* Files carry no die: take the net's grid-aligned bounding
        square. *)
     let tree = Rctree.Io.load path in
-    (tree, Experiments.Common.die_of_tree tree)
+    (tree, Job.die_of_tree tree)
 
 (* Flush, then write/print the observability outputs the flags asked
    for.  Runs on both the normal and the DNF exit path, so an aborted
@@ -66,13 +66,15 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
     1
   | Ok source -> (
     (* "sample" is not a canonical pruning rule: it routes the run to
-       the sampling-based yield engine.  The placeholder rule below is
-       never used on that path. *)
-    let rule_res =
+       the sampling-based yield engine. *)
+    let engine_res =
       if rule_s = "sample" then
         if samples < 1 then Error "--samples must be >= 1 with --rule sample"
-        else Ok Bufins.Prune.deterministic
-      else Experiments.Common.rule_of_string ~others:[ "sample" ] ~p rule_s
+        else Ok (Job.Sampled { samples; relax })
+      else
+        Result.map
+          (fun rule -> Job.Canonical rule)
+          (Job.rule_of_string ~others:[ "sample" ] ~p rule_s)
     in
     (* --lib / --btypes select the buffer library for the run; every
        engine threads it through candidate generation, the device-id
@@ -87,7 +89,7 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
       | None, Some b ->
         if b < 1 then Error "--btypes must be >= 1"
         else Ok (Device.Buffer.synth_library ~btypes:b)
-      | None, None -> Ok Experiments.Common.default_setup.library
+      | None, None -> Ok Job.default_setup.Job.library
     in
     let objective_res =
       if not (eps_power >= 0.0) then Error "--eps-power must be >= 0"
@@ -96,8 +98,7 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
         with Failure msg -> Error msg
     in
     match
-      (Experiments.Common.algo_of_string algo_s, rule_res, library_res,
-       objective_res)
+      (Job.algo_of_string algo_s, engine_res, library_res, objective_res)
     with
     | Error msg, _, _, _
     | _, Error msg, _, _
@@ -105,23 +106,16 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
     | _, _, _, Error msg ->
       prerr_endline msg;
       1
-    | Ok _, Ok rule, Ok _, Ok objective
+    | Ok _, Ok (Job.Canonical rule), Ok _, Ok objective
       when Bufins.Dominance.power_aware objective
            && not (Bufins.Prune.is_linear rule) ->
       prerr_endline "--rule 4p takes no power-aware --objective";
       1
-    | Ok algo, Ok rule, Ok library, Ok objective -> (
+    | Ok algo, Ok engine, Ok library, Ok objective -> (
       let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
       let finally () = Option.iter Exec.Pool.shutdown pool in
       Fun.protect ~finally @@ fun () ->
-      let setup =
-        {
-          Experiments.Common.default_setup with
-          mc_trials = mc;
-          pool;
-          library;
-        }
-      in
+      let setup = { Job.default_setup with Job.mc_trials = mc; pool; library } in
       if lib_file <> None || btypes <> None then
         Format.printf "library: %d types (%d inverting)@." (Array.length library)
           (Array.length library
@@ -137,7 +131,6 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
           prerr_endline ("cannot load tree: " ^ msg);
           exit 1
       in
-      let grid = Experiments.Common.grid_for setup ~die_um in
       let spatial =
         if homogeneous then Varmodel.Model.Homogeneous
         else Varmodel.Model.default_heterogeneous
@@ -152,47 +145,22 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
           Format.printf "tree written to %s@." path)
         save_tree;
       try
-        let buffers, widths, stats, load_limit_met, label, sampled, power =
-          if rule_s = "sample" then begin
-            let r =
-              Experiments.Common.run_sampled setup ~wire_sizing ?load_limit
-                ~samples ~relax ~seed ~objective ~eps_power ~spatial
-                ~grid algo tree
-            in
-            ( r.Sample.Engine.buffers,
-              r.Sample.Engine.widths,
-              r.Sample.Engine.stats,
-              r.Sample.Engine.load_limit_met,
-              Printf.sprintf "sample(K=%d)" samples,
-              Some
-                ( r.Sample.Engine.sampled_mean,
-                  r.Sample.Engine.sampled_std,
-                  r.Sample.Engine.rat_at_yield ),
-              r.Sample.Engine.best.Sample.Engine.power )
-          end
-          else begin
-            let r =
-              Experiments.Common.run_algo setup ~rule ~wire_sizing ?load_limit
-                ~objective ~eps_power ~spatial ~grid algo tree
-            in
-            ( r.Bufins.Engine.buffers,
-              r.Bufins.Engine.widths,
-              r.Bufins.Engine.stats,
-              r.Bufins.Engine.load_limit_met,
-              Bufins.Prune.name rule,
-              None,
-              r.Bufins.Engine.best.Bufins.Sol.power )
-          end
+        let o =
+          Job.run setup ~wire_sizing ?load_limit ~objective ~eps_power ~spatial
+            ~seed ~die_um engine algo tree
         in
-        let form =
-          Experiments.Common.evaluate setup ~spatial ~grid tree ~widths buffers
+        let { Bufins.Assignment.buffers; widths } = o.Job.assignment in
+        let stats = o.Job.stats and form = o.Job.form in
+        let label =
+          match engine with
+          | Job.Canonical rule -> Bufins.Prune.name rule
+          | Job.Sampled _ -> Printf.sprintf "sample(K=%d)" samples
         in
         Format.printf
           "%s/%s: buffers=%d sized-wires=%d runtime=%.2fs peak-candidates=%d@."
-          (Experiments.Common.algo_name algo)
-          label (List.length buffers) (List.length widths)
+          (Job.algo_name algo) label (List.length buffers) (List.length widths)
           stats.Bufins.Engine.runtime_s stats.Bufins.Engine.peak_candidates;
-        if not load_limit_met then
+        if not o.Job.load_limit_met then
           Format.printf "warning: the load limit could not be met anywhere@.";
         Option.iter
           (fun (mu, sigma, raty) ->
@@ -200,34 +168,27 @@ let run bench sinks htree file algo_s rule_s p seed mc homogeneous save_tree
               "sampled driver RAT (K=%d): mu=%.1f ps, sigma=%.1f ps, \
                95%%-yield RAT=%.1f ps@."
               samples mu sigma raty)
-          sampled;
+          o.Job.sampled;
         Format.printf
           "root RAT under full model: mu=%.1f ps, sigma=%.1f ps, 95%%-yield RAT=%.1f ps@."
           (Linform.mean form) (Linform.std form)
           (Sta.Yield.rat_at_yield form ~yield:0.95);
         if Bufins.Dominance.power_aware objective then
           Format.printf "objective %s: buffer energy=%.3f fJ@."
-            (Bufins.Dominance.to_string objective) power;
+            (Bufins.Dominance.to_string objective) o.Job.power;
         Option.iter
           (fun path ->
-            (try
-               Bufins.Assignment.save path { Bufins.Assignment.buffers; widths }
+            (try Bufins.Assignment.save path o.Job.assignment
              with Sys_error msg ->
                prerr_endline ("cannot save buffering: " ^ msg);
                exit 1);
             Format.printf "buffering written to %s@." path)
           save_buffering;
-        if mc > 0 then begin
-          let inst =
-            Experiments.Common.instance_for setup ~spatial ~grid tree ~widths
-              buffers
-          in
-          let rng = Numeric.Rng.create ~seed in
-          let samples = Sta.Buffered.monte_carlo ?pool inst ~rng ~trials:mc in
-          let s = Numeric.Stats.summarize samples in
-          Format.printf "Monte Carlo (%d trials): mu=%.1f ps, sigma=%.1f ps@." mc
-            s.Numeric.Stats.mean s.Numeric.Stats.std
-        end;
+        Option.iter
+          (fun s ->
+            Format.printf "Monte Carlo (%d trials): mu=%.1f ps, sigma=%.1f ps@." mc
+              s.Numeric.Stats.mean s.Numeric.Stats.std)
+          o.Job.mc;
         dump_obs ~obs ~trace;
         0
       with Bufins.Engine.Budget_exceeded msg ->

@@ -198,7 +198,7 @@ let load_tree bench file seed sinks =
   | None, None, Some n ->
     Ok
       (Rctree.Generate.random_steiner ~seed ~sinks:n
-         ~die_um:(Experiments.Common.die_for_sinks n) ())
+         ~die_um:(Job.die_for_sinks n) ())
   | None, None, None -> Error "give one of --bench, --load or --sinks"
   | _ -> Error "give exactly one of --bench, --load or --sinks"
 
@@ -228,8 +228,8 @@ let request socket tcp bench file sinks algo_s rule_s p seed deadline_ms
     prerr_endline msg; 1
   in
   let* tree = load_tree bench file seed sinks in
-  let* mode = Experiments.Common.algo_of_string algo_s in
-  let* rule = Experiments.Common.rule_of_string ~p rule_s in
+  let* mode = Job.algo_of_string algo_s in
+  let* rule = Job.rule_of_string ~p rule_s in
   let* () =
     if samples < 0 then Error "--samples must be >= 0" else Ok ()
   in

@@ -24,15 +24,12 @@ let run tree_path buffering_path mc skew report homogeneous budget_pct wire_pct
         prerr_endline ("cannot load buffering: " ^ msg);
         exit 1)
   in
-  let die_um = Experiments.Common.die_of_tree tree in
+  let die_um = Job.die_of_tree tree in
   let frac = budget_pct /. 100.0 in
   let budget =
     { Varmodel.Model.random_frac = frac; inter_die_frac = frac; spatial_frac = frac }
   in
-  let grid =
-    Varmodel.Grid.create ~width_um:die_um ~height_um:die_um ~pitch_um:500.0
-      ~range_um:2000.0
-  in
+  let grid = Job.grid ~die_um in
   let spatial =
     if homogeneous then Varmodel.Model.Homogeneous
     else Varmodel.Model.default_heterogeneous

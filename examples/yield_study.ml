@@ -36,7 +36,7 @@ let () =
     }
   in
   let tree = Rctree.Benchmarks.load info in
-  let grid = Experiments.Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+  let grid = Experiments.Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
   let spatial = Varmodel.Model.default_heterogeneous in
   Format.printf
     "benchmark %s (%d sinks), %.0f%%/%.0f%%/%.0f%% variation budget, heterogeneous@."

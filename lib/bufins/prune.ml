@@ -7,12 +7,12 @@ type t =
 let deterministic = Deterministic
 
 let two_param ?(p_l = 0.5) ?(p_t = 0.5) () =
-  if p_l < 0.5 || p_l > 1.0 || p_t < 0.5 || p_t > 1.0 then
+  if not (0.5 <= p_l && p_l <= 1.0 && 0.5 <= p_t && p_t <= 1.0) then
     invalid_arg "Prune.two_param: parameters must lie in [0.5, 1]";
   Two_param { p_l; p_t }
 
 let one_param ~alpha =
-  if alpha <= 0.0 || alpha >= 1.0 then
+  if not (0.0 < alpha && alpha < 1.0) then
     invalid_arg "Prune.one_param: alpha must lie in (0, 1)";
   One_param { alpha }
 

@@ -33,7 +33,7 @@ let compute setup ?(bench = "r1") () =
         else { Varmodel.Model.paper_budget with Varmodel.Model.spatial_frac = frac }
       in
       let setup = { setup with Common.budget } in
-      let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+      let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
       let spatial = Varmodel.Model.Heterogeneous { lo = 2.0 -. ramp_hi; hi = ramp_hi } in
       let spatial =
         match spatial with

@@ -18,7 +18,7 @@ let compute setup ?(sizes = [ 64; 128; 256; 512 ]) ?(budget = default_budget) ()
     (fun sinks ->
       let die_um = Common.die_for_sinks sinks in
       let tree = Rctree.Generate.random_steiner ~seed:77 ~sinks ~die_um () in
-      let grid = Common.grid_for setup ~die_um in
+      let grid = Common.grid ~die_um in
       let canonical rule =
         try
           let r = Common.run_algo setup ~rule ~budget ~spatial ~grid Common.Wid tree in
@@ -34,7 +34,7 @@ let compute setup ?(sizes = [ 64; 128; 256; 512 ]) ?(budget = default_budget) ()
         let config =
           {
             (Bufins.Probabilistic.default_config ~heuristic ()) with
-            Bufins.Probabilistic.tech = setup.Common.tech;
+            Bufins.Probabilistic.tech = Common.tech;
             library = setup.Common.library;
             budget;
           }

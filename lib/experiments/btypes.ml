@@ -19,7 +19,7 @@ let compute setup ?(bench = "r1") () =
       let setup =
         { setup with Common.library = Device.Buffer.synth_library ~btypes:b }
       in
-      let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+      let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
       let r = Common.run_algo setup ~spatial ~grid Common.Wid tree in
       let form =
         Common.evaluate setup ~spatial ~grid tree r.Bufins.Engine.buffers

@@ -9,7 +9,7 @@ type row = {
 
 let compute setup ?(max_levels = 8) () =
   let die_um = 20000.0 in
-  let grid = Common.grid_for setup ~die_um in
+  let grid = Common.grid ~die_um in
   let spatial = Varmodel.Model.default_heterogeneous in
   List.map
     (fun levels ->

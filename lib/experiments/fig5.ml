@@ -17,7 +17,7 @@ let compute setup ?(benches = Rctree.Benchmarks.names) () =
       (fun bname ->
         let info = Rctree.Benchmarks.find bname in
         let tree = Rctree.Benchmarks.load info in
-        let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+        let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
         let r = Common.run_algo setup ~spatial ~grid Common.Wid tree in
         {
           bench = bname;

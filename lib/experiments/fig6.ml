@@ -10,12 +10,15 @@ type result = {
 let compute setup ?(bench = "r5") ?(seed = 7) () =
   let info = Rctree.Benchmarks.find bench in
   let tree = Rctree.Benchmarks.load info in
-  let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+  let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
   let spatial = Varmodel.Model.default_heterogeneous in
   let wid = Common.run_algo setup ~spatial ~grid Common.Wid tree in
   let inst = Common.instance_for setup ~spatial ~grid tree wid.Bufins.Engine.buffers in
   let form = Sta.Buffered.canonical_rat inst in
-  let samples = Common.mc_samples setup inst ~seed ~trials:setup.Common.mc_trials in
+  let samples =
+    Sta.Buffered.monte_carlo ?pool:setup.Common.pool inst
+      ~rng:(Numeric.Rng.create ~seed) ~trials:setup.Common.mc_trials
+  in
   let s = Numeric.Stats.summarize samples in
   let hist = Numeric.Histogram.of_samples ~bins:40 samples in
   let mu = Linform.mean form and sigma = Linform.std form in

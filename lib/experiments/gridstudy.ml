@@ -21,7 +21,7 @@ let compute setup ?(bench = "r1") () =
   let die = info.Rctree.Benchmarks.die_um in
   let spatial = Varmodel.Model.default_heterogeneous in
   (* Optimise once under the paper's grid... *)
-  let base_grid = Common.grid_for setup ~die_um:die in
+  let base_grid = Common.grid ~die_um:die in
   let solution = Common.run_algo setup ~spatial ~grid:base_grid Common.Wid tree in
   (* ...then re-evaluate the same buffering under each grid variant. *)
   List.map

@@ -34,7 +34,7 @@ let compute_one setup ?(weights = default_weights) bname =
   let spatial = Varmodel.Model.default_heterogeneous in
   let info = Rctree.Benchmarks.find bname in
   let tree = Rctree.Benchmarks.load info in
-  let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+  let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
   let points =
     List.map
       (fun w ->

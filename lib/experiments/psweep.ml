@@ -14,7 +14,7 @@ let compute setup ?(sinks = 64) ?(seed = 77)
     ?(ps = [ 0.5; 0.6; 0.7; 0.8; 0.9 ]) () =
   let die_um = Common.die_for_sinks sinks in
   let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um () in
-  let grid = Common.grid_for setup ~die_um in
+  let grid = Common.grid ~die_um in
   let spatial = Varmodel.Model.default_heterogeneous in
   let rows =
     Common.map_cells setup

@@ -41,7 +41,7 @@ let compute_uncached setup ~spatial benches =
     Common.map_cells setup cells ~f:(fun (bname, algo) ->
         let info = Rctree.Benchmarks.find bname in
         let tree = Rctree.Benchmarks.load info in
-        let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+        let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
         let r = Common.run_algo setup ~spatial ~grid algo tree in
         let form =
           Common.evaluate setup ~spatial ~grid tree r.Bufins.Engine.buffers

@@ -15,7 +15,7 @@ let compute setup ?(levels = 4) () =
     { Rctree.Generate.cap_lo = 8.0; cap_hi = 8.0; rat = 0.0; rat_spread = 0.0 }
   in
   let tree = Rctree.Generate.h_tree ~sink_params ~levels ~die_um () in
-  let grid = Common.grid_for setup ~die_um in
+  let grid = Common.grid ~die_um in
   List.map
     (fun (name, spatial) ->
       let r = Common.run_algo setup ~spatial ~grid Common.Wid tree in

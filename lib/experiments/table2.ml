@@ -22,7 +22,7 @@ let compute setup ?(four_p_budget = default_budget)
     (fun bname ->
       let info = Rctree.Benchmarks.find bname in
       let tree = Rctree.Benchmarks.load info in
-      let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+      let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
       let two_p =
         (Common.run_algo setup ~spatial ~grid Common.Wid tree).Bufins.Engine.stats
           .Bufins.Engine.runtime_s

@@ -23,7 +23,7 @@ let compute setup ?(benches = [ "p1"; "r1"; "r2" ]) () =
     (fun bname ->
       let info = Rctree.Benchmarks.find bname in
       let tree = Rctree.Benchmarks.load info in
-      let grid = Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um in
+      let grid = Common.grid ~die_um:info.Rctree.Benchmarks.die_um in
       List.map
         (fun config ->
           let wire_sizing = config <> Buffer_only in
@@ -35,13 +35,13 @@ let compute setup ?(benches = [ "p1"; "r1"; "r2" ]) () =
           let engine_config =
             {
               (Bufins.Engine.default_config ~wire_sizing ()) with
-              Bufins.Engine.tech = setup.Common.tech;
+              Bufins.Engine.tech = Common.tech;
               library = setup.Common.library;
             }
           in
           let r = Bufins.Engine.run engine_config ~model:(mk_model ()) tree in
           let buffered =
-            Sta.Buffered.make ~tech:setup.Common.tech
+            Sta.Buffered.make ~tech:Common.tech
               ~widths:r.Bufins.Engine.widths tree r.Bufins.Engine.buffers
           in
           let form =

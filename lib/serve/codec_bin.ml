@@ -384,14 +384,14 @@ let decode_assignment s =
 (* ---------- requests ---------- *)
 
 let mode_code = function
-  | Experiments.Common.Nom -> 0
-  | Experiments.Common.D2d -> 1
-  | Experiments.Common.Wid -> 2
+  | Varmodel.Model.Nom -> 0
+  | Varmodel.Model.D2d -> 1
+  | Varmodel.Model.Wid -> 2
 
 let mode_of_code = function
-  | 0 -> Experiments.Common.Nom
-  | 1 -> Experiments.Common.D2d
-  | 2 -> Experiments.Common.Wid
+  | 0 -> Varmodel.Model.Nom
+  | 1 -> Varmodel.Model.D2d
+  | 2 -> Varmodel.Model.Wid
   | c -> failwith (Printf.sprintf "binary payload: unknown mode code %d" c)
 
 let add_rule buf = function

@@ -10,9 +10,9 @@
     the served-request benchmark call it directly and compare bytes. *)
 
 val die_of_tree : Rctree.Tree.t -> float
-(** {!Experiments.Common.die_of_tree}: the die a request's net is
-    optimised on.  Exported because the served-request benchmark
-    ([bench/e2e]) mirrors the handler's configuration with it. *)
+(** {!Job.die_of_tree}: the die a request's net is optimised on.
+    Exported because the served-request benchmark ([bench/e2e])
+    mirrors the handler's configuration with it. *)
 
 val run :
   ?pool:Exec.Pool.t ->
@@ -21,15 +21,17 @@ val run :
   ?deadline_s:float ->
   Protocol.request ->
   Protocol.response
-(** Optimise the request's tree with its mode/rule, evaluate the
-    solution under the full WID model, and (if [mc > 0]) run the
-    Monte-Carlo evaluation seeded by the request's [seed].
+(** {!Job.run} on the request: optimise its tree with its mode and
+    rule (or the sampling engine when [samples > 0]) on the default
+    heterogeneous spatial model, evaluate the solution under the full
+    WID model, and (if [mc_trials > 0]) run the Monte-Carlo evaluation
+    seeded by the request's [seed].
 
-    [deadline_s] (default: from the request's [deadline_ms]) is mapped
-    onto the engine's wall-clock budget and also bounds the
-    Monte-Carlo stage, checked before it starts and between its chunks
-    of 64 trials; a non-positive value trips immediately.  [pool] parallelises the Monte-Carlo stage and the
-    DP's subtree tasks.
+    [deadline_s] (default: from the request's [deadline_ms]) is
+    {!Job.run}'s deadline: the engine's wall-clock budget, also checked
+    before the Monte-Carlo stage and between its chunks of 64 trials;
+    a non-positive value trips immediately.  [pool] parallelises the
+    Monte-Carlo stage and the DP's subtree tasks.
 
     [tapes] and [tape_digest] are accepted and ignored: the tape is
     compiled on every call.  They stay only because the served-request

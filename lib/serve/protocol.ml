@@ -14,7 +14,7 @@ let check_hello payload =
 type request = {
   id : int;
   seed : int;
-  mode : Experiments.Common.algo;
+  mode : Varmodel.Model.mode;
   rule : Bufins.Prune.t;
   deadline_ms : int;
   mc_trials : int;
@@ -31,7 +31,7 @@ let default_request ~tree =
   {
     id = 0;
     seed = 1;
-    mode = Experiments.Common.Wid;
+    mode = Varmodel.Model.Wid;
     rule = Bufins.Prune.two_param ();
     deadline_ms = 0;
     mc_trials = 0;

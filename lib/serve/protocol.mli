@@ -32,7 +32,8 @@ val check_hello : string -> unit
 type request = {
   id : int;  (** echoed verbatim in the response *)
   seed : int;  (** Monte-Carlo seed *)
-  mode : Experiments.Common.algo;  (** nom | d2d | wid *)
+  mode : Varmodel.Model.mode;
+      (** nom | d2d | wid, the {!Job.algo} the request runs *)
   rule : Bufins.Prune.t;
   deadline_ms : int;  (** wall-clock deadline; 0 = none *)
   mc_trials : int;  (** extra Monte-Carlo evaluation; 0 = skip *)

@@ -216,11 +216,8 @@ let test_convex_tape_jobs_obs () =
 (* ---------- Table-1 nets ---------- *)
 
 let table1_net name =
-  let setup = Experiments.Common.default_setup in
   let info = Rctree.Benchmarks.find name in
-  let grid =
-    Experiments.Common.grid_for setup ~die_um:info.Rctree.Benchmarks.die_um
-  in
+  let grid = Job.grid ~die_um:info.Rctree.Benchmarks.die_um in
   ( Rctree.Benchmarks.load info,
     fun () ->
       Varmodel.Model.create ~mode:Varmodel.Model.Wid

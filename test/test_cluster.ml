@@ -258,9 +258,28 @@ let over_caps =
            { (stream_request 7) with Serve.Protocol.mc_trials = 1_000_000_000 } );
        ])
 
+(* A 2P(NaN, NaN) request: no candidate failed the NaN range check, so
+   it pruned nothing and held a worker with no bound.  It now earns one
+   parse error at once. *)
+let nan_rule =
+  lazy
+    (let req =
+       {
+         (stream_request 9) with
+         Serve.Protocol.rule =
+           Bufins.Prune.Two_param { p_l = Float.nan; p_t = Float.nan };
+         deadline_ms = 2000;
+       }
+     in
+     ( "v2 request with rule 2P(nan, nan)",
+       Serve.Wire.frame_bytes ~kind:"request" (Serve.Codec_bin.encode_request req),
+       1,
+       false ))
+
 let refused_heads =
   lazy
-    ((Lazy.force four_p_power :: Lazy.force bad_relax) @ Lazy.force over_caps)
+    ((Lazy.force four_p_power :: Lazy.force nan_rule :: Lazy.force bad_relax)
+    @ Lazy.force over_caps)
 
 (* A sampled request whose one sink sits at x = 1e6 um: the die, hence
    the variation grid, grew to 4e6 regions, each drawn K samples before

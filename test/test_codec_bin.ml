@@ -422,6 +422,26 @@ let test_refuses_relax_above_1 () =
       accepted (Printf.sprintf "relax %g" relax) { base with Serve.Protocol.relax })
     [ 1.0; 0.8; 1e-300 ]
 
+(* NaN rule parameters: the 2P and 1P range checks once read
+   [p < 0.5 || p > 1.0], which is false for NaN, so 2P(NaN) reached the
+   engine and pruned nothing (a 12-sink net took 10 s; 20 sinks did not
+   finish).  A NaN p_l, p_t or alpha is a parse error now. *)
+let test_refuses_nan_rule () =
+  let base = Lazy.force head_request in
+  let nan = Float.nan in
+  List.iter
+    (fun (what, rule) -> refused what { base with Serve.Protocol.rule })
+    [
+      ("2P(nan, nan)", Bufins.Prune.Two_param { p_l = nan; p_t = nan });
+      ("2P(nan, 0.5)", Bufins.Prune.Two_param { p_l = nan; p_t = 0.5 });
+      ("2P(0.5, nan)", Bufins.Prune.Two_param { p_l = 0.5; p_t = nan });
+      ("1P(nan)", Bufins.Prune.One_param { alpha = nan });
+    ];
+  accepted "2P(0.5, 1)"
+    { base with Serve.Protocol.rule = Bufins.Prune.two_param ~p_t:1.0 () };
+  accepted "1P(0.95)"
+    { base with Serve.Protocol.rule = Bufins.Prune.one_param ~alpha:0.95 }
+
 (* Caps far beyond every workload, experiment and test (the bench
    sweeps b <= 16, the experiments draw K <= 1024): above them one lift
    over the library, or the sample matrix drawn before the first
@@ -653,6 +673,8 @@ let suite =
       `Quick test_refuses_4p_power;
     Alcotest.test_case "the head refuses relax outside (0, 1]" `Quick
       test_refuses_relax_above_1;
+    Alcotest.test_case "the head refuses NaN rule parameters" `Quick
+      test_refuses_nan_rule;
     Alcotest.test_case "the head refuses btypes above 64" `Quick
       test_refuses_btypes_above_64;
     Alcotest.test_case "the head refuses samples above 4096" `Quick

@@ -10,10 +10,13 @@
    captured from that walk before it was replaced by the one tape
    driver; the next three were captured before the sample engine's
    inner loops were rewritten.  All of those but "sample-16-weighted"
-   run the default objective ([max_yield]).  The last twenty-four run
+   run the default objective ([max_yield]).  The next twenty-four run
    the canonical engine under the power-aware objectives, captured
    (commit 8afb10f) while its insert step still built every wired x
-   type row there.  Any drift in the driver, the [Bufins.Dominance]
+   type row there.  The nine "handler-*" cases pin the MD5 of
+   [Serve.Handler.run]'s encoded reply, captured (commit 89e83ea)
+   before the optimise / evaluate / Monte-Carlo pipeline moved from the
+   handler into [Job.run].  Any drift in the driver, the [Bufins.Dominance]
    sweep, the power threading, the convex gating, the staircase
    selection or the sample kernels shows up here as a fingerprint
    mismatch. *)
@@ -207,6 +210,57 @@ let power_cases =
           ~sinks:22 ~seed:311 );
     ]
 
+(* Served requests end to end: the MD5 of the encoded reply of
+   [Serve.Handler.run] — optimise, full-WID evaluation of the chosen
+   buffering, Monte Carlo — on small nets, covering each mode, each
+   canonical rule, a b-type library, the power objectives, wire sizing,
+   the sampling engine and a Monte-Carlo epilogue. *)
+let handler_case ?(sinks = 12) ?(seed = 211) tweak m =
+  let tree = Rctree.Generate.random_steiner ~seed ~sinks ~die_um:4000.0 () in
+  let req =
+    tweak { (Serve.Protocol.default_request ~tree) with Serve.Protocol.id = seed }
+  in
+  let run pool = Serve.Handler.run ?pool req in
+  let resp =
+    match m.jobs with
+    | None -> run None
+    | Some jobs -> with_pool jobs (fun pool -> run (Some pool))
+  in
+  Digest.to_hex (Digest.string (Serve.Codec_bin.encode_response resp))
+
+let handler_cases =
+  let open Serve.Protocol in
+  [
+    ( "handler-nom-det-mc",
+      handler_case (fun r ->
+          { r with mode = Varmodel.Model.Nom; rule = Bufins.Prune.deterministic;
+            mc_trials = 200 }) );
+    ( "handler-d2d-1p-wires",
+      handler_case ~sinks:14 (fun r ->
+          { r with mode = Varmodel.Model.D2d;
+            rule = Bufins.Prune.one_param ~alpha:0.95; wire_sizing = true }) );
+    ( "handler-2p-b4-mc",
+      handler_case ~sinks:16 ~seed:311 (fun r -> { r with btypes = 4; mc_trials = 100 }) );
+    ( "handler-4p",
+      handler_case ~sinks:8 (fun r -> { r with rule = Bufins.Prune.four_param () }) );
+    ( "handler-weighted",
+      handler_case (fun r -> { r with objective = Bufins.Dominance.Weighted 1.0 }) );
+    ( "handler-weighted-eps-b3",
+      handler_case ~seed:312 (fun r ->
+          { r with btypes = 3; objective = Bufins.Dominance.Weighted 1.0;
+            eps_power = 0.01 }) );
+    ( "handler-min-power-wires",
+      handler_case (fun r ->
+          { r with objective = Bufins.Dominance.Min_power (-1500.0);
+            wire_sizing = true }) );
+    ( "handler-sample-64-relax-mc",
+      handler_case ~sinks:16 ~seed:7 (fun r ->
+          { r with samples = 64; relax = 0.8; mc_trials = 100 }) );
+    ( "handler-sample-32-d2d",
+      handler_case ~seed:7 (fun r ->
+          { r with mode = Varmodel.Model.D2d; samples = 32 }) );
+  ]
+
 let cases =
   [
     ( "det",
@@ -318,6 +372,7 @@ let cases =
         ~seed:7 );
   ]
   @ power_cases
+  @ handler_cases
 
 (* Captured from the sequential tree walk with obs off; see the capture
    note at the top.  Empty while capturing. *)
@@ -425,6 +480,15 @@ let expected : (string * string) list =
       "rat=-1077.6437665356655/37.444316891859174 buf=[17:x16;16:x4;13:x16;11:x16;8:x16;7:x4;4:x16;2:x16] w=[] llm=true peak=470 total=977 power=226.5" );
     ( "2p-b4-weighted-1-exhaustive",
       "rat=-1359.8994113866261/25.544391397541659 buf=[43:inv3;42:inv3;41:inv3;36:buf2;35:buf2;30:inv3;25:inv3;24:inv1;22:inv3;21:inv3;20:inv3;15:buf2;14:buf2;13:inv1;10:inv3;4:inv3;3:inv3] w=[] llm=true peak=271 total=1158 power=383.46546022887077" );
+    ( "handler-nom-det-mc", "71bb5c3d8ea2f9854e23f5ead418a947" );
+    ( "handler-d2d-1p-wires", "a4f750bad4aaf8d79e36dc65b0a44e7f" );
+    ( "handler-2p-b4-mc", "5761536a9f0eef8de2f1f59cfaa31128" );
+    ( "handler-4p", "ca194c5b30f41c7685e6461cd3004972" );
+    ( "handler-weighted", "02f2222f7ab11c6574abbc90b5a57395" );
+    ( "handler-weighted-eps-b3", "0c109633fe32889d7fb5af7d8b830def" );
+    ( "handler-min-power-wires", "c82557dbfb625ead329c3de264c6df67" );
+    ( "handler-sample-64-relax-mc", "56e2a6bb869a1d1b945cccacc3d7a4f8" );
+    ( "handler-sample-32-d2d", "64e8cab449e87696d732c255abfdb780" );
   ]
 
 (* Capture helper: VARBUF_GOLDEN_DUMP=FILE writes the baseline

@@ -13,6 +13,7 @@ let () =
       ("btypes", Test_btypes.suite);
       ("tape", Test_tape.suite);
       ("golden", Test_golden.suite);
+      ("job", Test_job.suite);
       ("sta", Test_sta.suite);
       ("experiments", Test_experiments.suite);
       ("sample", Test_sample.suite);
